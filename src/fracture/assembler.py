@@ -34,7 +34,18 @@ from .bigraded import (
     reduce_entries,
     restrict,
 )
-from .localization import complete, composite_action, default_steps, insertion, invert
+# composite_action and insertion are no longer called here; the names stay
+# bound because outside tracers wrap them by module attribute.
+from .localization import (  # noqa: F401
+    chain_composite,
+    chain_lines,
+    complete,
+    composite_action,
+    default_steps,
+    insertion,
+    invert,
+    resolve_multiplier,
+)
 from .matrices import mat_mul
 from .presentation import Presentation, expand
 from .presets import preset_presentation
@@ -131,6 +142,12 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None):
     The caller must assert rho_complete: the corner h only deserves its
     name for rho-complete inputs.  realize() runs the completeness check
     and asserts this for you.
+
+    The map h_d -> t_d is the rho-chain of up to K steps out of d in h;
+    phi_d -> t_d is the tau-power insertion of the module cell at the end
+    of that rho-chain (the same cell phi_d reads), into h there.  Both
+    come from one sliding window per chain line (chain_composite), equal
+    to the per-cell walks of composite_action and insertion.
     """
     if not rho_complete:
         raise RhoCompleteError(CONTRACT_MESSAGE)
@@ -143,17 +160,28 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None):
     h = invert(module, tau_name, steps=K)
     phi = invert(module, rho, steps=K)
     tate = invert(h, rho, steps=K)
+    tau = resolve_multiplier(module, tau_name)
 
     map_h_t = {}
-    map_phi_t = {}
-    for d in w.cells():
-        a = 0
-        cur = d
-        while a < K and w.contains(cur + rho.degree):
-            cur = cur + rho.degree
-            a += 1
-        map_h_t[d] = composite_action(h, rho, d, a)
-        map_phi_t[d] = insertion(module, tau_name, cur, steps=K)
+    end_of = {}
+    for start, length in chain_lines(w, rho.degree):
+        span = chain_composite(h, rho, start)
+        for k in range(length):
+            d = start + rho.degree.scaled(k)
+            a = min(K, length - 1 - k)
+            map_h_t[d] = span(k, k + a)
+            end_of[d] = d + rho.degree.scaled(a)
+    ends = set(end_of.values())
+    insert_at = {}
+    for start, length in chain_lines(w, tau.degree):
+        span = chain_composite(module, tau, start)
+        for k in range(length):
+            cur = start + tau.degree.scaled(k)
+            if cur in ends:
+                insert_at[cur] = span(k, k + min(K, length - 1 - k))
+    # chain lines visit the window out of order; keep the window's order
+    map_h_t = {d: map_h_t[d] for d in w.cells()}
+    map_phi_t = {d: insert_at[end_of[d]] for d in w.cells()}
     return SquareCorners(h, phi, tate, map_h_t, map_phi_t, tau_name)
 
 

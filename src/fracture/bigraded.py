@@ -10,6 +10,7 @@ torsion is tracked by valuation exponents, never by truncation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .matrices import identity, mat_add, mat_mul, mat_neg, zeros
@@ -41,9 +42,6 @@ class BiDegree(NamedTuple):
 
     def __sub__(self, other):
         return BiDegree(self.i - other[0], self.j - other[1])
-
-    def __neg__(self):
-        return BiDegree(-self.i, -self.j)
 
     def scaled(self, k):
         return BiDegree(k * self.i, k * self.j)
@@ -101,7 +99,9 @@ class Window(NamedTuple):
             raise ValueError(f"empty window {self}")
 
 
+@lru_cache(maxsize=None)
 def _is_prime(p):
+    """Trial division, memoized: every PGroup construction asks."""
     if p < 2:
         return False
     d = 2
@@ -166,9 +166,6 @@ class PGroup:
             n *= self.prime ** e
         return n
 
-    def with_labels(self, labels):
-        return PGroup(self.prime, self.rank, self.torsion, labels)
-
     def __eq__(self, other):
         return (
             isinstance(other, PGroup)
@@ -189,8 +186,15 @@ class PGroup:
         return f"PGroup({self.prime}, {self.rank}, {self.torsion})"
 
 
+_ZERO_GROUPS = {}
+
+
 def zero_group(p):
-    return PGroup(p, 0, ())
+    """The zero group at p, one shared instance per prime."""
+    g = _ZERO_GROUPS.get(p)
+    if g is None:
+        g = _ZERO_GROUPS[p] = PGroup(p, 0, ())
+    return g
 
 
 def _compat_modulus(p, e_src, e_tgt):
@@ -397,10 +401,11 @@ class BigradedModule:
         self.caveats = tuple(caveats)
 
     def cell(self, d):
-        return self.cells.get(BiDegree(*d), zero_group(self.prime))
+        g = self.cells.get(tuple(d))
+        return zero_group(self.prime) if g is None else g
 
     def flag(self, d):
-        return self.flags.get(BiDegree(*d), FLAG_VERIFIED)
+        return self.flags.get(tuple(d), FLAG_VERIFIED)
 
     def nonzero_degrees(self):
         return sorted(self.cells)

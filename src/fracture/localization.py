@@ -44,26 +44,101 @@ def resolve_multiplier(module, mult):
     return m
 
 
-def _depth(window, d, delta, cap):
-    """Longest chain d, d+delta, ..., d+n*delta staying in the window."""
-    n = 0
-    cur = BiDegree(*d)
-    while n < cap:
-        cur = cur + delta
-        if not window.contains(cur):
-            break
-        n += 1
-    return n
+def _depth(window, d, delta, cap=None):
+    """Longest chain d, d+delta, ..., d+n*delta staying in the window.
+
+    n is at most cap (unbounded when cap is None).  The window is convex,
+    so the chain stays inside up to the first coordinate bound it meets.
+    """
+    if not window.contains((d[0] + delta[0], d[1] + delta[1])):
+        return 0
+    n = cap
+    axes = ((d[0], delta[0], window.imin, window.imax), (d[1], delta[1], window.jmin, window.jmax))
+    for x, step, lo, hi in axes:
+        if step:
+            room = (hi - x) // step if step > 0 else (x - lo) // -step
+            n = room if n is None else min(n, room)
+    return max(n, 0)
+
+
+def chain_lines(window, delta):
+    """Each maximal chain start, start+delta, ... in the window, as (start, length)."""
+    for d in window.cells():
+        if not window.contains(d - delta):
+            yield d, _depth(window, d, delta) + 1
 
 
 def composite_action(module, mult, start, count):
-    """The PHom of count successive mult-actions out of the start cell."""
+    """The PHom of count successive mult-actions out of the start cell.
+
+    The reference walk, one composition per step; chain_composite gives the
+    same maps when many overlapping chains along one line are needed.
+    """
     f = phom_identity(module.cell(start))
     cur = BiDegree(*start)
     for _ in range(count):
         f = act(module, mult, cur) @ f
         cur = cur + mult.degree
     return f
+
+
+def _reduced(f):
+    """f with reduced entries: a stored action need not be, a composite is."""
+    entries = reduce_entries(f.source, f.target, f.entries)
+    return f if entries == f.entries else PHom(f.source, f.target, entries)
+
+
+def chain_composite(module, mult, start):
+    """Composites of consecutive mult-actions along the line through start.
+
+    Returns span(lo, hi): the PHom of hi - lo successive actions out of the
+    cell start + lo*deg, equal to composite_action(module, mult, that cell,
+    hi - lo).  Successive spans must have nondecreasing lo and hi.  A
+    two-stack queue keeps the composite of the actions in [mid, top) as one
+    map (back) and, for each k in [lo, mid), the composite of [k, mid)
+    (front); each action is composed into back once and into front at most
+    once, so a span costs a few compositions instead of hi - lo.
+
+    Composites come out with entries reduced modulo the target orders, and
+    those are determined by the map alone: compatibility of the middle
+    factor kills whatever the reduction of an inner product changes.  The
+    order of composition therefore cannot show in the result.
+    """
+    step = mult.degree
+    front = {}
+    back = None
+    pending = []
+    mid = top = last = None
+
+    def at(k):
+        return BiDegree(start[0] + k * step[0], start[1] + k * step[1])
+
+    def span(lo, hi):
+        nonlocal front, back, pending, mid, top, last
+        if hi < lo or last is not None and (lo < last[0] or hi < last[1]):
+            raise ValueError(f"span ({lo}, {hi}) moves backward from {last}")
+        last = (lo, hi)
+        if top is None or lo >= top:
+            front, back, pending, mid, top = {}, None, [], lo, lo
+        while top < hi:
+            f = _reduced(act(module, mult, at(top)))
+            pending.append(f)
+            back = f if back is None else f @ back
+            top += 1
+        if lo > mid:
+            # front exhausted: rebuild the suffix composites from the actions
+            front = {}
+            acc = None
+            for k in range(top - 1, lo - 1, -1):
+                f = pending[k - mid]
+                acc = f if acc is None else acc @ f
+                front[k] = acc
+            back, pending, mid = None, [], top
+        if lo == mid:
+            return phom_identity(module.cell(at(lo))) if back is None else back
+        return front[lo] if back is None else back @ front[lo]
+
+    return span
 
 
 def insertion(module, mult, d, steps=None):
@@ -80,12 +155,30 @@ def invert(module, mult, steps=None):
     far as the window allows).  On verified cells the multiplier acts
     invertibly; near the window edge values are approximations flagged
     boundary-unverified.
+
+    Isomorphism verdicts and inverses depend only on the map, so within
+    one call each is computed once per (source, target, entries) and
+    reused for identical maps; every computed one is still certified.
     """
     x = resolve_multiplier(module, mult)
     w = module.window
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("localization needs at least one step")
+    verdicts = {}
+    inverses = {}
+
+    def iso(f):
+        key = (f.source, f.target, f.entries)
+        if key not in verdicts:
+            verdicts[key] = is_isomorphism(f)
+        return verdicts[key]
+
+    def inverse(f):
+        key = (f.source, f.target, f.entries)
+        if key not in inverses:
+            inverses[key] = invert_iso(f).entries
+        return PHom(f.target, f.source, inverses[key])
     depths = {d: _depth(w, d, x.degree, K) for d in w.cells()}
     ends = {d: d + x.degree.scaled(n) for d, n in depths.items()}
 
@@ -103,7 +196,7 @@ def invert(module, mult, steps=None):
         ok = (
             n >= 1
             and module.flag(ends[d]) == FLAG_VERIFIED
-            and is_isomorphism(act(module, x, ends[d] - x.degree))
+            and iso(act(module, x, ends[d] - x.degree))
         )
         if not ok:
             flags[d] = FLAG_BOUNDARY
@@ -124,10 +217,10 @@ def invert(module, mult, steps=None):
                 f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)
             else:
                 back = composite_action(module, x, d + x.degree.scaled(depths[t]), -shift)
-                if not is_isomorphism(back):
+                if not iso(back):
                     flags[d] = FLAG_BOUNDARY
                     continue
-                f = act(module, y, d + x.degree.scaled(depths[t])) @ invert_iso(back)
+                f = act(module, y, d + x.degree.scaled(depths[t])) @ inverse(back)
             if not f.is_zero():
                 actions[(name, d)] = f
     return BigradedModule(module.prime, w, cells, actions, mults, flags, module.caveats)
@@ -141,51 +234,61 @@ def complete(module, mult, steps=None):
     full K stages with the image chain stabilized at the end; the result
     always carries the degreewise-completion caveat since no derived
     functors are modeled.
+
+    The powers of x ending at each cell, and the one-shorter powers the
+    certificate compares them with, come from one sliding window per
+    chain line (chain_composite) instead of a fresh walk per cell.
     """
     x = resolve_multiplier(module, mult)
     w = module.window
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("completion needs at least one step")
-    back = -x.degree
 
     cells = {}
     flags = {}
     projs = {}
     sections = {}
-    for d in w.cells():
-        g = module.cell(d)
-        if g.is_zero():
-            if module.flag(d) != FLAG_VERIFIED:
-                flags[d] = FLAG_BOUNDARY
-            continue
-        m = _depth(w, d, back, K)
-        if m == 0:
-            q, proj, section = g, phom_identity(g), identity(g.ngens)
-            ok = False
-        else:
-            power = composite_action(module, x, d + x.degree.scaled(-m), m)
-            q, proj, section = cokernel(power)
-            # certificate that deeper stages cannot change the quotient:
-            # either the deepest visible image already vanishes (images only
-            # shrink further back, so the tower is constant from here on) or
-            # the image chain is seen to stabilize across the final step of a
-            # full-depth run
-            ok = power.is_zero()
-            if not ok and m == K:
-                prev = composite_action(module, x, d + x.degree.scaled(-(m - 1)), m - 1)
-                cols_prev = [column(prev.entries, s) for s in range(prev.source.ngens)]
-                cols_last = [column(power.entries, s) for s in range(power.source.ngens)]
-                ok = span_equal(g, cols_prev, cols_last)
-        verified = ok and module.flag(d) == FLAG_VERIFIED
-        if q.is_zero():
-            if not verified:
-                flags[d] = FLAG_BOUNDARY
-            continue
-        cells[d] = q
-        flags[d] = FLAG_VERIFIED if verified else FLAG_BOUNDARY
-        projs[d] = proj
-        sections[d] = section
+    for start, length in chain_lines(w, x.degree):
+        span = chain_composite(module, x, start)
+        for k in range(length):
+            d = start + x.degree.scaled(k)
+            g = module.cell(d)
+            if g.is_zero():
+                if module.flag(d) != FLAG_VERIFIED:
+                    flags[d] = FLAG_BOUNDARY
+                continue
+            # the line starts at the window edge, so k steps back fit in it
+            m = min(k, K)
+            if m == 0:
+                q, proj, section = g, phom_identity(g), identity(g.ngens)
+                ok = False
+            else:
+                power = span(k - m, k)
+                q, proj, section = cokernel(power)
+                # certificate that deeper stages cannot change the quotient:
+                # either the deepest visible image already vanishes (images
+                # only shrink further back, so the tower is constant from here
+                # on) or the image chain is seen to stabilize across the final
+                # step of a full-depth run
+                ok = power.is_zero()
+                if not ok and m == K:
+                    prev = span(k - m + 1, k)
+                    cols_prev = [column(prev.entries, s) for s in range(prev.source.ngens)]
+                    cols_last = [column(power.entries, s) for s in range(power.source.ngens)]
+                    ok = span_equal(g, cols_prev, cols_last)
+            verified = ok and module.flag(d) == FLAG_VERIFIED
+            if q.is_zero():
+                if not verified:
+                    flags[d] = FLAG_BOUNDARY
+                continue
+            cells[d] = q
+            flags[d] = FLAG_VERIFIED if verified else FLAG_BOUNDARY
+            projs[d] = proj
+            sections[d] = section
+    # chain lines visit the window out of order; keep the window's order
+    cells = dict(sorted(cells.items()))
+    flags = dict(sorted(flags.items()))
 
     actions = {}
     for name, dy in module.multipliers.items():

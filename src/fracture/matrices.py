@@ -17,26 +17,14 @@ def identity(n):
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
-def from_rows(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def shape(a, cols_hint=None):
-    m = len(a)
-    if m:
-        return m, len(a[0])
-    if cols_hint is None:
-        raise ValueError("column count of an empty matrix is ambiguous")
-    return 0, cols_hint
-
-
 def mat_mul(a, b, inner, cols):
     """Product a @ b where a is m x inner and b is inner x cols."""
-    if inner:
-        assert len(b) == inner
+    if inner and len(b) != inner:
+        raise ValueError(f"inner dimension {inner} does not match {len(b)} rows")
     rows = []
     for arow in a:
-        assert len(arow) == inner
+        if len(arow) != inner:
+            raise ValueError(f"row of length {len(arow)} does not match inner dimension {inner}")
         rows.append(tuple(sum(arow[k] * b[k][c] for k in range(inner)) for c in range(cols)))
     return tuple(rows)
 
@@ -47,14 +35,6 @@ def mat_add(a, b):
 
 def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def transpose(a, m, n):
-    return tuple(tuple(a[r][c] for r in range(m)) for c in range(n))
 
 
 def hstack(a, b, m):

@@ -26,9 +26,10 @@ from __future__ import annotations
 import heapq
 import os
 import re
+from operator import add
 from typing import NamedTuple
 
-from .bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, reduce_entries
+from .bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, _is_prime, reduce_entries
 
 DEFAULT_CELL_BUDGET = 100_000
 BUDGET_ENV_VAR = "FRACTURE_CELL_BUDGET"
@@ -174,7 +175,7 @@ def parse_presentation(text):
             if len(args) != 1:
                 raise ParseError(lineno, col0, "prime takes exactly one argument")
             p = _parse_int(lineno, args[0][0], args[0][1], "prime")
-            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+            if not _is_prime(p):
                 raise ParseError(lineno, args[0][0], f"{p} is not prime")
             prime = p
             continue
@@ -296,50 +297,45 @@ def expand(pres, window=None, budget=None):
     # enough that some ordering of any product stays inside the whole way.
     step = max((max(abs(d.i), abs(d.j)) for _, _, d in span_vecs), default=1)
     collar = 2 * step + 2
-    box_i = (min(0, window.imin) - collar, max(0, window.imax) + collar)
-    box_j = (min(0, window.jmin) - collar, max(0, window.jmax) + collar)
+    imin, imax = min(0, window.imin) - collar, max(0, window.imax) + collar
+    jmin, jmax = min(0, window.jmin) - collar, max(0, window.jmax) + collar
+    steps = [(vexp, vec, deg.i, deg.j) for vexp, vec, deg in span_vecs]
 
-    def in_box(d):
-        return box_i[0] <= d.i <= box_i[1] and box_j[0] <= d.j <= box_j[1]
-
-    dist = {}
+    # Degrees ride along in the heap as plain ints.  Monomials settle in
+    # order, and the ones inside the window are grouped by bidegree as they
+    # settle: the reachable monomials that survive their relations.
+    settled = set()
+    per_degree = {}
     heap = []
     counter = 0
-    for vexp, vec, deg in span_vecs:
-        if in_box(deg):
-            heapq.heappush(heap, (vexp, counter, vec, deg))
+    for vexp, vec, i, j in steps:
+        if imin <= i <= imax and jmin <= j <= jmax:
+            heapq.heappush(heap, (vexp, counter, vec, i, j))
             counter += 1
     visited = 0
     while heap:
-        val, _, vec, deg = heapq.heappop(heap)
-        if vec in dist:
+        val, _, vec, i, j = heapq.heappop(heap)
+        if vec in settled:
             continue
-        dist[vec] = val
+        settled.add(vec)
         visited += 1
         if visited > budget:
             raise BudgetError(
                 f"expansion exceeded the budget of {budget} monomials; "
                 f"raise {BUDGET_ENV_VAR} if the window really is this dense"
             )
-        for vexp, svec, sdeg in span_vecs:
-            nvec = tuple(a + b for a, b in zip(vec, svec))
-            if nvec in dist:
+        if window.imin <= i <= window.imax and window.jmin <= j <= window.jmax:
+            e = _order_exponent(pres, rel_vecs, vec)
+            if e is None or val < e:
+                per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
+        for vexp, svec, si, sj in steps:
+            nvec = tuple(map(add, vec, svec))
+            if nvec in settled:
                 continue
-            ndeg = deg + sdeg
-            if in_box(ndeg):
-                heapq.heappush(heap, (val + vexp, counter, nvec, ndeg))
+            ni, nj = i + si, j + sj
+            if imin <= ni <= imax and jmin <= nj <= jmax:
+                heapq.heappush(heap, (val + vexp, counter, nvec, ni, nj))
                 counter += 1
-
-    # cell assembly: group reachable monomials by bidegree inside the window
-    per_degree = {}
-    for vec, v in dist.items():
-        deg = _degree_of(pres, vec)
-        if not window.contains(deg):
-            continue
-        e = _order_exponent(pres, rel_vecs, vec)
-        if e is not None and v >= e:
-            continue
-        per_degree.setdefault(deg, []).append((vec, v, e))
 
     cells = {}
     index = {}

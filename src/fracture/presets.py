@@ -14,7 +14,7 @@ produce, so the pipeline can be cross-checked cell by cell.
 'Z/2'
 """
 
-from .bigraded import BigradedModule, PGroup, Window
+from .bigraded import BigradedModule, PGroup, Window, _is_prime
 from .presentation import parse_presentation
 
 HF2_SOURCE = """\
@@ -89,10 +89,6 @@ def resolve_preset(name):
     return key
 
 
-def _is_odd_prime(p):
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
-
-
 def preset_source(name, prime=None):
     """DSL source text of a preset, with the prime filled in.
 
@@ -101,7 +97,7 @@ def preset_source(name, prime=None):
     """
     key = resolve_preset(name)
     if key == "HFP_ODD_R":
-        if prime is None or not _is_odd_prime(prime):
+        if prime is None or prime == 2 or not _is_prime(prime):
             raise ValueError(f"preset {key} needs an odd prime, got {prime!r}")
         return HFP_ODD_TEMPLATE.format(p=prime)
     if prime not in (None, 2):
@@ -180,7 +176,7 @@ def reference_realization(name, prime, window):
     """
     key = resolve_preset(name)
     if key == "HFP_ODD_R":
-        if not _is_odd_prime(prime):
+        if prime == 2 or not _is_prime(prime):
             raise ValueError(f"preset {key} needs an odd prime, got {prime!r}")
     elif prime != 2:
         raise ValueError(f"preset {key} is 2-primary, got prime {prime!r}")

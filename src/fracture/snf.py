@@ -23,6 +23,13 @@ from .matrices import column, from_columns, hstack, identity, mat_mul
 DEFAULT_RESIDUE = 16
 
 
+class CertificateError(ValueError):
+    """A computed answer failed its own exactness check.
+
+    Raised rather than asserted, so the checks also run under python -O.
+    """
+
+
 def valuation(n, p):
     """p-adic valuation of an integer; None encodes v(0) = infinity.
 
@@ -220,7 +227,8 @@ def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
         tuple(tuple(r) for r in Vi),
         residue,
     )
-    assert result.certify(tuple(tuple(r) for r in a))
+    if not result.certify(tuple(tuple(r) for r in a)):
+        raise CertificateError(f"Smith normal form of a {rows}x{cols} matrix failed its certificate")
     return result
 
 
@@ -481,7 +489,8 @@ def solve_hom(f, g):
         columns.append(tuple(col))
     entries = from_columns(columns, nA)
     h = PHom(g.source, f.source, reduce_entries(g.source, f.source, entries))
-    assert (f @ h).same_map(g)
+    if not (f @ h).same_map(g):
+        raise CertificateError("solve_hom produced h with f o h != g")
     return h
 
 

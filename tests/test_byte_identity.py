@@ -1,0 +1,41 @@
+"""Canonical JSON of realize, invert and complete, pinned byte for byte.
+
+The digests were recorded before the hot path of realize was rebuilt
+around sliding-window chain composites, per-call isomorphism verdicts
+and a shared zero cell.  Any change in a cell, flag, edge matrix or
+provenance entry changes the bytes and fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from fracture import complete, emit_json, expand, invert, preset_presentation, realize
+
+PINNED = [
+    ("HF2_R", None, (-3, 3, -3, 3), "44c73288825777136cf9049196861d7f9beffa5ff9654fcd80a3ee9ec2836eb1"),
+    ("HZ2_R", None, (-3, 3, 0, 6), "4dc6ada23c0f686ea8f7dce4ed27a8834dd2681bd9d4c83aca1056145ee9c5d3"),
+    ("KGL2_R", None, (0, 6, 2, 8), "52178041172b855b26605ca97e902968bf967497b96fe64d5c6863f6b4047883"),
+    ("HFP_ODD_R", 3, (-6, 6, -6, 6), "0e2cb10a59cd09b4bfae99b2daede1d7971005db1f0d09280acb42769b300b59"),
+]
+
+
+@pytest.mark.parametrize("name,prime,window,digest", PINNED)
+def test_realize_json_is_byte_identical(name, prime, window, digest) -> None:
+    assert hashlib.sha256(emit_json(realize(name, prime, window))).hexdigest() == digest
+
+
+# (preset, prime, operation, multiplier, steps) on the expansion over (-5,5)x(-6,4)
+PINNED_LOCALIZATIONS = [
+    ("KGL2_R", None, invert, "tau4", None, "e4dbd251eb38bc8be2bba517a07d582ec6332046a4b21f82d663f798b054fdc9"),
+    ("KGL2_R", None, invert, "rho", 3, "da1b81fcfd1f8f1f6738b787a2b7493ae002f6686addc478c5d80955a25d9d2e"),
+    ("KGL2_R", None, complete, "rho", None, "b51262e848b3d9b580355824a8c06bc3efd52e8b25b26af71417d220fa9ae746"),
+    ("KGL2_R", None, complete, "rho", 3, "ca16ad67c2941b779f59c1e3de634727a3b9ea18263b0cceaf8bbdcc36e71fb8"),
+    ("HFP_ODD_R", 3, complete, "rho", None, "71c0cdd0bf03ef99b0ffdfa408f0373c07c7659704fed8fe0f9994e281247d8d"),
+]
+
+
+@pytest.mark.parametrize("name,prime,operation,mult,steps,digest", PINNED_LOCALIZATIONS)
+def test_localization_json_is_byte_identical(name, prime, operation, mult, steps, digest) -> None:
+    module = expand(preset_presentation(name, prime), (-5, 5, -6, 4))
+    assert hashlib.sha256(emit_json(operation(module, mult, steps=steps))).hexdigest() == digest

@@ -22,6 +22,9 @@ from fracture.bigraded import (
 )
 from fracture.localization import (
     COMPLETION_CAVEAT,
+    _depth,
+    chain_composite,
+    chain_lines,
     complete,
     composite_action,
     default_steps,
@@ -56,6 +59,54 @@ def test_composite_action_multiplies_the_steps() -> None:
     assert composite_action(module, S, (0, 0), 0).entries == ((1,),)
     assert composite_action(module, S, (0, 0), 2).entries == ((2,),)
     assert insertion(module, S, (0, 0)).entries == ((2,),)
+
+
+def _depth_by_walking(window, d, delta, cap):
+    n, cur = 0, d
+    while n < cap and window.contains(cur + delta):
+        cur, n = cur + delta, n + 1
+    return n
+
+
+def test_depth_closed_form_matches_the_walk() -> None:
+    w = Window(-3, 4, -2, 5)
+    outside = Window(-6, 7, -5, 8)
+    for delta in (BiDegree(-1, -1), BiDegree(0, -1), BiDegree(0, -4), BiDegree(2, 1), BiDegree(1, 0)):
+        for d in outside.cells():
+            for cap in (0, 1, 3, 20):
+                expected = _depth_by_walking(w, d, delta, cap)
+                assert _depth(w, d, delta, cap) == expected, (d, delta, cap)
+
+
+@pytest.mark.parametrize("name,prime", [("hf2", 2), ("hz2", 2), ("kgl2", 2), ("hfp_odd", 3)])
+def test_chain_composite_matches_composite_action(name, prime) -> None:
+    module = expand(preset_presentation(name, prime), Window(-3, 3, -4, 3))
+    diameter = default_steps(module.window)
+    for mult in module.multipliers:
+        x = module.multiplier(mult)
+        for K in (1, 2, diameter, diameter + 3):
+            for start, length in chain_lines(module.window, x.degree):
+                starting_at = chain_composite(module, x, start)
+                ending_at = chain_composite(module, x, start)
+                for k in range(length):
+                    d = start + x.degree.scaled(k)
+                    n = min(K, length - 1 - k)
+                    m = min(K, k)
+                    expected = composite_action(module, x, d, n)
+                    assert repr(starting_at(k, k + n)) == repr(expected), (mult, K, d)
+                    expected = composite_action(module, x, d - x.degree.scaled(m), m)
+                    assert repr(ending_at(k - m, k)) == repr(expected), (mult, K, d)
+
+
+def test_chain_composite_reduces_a_single_step() -> None:
+    # 5 and 1 are the same map into Z/4; composites carry reduced entries
+    module = chain_module([PGroup(2, 0, (2,))] * 3, [[[5]], [[1]]])
+    span = chain_composite(module, S, (0, 0))
+    assert span(0, 0).entries == ((1,),)
+    assert span(0, 1).entries == composite_action(module, S, (0, 0), 1).entries == ((1,),)
+    assert span(1, 2).entries == ((1,),)
+    with pytest.raises(ValueError):
+        span(0, 2)
 
 
 def test_invert_reads_the_deepest_stage_and_flags_honestly() -> None:

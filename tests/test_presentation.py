@@ -171,6 +171,13 @@ def test_parse_errors(source, fragment) -> None:
     assert fragment in str(info.value)
 
 
+def test_nonprime_error_text_is_stable() -> None:
+    with pytest.raises(ParseError) as info:
+        parse_presentation("prime 4\ngen tau 0 -1\nrel 4·1\nspan 1·1\n")
+    assert str(info.value) == "line 1, col 7: 4 is not prime"
+    assert (info.value.line, info.value.col) == (1, 7)
+
+
 def test_parse_error_reports_position() -> None:
     with pytest.raises(ParseError) as info:
         parse_presentation("prime 2\ngen t 0 -1\nspan 1·t*u^2\n")

@@ -11,10 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import subprocess
+import sys
+
+import pytest
 
 from fracture.bigraded import PGroup, PHom, phom_identity, phom_scalar, phom_zero, zero_group
 from fracture.matrices import column, identity, mat_mul
 from fracture.snf import (
+    CertificateError,
+    SnfResult,
     cokernel,
     image,
     invert_iso,
@@ -271,3 +277,34 @@ def test_trivial_kernel_forces_injectivity_on_enumeration() -> None:
         g, _ = kernel(f)
         injective = len({_apply(f, x) for x in _elements(a)}) == a.order()
         assert g.is_zero() == injective
+
+
+def test_failed_certificate_raises(monkeypatch) -> None:
+    monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
+    with pytest.raises(CertificateError):
+        smith_normal_form(((2, 1), (4, 3)), 2)
+
+
+CERTIFY_UNDER_O = """
+from fracture.snf import CertificateError, SnfResult, smith_normal_form
+if __debug__:
+    raise SystemExit("interpreter is not running with -O")
+SnfResult.certify = lambda self, a: False
+try:
+    smith_normal_form(((2, 1), (4, 3)), 2)
+except CertificateError:
+    raise SystemExit(0)
+raise SystemExit("a failed certificate went unnoticed under -O")
+"""
+
+
+def test_failed_certificate_raises_under_optimize() -> None:
+    proc = subprocess.run([sys.executable, "-O", "-c", CERTIFY_UNDER_O], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_mat_mul_rejects_mismatched_shapes() -> None:
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2),), ((1,),), 2, 1)
+    with pytest.raises(ValueError):
+        mat_mul(((1,),), ((1,), (2,)), 2, 1)
