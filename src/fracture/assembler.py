@@ -295,20 +295,51 @@ def assemble(square, window=None):
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 
+def _clip(box, window):
+    """The part of box inside window, or None when they do not meet."""
+    lo_i, hi_i = max(box[0], window.imin), min(box[1], window.imax)
+    lo_j, hi_j = max(box[2], window.jmin), min(box[3], window.jmax)
+    return Window(lo_i, hi_i, lo_j, hi_j) if lo_i <= hi_i and lo_j <= hi_j else None
+
+
+def _reach(module, box, *chains):
+    """The part of the module's window that answering the box can read.
+
+    The box grows by one step of any multiplier on every side (the action
+    loops of invert and complete flag a cell from a target one step away)
+    and is swept to the window's edge along each chain degree, so every
+    chain out of it runs exactly as far as in the whole window.  A box that
+    misses the window reaches all of it.
+    """
+    w = module.window
+    degrees = list(module.multipliers.values()) + list(chains)
+    si = max((abs(d[0]) for d in degrees), default=0)
+    sj = max((abs(d[1]) for d in degrees), default=0)
+    lo_i, hi_i, lo_j, hi_j = box[0] - si, box[1] + si, box[2] - sj, box[3] + sj
+    for di, dj in chains:
+        lo_i, hi_i = (w.imin if di < 0 else lo_i), (w.imax if di > 0 else hi_i)
+        lo_j, hi_j = (w.jmin if dj < 0 else lo_j), (w.jmax if dj > 0 else hi_j)
+    return _clip((lo_i, hi_i, lo_j, hi_j), w) or w
+
+
 def rho_complete_defect(module, window=None):
     """Cells where completing along rho visibly changes the module.
 
     An empty list is the necessary condition the realization contract
     asks for; a nonempty one is a proof of incompleteness.  Compare on a
     subwindow well inside the module's own, if one is given: cells near
-    the edge can show truncation artifacts that mean nothing.
+    the edge can show truncation artifacts that mean nothing.  Completion
+    at d reads the rho-chain that ends there, so with a window only the
+    cells those chains pass through are completed, to the depth the whole
+    module would get.
     """
-    done = complete(module, "rho")
-    if window is not None:
-        window = Window(*window)
-        done = restrict(done, window)
-        module = restrict(module, window)
-    return cellwise_diff(done, module)
+    if window is None:
+        return cellwise_diff(complete(module, "rho"), module)
+    window = Window(*window)
+    up = module.multiplier("rho").degree.scaled(-1)
+    part = restrict(module, _reach(module, window, up))
+    done = complete(part, "rho", steps=default_steps(module.window))
+    return cellwise_diff(restrict(done, window), restrict(module, window))
 
 
 def _expanded_for(source, prime, window, pad, budget):
@@ -343,6 +374,11 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     square is assembled there, and the result is cut back down.  Unless
     rho-completeness is asserted, the necessary condition is checked
     first and failing inputs are refused.
+
+    The splice reads the corners on the assembly margin around the window
+    and on its boundary column, and the corners read the expansion along
+    tau- and rho-chains out of those cells; the corners are computed on
+    just that part of the expansion.
     """
     expanded, core, pad = _expanded_for(source, prime, window, pad, budget)
     if not rho_complete:
@@ -350,13 +386,13 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
         if defect:
             head = "; ".join(defect[:4])
             raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
-    square = corners(expanded, rho_complete=True, steps=pad)
-    margin = Window(
-        core.imin - ASSEMBLY_MARGIN,
-        core.imax + ASSEMBLY_MARGIN,
-        core.jmin - ASSEMBLY_MARGIN,
-        core.jmax + ASSEMBLY_MARGIN,
-    )
+    # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
+    m = ASSEMBLY_MARGIN
+    margin = _clip((core.imin - m, core.imax + m, core.jmin - m, core.jmax + m), expanded.window)
+    tau = expanded.multiplier(select_tau_power(expanded))
+    box = margin._replace(imax=margin.imax + BOUNDARY_SHIFT.i)
+    reach = _reach(expanded, box, tau.degree, expanded.multiplier("rho").degree)
+    square = corners(restrict(expanded, reach), rho_complete=True, tau_name=tau.name, steps=pad)
     report = assemble(square, margin)
     result = restrict(report.result, core)
     parts = {d: part for d, part in report.parts.items() if core.contains(d)}
@@ -370,6 +406,11 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     window.  The Tate corner of the completed part must vanish and is
     asserted to; realizing the same input gives the direct sum of the
     two parts.
+
+    The two inversions and the Tate corner read only the tau2- and
+    rho-chains out of the window, so they run on that part of the
+    expansion; the completion reads its chains from the opposite edge
+    and runs on all of it.
     """
     if prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
@@ -379,9 +420,10 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
         if defect:
             head = "; ".join(defect[:4])
             raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
-    phi = invert(expanded, "rho", steps=pad)
+    reach = _reach(expanded, core, expanded.multiplier("tau2").degree, expanded.multiplier("rho").degree)
+    phi = invert(restrict(expanded, reach), "rho", steps=pad)
     completed = complete(expanded, "rho", steps=pad)
-    unit = invert(completed, "tau2", steps=pad)
+    unit = invert(restrict(completed, reach), "tau2", steps=pad)
     tate = invert(unit, "rho", steps=pad)
     bad = [d for d in core.cells() if not tate.cell(d).is_zero()]
     if bad:

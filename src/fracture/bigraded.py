@@ -99,16 +99,39 @@ class Window(NamedTuple):
             raise ValueError(f"empty window {self}")
 
 
+# Miller-Rabin on the first thirteen prime bases is exact below this bound
+# (Sorenson and Webster, 2015).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def _is_prime(p):
-    """Trial division, memoized: every PGroup construction asks."""
+    """Deterministic Miller-Rabin, memoized: every PGroup construction asks.
+
+    Raises ValueError at or above PRIME_TEST_BOUND, where these bases no
+    longer decide primality.
+    """
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"{p} is not below {PRIME_TEST_BOUND}, the bound of the exact primality test")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

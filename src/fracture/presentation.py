@@ -175,7 +175,11 @@ def parse_presentation(text):
             if len(args) != 1:
                 raise ParseError(lineno, col0, "prime takes exactly one argument")
             p = _parse_int(lineno, args[0][0], args[0][1], "prime")
-            if not _is_prime(p):
+            try:
+                ok = _is_prime(p)
+            except ValueError as exc:
+                raise ParseError(lineno, args[0][0], str(exc)) from None
+            if not ok:
                 raise ParseError(lineno, args[0][0], f"{p} is not prime")
             prime = p
             continue
@@ -234,24 +238,28 @@ def _degree_of(pres, vec):
     return BiDegree(i, j)
 
 
-def _order_exponent(pres, rel_vecs, vec):
-    """min p-exponent a relation imposes on the monomial, or None.
+def _killers(pres):
+    """Relations as (p-exponent, required powers), cheapest first.
 
     A relation scalar * m_r kills scalar * m for every monomial multiple m
-    of m_r; invertible generators divide unconditionally.
+    of m_r; invertible generators divide unconditionally, so only the
+    positive powers of the others are required.
     """
-    best = None
-    for vexp, rvec in rel_vecs:
-        ok = True
-        for idx, g in enumerate(pres.generators):
-            if g.invertible:
-                continue
-            if vec[idx] < rvec[idx]:
-                ok = False
-                break
-        if ok and (best is None or vexp < best):
-            best = vexp
-    return best
+    out = []
+    for term in pres.relations:
+        rvec = _vector(pres, term.powers)
+        gens = pres.generators
+        need = tuple((k, r) for k, (r, g) in enumerate(zip(rvec, gens)) if r > 0 and not g.invertible)
+        out.append((term.vexp, need))
+    return sorted(out, key=lambda kill: kill[0])
+
+
+def _order_exponent(killers, vec):
+    """min p-exponent a relation imposes on the monomial, or None."""
+    for vexp, need in killers:
+        if all(vec[k] >= r for k, r in need):
+            return vexp
+    return None
 
 
 def _powers_of(pres, vec):
@@ -274,8 +282,10 @@ def expand(pres, window=None, budget=None):
     also become named multiplier actions.
 
     The search walks a collar around the window (reordering factors keeps
-    partial products nearby, so nothing reachable is missed) and gives up
-    past the cell budget, settable via FRACTURE_CELL_BUDGET.
+    partial products nearby, so nothing reachable is missed).  Monomials a
+    relation has killed are settled but not extended: everything reached
+    through them is killed too.  The search gives up once it has settled
+    more monomials than the cell budget, settable via FRACTURE_CELL_BUDGET.
     """
     if window is None:
         window = pres.window
@@ -291,7 +301,7 @@ def expand(pres, window=None, budget=None):
     for term in pres.spans:
         vec = _vector(pres, term.powers)
         span_vecs.append((term.vexp, vec, _degree_of(pres, vec)))
-    rel_vecs = [(term.vexp, _vector(pres, term.powers)) for term in pres.relations]
+    killers = _killers(pres)
 
     # Bounding box: hull of window and origin, plus a Steinitz collar wide
     # enough that some ordering of any product stays inside the whole way.
@@ -303,7 +313,11 @@ def expand(pres, window=None, budget=None):
 
     # Degrees ride along in the heap as plain ints.  Monomials settle in
     # order, and the ones inside the window are grouped by bidegree as they
-    # settle: the reachable monomials that survive their relations.
+    # settle: the reachable monomials that survive their relations.  A dead
+    # monomial (valuation at least its order exponent) is not extended:
+    # span steps only add powers of the generators a relation needs and
+    # never lower the valuation, so whatever it leads to is dead as well,
+    # and the live monomials keep their valuations.
     settled = set()
     per_degree = {}
     heap = []
@@ -324,10 +338,11 @@ def expand(pres, window=None, budget=None):
                 f"expansion exceeded the budget of {budget} monomials; "
                 f"raise {BUDGET_ENV_VAR} if the window really is this dense"
             )
+        e = _order_exponent(killers, vec)
+        if e is not None and val >= e:
+            continue
         if window.imin <= i <= window.imax and window.jmin <= j <= window.jmax:
-            e = _order_exponent(pres, rel_vecs, vec)
-            if e is None or val < e:
-                per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
+            per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
         for vexp, svec, si, sj in steps:
             nvec = tuple(map(add, vec, svec))
             if nvec in settled:

@@ -252,6 +252,15 @@ def test_realize_override_accepts_incomplete_input() -> None:
     assert report.result.cell((0, 1)).is_zero()
 
 
+@pytest.mark.parametrize("name", ["HF2_R", "HZ2_R", "KGL2_R"])
+def test_realize_with_one_step_of_padding(name) -> None:
+    # the assembly margin sticks out of an expansion padded by one cell;
+    # it is cut back to the expansion
+    report = realize(name, 2, Window(-4, 4, -4, 4), rho_complete=True, pad=1)
+    assert report.certificates_hold()
+    assert report.result.window == Window(-4, 4, -4, 4)
+
+
 def test_rho_complete_defect() -> None:
     good = expand(preset_presentation("hf2"), Window(-6, 6, -6, 6))
     assert rho_complete_defect(good, Window(-3, 3, -3, 3)) == []

@@ -2,21 +2,25 @@
 
 The digests were recorded before the hot path of realize was rebuilt
 around sliding-window chain composites, per-call isomorphism verdicts
-and a shared zero cell.  Any change in a cell, flag, edge matrix or
-provenance entry changes the bytes and fails here.
+and a shared zero cell; the wide KGL2 window and the odd split were
+recorded before expand pruned dead monomials and before each stage was
+handed only the part of the expansion its chains reach.  Any change in
+a cell, flag, edge matrix or provenance entry changes the bytes and
+fails here.
 """
 
 import hashlib
 
 import pytest
 
-from fracture import complete, emit_json, expand, invert, preset_presentation, realize
+from fracture import complete, emit_json, expand, invert, odd_split, preset_presentation, realize
 
 PINNED = [
     ("HF2_R", None, (-3, 3, -3, 3), "44c73288825777136cf9049196861d7f9beffa5ff9654fcd80a3ee9ec2836eb1"),
     ("HZ2_R", None, (-3, 3, 0, 6), "4dc6ada23c0f686ea8f7dce4ed27a8834dd2681bd9d4c83aca1056145ee9c5d3"),
     ("KGL2_R", None, (0, 6, 2, 8), "52178041172b855b26605ca97e902968bf967497b96fe64d5c6863f6b4047883"),
     ("HFP_ODD_R", 3, (-6, 6, -6, 6), "0e2cb10a59cd09b4bfae99b2daede1d7971005db1f0d09280acb42769b300b59"),
+    ("KGL2_R", 2, (-10, 10, -10, 10), "e4cd5d715ea8c72a1518ceac8c05bed4ae456b886c11a987aca0c539b7f6d659"),
 ]
 
 
@@ -39,3 +43,14 @@ PINNED_LOCALIZATIONS = [
 def test_localization_json_is_byte_identical(name, prime, operation, mult, steps, digest) -> None:
     module = expand(preset_presentation(name, prime), (-5, 5, -6, 4))
     assert hashlib.sha256(emit_json(operation(module, mult, steps=steps))).hexdigest() == digest
+
+
+PINNED_ODD_SPLIT = (
+    "68d229af8c5f6fa67c34b956d7cbd8741523fc275745831d0025ea1d619ce0aa",
+    "69cc580c5b967621538beab7f3170a2521e0b5a2b6563fefca1a0b43c18dbf5e",
+)
+
+
+def test_odd_split_json_is_byte_identical() -> None:
+    parts = odd_split("HFP_ODD_R", 3, (-6, 6, -6, 6))
+    assert tuple(hashlib.sha256(emit_json(part)).hexdigest() for part in parts) == PINNED_ODD_SPLIT

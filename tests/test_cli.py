@@ -61,6 +61,13 @@ def test_realize_subprocess_matches_reference() -> None:
     assert all(c["flags"] == ["verified"] for c in payload["cells"])
 
 
+def test_realize_with_one_step_of_padding_exits_cleanly() -> None:
+    proc = run_cli("realize", "--module", "hf2", "--window", "-4:4,-4:4", "--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["cells"]
+
+
 def test_realize_out_file_is_report_emission(tmp_path) -> None:
     out = tmp_path / "chart.json"
     code = main([

@@ -1,0 +1,200 @@
+"""expand stops at monomials a relation has killed; nothing it returns moves.
+
+unpruned_expand below is the search expand ran before it learned to
+prune: every settled monomial is extended, dead or alive.  Both must give
+the same cells, labels, actions and bytes on every preset's padded
+realize window and on small random presentations.
+"""
+
+import heapq
+from operator import add
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracture import emit_json
+from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, reduce_entries
+from fracture.presentation import BudgetError, Term, expand, parse_presentation, term_string
+from fracture.presets import preset_presentation
+
+INVERTIBLE_SOURCE = """\
+prime 2
+gen rho -1 -1 inv
+rel 2·1
+span 1·1
+span 1·rho
+span 1·rho^-1
+"""
+
+TATE_STYLE_SOURCE = """\
+prime 2
+gen tau 0 -1
+gen rho -1 -1 inv
+rel 2·1
+rel 1·tau^3*rho^-1
+span 1·1
+span 1·tau
+span 1·rho
+span 1·rho^-1
+"""
+
+
+def unpruned_expand(pres, window, budget):
+    """The reference search: dead monomials are extended like live ones."""
+    window = Window(*window)
+    p = pres.prime
+    gens = pres.generators
+    index = {g.name: k for k, g in enumerate(gens)}
+
+    def vector(powers):
+        vec = [0] * len(gens)
+        for name, e in powers:
+            vec[index[name]] += e
+        return tuple(vec)
+
+    def degree(vec):
+        return BiDegree(
+            sum(e * g.degree.i for e, g in zip(vec, gens)), sum(e * g.degree.j for e, g in zip(vec, gens))
+        )
+
+    def order_exponent(vec):
+        best = None
+        for vexp, rvec in rels:
+            if all(g.invertible or vec[k] >= rvec[k] for k, g in enumerate(gens)):
+                best = vexp if best is None else min(best, vexp)
+        return best
+
+    spans = [(t.vexp, vector(t.powers), degree(vector(t.powers))) for t in pres.spans]
+    rels = [(t.vexp, vector(t.powers)) for t in pres.relations]
+    step = max((max(abs(d.i), abs(d.j)) for _, _, d in spans), default=1)
+    collar = 2 * step + 2
+    box = Window(
+        min(0, window.imin) - collar,
+        max(0, window.imax) + collar,
+        min(0, window.jmin) - collar,
+        max(0, window.jmax) + collar,
+    )
+    best = {}
+    heap = [(vexp, k, vec, deg) for k, (vexp, vec, deg) in enumerate(spans) if box.contains(deg)]
+    heapq.heapify(heap)
+    counter = len(heap)
+    while heap:
+        val, _, vec, deg = heapq.heappop(heap)
+        if vec in best:
+            continue
+        best[vec] = (val, deg)
+        if len(best) > budget:
+            raise BudgetError("over budget")
+        for vexp, svec, sdeg in spans:
+            nvec = tuple(map(add, vec, svec))
+            if nvec not in best and box.contains(deg + sdeg):
+                heapq.heappush(heap, (val + vexp, counter, nvec, deg + sdeg))
+                counter += 1
+
+    per_degree = {}
+    for vec, (val, deg) in best.items():
+        e = order_exponent(vec)
+        if window.contains(deg) and (e is None or val < e):
+            per_degree.setdefault(deg, []).append((vec, val, e))
+    cells, where = {}, {}
+    for deg, here in per_degree.items():
+        here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
+        labels = [
+            term_string(p, Term(v, tuple((g.name, x) for g, x in zip(gens, vec) if x))) for vec, v, _ in here
+        ]
+        rank = sum(e is None for _, _, e in here)
+        cells[deg] = PGroup(p, rank, [e - v for _, v, e in here if e is not None], labels)
+        where[deg] = {vec: (pos, v) for pos, (vec, v, _) in enumerate(here)}
+
+    multipliers, actions = {}, {}
+    for term, (vexp, svec, sdeg) in zip(pres.spans, spans):
+        if sdeg == (0, 0):
+            continue
+        name = (str(p**term.vexp) if term.vexp else "") + "".join(
+            n if e == 1 else f"{n}{e}" for n, e in term.powers
+        )
+        multipliers[name] = sdeg
+        for deg, src in where.items():
+            tgt = where.get(deg + sdeg)
+            if tgt is None or not window.contains(deg + sdeg):
+                continue
+            rows = [[0] * len(src) for _ in tgt]
+            for vec, (c, v) in src.items():
+                hit = tgt.get(tuple(map(add, vec, svec)))
+                if hit is not None:
+                    rows[hit[0]][c] = p ** (vexp + v - hit[1])
+            entries = reduce_entries(cells[deg], cells[deg + sdeg], rows)
+            actions[(name, deg)] = PHom(cells[deg], cells[deg + sdeg], entries)
+    return BigradedModule(p, window, cells, actions, multipliers)
+
+
+def assert_same_expansion(got, want):
+    assert emit_json(got) == emit_json(want)
+    assert got.cells.keys() == want.cells.keys()
+    for d, g in want.cells.items():
+        assert got.cells[d].labels == g.labels, d
+
+
+def realize_window(core):
+    """The padded window realize expands for a core at the default pad."""
+    pad = max(core.width, core.height) + 4
+    return Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
+
+
+FIXED = [
+    ("HF2_R", None, Window(-3, 3, -3, 3)),
+    ("HZ2_R", None, Window(-3, 3, 0, 6)),
+    ("KGL2_R", None, Window(0, 6, 2, 8)),
+    ("KGL2_R", None, Window(-5, 5, -5, 5)),
+    ("HFP_ODD_R", 3, Window(-6, 6, -6, 6)),
+    ("HFP_ODD_R", 5, Window(-2, 2, -2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,prime,core", FIXED)
+def test_pruning_keeps_preset_expansions(name, prime, core) -> None:
+    pres = preset_presentation(name, prime)
+    big = realize_window(core)
+    assert_same_expansion(expand(pres, big, budget=2_000_000), unpruned_expand(pres, big, 2_000_000))
+
+
+@pytest.mark.parametrize("source", [INVERTIBLE_SOURCE, TATE_STYLE_SOURCE])
+def test_pruning_keeps_invertible_expansions(source) -> None:
+    pres = parse_presentation(source)
+    big = Window(-8, 6, -9, 5)
+    assert_same_expansion(expand(pres, big), unpruned_expand(pres, big, 100_000))
+
+
+@st.composite
+def presentations(draw):
+    """Small presentations whose expansion is finite.
+
+    Every generator has j < 0 and spans use nonnegative powers, so each
+    factor lowers j and only finitely many products land in any window.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    ngens = draw(st.integers(1, 3))
+    lines = [f"prime {p}"]
+    for k in range(ngens):
+        i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, -1))
+        lines.append(f"gen g{k} {i} {j}" + (" inv" if draw(st.booleans()) else ""))
+
+    def term():
+        scalar = p ** draw(st.integers(0, 2))
+        powers = [(k, draw(st.integers(0, 2))) for k in range(ngens)]
+        mono = "*".join(f"g{k}^{e}" for k, e in powers if e) or "1"
+        return f"{scalar}·{mono}"
+
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"rel {term()}")
+    for _ in range(draw(st.integers(1, 4))):
+        lines.append(f"span {term()}")
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pres=presentations())
+def test_pruning_keeps_random_expansions(pres) -> None:
+    window = Window(-6, 4, -8, 2)
+    assert_same_expansion(expand(pres, window), unpruned_expand(pres, window, 100_000))

@@ -1,10 +1,11 @@
 """Parser and expansion tests, with a brute force oracle for expansion."""
 
 import itertools
+import time
 
 import pytest
 
-from fracture.bigraded import BiDegree, PGroup, Window, validate_module
+from fracture.bigraded import PRIME_TEST_BOUND, BiDegree, PGroup, Window, _is_prime, validate_module
 from fracture.presentation import (
     BudgetError,
     ParseError,
@@ -175,6 +176,33 @@ def test_nonprime_error_text_is_stable() -> None:
     with pytest.raises(ParseError) as info:
         parse_presentation("prime 4\ngen tau 0 -1\nrel 4·1\nspan 1·1\n")
     assert str(info.value) == "line 1, col 7: 4 is not prime"
+    assert (info.value.line, info.value.col) == (1, 7)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_matches_trial_division() -> None:
+    assert [n for n in range(20_000) if _is_prime(n)] == [n for n in range(20_000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_primality_rejects_strong_pseudoprimes(n) -> None:
+    assert not _is_prime(n)
+
+
+def test_large_prime_parses_fast() -> None:
+    start = time.perf_counter()
+    pres = parse_presentation("prime 100000000000031\n")
+    assert time.perf_counter() - start < 0.05
+    assert pres.prime == 100000000000031
+
+
+def test_prime_beyond_the_exact_test_is_refused() -> None:
+    with pytest.raises(ParseError) as info:
+        parse_presentation(f"prime {PRIME_TEST_BOUND}\n")
+    assert str(PRIME_TEST_BOUND) in str(info.value)
     assert (info.value.line, info.value.col) == (1, 7)
 
 
