@@ -31,7 +31,6 @@ from .bigraded import (
     multiplier,
     pgroup_sum,
     phom_zero,
-    reduce_entries,
     restrict,
 )
 # composite_action and insertion are no longer called here; the names stay
@@ -42,11 +41,11 @@ from .localization import (  # noqa: F401
     complete,
     composite_action,
     default_steps,
+    induced_map,
     insertion,
     invert,
     resolve_multiplier,
 )
-from .matrices import mat_mul
 from .presentation import Presentation, expand
 from .presets import preset_presentation
 from .snf import cokernel, kernel, solve_hom
@@ -136,12 +135,18 @@ def select_tau_power(module):
     raise ValueError("input has no tau power action to invert")
 
 
-def corners(module, *, rho_complete=False, tau_name=None, steps=None):
+def corners(module, *, rho_complete=False, tau_name=None, steps=None, window=None):
     """The three corners h, phi, tate of the fracture square of a module.
 
     The caller must assert rho_complete: the corner h only deserves its
     name for rho-complete inputs.  realize() runs the completeness check
     and asserts this for you.
+
+    The corners and their maps come out on the window (default: the
+    module's window, which must contain it), equal to the whole-window
+    corners restricted to it.  phi and tate compute only its cells; h is
+    inverted on the whole module, because tate reads it along rho-chains
+    that leave the window.
 
     The map h_d -> t_d is the rho-chain of up to K steps out of d in h;
     phi_d -> t_d is the tau-power insertion of the module cell at the end
@@ -158,9 +163,10 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None):
     rho = module.multiplier("rho") if "rho" in module.multipliers else multiplier("rho")
 
     h = invert(module, tau_name, steps=K)
-    phi = invert(module, rho, steps=K)
-    tate = invert(h, rho, steps=K)
+    phi = invert(module, rho, steps=K, window=window)
+    tate = invert(h, rho, steps=K, window=window)
     tau = resolve_multiplier(module, tau_name)
+    box = phi.window
 
     map_h_t = {}
     end_of = {}
@@ -168,9 +174,10 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None):
         span = chain_composite(h, rho, start)
         for k in range(length):
             d = start + rho.degree.scaled(k)
-            a = min(K, length - 1 - k)
-            map_h_t[d] = span(k, k + a)
-            end_of[d] = d + rho.degree.scaled(a)
+            if box.contains(d):
+                a = min(K, length - 1 - k)
+                map_h_t[d] = span(k, k + a)
+                end_of[d] = d + rho.degree.scaled(a)
     ends = set(end_of.values())
     insert_at = {}
     for start, length in chain_lines(w, tau.degree):
@@ -180,9 +187,9 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None):
             if cur in ends:
                 insert_at[cur] = span(k, k + min(K, length - 1 - k))
     # chain lines visit the window out of order; keep the window's order
-    map_h_t = {d: map_h_t[d] for d in w.cells()}
-    map_phi_t = {d: insert_at[end_of[d]] for d in w.cells()}
-    return SquareCorners(h, phi, tate, map_h_t, map_phi_t, tau_name)
+    map_h_t = {d: map_h_t[d] for d in box.cells()}
+    map_phi_t = {d: insert_at[end_of[d]] for d in box.cells()}
+    return SquareCorners(restrict(h, box), phi, tate, map_h_t, map_phi_t, tau_name)
 
 
 def assemble(square, window=None):
@@ -263,8 +270,7 @@ def assemble(square, window=None):
                 flags[d] = FLAG_BOUNDARY
                 dropped.append((name, d, "kernel part does not transport"))
                 continue
-            cok_d, proj_d, section_d = cokers[up_d]
-            cok_t, proj_t, _ = cokers[up_t]
+            cok_d, cok_t = cokers[up_d][0], cokers[up_t][0]
             if cok_d.is_zero():
                 q2q = phom_zero(cok_d, cok_t)
             elif not big.contains(up_t):
@@ -272,18 +278,10 @@ def assemble(square, window=None):
                 dropped.append((name, d, "cokernel target outside the window"))
                 continue
             else:
-                y_t = act(tate, name, up_d)
-                middle = mat_mul(proj_t.entries, y_t.entries, y_t.target.ngens, y_t.source.ngens)
-                entries = mat_mul(middle, section_d, y_t.source.ngens, cok_d.ngens)
-                try:
-                    q2q = PHom(cok_d, cok_t, reduce_entries(cok_d, cok_t, entries))
-                except ValueError:
+                q2q, why = induced_map(act(tate, name, up_d), cokers[up_d], cokers[up_t])
+                if q2q is None:
                     flags[d] = FLAG_BOUNDARY
-                    dropped.append((name, d, "cokernel part does not descend"))
-                    continue
-                if not (q2q @ proj_d).same_map(proj_t @ y_t):
-                    flags[d] = FLAG_BOUNDARY
-                    dropped.append((name, d, "cokernel part is not well defined"))
+                    dropped.append((name, d, f"cokernel part {why}"))
                     continue
             inc_q_d, inc_k_d, prj_q_d, prj_k_d = structure[d]
             inc_q_t, inc_k_t, prj_q_t, prj_k_t = structure[t]
@@ -330,16 +328,24 @@ def rho_complete_defect(module, window=None):
     subwindow well inside the module's own, if one is given: cells near
     the edge can show truncation artifacts that mean nothing.  Completion
     at d reads the rho-chain that ends there, so with a window only the
-    cells those chains pass through are completed, to the depth the whole
-    module would get.
+    compared cells are completed, on the part of the module those chains
+    pass through and to the depth the whole module would get.
     """
     if window is None:
         return cellwise_diff(complete(module, "rho"), module)
     window = Window(*window)
     up = module.multiplier("rho").degree.scaled(-1)
     part = restrict(module, _reach(module, window, up))
-    done = complete(part, "rho", steps=default_steps(module.window))
-    return cellwise_diff(restrict(done, window), restrict(module, window))
+    done = complete(part, "rho", steps=default_steps(module.window), window=window)
+    return cellwise_diff(done, restrict(module, window))
+
+
+def _refuse_incomplete(module, window):
+    """Raise RhoCompleteError when the window shows a rho-completeness defect."""
+    defect = rho_complete_defect(module, window)
+    if defect:
+        head = "; ".join(defect[:4])
+        raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
 
 
 def _expanded_for(source, prime, window, pad, budget):
@@ -376,23 +382,22 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     first and failing inputs are refused.
 
     The splice reads the corners on the assembly margin around the window
-    and on its boundary column, and the corners read the expansion along
-    tau- and rho-chains out of those cells; the corners are computed on
-    just that part of the expansion.
+    and on its boundary column, so only those corner cells are computed;
+    the corners read the expansion along tau- and rho-chains out of those
+    cells, so they are computed from just that part of the expansion.
     """
     expanded, core, pad = _expanded_for(source, prime, window, pad, budget)
     if not rho_complete:
-        defect = rho_complete_defect(expanded, core)
-        if defect:
-            head = "; ".join(defect[:4])
-            raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
+        _refuse_incomplete(expanded, core)
     # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
     m = ASSEMBLY_MARGIN
     margin = _clip((core.imin - m, core.imax + m, core.jmin - m, core.jmax + m), expanded.window)
     tau = expanded.multiplier(select_tau_power(expanded))
     box = margin._replace(imax=margin.imax + BOUNDARY_SHIFT.i)
     reach = _reach(expanded, box, tau.degree, expanded.multiplier("rho").degree)
-    square = corners(restrict(expanded, reach), rho_complete=True, tau_name=tau.name, steps=pad)
+    # with pad = 1 the boundary column can stick out of the expansion
+    box = _clip(box, reach)
+    square = corners(restrict(expanded, reach), rho_complete=True, tau_name=tau.name, steps=pad, window=box)
     report = assemble(square, margin)
     result = restrict(report.result, core)
     parts = {d: part for d, part in report.parts.items() if core.contains(d)}
@@ -409,23 +414,20 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
 
     The two inversions and the Tate corner read only the tau2- and
     rho-chains out of the window, so they run on that part of the
-    expansion; the completion reads its chains from the opposite edge
-    and runs on all of it.
+    expansion, and phi and the Tate corner are computed on the window
+    alone.  The completion reads its chains from the opposite edge, so it
+    reads all of the expansion but computes only that part.
     """
     if prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
     expanded, core, pad = _expanded_for(source, prime, window, pad, budget)
     if not rho_complete:
-        defect = rho_complete_defect(expanded, core)
-        if defect:
-            head = "; ".join(defect[:4])
-            raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
+        _refuse_incomplete(expanded, core)
     reach = _reach(expanded, core, expanded.multiplier("tau2").degree, expanded.multiplier("rho").degree)
-    phi = invert(restrict(expanded, reach), "rho", steps=pad)
-    completed = complete(expanded, "rho", steps=pad)
-    unit = invert(restrict(completed, reach), "tau2", steps=pad)
-    tate = invert(unit, "rho", steps=pad)
+    phi = invert(restrict(expanded, reach), "rho", steps=pad, window=core)
+    unit = invert(complete(expanded, "rho", steps=pad, window=reach), "tau2", steps=pad)
+    tate = invert(unit, "rho", steps=pad, window=core)
     bad = [d for d in core.cells() if not tate.cell(d).is_zero()]
     if bad:
         raise ValueError(f"Tate corner is nonzero at {bad[:4]}; the odd split does not apply")
-    return restrict(phi, core), restrict(unit, core)
+    return phi, restrict(unit, core)

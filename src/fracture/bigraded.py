@@ -220,6 +220,18 @@ def zero_group(p):
     return g
 
 
+_ZERO_HOMS = {}
+
+
+def zero_hom(p):
+    """The map of the zero group at p to itself, one shared instance per prime."""
+    f = _ZERO_HOMS.get(p)
+    if f is None:
+        g = zero_group(p)
+        f = _ZERO_HOMS[p] = PHom(g, g, ())
+    return f
+
+
 def _compat_modulus(p, e_src, e_tgt):
     # Hom(Z/p^e, Z/p^f) forces divisibility by p^(f-e); a torsion source
     # admits no nonzero map to a free target at all.
@@ -445,7 +457,8 @@ class BigradedModule:
 def act(module, mult, d):
     """Action of a multiplier out of cell d, as a PHom.
 
-    Absent actions are the zero map.  An integer name like "2" acts as the
+    Absent actions are the zero map; between two zero cells it is the one
+    shared zero_hom of the prime.  An integer name like "2" acts as the
     scalar it names (degree (0,0)).  Requesting either endpoint outside the
     window is an error.
     """
@@ -467,7 +480,10 @@ def act(module, mult, d):
     stored = module.actions.get((name, d))
     if stored is not None:
         return stored
-    return phom_zero(module.cell(d), module.cell(target))
+    src, tgt = module.cell(d), module.cell(target)
+    if src.is_zero() and tgt.is_zero():
+        return zero_hom(module.prime)
+    return phom_zero(src, tgt)
 
 
 def validate_module(module):

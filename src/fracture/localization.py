@@ -21,6 +21,7 @@ from .bigraded import (
     BigradedModule,
     Multiplier,
     PHom,
+    Window,
     act,
     multiplier,
     phom_identity,
@@ -148,13 +149,52 @@ def insertion(module, mult, d, steps=None):
     return composite_action(module, x, d, _depth(module.window, d, x.degree, K))
 
 
-def invert(module, mult, steps=None):
+def _output_window(module, window):
+    """The window a localization answers on; it must lie inside the module's."""
+    w = module.window
+    if window is None:
+        return w
+    out = Window(*window)
+    out.check()
+    if not (w.contains((out.imin, out.jmin)) and w.contains((out.imax, out.jmax))):
+        raise ValueError(f"window {tuple(out)} is not inside the module's window {tuple(w)}")
+    return out
+
+
+def induced_map(f, source, target):
+    """The map a hom f induces between quotients of its source and target.
+
+    source and target are (quotient, projection, section) triples as
+    cokernel returns them.  The candidate proj_t . f . section_s must be a
+    hom of the quotients, and inducing through the chosen representatives
+    must agree with projecting f.  Returns (map, None), or (None, why)
+    with why naming the check that failed.
+    """
+    q_s, proj_s, section_s = source
+    q_t, proj_t, _ = target
+    middle = mat_mul(proj_t.entries, f.entries, f.target.ngens, f.source.ngens)
+    entries = mat_mul(middle, section_s, f.source.ngens, q_s.ngens)
+    try:
+        induced = PHom(q_s, q_t, reduce_entries(q_s, q_t, entries))
+    except ValueError:
+        return None, "does not descend"
+    if not (induced @ proj_s).same_map(proj_t @ f):
+        return None, "is not well defined"
+    return induced, None
+
+
+def invert(module, mult, steps=None, window=None):
     """Localization of the module at a multiplier, truncated at K steps.
 
     The cell at d is the module's cell K steps along the multiplier (or as
-    far as the window allows).  On verified cells the multiplier acts
-    invertibly; near the window edge values are approximations flagged
-    boundary-unverified.
+    far as the module's window allows).  On verified cells the multiplier
+    acts invertibly; near the window edge values are approximations
+    flagged boundary-unverified.
+
+    Only the cells of the output window (default: the module's window,
+    which must contain it) are computed.  Chains are still measured in
+    the module's window, so the result equals restricting the
+    whole-window localization to the output window.
 
     Isomorphism verdicts and inverses depend only on the map, so within
     one call each is computed once per (source, target, entries) and
@@ -162,11 +202,13 @@ def invert(module, mult, steps=None):
     """
     x = resolve_multiplier(module, mult)
     w = module.window
+    out = _output_window(module, window)
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("localization needs at least one step")
     verdicts = {}
     inverses = {}
+    chains = {}
 
     def iso(f):
         key = (f.source, f.target, f.entries)
@@ -179,25 +221,26 @@ def invert(module, mult, steps=None):
         if key not in inverses:
             inverses[key] = invert_iso(f).entries
         return PHom(f.target, f.source, inverses[key])
-    depths = {d: _depth(w, d, x.degree, K) for d in w.cells()}
-    ends = {d: d + x.degree.scaled(n) for d, n in depths.items()}
+
+    def chain(d):
+        """Depth and end cell of the chain out of d, in the module's window."""
+        if d not in chains:
+            n = _depth(w, d, x.degree, K)
+            chains[d] = (n, d + x.degree.scaled(n))
+        return chains[d]
 
     cells = {}
     flags = {}
-    for d in w.cells():
-        g = module.cell(ends[d])
+    for d in out.cells():
+        n, e = chain(d)
+        g = module.cell(e)
         if not g.is_zero():
             cells[d] = g
         # stabilization certificate: the chain took at least one step and
         # its final transition is an isomorphism.  Failures are recorded
         # even on zero cells, so a truncation gap cannot pass for a
         # verified zero.
-        n = depths[d]
-        ok = (
-            n >= 1
-            and module.flag(ends[d]) == FLAG_VERIFIED
-            and iso(act(module, x, ends[d] - x.degree))
-        )
+        ok = n >= 1 and module.flag(e) == FLAG_VERIFIED and iso(act(module, x, e - x.degree))
         if not ok:
             flags[d] = FLAG_BOUNDARY
 
@@ -208,25 +251,31 @@ def invert(module, mult, steps=None):
         y = Multiplier(name, BiDegree(*dy))
         for d in cells:
             t = d + y.degree
-            if not w.contains(t) or t not in cells:
+            if not w.contains(t):
                 continue
-            shift = depths[t] - depths[d]
-            e = ends[d]
+            (n, e), (n_t, e_t) = chain(d), chain(t)
+            if module.cell(e_t).is_zero():
+                continue
+            shift = n_t - n
+            if shift < 0:
+                # this check flags d even when t lies outside the output window
+                back = composite_action(module, x, d + x.degree.scaled(n_t), -shift)
+                if not iso(back):
+                    flags[d] = FLAG_BOUNDARY
+                    continue
+            if not out.contains(t):
+                continue
             if shift >= 0:
                 # walk y once, then catch up along x inside the target chain
                 f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)
             else:
-                back = composite_action(module, x, d + x.degree.scaled(depths[t]), -shift)
-                if not iso(back):
-                    flags[d] = FLAG_BOUNDARY
-                    continue
-                f = act(module, y, d + x.degree.scaled(depths[t])) @ inverse(back)
+                f = act(module, y, d + x.degree.scaled(n_t)) @ inverse(back)
             if not f.is_zero():
                 actions[(name, d)] = f
-    return BigradedModule(module.prime, w, cells, actions, mults, flags, module.caveats)
+    return BigradedModule(module.prime, out, cells, actions, mults, flags, module.caveats)
 
 
-def complete(module, mult, steps=None):
+def complete(module, mult, steps=None, window=None):
     """Completion of the module at a multiplier, truncated at K steps.
 
     The cell at d becomes M_d / im(x^n) for the deepest in-window power n
@@ -235,24 +284,38 @@ def complete(module, mult, steps=None):
     always carries the degreewise-completion caveat since no derived
     functors are modeled.
 
+    Only the cells of the output window (default: the module's window,
+    which must contain it) are kept, and quotients are computed there and
+    one step of any multiplier beyond it, where the well-definedness check
+    of the actions reads them.  Powers are still measured in the module's
+    window, so the result equals restricting the whole-window completion.
+
     The powers of x ending at each cell, and the one-shorter powers the
     certificate compares them with, come from one sliding window per
     chain line (chain_composite) instead of a fresh walk per cell.
     """
     x = resolve_multiplier(module, mult)
     w = module.window
+    out = _output_window(module, window)
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("completion needs at least one step")
+    # the window and its one-step neighbours; chain lines never leave w
+    need = {
+        (i + a, j + b)
+        for a, b in [(0, 0), *module.multipliers.values()]
+        for i in range(out.imin, out.imax + 1)
+        for j in range(out.jmin, out.jmax + 1)
+    }
 
-    cells = {}
     flags = {}
-    projs = {}
-    sections = {}
+    quotients = {}
     for start, length in chain_lines(w, x.degree):
         span = chain_composite(module, x, start)
         for k in range(length):
             d = start + x.degree.scaled(k)
+            if d not in need:
+                continue
             g = module.cell(d)
             if g.is_zero():
                 if module.flag(d) != FLAG_VERIFIED:
@@ -261,11 +324,11 @@ def complete(module, mult, steps=None):
             # the line starts at the window edge, so k steps back fit in it
             m = min(k, K)
             if m == 0:
-                q, proj, section = g, phom_identity(g), identity(g.ngens)
+                quotient = (g, phom_identity(g), identity(g.ngens))
                 ok = False
             else:
                 power = span(k - m, k)
-                q, proj, section = cokernel(power)
+                quotient = cokernel(power)
                 # certificate that deeper stages cannot change the quotient:
                 # either the deepest visible image already vanishes (images
                 # only shrink further back, so the tower is constant from here
@@ -278,39 +341,26 @@ def complete(module, mult, steps=None):
                     cols_last = [column(power.entries, s) for s in range(power.source.ngens)]
                     ok = span_equal(g, cols_prev, cols_last)
             verified = ok and module.flag(d) == FLAG_VERIFIED
-            if q.is_zero():
+            if quotient[0].is_zero():
                 if not verified:
                     flags[d] = FLAG_BOUNDARY
                 continue
-            cells[d] = q
+            quotients[d] = quotient
             flags[d] = FLAG_VERIFIED if verified else FLAG_BOUNDARY
-            projs[d] = proj
-            sections[d] = section
     # chain lines visit the window out of order; keep the window's order
-    cells = dict(sorted(cells.items()))
-    flags = dict(sorted(flags.items()))
+    cells = {d: quotients[d][0] for d in sorted(quotients) if out.contains(d)}
 
     actions = {}
     for name, dy in module.multipliers.items():
         y = Multiplier(name, BiDegree(*dy))
         for d in cells:
             t = d + y.degree
-            if not w.contains(t) or t not in cells:
+            if t not in quotients:
                 continue
-            f = act(module, y, d)
-            middle = mat_mul(projs[t].entries, f.entries, f.target.ngens, f.source.ngens)
-            entries = mat_mul(middle, sections[d], f.source.ngens, cells[d].ngens)
-            try:
-                induced = PHom(cells[d], cells[t], reduce_entries(cells[d], cells[t], entries))
-            except ValueError:
+            induced, _ = induced_map(act(module, y, d), quotients[d], quotients[t])
+            if induced is None:
                 flags[d] = FLAG_BOUNDARY
-                continue
-            # well-definedness: inducing through chosen representatives must
-            # agree with projecting the honest action
-            if not (induced @ projs[d]).same_map(projs[t] @ f):
-                flags[d] = FLAG_BOUNDARY
-                continue
-            if not induced.is_zero():
+            elif out.contains(t) and not induced.is_zero():
                 actions[(name, d)] = induced
     caveats = tuple(dict.fromkeys(module.caveats + (COMPLETION_CAVEAT,)))
-    return BigradedModule(module.prime, w, cells, actions, dict(module.multipliers), flags, caveats)
+    return BigradedModule(module.prime, out, cells, actions, dict(module.multipliers), flags, caveats)

@@ -22,6 +22,8 @@ from fracture.bigraded import (
     phom_scalar,
     restrict,
     validate_module,
+    zero_group,
+    zero_hom,
 )
 
 
@@ -104,6 +106,9 @@ def test_act_returns_stored_zero_and_scalar_maps() -> None:
     assert act(m, "tau", (0, 0)).entries == ((1,),)
     assert act(m, "tau", (0, -1)).is_zero()
     assert act(m, "2", (0, 0)).is_zero(), "doubling kills an order-2 cell"
+    # an absent action between zero cells is one shared map
+    assert act(m, "tau", (1, 0)) is act(m, "tau", (-1, -1)) is zero_hom(2)
+    assert act(m, "tau", (1, 0)).source is zero_group(2)
     with pytest.raises(ValueError):
         act(m, "tau", (5, 5))
     with pytest.raises(ValueError):

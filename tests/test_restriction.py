@@ -1,9 +1,11 @@
 """Each stage reads only part of the padded expansion; the answers do not move.
 
 realize, odd_split and rho_complete_defect hand each stage the part of
-the expansion its chains reach.  The reference path here runs the same
-public stages on the whole expansion, the way the pipeline did before
-the restriction, and must give the same bytes on seeded random windows.
+the expansion its chains reach, and invert and complete compute only the
+cells of the window they are asked for.  The reference path here runs
+the same public stages on the whole expansion, the way the pipeline did
+before the restriction, and must give the same bytes on seeded random
+windows.
 """
 
 import random
@@ -137,3 +139,47 @@ def test_rho_complete_defect_matches_whole_window_path(name) -> None:
             assert rho_complete_defect(module, core) == want
             if name == "rho-inverted" and core == diagonal:
                 assert want
+
+
+# the expansion the windowed localizations run on
+LOCAL_WINDOW = Window(-5, 5, -6, 4)
+
+
+def output_windows(seed, w):
+    """Seeded windows inside w: two random ones, one cell, one on each edge, and w."""
+    rng = random.Random(seed)
+
+    def inside():
+        imin, imax = sorted(rng.randint(w.imin, w.imax) for _ in range(2))
+        jmin, jmax = sorted(rng.randint(w.jmin, w.jmax) for _ in range(2))
+        return Window(imin, imax, jmin, jmax)
+
+    i, j = rng.randint(w.imin, w.imax), rng.randint(w.jmin, w.jmax)
+    edges = [
+        inside()._replace(imin=w.imin),
+        inside()._replace(imax=w.imax),
+        inside()._replace(jmin=w.jmin),
+        inside()._replace(jmax=w.jmax),
+    ]
+    return [inside(), inside(), Window(i, i, j, j), *edges, w]
+
+
+@pytest.mark.parametrize("operation", [invert, complete])
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_windowed_localization_matches_restricted_whole_window(name, operation) -> None:
+    module = expand(PRESENTATIONS[name](), LOCAL_WINDOW)
+    for k, mult in enumerate(sorted(module.multipliers)):
+        for steps in (None, 2):
+            whole = operation(module, mult, steps=steps)
+            for window in output_windows(300 + k, LOCAL_WINDOW):
+                got = operation(module, mult, steps=steps, window=window)
+                assert got.window == window
+                assert emit_json(got) == emit_json(restrict(whole, window))
+
+
+@pytest.mark.parametrize("operation", [invert, complete])
+def test_windowed_localization_refuses_window_outside_module(operation) -> None:
+    module = expand(PRESENTATIONS["HF2_R"](), LOCAL_WINDOW)
+    for window in [LOCAL_WINDOW._replace(imax=6), LOCAL_WINDOW._replace(jmin=-7), Window(7, 8, 0, 1)]:
+        with pytest.raises(ValueError, match="not inside"):
+            operation(module, "rho", window=window)
