@@ -28,6 +28,7 @@ from .bigraded import (
     Window,
     act,
     cellwise_diff,
+    memo_scope,
     multiplier,
     pgroup_sum,
     phom_zero,
@@ -348,15 +349,17 @@ def _refuse_incomplete(module, window):
         raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
 
 
-def _expanded_for(source, prime, window, pad, budget):
+def _presentation_for(source, prime):
     if isinstance(source, str):
-        pres = preset_presentation(source, prime)
-    elif isinstance(source, Presentation):
+        return preset_presentation(source, prime)
+    if isinstance(source, Presentation):
         if prime is not None and prime != source.prime:
             raise ValueError(f"presentation is at prime {source.prime}, got {prime}")
-        pres = source
-    else:
-        raise TypeError("expected a preset name or a Presentation")
+        return source
+    raise TypeError("expected a preset name or a Presentation")
+
+
+def _expanded_for(pres, window, pad, budget):
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
@@ -364,6 +367,8 @@ def _expanded_for(source, prime, window, pad, budget):
     core.check()
     if pad is None:
         pad = max(core.width, core.height) + 4
+    elif pad < 1:
+        raise ValueError(f"pad must be at least 1, got {pad}")
     # The Tate corner walks rho chains of length pad down from the core,
     # and the cells they end on still need room for one tau power step of
     # the h corner below them; the tallest such step is tau^4.
@@ -372,6 +377,7 @@ def _expanded_for(source, prime, window, pad, budget):
     return expanded, core, pad
 
 
+@memo_scope()
 def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, budget=None):
     """Expand a presentation and realize it on the window.
 
@@ -385,8 +391,11 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     and on its boundary column, so only those corner cells are computed;
     the corners read the expansion along tau- and rho-chains out of those
     cells, so they are computed from just that part of the expansion.
+
+    Kernels, cokernels, solves, direct sums and Smith normal forms are
+    computed once per distinct input during the call (memo_scope).
     """
-    expanded, core, pad = _expanded_for(source, prime, window, pad, budget)
+    expanded, core, pad = _expanded_for(_presentation_for(source, prime), window, pad, budget)
     if not rho_complete:
         _refuse_incomplete(expanded, core)
     # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
@@ -404,6 +413,7 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     return AssemblyReport(result, parts, report.tau_name, report.dropped)
 
 
+@memo_scope()
 def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budget=None):
     """Split an odd-primary module into its rho-inverted and completed parts.
 
@@ -416,11 +426,13 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     rho-chains out of the window, so they run on that part of the
     expansion, and phi and the Tate corner are computed on the window
     alone.  The completion reads its chains from the opposite edge, so it
-    reads all of the expansion but computes only that part.
+    reads all of the expansion but computes only that part.  Exact-algebra
+    results are reused within the call, as in realize.
     """
-    if prime == 2:
+    pres = _presentation_for(source, prime)
+    if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
-    expanded, core, pad = _expanded_for(source, prime, window, pad, budget)
+    expanded, core, pad = _expanded_for(pres, window, pad, budget)
     if not rho_complete:
         _refuse_incomplete(expanded, core)
     reach = _reach(expanded, core, expanded.multiplier("tau2").degree, expanded.multiplier("rho").degree)

@@ -10,7 +10,9 @@ torsion is tracked by valuation exponents, never by truncation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+from contextlib import contextmanager
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .matrices import identity, mat_add, mat_mul, mat_neg, zeros
@@ -133,6 +135,69 @@ def _is_prime(p):
         else:
             return False
     return True
+
+
+_SCOPE = threading.local()
+
+
+def active_memo():
+    """The table of the memo_scope open in this thread, or None."""
+    return getattr(_SCOPE, "memo", None)
+
+
+@contextmanager
+def memo_scope():
+    """Reuse exact-algebra results for the duration of the block.
+
+    Inside a scope a per_call function returns its stored result when its
+    input repeats exactly; outside every scope it computes each time.
+    Scopes nest: an inner one shares the outer table, and the table is
+    dropped when the outermost scope exits, by return or by raise.  Each
+    thread sees only its own scope.
+    """
+    outermost = active_memo() is None
+    if outermost:
+        _SCOPE.memo = {}
+    try:
+        yield
+    finally:
+        if outermost:
+            _SCOPE.memo = None
+
+
+def per_call(key):
+    """Memoize a pure function inside memo_scope, keyed by key(*args).
+
+    The key must cover everything the result depends on.  Only results
+    are stored, so every stored answer passed the checks of the call that
+    computed it; a raise stores nothing.
+    """
+
+    def wrap(fn):
+        @wraps(fn)
+        def memoized(*args, **kwargs):
+            memo = active_memo()
+            if memo is None:
+                return fn(*args, **kwargs)
+            k = (fn, key(*args, **kwargs))
+            try:
+                return memo[k]
+            except KeyError:
+                out = memo[k] = fn(*args, **kwargs)
+                return out
+
+        return memoized
+
+    return wrap
+
+
+def group_key(g):
+    """Everything a result can read off a PGroup, labels included."""
+    return (g.prime, g.rank, g.torsion, g.labels)
+
+
+def hom_key(f):
+    return (group_key(f.source), group_key(f.target), f.entries)
 
 
 class PGroup:
@@ -353,6 +418,7 @@ def phom_scalar(group, n):
     return PHom(group, group, rows)
 
 
+@per_call(lambda a, b: (group_key(a), group_key(b)))
 def pgroup_sum(a, b):
     """Direct sum with the four canonical structure maps.
 

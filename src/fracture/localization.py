@@ -265,7 +265,9 @@ def invert(module, mult, steps=None, window=None):
                     continue
             if not out.contains(t):
                 continue
-            if shift >= 0:
+            if shift == 0:
+                f = _reduced(act(module, y, e))
+            elif shift > 0:
                 # walk y once, then catch up along x inside the target chain
                 f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)
             else:

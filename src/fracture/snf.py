@@ -17,7 +17,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bigraded import PGroup, PHom, _compat_modulus, phom_identity, reduce_entries
+from .bigraded import (
+    PGroup,
+    PHom,
+    _compat_modulus,
+    hom_key,
+    per_call,
+    phom_identity,
+    reduce_entries,
+)
 from .matrices import column, from_columns, hstack, identity, mat_mul
 
 DEFAULT_RESIDUE = 16
@@ -113,6 +121,11 @@ class SnfResult:
         return True
 
 
+def _snf_key(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
+    return (p, rows, cols, residue, tuple(map(tuple, a)))
+
+
+@per_call(_snf_key)
 def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
     """Exact SNF of an integer matrix, interpreted over Z_(p).
 
@@ -392,6 +405,7 @@ def span_equal(ambient, a_cols, b_cols):
     return span_contains(ambient, a_cols, b_cols) and span_contains(ambient, b_cols, a_cols)
 
 
+@per_call(hom_key)
 def kernel(f):
     """Kernel of a PHom as (group, inclusion-into-source).
 
@@ -407,6 +421,7 @@ def kernel(f):
     return subgroup(f.source, [w[:nA] for w in wide])
 
 
+@per_call(hom_key)
 def cokernel(f):
     """Cokernel of a PHom as (group, projection, section).
 
@@ -444,6 +459,7 @@ def cokernel(f):
     return group, proj, section
 
 
+@per_call(lambda f, g: (hom_key(f), hom_key(g)))
 def solve_hom(f, g):
     """h with f o h = g as maps of PGroups, or None; f and g share a target.
 

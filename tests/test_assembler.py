@@ -261,6 +261,14 @@ def test_realize_with_one_step_of_padding(name) -> None:
     assert report.result.window == Window(-4, 4, -4, 4)
 
 
+@pytest.mark.parametrize("pad", [0, -1])
+def test_realize_rejects_padding_below_one(pad) -> None:
+    with pytest.raises(ValueError, match=f"pad must be at least 1, got {pad}"):
+        realize("HF2_R", 2, Window(-2, 2, -2, 2), pad=pad)
+    with pytest.raises(ValueError, match=f"pad must be at least 1, got {pad}"):
+        odd_split("HFP_ODD_R", 3, Window(-2, 2, -2, 2), pad=pad)
+
+
 def test_rho_complete_defect() -> None:
     good = expand(preset_presentation("hf2"), Window(-6, 6, -6, 6))
     assert rho_complete_defect(good, Window(-3, 3, -3, 3)) == []
@@ -294,6 +302,12 @@ def test_odd_split_matches_realization() -> None:
 def test_odd_split_rejects_two() -> None:
     with pytest.raises(ValueError, match="odd prime"):
         odd_split("hf2", 2, Window(-2, 2, -2, 2))
+
+
+def test_odd_split_rejects_a_presentation_at_two() -> None:
+    # the prime comes from the presentation alone; it is refused before expanding
+    with pytest.raises(ValueError, match="the odd-primary splitting needs an odd prime"):
+        odd_split(preset_presentation("HF2_R", 2), None, Window(-3, 3, -3, 3), budget=1)
 
 
 def test_odd_split_free_rho_module() -> None:

@@ -28,12 +28,13 @@ from fracture.localization import (
     complete,
     composite_action,
     default_steps,
+    induced_map,
     insertion,
     invert,
 )
 from fracture.presentation import expand
 from fracture.presets import preset_presentation
-from fracture.snf import is_isomorphism
+from fracture.snf import cokernel, is_isomorphism
 
 S = Multiplier("s", BiDegree(1, 0))
 
@@ -186,6 +187,61 @@ def test_complete_flags_actions_that_do_not_descend() -> None:
     # y sends the visible x-image off itself, so no quotient map descends
     assert done.flag((1, 0)) == FLAG_BOUNDARY
     assert ("y", BiDegree(1, 0)) not in done.actions
+
+
+def _tau_off_a_rho_chain(middle, rho_in, target, tau_out):
+    """rho-chain (2,2) -> (1,1) -> (0,0) of Z -> Z -> middle, then tau to target.
+
+    Nothing maps into (0,-1) along rho, so its completion is the whole
+    target and verified; (0,0) sees the full two steps with the image
+    stable across the last one, so it is verified unless tau fails to
+    induce a map of the quotients.
+    """
+    z = PGroup(2, 1)
+    cells = {BiDegree(2, 2): z, BiDegree(1, 1): z, BiDegree(0, 0): middle, BiDegree(0, -1): target}
+    actions = {
+        ("rho", BiDegree(2, 2)): PHom(z, z, [[1]]),
+        ("rho", BiDegree(1, 1)): PHom(z, middle, rho_in),
+        ("tau", BiDegree(0, 0)): PHom(middle, target, tau_out),
+    }
+    mults = {"rho": BiDegree(-1, -1), "tau": BiDegree(0, -1)}
+    return BigradedModule(2, Window(0, 2, -1, 2), cells, actions, mults)
+
+
+def _quotient_reason(module):
+    """Why tau at (0,0) induces no map of the depth-2 rho-quotients, or None."""
+    rho = module.multiplier("rho")
+    source = cokernel(composite_action(module, rho, (2, 2), 2))
+    target = cokernel(composite_action(module, rho, (2, 1), 2))
+    return induced_map(act(module, "tau", (0, 0)), source, target)[1]
+
+
+@pytest.mark.parametrize(
+    "middle, rho_in, bad, good, reason",
+    [
+        # the quotient Z/2 at (0,0) cannot map nontrivially into a free target,
+        # though it maps fine onto Z/2
+        (PGroup(2, 1), [[2]], (PGroup(2, 1), [[1]]), (PGroup(2, 0, (1,)), [[1]]), "does not descend"),
+        # the quotient of Z2 + Z2 by the rho-image maps fine into Z2, but tau
+        # moves the rho-image off zero unless it kills it
+        (PGroup(2, 2), [[0], [1]], (PGroup(2, 1), [[1, 1]]), (PGroup(2, 1), [[1, 0]]), "is not well defined"),
+    ],
+    ids=["does-not-descend", "not-well-defined"],
+)
+def test_complete_flags_a_cell_whose_action_fails_to_induce(middle, rho_in, bad, good, reason) -> None:
+    d = BiDegree(0, 0)
+    control = _tau_off_a_rho_chain(middle, rho_in, *good)
+    assert _quotient_reason(control) is None
+    fine = complete(control, "rho", steps=2)
+    assert fine.flag(d) == FLAG_VERIFIED
+    assert ("tau", d) in fine.actions
+
+    module = _tau_off_a_rho_chain(middle, rho_in, *bad)
+    assert _quotient_reason(module) == reason
+    done = complete(module, "rho", steps=2)
+    assert done.cell(d) == fine.cell(d)
+    assert done.flag(d) == FLAG_BOUNDARY
+    assert ("tau", d) not in done.actions
 
 
 def test_complete_of_the_zero_module_is_zero() -> None:

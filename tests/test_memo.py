@@ -1,0 +1,219 @@
+"""The per-call memo of exact-algebra results.
+
+Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom and
+pgroup_sum return a stored result when their input repeats exactly.  The
+memo must never show: every answer equals the one computed afresh, labels
+included, and no scope outlives the realize or odd_split call that opened
+it, so a direct call outside one computes and certifies again.
+"""
+
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fracture.snf as snf_module
+from fracture.assembler import RhoCompleteError, odd_split, realize
+from fracture.bigraded import PGroup, PHom, active_memo, memo_scope, pgroup_sum
+from fracture.presentation import BudgetError, parse_presentation
+from fracture.snf import CertificateError, SnfResult, cokernel, kernel, smith_normal_form, solve_hom
+
+RHO_INVERTED_SOURCE = """\
+prime 2
+gen rho -1 -1 inv
+rel 2·1
+span 1·1
+span 1·rho
+span 1·rho^-1
+"""
+
+MEMO_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def fingerprint(x):
+    """Everything observable about a result, as plain nested tuples."""
+    if isinstance(x, PGroup):
+        return ("group", x.prime, x.rank, x.torsion, x.labels)
+    if isinstance(x, PHom):
+        return ("hom", fingerprint(x.source), fingerprint(x.target), x.entries)
+    if isinstance(x, SnfResult):
+        return ("snf",) + tuple(getattr(x, name) for name in SnfResult.__slots__)
+    if isinstance(x, (tuple, list)):
+        return tuple(fingerprint(y) for y in x)
+    return x
+
+
+@st.composite
+def groups(draw, p):
+    rank = draw(st.integers(0, 2))
+    torsion = sorted(draw(st.lists(st.integers(1, 3), max_size=2)), reverse=True)
+    labelled = draw(st.booleans())
+    labels = [draw(st.sampled_from("abc")) for _ in range(rank + len(torsion))] if labelled else None
+    return PGroup(p, rank, tuple(torsion), labels)
+
+
+@st.composite
+def homs(draw, source, target):
+    p = source.prime
+    rows = []
+    for f in target.exponents():
+        row = []
+        for e in source.exponents():
+            if f is None and e is not None:
+                row.append(0)
+            else:
+                step = 1 if (f is None or e is None or e >= f) else p ** (f - e)
+                row.append(step * draw(st.integers(-6, 6)))
+        rows.append(row)
+    return PHom(source, target, rows)
+
+
+def relabelled(group):
+    """The same group under other generator names."""
+    return PGroup(group.prime, group.rank, group.torsion, [f"r{k}" for k in range(group.ngens)])
+
+
+def rehomed(f, source, target):
+    return PHom(source, target, f.entries)
+
+
+def agrees_inside_a_scope(fn, *variants):
+    """fn on each argument tuple gives inside one scope what it gives outside."""
+    fresh = [fingerprint(fn(*args)) for args in variants]
+    with memo_scope():
+        first = [fingerprint(fn(*args)) for args in variants]
+        again = [fingerprint(fn(*args)) for args in variants]
+    assert first == fresh
+    assert again == fresh
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_kernel_and_cokernel_agree_inside_a_scope(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b = data.draw(groups(p)), data.draw(groups(p))
+    f = data.draw(homs(a, b))
+    # equal groups (PGroup equality ignores labels) must not share a result
+    twin = rehomed(f, relabelled(a), relabelled(b))
+    agrees_inside_a_scope(kernel, (f,), (twin,))
+    agrees_inside_a_scope(cokernel, (f,), (twin,))
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_solve_hom_agrees_inside_a_scope(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b, c = data.draw(groups(p)), data.draw(groups(p)), data.draw(groups(p))
+    f = data.draw(homs(a, b))
+    g = f @ data.draw(homs(c, a)) if data.draw(st.booleans()) else data.draw(homs(c, b))
+    twin_g = rehomed(g, relabelled(c), b)
+    twin_f = rehomed(f, relabelled(a), b)
+    agrees_inside_a_scope(solve_hom, (f, g), (f, twin_g), (twin_f, g))
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_pgroup_sum_agrees_inside_a_scope(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b = data.draw(groups(p)), data.draw(groups(p))
+    agrees_inside_a_scope(pgroup_sum, (a, b), (relabelled(a), b), (b, a))
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_smith_normal_form_agrees_inside_a_scope(data) -> None:
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a = tuple(tuple(data.draw(st.integers(-12, 12)) for _ in range(cols)) for _ in range(rows))
+    as_lists = [list(row) for row in a]
+    agrees_inside_a_scope(
+        smith_normal_form, (a, p), (as_lists, p), (a, p, rows, cols), (a, p, rows, cols, 4)
+    )
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    calls = []
+    original = SnfResult.certify
+
+    def counting(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(SnfResult, "certify", counting)
+    return calls
+
+
+def assert_no_scope(certify_calls) -> None:
+    assert active_memo() is None
+    before = len(certify_calls)
+    smith_normal_form(((2, 1), (4, 3)), 2)
+    smith_normal_form(((2, 1), (4, 3)), 2)
+    assert len(certify_calls) == before + 2
+
+
+CALLS = {
+    "realize": lambda: realize("KGL2_R", 2, (-2, 2, -2, 2)),
+    "odd_split": lambda: odd_split("HFP_ODD_R", 3, (-2, 2, -2, 2)),
+    "refused": lambda: realize(parse_presentation(RHO_INVERTED_SOURCE), 2, (-3, 3, -3, 3)),
+    "over budget": lambda: realize("HF2_R", 2, (-3, 3, -3, 3), budget=1),
+    "odd over budget": lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3), budget=1),
+}
+RAISES = {"refused": RhoCompleteError, "over budget": BudgetError, "odd over budget": BudgetError}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_no_scope_survives_the_call(name, certify_calls) -> None:
+    if name in RAISES:
+        with pytest.raises(RAISES[name]):
+            CALLS[name]()
+    else:
+        CALLS[name]()
+    assert_no_scope(certify_calls)
+
+
+def test_a_scope_survives_an_inner_call_it_opened(certify_calls) -> None:
+    with memo_scope():
+        smith_normal_form(((2, 1), (4, 3)), 2)
+        realize("HF2_R", 2, (-2, 2, -2, 2))
+        before = len(certify_calls)
+        smith_normal_form(((2, 1), (4, 3)), 2)
+        assert len(certify_calls) == before
+    assert_no_scope(certify_calls)
+
+
+def test_a_scope_belongs_to_its_thread() -> None:
+    seen = []
+    with memo_scope():
+        worker = threading.Thread(target=lambda: seen.append(active_memo()))
+        worker.start()
+        worker.join(timeout=30)
+        assert active_memo() is not None
+    assert not worker.is_alive()
+    assert seen == [None]
+
+
+@pytest.mark.parametrize("call", ["realize", "odd_split"])
+def test_each_distinct_smith_normal_form_is_certified_once(call, certify_calls, monkeypatch) -> None:
+    inputs = []
+    memoized = snf_module.smith_normal_form
+
+    def recording(*args, **kwargs):
+        inputs.append(snf_module._snf_key(*args, **kwargs))
+        return memoized(*args, **kwargs)
+
+    monkeypatch.setattr(snf_module, "smith_normal_form", recording)
+    if call == "realize":
+        realize("KGL2_R", 2, (-3, 3, -3, 3))
+    else:
+        odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3))
+    assert len(inputs) > len(set(inputs)), "the request repeats no input"
+    assert len(certify_calls) == len(set(inputs))
+
+
+def test_a_failed_certificate_raises_inside_realize(monkeypatch) -> None:
+    monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
+    with pytest.raises(CertificateError):
+        realize("HF2_R", 2, (-2, 2, -2, 2))
+    assert active_memo() is None
