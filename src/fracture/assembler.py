@@ -29,7 +29,6 @@ from .bigraded import (
     act,
     cellwise_diff,
     memo_scope,
-    multiplier,
     pgroup_sum,
     phom_zero,
     restrict,
@@ -161,7 +160,7 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None, window=Non
         tau_name = select_tau_power(module)
     w = module.window
     K = default_steps(w) if steps is None else steps
-    rho = module.multiplier("rho") if "rho" in module.multipliers else multiplier("rho")
+    rho = module.multiplier("rho")
 
     h = invert(module, tau_name, steps=K)
     phi = invert(module, rho, steps=K, window=window)
@@ -328,25 +327,15 @@ def rho_complete_defect(module, window=None):
     asks for; a nonempty one is a proof of incompleteness.  Compare on a
     subwindow well inside the module's own, if one is given: cells near
     the edge can show truncation artifacts that mean nothing.  Completion
-    at d reads the rho-chain that ends there, so with a window only the
-    compared cells are completed, on the part of the module those chains
-    pass through and to the depth the whole module would get.
+    at d reads the rho-chain that ends there, so only the compared cells
+    are completed, on the part of the module those chains pass through and
+    to the depth the whole module would get.
     """
-    if window is None:
-        return cellwise_diff(complete(module, "rho"), module)
-    window = Window(*window)
+    window = module.window if window is None else Window(*window)
     up = module.multiplier("rho").degree.scaled(-1)
     part = restrict(module, _reach(module, window, up))
     done = complete(part, "rho", steps=default_steps(module.window), window=window)
     return cellwise_diff(done, restrict(module, window))
-
-
-def _refuse_incomplete(module, window):
-    """Raise RhoCompleteError when the window shows a rho-completeness defect."""
-    defect = rho_complete_defect(module, window)
-    if defect:
-        head = "; ".join(defect[:4])
-        raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {head}")
 
 
 def _presentation_for(source, prime):
@@ -359,7 +348,8 @@ def _presentation_for(source, prime):
     raise TypeError("expected a preset name or a Presentation")
 
 
-def _expanded_for(pres, window, pad, budget):
+def _expanded_for(pres, window, pad, budget, rho_complete):
+    """The padded expansion, the window and the pad; refuses a visible rho-completeness defect."""
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
@@ -374,6 +364,10 @@ def _expanded_for(pres, window, pad, budget):
     # the h corner below them; the tallest such step is tau^4.
     big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
     expanded = expand(pres, big, budget=INTERNAL_BUDGET if budget is None else budget)
+    if not rho_complete:
+        defect = rho_complete_defect(expanded, core)
+        if defect:
+            raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
     return expanded, core, pad
 
 
@@ -395,9 +389,7 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     Kernels, cokernels, solves, direct sums and Smith normal forms are
     computed once per distinct input during the call (memo_scope).
     """
-    expanded, core, pad = _expanded_for(_presentation_for(source, prime), window, pad, budget)
-    if not rho_complete:
-        _refuse_incomplete(expanded, core)
+    expanded, core, pad = _expanded_for(_presentation_for(source, prime), window, pad, budget, rho_complete)
     # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
     m = ASSEMBLY_MARGIN
     margin = _clip((core.imin - m, core.imax + m, core.jmin - m, core.jmax + m), expanded.window)
@@ -432,9 +424,7 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     pres = _presentation_for(source, prime)
     if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
-    expanded, core, pad = _expanded_for(pres, window, pad, budget)
-    if not rho_complete:
-        _refuse_incomplete(expanded, core)
+    expanded, core, pad = _expanded_for(pres, window, pad, budget, rho_complete)
     reach = _reach(expanded, core, expanded.multiplier("tau2").degree, expanded.multiplier("rho").degree)
     phi = invert(restrict(expanded, reach), "rho", steps=pad, window=core)
     unit = invert(complete(expanded, "rho", steps=pad, window=reach), "tau2", steps=pad)

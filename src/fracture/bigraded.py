@@ -274,27 +274,16 @@ class PGroup:
         return f"PGroup({self.prime}, {self.rank}, {self.torsion})"
 
 
-_ZERO_GROUPS = {}
-
-
+@lru_cache(maxsize=None)
 def zero_group(p):
     """The zero group at p, one shared instance per prime."""
-    g = _ZERO_GROUPS.get(p)
-    if g is None:
-        g = _ZERO_GROUPS[p] = PGroup(p, 0, ())
-    return g
+    return PGroup(p, 0, ())
 
 
-_ZERO_HOMS = {}
-
-
+@lru_cache(maxsize=None)
 def zero_hom(p):
     """The map of the zero group at p to itself, one shared instance per prime."""
-    f = _ZERO_HOMS.get(p)
-    if f is None:
-        g = zero_group(p)
-        f = _ZERO_HOMS[p] = PHom(g, g, ())
-    return f
+    return PHom(zero_group(p), zero_group(p), ())
 
 
 def _compat_modulus(p, e_src, e_tgt):
@@ -600,42 +589,6 @@ def validate_module(module):
     return out
 
 
-def direct_sum(a, b):
-    """Cellwise direct sum of two modules on the same window."""
-    if a.prime != b.prime or a.window != b.window:
-        raise ValueError("direct sum needs matching prime and window")
-    mults = dict(a.multipliers)
-    for name, deg in b.multipliers.items():
-        if mults.setdefault(name, deg) != deg:
-            raise ValueError(f"multiplier {name} has conflicting degrees")
-    cells = {}
-    maps = {}
-    for d in set(a.cells) | set(b.cells):
-        total, ia, ib, pa, pb = pgroup_sum(a.cell(d), b.cell(d))
-        cells[d] = total
-        maps[d] = (ia, ib, pa, pb)
-    actions = {}
-    for name, deg in mults.items():
-        for d in cells:
-            t = d + deg
-            if t not in cells:
-                continue
-            ia, ib, pa, pb = maps[d]
-            ja, jb, _, _ = maps[t]
-            fa = act(a, Multiplier(name, deg), d)
-            fb = act(b, Multiplier(name, deg), d)
-            f = (ja @ fa @ pa) + (jb @ fb @ pb)
-            if not f.is_zero():
-                actions[(name, d)] = f
-    flags = {}
-    for d in set(cells) | set(a.flags) | set(b.flags):
-        fl = (a.flag(d), b.flag(d))
-        flags[d] = FLAG_BOUNDARY if FLAG_BOUNDARY in fl else FLAG_VERIFIED
-    return BigradedModule(
-        a.prime, a.window, cells, actions, mults, flags, caveats=tuple(dict.fromkeys(a.caveats + b.caveats))
-    )
-
-
 def restrict(module, window):
     """The same module on a subwindow; actions crossing the edge drop."""
     window = Window(*window)
@@ -648,10 +601,6 @@ def restrict(module, window):
     }
     flags = {d: fl for d, fl in module.flags.items() if window.contains(d)}
     return BigradedModule(module.prime, window, cells, actions, module.multipliers, flags, module.caveats)
-
-
-def cellwise_equal(a, b):
-    return not cellwise_diff(a, b)
 
 
 def cellwise_diff(a, b):

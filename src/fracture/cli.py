@@ -59,6 +59,19 @@ def _add_output_args(p):
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
 
 
+def _add_steps_arg(p):
+    p.add_argument("--steps", type=int, default=None, help="truncation depth override")
+
+
+def _add_realize_args(p):
+    _add_steps_arg(p)
+    p.add_argument(
+        "--assert-rho-complete",
+        action="store_true",
+        help="skip the rho-completeness check and take the contract on faith",
+    )
+
+
 def _load_presentation(args):
     value = args.module
     try:
@@ -85,16 +98,18 @@ def _emit(data, out):
             fh.write(data)
 
 
-def run_realize(args):
-    pres = _load_presentation(args)
-    report = realize(
-        pres,
+def _realized(args):
+    return realize(
+        _load_presentation(args),
         args.prime,
         args.window,
         rho_complete=args.assert_rho_complete,
         pad=args.steps,
     )
-    _emit(render(report, None, args.format), args.out)
+
+
+def run_realize(args):
+    _emit(render(_realized(args), None, args.format), args.out)
     return 0
 
 
@@ -104,15 +119,9 @@ def run_expand(args):
     return 0
 
 
-def run_invert(args):
+def run_localize(args):
     module = expand(_load_presentation(args), args.window)
-    _emit(render(invert(module, args.mult, steps=args.steps), None, args.format), args.out)
-    return 0
-
-
-def run_complete(args):
-    module = expand(_load_presentation(args), args.window)
-    _emit(render(complete(module, args.mult, steps=args.steps), None, args.format), args.out)
+    _emit(render(args.localize(module, args.mult, steps=args.steps), None, args.format), args.out)
     return 0
 
 
@@ -132,14 +141,7 @@ def run_regions(args):
 
 
 def run_check(args):
-    pres = _load_presentation(args)
-    report = realize(
-        pres,
-        args.prime,
-        args.window,
-        rho_complete=args.assert_rho_complete,
-        pad=args.steps,
-    )
+    report = _realized(args)
     problems = list(validate_module(report.result))
     for d, (res, ker, cok) in sorted(report.certificates().items()):
         if res != (ker[0] + cok[0], ker[1] + cok[1]):
@@ -167,12 +169,7 @@ def build_parser():
     p = sub.add_parser("realize", help="run the full pipeline and print the result")
     _add_module_args(p)
     _add_output_args(p)
-    p.add_argument("--steps", type=int, default=None, help="truncation depth override")
-    p.add_argument(
-        "--assert-rho-complete",
-        action="store_true",
-        help="skip the rho-completeness check and take the contract on faith",
-    )
+    _add_realize_args(p)
     p.set_defaults(func=run_realize)
 
     p = sub.add_parser("expand", help="expand a presentation into cells on a window")
@@ -180,19 +177,16 @@ def build_parser():
     _add_output_args(p)
     p.set_defaults(func=run_expand)
 
-    p = sub.add_parser("invert", help="invert a multiplier action degreewise")
-    _add_module_args(p)
-    _add_output_args(p)
-    p.add_argument("--mult", required=True, help="multiplier name to invert")
-    p.add_argument("--steps", type=int, default=None, help="truncation depth override")
-    p.set_defaults(func=run_invert)
-
-    p = sub.add_parser("complete", help="complete along a multiplier degreewise")
-    _add_module_args(p)
-    _add_output_args(p)
-    p.add_argument("--mult", required=True, help="multiplier name to complete along")
-    p.add_argument("--steps", type=int, default=None, help="truncation depth override")
-    p.set_defaults(func=run_complete)
+    for name, localize, what, mult_help in (
+        ("invert", invert, "invert a multiplier action degreewise", "multiplier name to invert"),
+        ("complete", complete, "complete along a multiplier degreewise", "multiplier name to complete along"),
+    ):
+        p = sub.add_parser(name, help=what)
+        _add_module_args(p)
+        _add_output_args(p)
+        p.add_argument("--mult", required=True, help=mult_help)
+        _add_steps_arg(p)
+        p.set_defaults(func=run_localize, localize=localize)
 
     p = sub.add_parser("regions", help="print the periodicity verdict table for a window")
     p.add_argument("--window", type=window_arg, required=True)
@@ -201,12 +195,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="realize and verify certificates and validity")
     _add_module_args(p)
-    p.add_argument("--steps", type=int, default=None, help="truncation depth override")
-    p.add_argument(
-        "--assert-rho-complete",
-        action="store_true",
-        help="skip the rho-completeness check and take the contract on faith",
-    )
+    _add_realize_args(p)
     p.set_defaults(func=run_check)
 
     return parser

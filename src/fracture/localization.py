@@ -23,6 +23,7 @@ from .bigraded import (
     PHom,
     Window,
     act,
+    memo_scope,
     multiplier,
     phom_identity,
     reduce_entries,
@@ -183,6 +184,7 @@ def induced_map(f, source, target):
     return induced, None
 
 
+@memo_scope()
 def invert(module, mult, steps=None, window=None):
     """Localization of the module at a multiplier, truncated at K steps.
 
@@ -196,9 +198,8 @@ def invert(module, mult, steps=None, window=None):
     the module's window, so the result equals restricting the
     whole-window localization to the output window.
 
-    Isomorphism verdicts and inverses depend only on the map, so within
-    one call each is computed once per (source, target, entries) and
-    reused for identical maps; every computed one is still certified.
+    Isomorphism verdicts and inverses are computed once per distinct map
+    during the call (memo_scope), and every computed one is certified.
     """
     x = resolve_multiplier(module, mult)
     w = module.window
@@ -206,21 +207,7 @@ def invert(module, mult, steps=None, window=None):
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("localization needs at least one step")
-    verdicts = {}
-    inverses = {}
     chains = {}
-
-    def iso(f):
-        key = (f.source, f.target, f.entries)
-        if key not in verdicts:
-            verdicts[key] = is_isomorphism(f)
-        return verdicts[key]
-
-    def inverse(f):
-        key = (f.source, f.target, f.entries)
-        if key not in inverses:
-            inverses[key] = invert_iso(f).entries
-        return PHom(f.target, f.source, inverses[key])
 
     def chain(d):
         """Depth and end cell of the chain out of d, in the module's window."""
@@ -240,7 +227,7 @@ def invert(module, mult, steps=None, window=None):
         # its final transition is an isomorphism.  Failures are recorded
         # even on zero cells, so a truncation gap cannot pass for a
         # verified zero.
-        ok = n >= 1 and module.flag(e) == FLAG_VERIFIED and iso(act(module, x, e - x.degree))
+        ok = n >= 1 and module.flag(e) == FLAG_VERIFIED and is_isomorphism(act(module, x, e - x.degree))
         if not ok:
             flags[d] = FLAG_BOUNDARY
 
@@ -260,7 +247,7 @@ def invert(module, mult, steps=None, window=None):
             if shift < 0:
                 # this check flags d even when t lies outside the output window
                 back = composite_action(module, x, d + x.degree.scaled(n_t), -shift)
-                if not iso(back):
+                if not is_isomorphism(back):
                     flags[d] = FLAG_BOUNDARY
                     continue
             if not out.contains(t):
@@ -271,12 +258,13 @@ def invert(module, mult, steps=None, window=None):
                 # walk y once, then catch up along x inside the target chain
                 f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)
             else:
-                f = act(module, y, d + x.degree.scaled(n_t)) @ inverse(back)
+                f = act(module, y, d + x.degree.scaled(n_t)) @ invert_iso(back)
             if not f.is_zero():
                 actions[(name, d)] = f
     return BigradedModule(module.prime, out, cells, actions, mults, flags, module.caveats)
 
 
+@memo_scope()
 def complete(module, mult, steps=None, window=None):
     """Completion of the module at a multiplier, truncated at K steps.
 

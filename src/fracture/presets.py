@@ -89,20 +89,24 @@ def resolve_preset(name):
     return key
 
 
-def preset_source(name, prime=None):
-    """DSL source text of a preset, with the prime filled in.
-
-    The 2-primary presets insist on prime 2; the odd-primary one needs
-    an explicit odd prime.
+def _preset_prime(key, prime):
+    """The prime a preset is taken at: 2 for the 2-primary presets, which
+    refuse any other, and an explicit odd prime for the odd-primary one.
     """
-    key = resolve_preset(name)
     if key == "HFP_ODD_R":
         if prime is None or prime == 2 or not _is_prime(prime):
             raise ValueError(f"preset {key} needs an odd prime, got {prime!r}")
-        return HFP_ODD_TEMPLATE.format(p=prime)
+        return prime
     if prime not in (None, 2):
         raise ValueError(f"preset {key} is 2-primary, got prime {prime!r}")
-    return _SOURCES[key]
+    return 2
+
+
+def preset_source(name, prime=None):
+    """DSL source text of a preset, with the prime filled in."""
+    key = resolve_preset(name)
+    prime = _preset_prime(key, prime)
+    return HFP_ODD_TEMPLATE.format(p=prime) if key == "HFP_ODD_R" else _SOURCES[key]
 
 
 def preset_presentation(name, prime=None):
@@ -175,11 +179,7 @@ def reference_realization(name, prime, window):
     cell and check selected actions separately.
     """
     key = resolve_preset(name)
-    if key == "HFP_ODD_R":
-        if prime == 2 or not _is_prime(prime):
-            raise ValueError(f"preset {key} needs an odd prime, got {prime!r}")
-    elif prime != 2:
-        raise ValueError(f"preset {key} is 2-primary, got prime {prime!r}")
+    prime = _preset_prime(key, prime)
     window = Window(*window)
     window.check()
     law = _REFERENCE_CELLS[key]

@@ -510,7 +510,9 @@ def solve_hom(f, g):
     return h
 
 
+@per_call(lambda f: (f.source, f.target, f.entries))
 def is_isomorphism(f):
+    """Whether f is an isomorphism; the verdict reads no generator labels."""
     if f.source.rank != f.target.rank or f.source.torsion != f.target.torsion:
         return False
     g, _ = kernel(f)
@@ -520,6 +522,7 @@ def is_isomorphism(f):
     return c.is_zero()
 
 
+@per_call(hom_key)
 def invert_iso(f):
     """Exact inverse of an isomorphism of PGroups."""
     inv = solve_hom(f, phom_identity(f.target))

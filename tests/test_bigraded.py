@@ -14,8 +14,6 @@ from fracture.bigraded import (
     PHom,
     Window,
     act,
-    cellwise_equal,
-    direct_sum,
     multiplier,
     pgroup_sum,
     phom_identity,
@@ -25,6 +23,8 @@ from fracture.bigraded import (
     zero_group,
     zero_hom,
 )
+
+from helpers import cellwise_equal, direct_sum
 
 
 def test_pgroup_rejects_bad_shapes() -> None:

@@ -19,7 +19,6 @@ from fracture.bigraded import (
     PGroup,
     PHom,
     Window,
-    cellwise_equal,
 )
 from fracture.charts import (
     ChartSpec,
@@ -32,6 +31,8 @@ from fracture.charts import (
 )
 from fracture.presentation import expand
 from fracture.presets import preset_presentation, reference_realization
+
+from helpers import cellwise_equal
 
 SQUARE_5 = Window(-5, 5, -5, 5)
 

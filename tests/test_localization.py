@@ -17,7 +17,6 @@ from fracture.bigraded import (
     PHom,
     Window,
     act,
-    cellwise_equal,
     restrict,
 )
 from fracture.localization import (
@@ -35,6 +34,8 @@ from fracture.localization import (
 from fracture.presentation import expand
 from fracture.presets import preset_presentation
 from fracture.snf import cokernel, is_isomorphism
+
+from helpers import cellwise_equal
 
 S = Multiplier("s", BiDegree(1, 0))
 
@@ -171,22 +172,26 @@ def test_complete_quotients_by_the_deepest_image() -> None:
 
 def test_complete_flags_actions_that_do_not_descend() -> None:
     two = PGroup(2, 0, (1, 1))
-    cells = {BiDegree(k, 0): two for k in range(3)}
-    step = [[1, 0], [0, 0]]
-    actions = {
-        ("x", BiDegree(0, 0)): PHom(two, two, step),
-        ("x", BiDegree(1, 0)): PHom(two, two, step),
-        ("y", BiDegree(1, 0)): PHom(two, two, [[0, 0], [1, 0]]),
-    }
-    module = BigradedModule(
-        2, Window(0, 2, 0, 0), cells, actions, {"x": BiDegree(1, 0), "y": BiDegree(1, 0)}
-    )
-    done = complete(module, Multiplier("x", BiDegree(1, 0)))
-    assert done.cell((1, 0)) == PGroup(2, 0, (1,))
+    step = PHom(two, two, [[1, 0], [0, 0]])
+    mults = {"x": BiDegree(1, 0), "y": BiDegree(1, 0)}
+    x_chain = {("x", BiDegree(k, 0)): step for k in range(3)}
+    off_image = {("y", BiDegree(2, 0)): PHom(two, two, [[0, 0], [1, 0]])}
+
+    def completed(actions):
+        module = BigradedModule(2, Window(0, 3, 0, 0), {BiDegree(k, 0): two for k in range(4)}, actions, mults)
+        return complete(module, Multiplier("x", BiDegree(1, 0)), steps=2)
+
+    # (2,0) sees both steps of the completion with the x-image stable
+    # across the last one, so only a failed action can flag it
+    plain = completed(x_chain)
+    assert plain.cell((2, 0)) == plain.cell((3, 0)) == PGroup(2, 0, (1,))
+    assert plain.flag((2, 0)) == plain.flag((3, 0)) == FLAG_VERIFIED
+    # y sends the x-image off itself, so it induces no map of the quotients
+    done = completed({**x_chain, **off_image})
     assert done.cell((2, 0)) == PGroup(2, 0, (1,))
-    # y sends the visible x-image off itself, so no quotient map descends
-    assert done.flag((1, 0)) == FLAG_BOUNDARY
-    assert ("y", BiDegree(1, 0)) not in done.actions
+    assert done.flag((2, 0)) == FLAG_BOUNDARY
+    assert done.flag((3, 0)) == FLAG_VERIFIED
+    assert ("y", BiDegree(2, 0)) not in done.actions
 
 
 def _tau_off_a_rho_chain(middle, rho_in, target, tau_out):

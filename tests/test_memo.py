@@ -1,10 +1,11 @@
 """The per-call memo of exact-algebra results.
 
-Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom and
-pgroup_sum return a stored result when their input repeats exactly.  The
-memo must never show: every answer equals the one computed afresh, labels
-included, and no scope outlives the realize or odd_split call that opened
-it, so a direct call outside one computes and certifies again.
+Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom,
+pgroup_sum, is_isomorphism and invert_iso return a stored result when
+their input repeats exactly.  The memo must never show: every answer
+equals the one computed afresh, labels included, and no scope outlives
+the realize, odd_split, invert or complete call that opened it, so a
+direct call outside one computes and certifies again.
 """
 
 import threading
@@ -15,9 +16,20 @@ from hypothesis import strategies as st
 
 import fracture.snf as snf_module
 from fracture.assembler import RhoCompleteError, odd_split, realize
-from fracture.bigraded import PGroup, PHom, active_memo, memo_scope, pgroup_sum
-from fracture.presentation import BudgetError, parse_presentation
-from fracture.snf import CertificateError, SnfResult, cokernel, kernel, smith_normal_form, solve_hom
+from fracture.bigraded import PGroup, PHom, active_memo, memo_scope, pgroup_sum, phom_identity
+from fracture.localization import complete, invert
+from fracture.presentation import BudgetError, expand, parse_presentation
+from fracture.presets import preset_presentation
+from fracture.snf import (
+    CertificateError,
+    SnfResult,
+    cokernel,
+    invert_iso,
+    is_isomorphism,
+    kernel,
+    smith_normal_form,
+    solve_hom,
+)
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -102,6 +114,40 @@ def test_kernel_and_cokernel_agree_inside_a_scope(data) -> None:
 
 @MEMO_SETTINGS
 @given(st.data())
+def test_is_isomorphism_agrees_inside_a_scope(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a = data.draw(groups(p))
+    b = a if data.draw(st.booleans()) else data.draw(groups(p))
+    f = data.draw(homs(a, b))
+    # the verdict reads no labels, so label twins share one
+    twin = rehomed(f, relabelled(a), relabelled(b))
+    assert is_isomorphism(twin) == is_isomorphism(f)
+    agrees_inside_a_scope(is_isomorphism, (f,), (twin,))
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_invert_iso_agrees_inside_a_scope(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a = data.draw(groups(p))
+    # the identity plus a strictly lower triangular endomorphism has an
+    # integer inverse
+    g = data.draw(homs(a, a))
+    rows = [[int(r == c) + (x if r > c else 0) for c, x in enumerate(row)] for r, row in enumerate(g.entries)]
+    f = PHom(a, relabelled(a), rows)
+    twin = rehomed(f, relabelled(a), a)
+    agrees_inside_a_scope(invert_iso, (f,), (twin,))
+    with memo_scope():
+        for iso in (f, twin, f):
+            inv = invert_iso(iso)
+            # the inverse lives on the caller's own labelled groups
+            assert fingerprint(inv.source) == fingerprint(iso.target)
+            assert fingerprint(inv.target) == fingerprint(iso.source)
+            assert (iso @ inv).same_map(phom_identity(iso.target))
+
+
+@MEMO_SETTINGS
+@given(st.data())
 def test_solve_hom_agrees_inside_a_scope(data) -> None:
     p = data.draw(st.sampled_from((2, 3)))
     a, b, c = data.draw(groups(p)), data.draw(groups(p)), data.draw(groups(p))
@@ -153,14 +199,28 @@ def assert_no_scope(certify_calls) -> None:
     assert len(certify_calls) == before + 2
 
 
+def kgl2_module():
+    return expand(preset_presentation("KGL2_R"), (-3, 3, -3, 3))
+
+
 CALLS = {
     "realize": lambda: realize("KGL2_R", 2, (-2, 2, -2, 2)),
     "odd_split": lambda: odd_split("HFP_ODD_R", 3, (-2, 2, -2, 2)),
     "refused": lambda: realize(parse_presentation(RHO_INVERTED_SOURCE), 2, (-3, 3, -3, 3)),
     "over budget": lambda: realize("HF2_R", 2, (-3, 3, -3, 3), budget=1),
     "odd over budget": lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3), budget=1),
+    "invert": lambda: invert(kgl2_module(), "tau"),
+    "complete": lambda: complete(kgl2_module(), "rho"),
+    "invert with no steps": lambda: invert(kgl2_module(), "rho", steps=0),
+    "complete off the window": lambda: complete(kgl2_module(), "rho", window=(0, 4, 0, 0)),
 }
-RAISES = {"refused": RhoCompleteError, "over budget": BudgetError, "odd over budget": BudgetError}
+RAISES = {
+    "refused": RhoCompleteError,
+    "over budget": BudgetError,
+    "odd over budget": BudgetError,
+    "invert with no steps": ValueError,
+    "complete off the window": ValueError,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -180,6 +240,22 @@ def test_a_scope_survives_an_inner_call_it_opened(certify_calls) -> None:
         before = len(certify_calls)
         smith_normal_form(((2, 1), (4, 3)), 2)
         assert len(certify_calls) == before
+    assert_no_scope(certify_calls)
+
+
+def test_localizations_share_the_scope_of_their_caller(certify_calls) -> None:
+    module = kgl2_module()
+    with memo_scope():
+        table = active_memo()
+        invert(module, "tau")
+        after_invert = len(table)
+        complete(module, "rho")
+        assert active_memo() is table
+        assert 0 < after_invert < len(table)
+        stored, certified = len(table), len(certify_calls)
+        invert(module, "tau")
+        complete(module, "rho")
+        assert (len(table), len(certify_calls)) == (stored, certified)
     assert_no_scope(certify_calls)
 
 
@@ -216,4 +292,13 @@ def test_a_failed_certificate_raises_inside_realize(monkeypatch) -> None:
     monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
     with pytest.raises(CertificateError):
         realize("HF2_R", 2, (-2, 2, -2, 2))
+    assert active_memo() is None
+
+
+@pytest.mark.parametrize("localize", [invert, complete])
+def test_a_failed_certificate_raises_inside_a_localization(localize, monkeypatch) -> None:
+    module = kgl2_module()
+    monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
+    with pytest.raises(CertificateError):
+        localize(module, "rho")
     assert active_memo() is None

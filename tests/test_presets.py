@@ -38,6 +38,8 @@ def test_prime_validation() -> None:
         preset_source("hfp_odd", 9)
     with pytest.raises(ValueError, match="odd prime"):
         reference_realization("hfp_odd", 2, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="needs an odd prime, got None"):
+        reference_realization("hfp_odd", None, (0, 0, 0, 0))
     with pytest.raises(ValueError, match="2-primary"):
         reference_realization("hz2", 3, (0, 0, 0, 0))
 
