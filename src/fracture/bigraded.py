@@ -39,11 +39,13 @@ class BiDegree(NamedTuple):
     i: int
     j: int
 
+    # tuple.__new__ skips the NamedTuple's Python-level __new__: these run
+    # on every chain step
     def __add__(self, other):
-        return BiDegree(self.i + other[0], self.j + other[1])
+        return tuple.__new__(BiDegree, (self[0] + other[0], self[1] + other[1]))
 
     def __sub__(self, other):
-        return BiDegree(self.i - other[0], self.j - other[1])
+        return tuple.__new__(BiDegree, (self[0] - other[0], self[1] - other[1]))
 
     def scaled(self, k):
         return BiDegree(k * self.i, k * self.j)
@@ -200,6 +202,11 @@ def hom_key(f):
     return (group_key(f.source), group_key(f.target), f.entries)
 
 
+def map_key(f):
+    """What a result that reads no labels can read off a PHom."""
+    return (f.source, f.target, f.entries)
+
+
 class PGroup:
     """Finitely generated module over Z_(p): free rank plus p-power torsion.
 
@@ -213,7 +220,7 @@ class PGroup:
     (None, 2, 1)
     """
 
-    __slots__ = ("prime", "rank", "torsion", "labels")
+    __slots__ = ("prime", "rank", "torsion", "labels", "ngens", "_exponents")
 
     def __init__(self, prime, rank, torsion=(), labels=None):
         if not _is_prime(prime):
@@ -233,14 +240,12 @@ class PGroup:
         self.rank = rank
         self.torsion = torsion
         self.labels = labels
-
-    @property
-    def ngens(self):
-        return self.rank + len(self.torsion)
+        self.ngens = rank + len(torsion)
+        self._exponents = (None,) * rank + torsion
 
     def exponents(self):
         """Order exponent per generator; None stands for a free generator."""
-        return (None,) * self.rank + self.torsion
+        return self._exponents
 
     def is_zero(self):
         return self.ngens == 0
@@ -301,6 +306,11 @@ class PHom:
 
     Entries into a torsion generator of order p^f are classes mod p^f; two
     homs are the same map when they agree modulo those orders.
+
+    PHom(...) checks shape and torsion compatibility; use it for every map
+    that comes from outside or from fresh arithmetic.  Maps derived from
+    valid maps (composites, sums, negations, reductions, zero and identity
+    maps) are built by _trusted_phom without the checks.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -339,17 +349,19 @@ class PHom:
         """Composite self o other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
+        # entry (t, s) sums products divisible by p^(f_t - e_k) * p^(e_k - e_s),
+        # so the composite of compatible maps is compatible
         entries = mat_mul(self.entries, other.entries, self.source.ngens, other.source.ngens)
-        return PHom(other.source, self.target, reduce_entries(other.source, self.target, entries))
+        return _trusted_phom(other.source, self.target, reduce_entries(other.source, self.target, entries))
 
     def __add__(self, other):
         if other.source != self.source or other.target != self.target:
             raise ValueError("sum mismatch")
         entries = mat_add(self.entries, other.entries) if self.entries else self.entries
-        return PHom(self.source, self.target, reduce_entries(self.source, self.target, entries))
+        return _trusted_phom(self.source, self.target, reduce_entries(self.source, self.target, entries))
 
     def __neg__(self):
-        return PHom(self.source, self.target, mat_neg(self.entries))
+        return _trusted_phom(self.source, self.target, mat_neg(self.entries))
 
     def __sub__(self, other):
         return self + (-other)
@@ -371,8 +383,40 @@ class PHom:
             return False
         return (self + (-other)).is_zero()
 
+    def reduced(self):
+        """The same map with entries reduced modulo the target orders.
+
+        A stored action need not be reduced; a composite already is.
+        """
+        entries = reduce_entries(self.source, self.target, self.entries)
+        return self if entries == self.entries else _trusted_phom(self.source, self.target, entries)
+
+    def on(self, source, target):
+        """The same matrix between label twins of the source and target.
+
+        PGroup equality ignores labels, so equal groups have the same
+        generator orders and the matrix stays compatible.
+        """
+        if source != self.source or target != self.target:
+            raise ValueError("groups differ from the map's source and target")
+        return _trusted_phom(source, target, self.entries)
+
     def __repr__(self):
         return f"PHom({self.source!r} -> {self.target!r}, {self.entries})"
+
+
+def _trusted_phom(source, target, entries):
+    """A PHom built without PHom's checks; only for maps valid by construction.
+
+    entries must be a tuple of int tuples of the right shape, compatible
+    with the torsion of source and target.  Callers derive them from maps
+    that were already checked, by operations that keep compatibility.
+    """
+    f = object.__new__(PHom)
+    f.source = source
+    f.target = target
+    f.entries = entries
+    return f
 
 
 def reduce_entries(source, target, entries):
@@ -390,11 +434,13 @@ def reduce_entries(source, target, entries):
 
 
 def phom_zero(source, target):
-    return PHom(source, target, zeros(target.ngens, source.ngens))
+    if source.prime != target.prime:
+        raise ValueError("source and target live at different primes")
+    return _trusted_phom(source, target, zeros(target.ngens, source.ngens))
 
 
 def phom_identity(group):
-    return PHom(group, group, identity(group.ngens))
+    return _trusted_phom(group, group, identity(group.ngens))
 
 
 def phom_scalar(group, n):
@@ -590,17 +636,28 @@ def validate_module(module):
 
 
 def restrict(module, window):
-    """The same module on a subwindow; actions crossing the edge drop."""
+    """The same module on a subwindow; actions crossing the edge drop.
+
+    The module's cells, actions and flags are already in the form
+    BigradedModule.__init__ leaves them, and a subwindow of that form keeps
+    it, so the result is assembled directly.
+    """
     window = Window(*window)
     window.check()
-    cells = {d: g for d, g in module.cells.items() if window.contains(d)}
-    actions = {
+    mults = module.multipliers
+    out = object.__new__(BigradedModule)
+    out.prime = module.prime
+    out.window = window
+    out.cells = {d: g for d, g in module.cells.items() if window.contains(d)}
+    out.actions = {
         (name, d): f
         for (name, d), f in module.actions.items()
-        if window.contains(d) and window.contains(d + module.multipliers[name])
+        if window.contains(d) and window.contains(d + mults[name])
     }
-    flags = {d: fl for d, fl in module.flags.items() if window.contains(d)}
-    return BigradedModule(module.prime, window, cells, actions, module.multipliers, flags, module.caveats)
+    out.multipliers = dict(mults)
+    out.flags = {d: fl for d, fl in module.flags.items() if window.contains(d)}
+    out.caveats = module.caveats
+    return out
 
 
 def cellwise_diff(a, b):

@@ -84,12 +84,6 @@ def composite_action(module, mult, start, count):
     return f
 
 
-def _reduced(f):
-    """f with reduced entries: a stored action need not be, a composite is."""
-    entries = reduce_entries(f.source, f.target, f.entries)
-    return f if entries == f.entries else PHom(f.source, f.target, entries)
-
-
 def chain_composite(module, mult, start):
     """Composites of consecutive mult-actions along the line through start.
 
@@ -123,7 +117,7 @@ def chain_composite(module, mult, start):
         if top is None or lo >= top:
             front, back, pending, mid, top = {}, None, [], lo, lo
         while top < hi:
-            f = _reduced(act(module, mult, at(top)))
+            f = act(module, mult, at(top)).reduced()
             pending.append(f)
             back = f if back is None else f @ back
             top += 1
@@ -253,7 +247,7 @@ def invert(module, mult, steps=None, window=None):
             if not out.contains(t):
                 continue
             if shift == 0:
-                f = _reduced(act(module, y, e))
+                f = act(module, y, e).reduced()
             elif shift > 0:
                 # walk y once, then catch up along x inside the target chain
                 f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)

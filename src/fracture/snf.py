@@ -22,6 +22,7 @@ from .bigraded import (
     PHom,
     _compat_modulus,
     hom_key,
+    map_key,
     per_call,
     phom_identity,
     reduce_entries,
@@ -510,7 +511,7 @@ def solve_hom(f, g):
     return h
 
 
-@per_call(lambda f: (f.source, f.target, f.entries))
+@per_call(map_key)
 def is_isomorphism(f):
     """Whether f is an isomorphism; the verdict reads no generator labels."""
     if f.source.rank != f.target.rank or f.source.torsion != f.target.torsion:
@@ -522,10 +523,15 @@ def is_isomorphism(f):
     return c.is_zero()
 
 
-@per_call(hom_key)
-def invert_iso(f):
-    """Exact inverse of an isomorphism of PGroups."""
+@per_call(map_key)
+def _inverse(f):
+    """An inverse of f; its entries read no generator labels."""
     inv = solve_hom(f, phom_identity(f.target))
     if inv is None:
         raise ValueError("map is not invertible")
     return inv
+
+
+def invert_iso(f):
+    """Exact inverse of an isomorphism of PGroups, on f's own groups."""
+    return _inverse(f).on(f.target, f.source)

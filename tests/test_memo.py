@@ -138,12 +138,36 @@ def test_invert_iso_agrees_inside_a_scope(data) -> None:
     twin = rehomed(f, relabelled(a), a)
     agrees_inside_a_scope(invert_iso, (f,), (twin,))
     with memo_scope():
-        for iso in (f, twin, f):
-            inv = invert_iso(iso)
+        inverses = [invert_iso(iso) for iso in (f, twin, f)]
+        for iso, inv in zip((f, twin, f), inverses):
             # the inverse lives on the caller's own labelled groups
             assert fingerprint(inv.source) == fingerprint(iso.target)
             assert fingerprint(inv.target) == fingerprint(iso.source)
             assert (iso @ inv).same_map(phom_identity(iso.target))
+        # label twins get entry-equal inverses
+        assert len({inv.entries for inv in inverses}) == 1
+
+
+def test_label_twins_share_one_inverse_solve(monkeypatch) -> None:
+    a = PGroup(3, 1, (2, 1), ["x", "y", "z"])
+    f = PHom(a, relabelled(a), ((1, 0, 0), (4, 1, 0), (2, 3, 1)))
+    twin = rehomed(f, relabelled(a), a)
+    solves = []
+    original = snf_module.solve_columns
+
+    def counting(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(snf_module, "solve_columns", counting)
+    with memo_scope():
+        inv = invert_iso(f)
+        first = len(solves)
+        inv_twin = invert_iso(twin)
+    assert first > 0 and len(solves) == first
+    assert inv_twin.entries == inv.entries
+    assert fingerprint(inv_twin.source) == fingerprint(twin.target)
+    assert fingerprint(inv_twin.target) == fingerprint(twin.source)
 
 
 @MEMO_SETTINGS

@@ -1,7 +1,10 @@
 """Rules the package keeps as a whole.
 
 Correctness checks raise instead of asserting, so they survive python -O,
-and the package runs on the standard library alone.
+and the package runs on the standard library alone.  Maps are built
+without PHom's checks only inside bigraded.py, where each such map is
+derived from maps already checked; the parser, the chart reader, snf and
+induced_map stay on the validating constructor.
 """
 
 import ast
@@ -33,6 +36,32 @@ def test_no_assert_statements_in_the_package() -> None:
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def unchecked_constructions(tree):
+    """Lines that name the trusted constructor or call a __new__ directly."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_trusted_phom":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in ("_trusted_phom", "__new__"):
+            yield node.lineno
+        elif isinstance(node, ast.alias) and node.name == "_trusted_phom":
+            yield node.lineno
+
+
+def test_only_bigraded_builds_maps_without_checks() -> None:
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "bigraded.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{line}" for line in unchecked_constructions(tree)]
+    assert found == []
+
+
+def test_the_trusted_constructor_is_named_where_the_rule_looks() -> None:
+    source = (PACKAGE / "bigraded.py").read_text(encoding="utf-8")
+    assert list(unchecked_constructions(ast.parse(source)))
 
 
 def test_realize_loads_only_the_standard_library() -> None:

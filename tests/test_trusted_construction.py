@@ -1,0 +1,196 @@
+"""Maps and modules built without re-validation are valid all the same.
+
+PHom(...) checks shape and torsion compatibility.  Composites, sums,
+negations, reductions, zero and identity maps, and restrictions are
+built without those checks, on the argument that validity follows from
+their inputs.  These tests hold the argument to the outputs: every module
+the pipeline emits passes validate_module, every map it stores passes the
+validating constructor again, and the unchecked arithmetic agrees with
+the checked construction on random maps.
+
+A localization of a truncated expansion approximates near the window
+edge, and there two actions need not commute.  validate_module reports
+that too; it is allowed only on squares that touch a cell flagged
+boundary-unverified, the same as when every map was validated.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracture.assembler import corners, odd_split, realize, select_tau_power
+from fracture.bigraded import (
+    FLAG_VERIFIED,
+    BiDegree,
+    BigradedModule,
+    PGroup,
+    PHom,
+    Window,
+    phom_identity,
+    phom_zero,
+    reduce_entries,
+    restrict,
+    validate_module,
+)
+from fracture.localization import complete, invert
+from fracture.matrices import mat_add, mat_mul, mat_neg
+from fracture.presentation import expand
+from fracture.presets import PRESET_NAMES, preset_presentation
+
+WINDOW = (-4, 4, -4, 4)
+EXPANSION = Window(-6, 6, -8, 6)
+
+# every preset, the odd-primary one at two primes
+PRESETS = [(name, None) for name in PRESET_NAMES if name != "HFP_ODD_R"] + [("HFP_ODD_R", 3), ("HFP_ODD_R", 5)]
+PRESET_IDS = [name if p is None else f"{name}-p{p}" for name, p in PRESETS]
+
+
+def revalidated(f):
+    """f rebuilt through the validating constructor; raises if f is invalid."""
+    g = PHom(f.source, f.target, f.entries)
+    assert g.entries == f.entries
+    return g
+
+
+NONCOMMUTING = re.compile(r"actions (\S+),(\S+) at \((-?\d+), (-?\d+)\): composites differ")
+
+
+def touches_unverified(module, violation):
+    """Whether the violation is a noncommuting square with an unverified cell."""
+    match = NONCOMMUTING.fullmatch(violation)
+    if match is None:
+        return False
+    x, y = module.multipliers[match[1]], module.multipliers[match[2]]
+    d = BiDegree(int(match[3]), int(match[4]))
+    return any(module.flag(c) != FLAG_VERIFIED for c in (d, d + x, d + y, d + x + y))
+
+
+def assert_sound(module, truncated=False):
+    violations = validate_module(module)
+    if truncated:
+        violations = [v for v in violations if not touches_unverified(module, v)]
+    assert violations == []
+    for f in module.actions.values():
+        revalidated(f)
+
+
+def expansion(name, p):
+    return expand(preset_presentation(name, p), EXPANSION)
+
+
+@pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
+def test_realized_modules_are_sound(name, p) -> None:
+    report = realize(name, p, WINDOW)
+    assert_sound(report.result)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_split_parts_are_sound(p) -> None:
+    for part in odd_split("HFP_ODD_R", p, WINDOW):
+        assert_sound(part)
+
+
+@pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
+def test_corners_and_their_maps_are_sound(name, p) -> None:
+    module = expansion(name, p)
+    square = corners(module, rho_complete=True, tau_name=select_tau_power(module))
+    for corner in (square.h, square.phi, square.tate):
+        assert_sound(corner, truncated=True)
+    for f in (*square.map_h_t.values(), *square.map_phi_t.values()):
+        revalidated(f)
+
+
+@pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
+def test_localizations_along_every_multiplier_are_sound(name, p) -> None:
+    module = expansion(name, p)
+    assert module.multipliers
+    for mult in module.multipliers:
+        for localize in (invert, complete):
+            assert_sound(localize(module, mult), truncated=True)
+
+
+@pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
+def test_restrict_equals_the_validated_construction(name, p) -> None:
+    module = expansion(name, p)
+    sub = Window(-3, 2, -5, 1)
+    got = restrict(module, sub)
+    want = BigradedModule(
+        module.prime,
+        sub,
+        {d: g for d, g in module.cells.items() if sub.contains(d)},
+        {(n, d): f for (n, d), f in module.actions.items() if sub.contains(d)},
+        module.multipliers,
+        {d: fl for d, fl in module.flags.items() if sub.contains(d)},
+        module.caveats,
+    )
+    for slot in BigradedModule.__slots__:
+        assert getattr(got, slot) == getattr(want, slot), slot
+    assert list(got.cells) == list(want.cells)
+    assert list(got.flags) == list(want.flags)
+    # modules stay independent of each other
+    assert got.multipliers is not module.multipliers
+    assert_sound(got)
+
+
+def test_zero_map_keeps_its_prime_check() -> None:
+    with pytest.raises(ValueError, match="different primes"):
+        phom_zero(PGroup(2, 1, ()), PGroup(3, 1, ()))
+
+
+def test_a_map_moves_only_onto_label_twins() -> None:
+    a = PGroup(2, 1, (1,))
+    twin = PGroup(2, 1, (1,), ["x", "y"])
+    moved = phom_identity(a).on(twin, a)
+    assert (moved.source.labels, moved.entries) == (("x", "y"), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="groups differ"):
+        phom_identity(a).on(PGroup(2, 0, (1, 1)), a)
+
+
+@st.composite
+def groups(draw, p):
+    rank = draw(st.integers(0, 2))
+    torsion = sorted(draw(st.lists(st.integers(1, 3), max_size=3)), reverse=True)
+    return PGroup(p, rank, tuple(torsion))
+
+
+@st.composite
+def homs(draw, source, target):
+    """A random compatible map, entries not reduced."""
+    p = source.prime
+    rows = []
+    for f in target.exponents():
+        row = []
+        for e in source.exponents():
+            if f is None and e is not None:
+                row.append(0)
+            else:
+                step = 1 if (f is None or e is None or e >= f) else p ** (f - e)
+                row.append(step * draw(st.integers(-30, 30)))
+        rows.append(row)
+    return PHom(source, target, rows)
+
+
+def same_hom(got, want):
+    """got, built without checks, equals want, built by PHom(...)."""
+    assert got.source is want.source and got.target is want.target
+    assert got.entries == want.entries
+    revalidated(got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_arithmetic_equals_its_validated_construction(data) -> None:
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    a, b, c = (data.draw(groups(p)) for _ in range(3))
+    f, f2 = data.draw(homs(b, c)), data.draw(homs(b, c))
+    g = data.draw(homs(a, b))
+    product = mat_mul(f.entries, g.entries, b.ngens, a.ngens)
+    same_hom(f @ g, PHom(a, c, reduce_entries(a, c, product)))
+    total = mat_add(f.entries, f2.entries)
+    same_hom(f + f2, PHom(b, c, reduce_entries(b, c, total)))
+    same_hom(-f, PHom(b, c, mat_neg(f.entries)))
+    same_hom(f.reduced(), PHom(b, c, reduce_entries(b, c, f.entries)))
+    same_hom(phom_zero(b, c), PHom(b, c, [[0] * b.ngens for _ in range(c.ngens)]))
+    same_hom(phom_identity(b), PHom(b, b, [[int(r == s) for s in range(b.ngens)] for r in range(b.ngens)]))
