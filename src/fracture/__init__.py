@@ -30,7 +30,7 @@ from .bigraded import (
     Window,
     validate_module,
 )
-from .charts import ChartSpec, emit_json, load_json, render, render_ascii, render_svg
+from .charts import emit_json, load_json, render, render_ascii, render_svg
 from .localization import complete, invert
 from .periodicity import RegionVerdict, gamma, region, tau_selfmap_degree, u_period
 from .presentation import (

@@ -135,12 +135,13 @@ def select_tau_power(module):
     raise ValueError("input has no tau power action to invert")
 
 
-def corners(module, *, rho_complete=False, tau_name=None, steps=None, window=None):
+def corners(module, *, rho_complete=False, steps=None, window=None):
     """The three corners h, phi, tate of the fracture square of a module.
 
-    The caller must assert rho_complete: the corner h only deserves its
-    name for rho-complete inputs.  realize() runs the completeness check
-    and asserts this for you.
+    h inverts the tau power select_tau_power picks.  The caller must
+    assert rho_complete: the corner h only deserves its name for
+    rho-complete inputs.  realize() runs the completeness check and
+    asserts this for you.
 
     The corners and their maps come out on the window (default: the
     module's window, which must contain it), equal to the whole-window
@@ -156,8 +157,7 @@ def corners(module, *, rho_complete=False, tau_name=None, steps=None, window=Non
     """
     if not rho_complete:
         raise RhoCompleteError(CONTRACT_MESSAGE)
-    if tau_name is None:
-        tau_name = select_tau_power(module)
+    tau_name = select_tau_power(module)
     w = module.window
     K = default_steps(w) if steps is None else steps
     rho = module.multiplier("rho")
@@ -285,9 +285,7 @@ def assemble(square, window=None):
                     continue
             inc_q_d, inc_k_d, prj_q_d, prj_k_d = structure[d]
             inc_q_t, inc_k_t, prj_q_t, prj_k_t = structure[t]
-            f = (inc_k_t @ k2k @ prj_k_d) + (inc_q_t @ q2q @ prj_q_d)
-            if not f.is_zero():
-                actions[(name, d)] = f
+            actions[(name, d)] = (inc_k_t @ k2k @ prj_k_d) + (inc_q_t @ q2q @ prj_q_d)
     caveats = tuple(dict.fromkeys(h.caveats + phi.caveats + tate.caveats))
     result = BigradedModule(h.prime, w, cells, actions, mults, flags, caveats)
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
@@ -398,7 +396,7 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     reach = _reach(expanded, box, tau.degree, expanded.multiplier("rho").degree)
     # with pad = 1 the boundary column can stick out of the expansion
     box = _clip(box, reach)
-    square = corners(restrict(expanded, reach), rho_complete=True, tau_name=tau.name, steps=pad, window=box)
+    square = corners(restrict(expanded, reach), rho_complete=True, steps=pad, window=box)
     report = assemble(square, margin)
     result = restrict(report.result, core)
     parts = {d: part for d, part in report.parts.items() if core.contains(d)}

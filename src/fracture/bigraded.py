@@ -443,16 +443,6 @@ def phom_identity(group):
     return _trusted_phom(group, group, identity(group.ngens))
 
 
-def phom_scalar(group, n):
-    e = group.exponents()
-    p = group.prime
-    rows = []
-    for t in range(group.ngens):
-        m = None if e[t] is None else p ** e[t]
-        rows.append(tuple((n if m is None else n % m) if s == t else 0 for s in range(group.ngens)))
-    return PHom(group, group, rows)
-
-
 @per_call(lambda a, b: (group_key(a), group_key(b)))
 def pgroup_sum(a, b):
     """Direct sum with the four canonical structure maps.
@@ -543,9 +533,6 @@ class BigradedModule:
     def flag(self, d):
         return self.flags.get(tuple(d), FLAG_VERIFIED)
 
-    def nonzero_degrees(self):
-        return sorted(self.cells)
-
     def multiplier(self, name):
         if name in self.multipliers:
             return Multiplier(name, self.multipliers[name])
@@ -559,25 +546,17 @@ def act(module, mult, d):
     """Action of a multiplier out of cell d, as a PHom.
 
     Absent actions are the zero map; between two zero cells it is the one
-    shared zero_hom of the prime.  An integer name like "2" acts as the
-    scalar it names (degree (0,0)).  Requesting either endpoint outside the
+    shared zero_hom of the prime.  Requesting either endpoint outside the
     window is an error.
     """
-    if isinstance(mult, Multiplier):
-        name, degree = mult.name, mult.degree
-    elif isinstance(mult, str) and (mult.isdigit() or (mult[:1] == "-" and mult[1:].isdigit())):
-        name, degree = mult, BiDegree(0, 0)
-    else:
-        m = module.multiplier(mult)
-        name, degree = m.name, m.degree
+    m = mult if isinstance(mult, Multiplier) else module.multiplier(mult)
+    name, degree = m.name, m.degree
     d = BiDegree(*d)
     if not module.window.contains(d):
         raise ValueError(f"cell {tuple(d)} is outside the window {tuple(module.window)}")
     target = d + degree
     if not module.window.contains(target):
         raise ValueError(f"action target {tuple(target)} is outside the window {tuple(module.window)}")
-    if degree == (0, 0) and name not in module.multipliers:
-        return phom_scalar(module.cell(d), int(name))
     stored = module.actions.get((name, d))
     if stored is not None:
         return stored
@@ -624,7 +603,7 @@ def validate_module(module):
         for bx in range(ax + 1, len(names)):
             x, y = names[ax], names[bx]
             dx, dy = module.multipliers[x], module.multipliers[y]
-            for d in module.nonzero_degrees():
+            for d in sorted(module.cells):
                 end = d + dx + dy
                 if not (w.contains(d + dx) and w.contains(d + dy) and w.contains(end)):
                     continue

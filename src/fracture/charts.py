@@ -31,7 +31,6 @@ b'{"cells":[{"flags":["verified"],"i":0,"j":0,"rank":1,"torsion":[]}],"edges":[]
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 from .assembler import AssemblyReport
 from .bigraded import (
@@ -51,27 +50,6 @@ GLYPH_DOT = "·"
 GLYPH_BOX = "□"
 GLYPH_PAIR = "="
 GLYPH_TRIPLE = "≡"
-
-
-class ChartSpec(NamedTuple):
-    """Layout choices for one rendering.
-
-    window is the rectangle of bidegrees drawn; shade is an optional
-    subwindow marked in SVG output (the region the input module came
-    from); scale is the SVG lattice pitch in pixels.
-    """
-
-    window: Window
-    shade: object = None
-    scale: int = 24
-
-
-def _spec_for(module, spec):
-    if spec is None:
-        return ChartSpec(module.window)
-    if isinstance(spec, ChartSpec):
-        return spec
-    return ChartSpec(Window(*spec))
 
 
 def _group_json(g):
@@ -203,14 +181,13 @@ def _glyph(group, flag=FLAG_VERIFIED):
     return str(n) if n <= 9 else "#"
 
 
-def render_ascii(module, spec=None):
-    """One character per bidegree, j increasing upward.
+def render_ascii(module):
+    """One character per bidegree of the module's window, j increasing upward.
 
     The row prefix labels j and the axis column switches to "+" on the
     j = 0 row; the bottom border marks the i = 0 column the same way.
     """
-    spec = _spec_for(module, spec)
-    w = spec.window
+    w = module.window
     if w.width + 1 > ASCII_CANVAS or w.height + 1 > ASCII_CANVAS:
         raise ValueError(
             f"window {tuple(w)} overflows the ascii canvas of {ASCII_CANVAS} cells per side"
@@ -229,15 +206,14 @@ def render_ascii(module, spec=None):
     return "\n".join(lines) + "\n"
 
 
-def render_svg(module, spec=None):
-    """Deterministic SVG 1.1 with glyphs on an integer lattice.
+def render_svg(module):
+    """Deterministic SVG 1.1 of the module's window, glyphs on a 24 px lattice.
 
     Edges are drawn under the glyphs, rho and a as solid segments and v1
     dotted; cells flagged unverified come out gray.
     """
-    spec = _spec_for(module, spec)
-    w = spec.window
-    s = spec.scale
+    w = module.window
+    s = 24
 
     def x(i):
         return (i - w.imin + 1) * s
@@ -252,12 +228,6 @@ def render_svg(module, spec=None):
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}"'
         f' height="{height}" viewBox="0 0 {width} {height}">',
     ]
-    if spec.shade is not None:
-        sh = Window(*spec.shade)
-        out.append(
-            f'<rect x="{x(sh.imin) - s // 2}" y="{y(sh.jmax) - s // 2}"'
-            f' width="{(sh.width + 1) * s}" height="{(sh.height + 1) * s}" fill="#eeeeee"/>'
-        )
     if w.imin <= 0 <= w.imax:
         out.append(
             f'<line x1="{x(0)}" y1="{y(w.jmax) - s // 2}" x2="{x(0)}"'
@@ -318,7 +288,7 @@ def render_svg(module, spec=None):
     return "\n".join(out) + "\n"
 
 
-def render(obj, spec=None, format="ascii"):
+def render(obj, format="ascii"):
     """Render a module or report to bytes in the asked-for format.
 
     json keeps report provenance; ascii and svg draw the result module.
@@ -327,7 +297,7 @@ def render(obj, spec=None, format="ascii"):
         return emit_json(obj)
     module = obj.result if isinstance(obj, AssemblyReport) else obj
     if format == "ascii":
-        return render_ascii(module, spec).encode("utf-8")
+        return render_ascii(module).encode("utf-8")
     if format == "svg":
-        return render_svg(module, spec).encode("utf-8")
+        return render_svg(module).encode("utf-8")
     raise ValueError(f"unknown format {format!r}")

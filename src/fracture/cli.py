@@ -109,19 +109,19 @@ def _realized(args):
 
 
 def run_realize(args):
-    _emit(render(_realized(args), None, args.format), args.out)
+    _emit(render(_realized(args), args.format), args.out)
     return 0
 
 
 def run_expand(args):
     module = expand(_load_presentation(args), args.window)
-    _emit(render(module, None, args.format), args.out)
+    _emit(render(module, args.format), args.out)
     return 0
 
 
 def run_localize(args):
     module = expand(_load_presentation(args), args.window)
-    _emit(render(args.localize(module, args.mult, steps=args.steps), None, args.format), args.out)
+    _emit(render(args.localize(module, args.mult, steps=args.steps), args.format), args.out)
     return 0
 
 

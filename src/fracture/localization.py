@@ -253,8 +253,7 @@ def invert(module, mult, steps=None, window=None):
                 f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)
             else:
                 f = act(module, y, d + x.degree.scaled(n_t)) @ invert_iso(back)
-            if not f.is_zero():
-                actions[(name, d)] = f
+            actions[(name, d)] = f
     return BigradedModule(module.prime, out, cells, actions, mults, flags, module.caveats)
 
 
@@ -344,7 +343,7 @@ def complete(module, mult, steps=None, window=None):
             induced, _ = induced_map(act(module, y, d), quotients[d], quotients[t])
             if induced is None:
                 flags[d] = FLAG_BOUNDARY
-            elif out.contains(t) and not induced.is_zero():
+            elif out.contains(t):
                 actions[(name, d)] = induced
     caveats = tuple(dict.fromkeys(module.caveats + (COMPLETION_CAVEAT,)))
     return BigradedModule(module.prime, out, cells, actions, dict(module.multipliers), flags, caveats)

@@ -30,6 +30,7 @@ from operator import add
 from typing import NamedTuple
 
 from .bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, _is_prime, reduce_entries
+from .snf import valuation
 
 DEFAULT_CELL_BUDGET = 100_000
 BUDGET_ENV_VAR = "FRACTURE_CELL_BUDGET"
@@ -70,12 +71,6 @@ class Presentation(NamedTuple):
     spans: tuple
     window: object  # Window or None
 
-    def generator(self, name):
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
 
 def monomial_string(powers):
     if not powers:
@@ -115,12 +110,8 @@ def _parse_term(lineno, col, text, prime, gens):
     if m is None:
         raise ParseError(lineno, col, f"term must look like <p-power>·<monomial>, got {text!r}")
     scalar = int(m.group(1))
-    vexp = 0
-    n = scalar
-    while n > 1 and n % prime == 0:
-        n //= prime
-        vexp += 1
-    if n != 1:
+    vexp = valuation(scalar, prime)
+    if vexp is None or scalar != prime ** vexp:
         raise ParseError(lineno, col, f"scalar {scalar} is not a power of {prime}")
     mono_col = col + len(m.group(1)) + 1
     mono = m.group(3)
@@ -285,7 +276,8 @@ def expand(pres, window=None, budget=None):
     partial products nearby, so nothing reachable is missed).  Monomials a
     relation has killed are settled but not extended: everything reached
     through them is killed too.  The search gives up once it has settled
-    more monomials than the cell budget, settable via FRACTURE_CELL_BUDGET.
+    more monomials than the cell budget: the budget argument, or else
+    FRACTURE_CELL_BUDGET, or else DEFAULT_CELL_BUDGET.
     """
     if window is None:
         window = pres.window
@@ -293,8 +285,10 @@ def expand(pres, window=None, budget=None):
         raise ValueError("expansion needs a window")
     window = Window(*window)
     window.check()
+    hint = ""
     if budget is None:
         budget = int(os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET)))
+        hint = f"; raise {BUDGET_ENV_VAR} if the window really is this dense"
     p = pres.prime
 
     span_vecs = []
@@ -334,10 +328,7 @@ def expand(pres, window=None, budget=None):
         settled.add(vec)
         visited += 1
         if visited > budget:
-            raise BudgetError(
-                f"expansion exceeded the budget of {budget} monomials; "
-                f"raise {BUDGET_ENV_VAR} if the window really is this dense"
-            )
+            raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
         e = _order_exponent(killers, vec)
         if e is not None and val >= e:
             continue

@@ -29,7 +29,8 @@ from .bigraded import (
 )
 from .matrices import column, from_columns, hstack, identity, mat_mul
 
-DEFAULT_RESIDUE = 16
+# certify() checks the diagonal modulo p**RESIDUE
+RESIDUE = 16
 
 
 class CertificateError(ValueError):
@@ -79,14 +80,14 @@ class SnfResult:
     """Diagonalization U @ A @ V = diag with det(U), det(V) = +-1.
 
     valuations lists the p-valuation of each diagonal entry (None for an
-    exact zero, i.e. a free direction).  U_inv and V_inv are exact integer
-    inverses.  residue is the certification exponent K: certify() checks
-    U @ A @ V against the pure p-power diagonal modulo p**K.
+    exact zero, i.e. a free direction).  U_inv is the exact integer inverse
+    of U.  certify() checks U @ A @ V against the pure p-power diagonal
+    modulo p**RESIDUE.
     """
 
-    __slots__ = ("p", "rows", "cols", "diag", "valuations", "U", "V", "U_inv", "V_inv", "residue")
+    __slots__ = ("p", "rows", "cols", "diag", "valuations", "U", "V", "U_inv")
 
-    def __init__(self, p, rows, cols, diag, U, V, U_inv, V_inv, residue):
+    def __init__(self, p, rows, cols, diag, U, V, U_inv):
         self.p = p
         self.rows = rows
         self.cols = cols
@@ -95,14 +96,12 @@ class SnfResult:
         self.U = U
         self.V = V
         self.U_inv = U_inv
-        self.V_inv = V_inv
-        self.residue = residue
 
     def certify(self, a):
-        """Check U @ a @ V == diag(p^v) modulo p**residue (exactly off-diagonal)."""
-        p, K = self.p, self.residue
+        """Check U @ a @ V == diag(p^v) modulo p**RESIDUE (exactly off-diagonal)."""
+        p = self.p
         d = mat_mul(mat_mul(self.U, a, self.rows, self.cols), self.V, self.cols, self.cols)
-        mod = p ** K
+        mod = p ** RESIDUE
         for r in range(self.rows):
             for c in range(self.cols):
                 if r == c and r < len(self.diag):
@@ -122,12 +121,12 @@ class SnfResult:
         return True
 
 
-def _snf_key(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
-    return (p, rows, cols, residue, tuple(map(tuple, a)))
+def _snf_key(a, p, rows=None, cols=None):
+    return (p, rows, cols, tuple(map(tuple, a)))
 
 
 @per_call(_snf_key)
-def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
+def smith_normal_form(a, p, rows=None, cols=None):
     """Exact SNF of an integer matrix, interpreted over Z_(p).
 
     >>> r = smith_normal_form(((2, 1), (4, 3)), 2)
@@ -144,7 +143,6 @@ def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
     U = [list(r) for r in identity(rows)]
     Ui = [list(r) for r in identity(rows)]
     V = [list(r) for r in identity(cols)]
-    Vi = [list(r) for r in identity(cols)]
 
     def row_combine(r1, r2, x, y, z, w, s):
         # rows (r1, r2) <- (x*r1 + y*r2, z*r1 + w*r2), det = x*w - y*z = s
@@ -159,17 +157,13 @@ def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
             row[r1] = s * (w * a1 - z * a2)
             row[r2] = s * (-y * a1 + x * a2)
 
-    def col_combine(c1, c2, x, y, z, w, s):
+    def col_combine(c1, c2, x, y, z, w):
+        # columns (c1, c2) <- (x*c1 + y*c2, z*c1 + w*c2)
         for M in (A, V):
             for row in M:
                 a1, a2 = row[c1], row[c2]
                 row[c1] = x * a1 + y * a2
                 row[c2] = z * a1 + w * a2
-    # V collects ops as V <- V @ E with E columns; invert on the left of Vi
-        for c in range(cols):
-            a1, a2 = Vi[c1][c], Vi[c2][c]
-            Vi[c1][c] = s * (w * a1 - z * a2)
-            Vi[c2][c] = s * (-y * a1 + x * a2)
 
     def swap_rows(r1, r2):
         if r1 == r2:
@@ -186,7 +180,6 @@ def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
             row[c1], row[c2] = row[c2], row[c1]
         for row in V:
             row[c1], row[c2] = row[c2], row[c1]
-        Vi[c1], Vi[c2] = Vi[c2], Vi[c1]
 
     for k in range(min(rows, cols)):
         best = None
@@ -219,10 +212,10 @@ def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
                     a0, b0 = A[k][k], A[k][j]
                     if b0 % a0 == 0:
                         q = b0 // a0
-                        col_combine(k, j, 1, 0, -q, 1, 1)
+                        col_combine(k, j, 1, 0, -q, 1)
                     else:
                         g, x, y = xgcd(a0, b0)
-                        col_combine(k, j, x, y, -(b0 // g), a0 // g, 1)
+                        col_combine(k, j, x, y, -(b0 // g), a0 // g)
             # column ops can refill column k only when row k still mixes
             if not any(A[i][k] for i in range(k + 1, rows)) and not any(
                 A[k][j] for j in range(k + 1, cols)
@@ -238,8 +231,6 @@ def smith_normal_form(a, p, rows=None, cols=None, residue=DEFAULT_RESIDUE):
         tuple(tuple(r) for r in U),
         tuple(tuple(r) for r in V),
         tuple(tuple(r) for r in Ui),
-        tuple(tuple(r) for r in Vi),
-        residue,
     )
     if not result.certify(tuple(tuple(r) for r in a)):
         raise CertificateError(f"Smith normal form of a {rows}x{cols} matrix failed its certificate")
@@ -388,12 +379,6 @@ def subgroup(ambient, columns):
     return _sorted_generators(p, ambient, cols, exps)
 
 
-def image(f):
-    """Image subgroup of a PHom, with inclusion into the target."""
-    cols = [column(f.entries, s) for s in range(f.source.ngens)]
-    return subgroup(f.target, cols)
-
-
 def span_contains(ambient, outer, inner):
     """Whether every inner column lies in the span of the outer ones."""
     n = ambient.ngens
@@ -513,11 +498,13 @@ def solve_hom(f, g):
 
 @per_call(map_key)
 def is_isomorphism(f):
-    """Whether f is an isomorphism; the verdict reads no generator labels."""
+    """Whether f is an isomorphism; the verdict reads no generator labels.
+
+    Source and target are isomorphic once their ranks and torsion agree,
+    and a surjection between isomorphic finitely generated modules is
+    injective (Vasconcelos, 1969), so a zero cokernel decides.
+    """
     if f.source.rank != f.target.rank or f.source.torsion != f.target.torsion:
-        return False
-    g, _ = kernel(f)
-    if not g.is_zero():
         return False
     c, _, _ = cokernel(f)
     return c.is_zero()

@@ -1,14 +1,25 @@
-"""Module operations only the tests use: cellwise sums and comparisons."""
+"""Maps and module operations only the tests use: scalar maps, cellwise sums and comparisons."""
 
 from fracture.bigraded import (
     FLAG_BOUNDARY,
     FLAG_VERIFIED,
     BigradedModule,
     Multiplier,
+    PHom,
     act,
     cellwise_diff,
     pgroup_sum,
 )
+
+
+def phom_scalar(group, n):
+    """Multiplication by the integer n on a PGroup."""
+    e = group.exponents()
+    rows = []
+    for t in range(group.ngens):
+        x = n if e[t] is None else n % group.prime ** e[t]
+        rows.append(tuple(x if s == t else 0 for s in range(group.ngens)))
+    return PHom(group, group, rows)
 
 
 def direct_sum(a, b):

@@ -17,14 +17,13 @@ from fracture.bigraded import (
     multiplier,
     pgroup_sum,
     phom_identity,
-    phom_scalar,
     restrict,
     validate_module,
     zero_group,
     zero_hom,
 )
 
-from helpers import cellwise_equal, direct_sum
+from helpers import cellwise_equal, direct_sum, phom_scalar
 
 
 def test_pgroup_rejects_bad_shapes() -> None:
@@ -105,7 +104,6 @@ def test_act_returns_stored_zero_and_scalar_maps() -> None:
     m = _two_cell_module()
     assert act(m, "tau", (0, 0)).entries == ((1,),)
     assert act(m, "tau", (0, -1)).is_zero()
-    assert act(m, "2", (0, 0)).is_zero(), "doubling kills an order-2 cell"
     # an absent action between zero cells is one shared map
     assert act(m, "tau", (1, 0)) is act(m, "tau", (-1, -1)) is zero_hom(2)
     assert act(m, "tau", (1, 0)).source is zero_group(2)
@@ -113,6 +111,8 @@ def test_act_returns_stored_zero_and_scalar_maps() -> None:
         act(m, "tau", (5, 5))
     with pytest.raises(ValueError):
         act(m, "rho", (-1, 0)), "target cell falls off the window edge"
+    with pytest.raises(ValueError, match="no known degree"):
+        act(m, "2", (0, 0))
 
 
 def test_validate_module_passes_and_fails() -> None:

@@ -21,7 +21,6 @@ from fracture.bigraded import (
     Window,
 )
 from fracture.charts import (
-    ChartSpec,
     chart_payload,
     emit_json,
     load_json,
@@ -200,9 +199,8 @@ def svg_lines(svg: str) -> list:
 
 def test_svg_edge_geometry() -> None:
     report = realize("kgl2", 2, (-4, 4, -4, 4))
-    spec = ChartSpec(report.result.window, scale=24)
-    svg = render_svg(report.result, spec)
-    assert render_svg(report.result, spec) == svg
+    svg = render_svg(report.result)
+    assert render_svg(report.result) == svg
     dotted = []
     solid = []
     for attrs in svg_lines(svg):
@@ -227,19 +225,6 @@ def test_svg_parses_and_marks_unverified_gray() -> None:
     texts = [el for el in root.iter("{http://www.w3.org/2000/svg}text") if el.text == "?"]
     assert len(texts) == 1
     assert texts[0].attrib["fill"] == "#888888"
-
-
-def test_svg_shade_rectangle() -> None:
-    module = reference_realization("hf2", 2, (-3, 3, -3, 3))
-    spec = ChartSpec(module.window, shade=Window(-1, 1, -1, 1))
-    root = ET.fromstring(render_svg(module, spec))
-    shades = [
-        el
-        for el in root.iter("{http://www.w3.org/2000/svg}rect")
-        if el.attrib.get("fill") == "#eeeeee"
-    ]
-    assert len(shades) == 1
-    assert int(shades[0].attrib["width"]) == 3 * 24
 
 
 def test_render_dispatch() -> None:

@@ -197,9 +197,7 @@ def test_smith_normal_form_agrees_inside_a_scope(data) -> None:
     rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     a = tuple(tuple(data.draw(st.integers(-12, 12)) for _ in range(cols)) for _ in range(rows))
     as_lists = [list(row) for row in a]
-    agrees_inside_a_scope(
-        smith_normal_form, (a, p), (as_lists, p), (a, p, rows, cols), (a, p, rows, cols, 4)
-    )
+    agrees_inside_a_scope(smith_normal_form, (a, p), (as_lists, p), (a, p, rows, cols))
 
 
 @pytest.fixture

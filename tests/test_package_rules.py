@@ -4,7 +4,9 @@ Correctness checks raise instead of asserting, so they survive python -O,
 and the package runs on the standard library alone.  Maps are built
 without PHom's checks only inside bigraded.py, where each such map is
 derived from maps already checked; the parser, the chart reader, snf and
-induced_map stay on the validating constructor.
+induced_map stay on the validating constructor.  Every module-level
+function and class is used somewhere in the package besides its own
+definition.
 """
 
 import ast
@@ -69,3 +71,45 @@ def test_realize_loads_only_the_standard_library() -> None:
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == []
+
+
+def referenced_names(node):
+    """Names a piece of code reads, as a bare name, an attribute or an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def unreferenced_definitions(sources):
+    """Module-level functions and classes that no other code of the package names.
+
+    sources maps a file name to its text.  A definition's own body does
+    not count, so recursion alone does not keep a function alive.
+    """
+    defined = []
+    used = set()
+    for name, text in sources.items():
+        for stmt in ast.parse(text, name).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((name, stmt.lineno, own))
+            used.update(n for n in referenced_names(stmt) if n != own)
+    return [f"{name}:{line} {what}" for name, line, what in defined if what not in used]
+
+
+def test_every_definition_is_used_in_the_package() -> None:
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.rglob("*.py"))}
+    assert unreferenced_definitions(sources) == []
+
+
+def test_the_unused_definition_rule_sees_dead_and_recursive_code() -> None:
+    sources = {
+        "a.py": "def live():\n    pass\n\ndef dead():\n    return dead()\n\nclass Old:\n    pass\n",
+        "b.py": "from a import live\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py:4 dead", "a.py:7 Old"]

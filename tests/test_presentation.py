@@ -6,7 +6,9 @@ import time
 import pytest
 
 from fracture.bigraded import PRIME_TEST_BOUND, BiDegree, PGroup, Window, _is_prime, validate_module
+from fracture.assembler import realize
 from fracture.presentation import (
+    BUDGET_ENV_VAR,
     BudgetError,
     ParseError,
     expand,
@@ -158,6 +160,10 @@ def test_inline_window_is_used_by_expand() -> None:
         ("prime 2\nprime 3\n", "declared twice"),
         ("prime 6\n", "not prime"),
         ("prime 2\nrel 3·1\n", "not a power of 2"),
+        ("prime 2\nrel 0·1\n", "line 2, col 5: scalar 0 is not a power of 2"),
+        ("prime 2\nrel 6·1\n", "line 2, col 5: scalar 6 is not a power of 2"),
+        ("prime 3\nrel 6·1\n", "line 2, col 5: scalar 6 is not a power of 3"),
+        ("prime 2\ngen rho -1 -1\nrel 3·rho\nspan 1·1\n", "line 3, col 5: scalar 3 is not a power of 2"),
         ("prime 2\ngen t 0 -1\nspan 1·u\n", "unknown generator"),
         ("prime 2\ngen t 0 -1\nspan 1·t^-1\n", "not invertible"),
         ("prime 2\nfoo 1\n", "unknown directive"),
@@ -177,6 +183,11 @@ def test_nonprime_error_text_is_stable() -> None:
         parse_presentation("prime 4\ngen tau 0 -1\nrel 4·1\nspan 1·1\n")
     assert str(info.value) == "line 1, col 7: 4 is not prime"
     assert (info.value.line, info.value.col) == (1, 7)
+
+
+def test_scalars_parse_to_their_valuation() -> None:
+    pres = parse_presentation("prime 3\nrel 1·1\nrel 27·1\nspan 9·1\n")
+    assert [t.vexp for t in pres.relations + pres.spans] == [0, 3, 2]
 
 
 def _trial_division(n):
@@ -217,3 +228,30 @@ def test_budget_is_enforced() -> None:
     pres = preset_presentation("hf2")
     with pytest.raises(BudgetError):
         expand(pres, Window(-8, 8, -8, 8), budget=5)
+
+
+def test_budget_error_names_the_variable_only_when_it_set_the_budget(monkeypatch) -> None:
+    pres = preset_presentation("hf2")
+    monkeypatch.setenv(BUDGET_ENV_VAR, "5")
+    with pytest.raises(BudgetError) as info:
+        expand(pres, Window(-8, 8, -8, 8))
+    assert str(info.value) == (
+        f"expansion exceeded the budget of 5 monomials; raise {BUDGET_ENV_VAR} if the window really is this dense"
+    )
+    # an explicit budget, or realize's own, ignores the variable
+    with pytest.raises(BudgetError) as info:
+        expand(pres, Window(-8, 8, -8, 8), budget=7)
+    assert str(info.value) == "expansion exceeded the budget of 7 monomials"
+    with pytest.raises(BudgetError) as info:
+        realize("KGL2_R", 2, (-10, 10, -10, 10), budget=10)
+    assert str(info.value) == "expansion exceeded the budget of 10 monomials"
+
+
+def test_budget_error_names_the_variable_for_the_default(monkeypatch) -> None:
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    # x has degree (0,0), so its powers never leave the window
+    dense = parse_presentation("prime 2\ngen x 0 0\nspan 1·x\n")
+    with pytest.raises(BudgetError) as info:
+        expand(dense, Window(0, 0, 0, 0))
+    assert BUDGET_ENV_VAR in str(info.value)
+    assert "budget of 100000 monomials" in str(info.value)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracture.assembler import corners, odd_split, realize, select_tau_power
+from fracture.assembler import corners, odd_split, realize
 from fracture.bigraded import (
     FLAG_VERIFIED,
     BiDegree,
@@ -95,7 +95,7 @@ def test_odd_split_parts_are_sound(p) -> None:
 @pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
 def test_corners_and_their_maps_are_sound(name, p) -> None:
     module = expansion(name, p)
-    square = corners(module, rho_complete=True, tau_name=select_tau_power(module))
+    square = corners(module, rho_complete=True)
     for corner in (square.h, square.phi, square.tate):
         assert_sound(corner, truncated=True)
     for f in (*square.map_h_t.values(), *square.map_phi_t.values()):
