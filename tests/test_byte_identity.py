@@ -54,3 +54,53 @@ PINNED_ODD_SPLIT = (
 def test_odd_split_json_is_byte_identical() -> None:
     parts = odd_split("HFP_ODD_R", 3, (-6, 6, -6, 6))
     assert tuple(hashlib.sha256(emit_json(part)).hexdigest() for part in parts) == PINNED_ODD_SPLIT
+
+
+SWEEP_PRESETS = [("HF2_R", None), ("HZ2_R", None), ("KGL2_R", None), ("HFP_ODD_R", 3), ("HFP_ODD_R", 5)]
+# one window in each quadrant of the (i, j) plane
+SWEEP_WINDOWS = [(1, 4, 1, 4), (-4, -1, 1, 4), (-4, -1, -4, -1), (1, 4, -4, -1)]
+# output subwindows of the (-5,5)x(-6,4) expansion: inside, on the low corner, on the high corner
+# every known degree, so the presets are also localized along multipliers they lack
+SWEEP_MULTIPLIERS = ("rho", "tau", "tau2", "tau4", "v1")
+SWEEP_SUBWINDOWS = [(-3, 2, -4, 1), (-5, 0, -6, -1), (1, 5, 0, 4)]
+
+
+def sweep_records():
+    """Canonical bytes of every sweep output; a refusal records its message."""
+
+    def record(tag, run):
+        try:
+            out = run()
+        except (ValueError, RuntimeError) as exc:
+            return [tag, f"{type(exc).__name__}: {exc}".encode()]
+        if hasattr(out, "dropped"):
+            return [tag, emit_json(out), repr(out.dropped).encode()]
+        return [tag] + [emit_json(part) for part in out]
+
+    out = []
+    for name, prime in SWEEP_PRESETS:
+        for window in SWEEP_WINDOWS:
+            for pad in (None, 1, 2):
+                tag = f"realize {name} {prime} {window} {pad}".encode()
+                out += record(tag, lambda: realize(name, prime, window, pad=pad))
+    for p in (3, 5, 7):
+        out += record(f"odd_split {p}".encode(), lambda: odd_split("HFP_ODD_R", p, (-6, 6, -6, 6)))
+    for name, prime in SWEEP_PRESETS:
+        module = expand(preset_presentation(name, prime), (-5, 5, -6, 4))
+        for mult in sorted(set(module.multipliers) | set(SWEEP_MULTIPLIERS)):
+            for operation in (invert, complete):
+                for steps in (None, 1, 2):
+                    for window in SWEEP_SUBWINDOWS:
+                        tag = f"{operation.__name__} {name} {prime} {mult} {steps} {window}".encode()
+                        out += record(tag, lambda: (operation(module, mult, steps=steps, window=window),))
+    return out
+
+
+PINNED_SWEEP = "2a266ad8045ed098ee1f82242b9a7cecdcdf820c23c3979353c5d519f1f1a9f2"
+
+
+def test_sweep_is_byte_identical() -> None:
+    digest = hashlib.sha256()
+    for chunk in sweep_records():
+        digest.update(len(chunk).to_bytes(8, "big") + chunk)
+    assert digest.hexdigest() == PINNED_SWEEP
