@@ -36,14 +36,18 @@ from .bigraded import (
 # composite_action and insertion are no longer called here; the names stay
 # bound because outside tracers wrap them by module attribute.
 from .localization import (  # noqa: F401
-    chain_composite,
+    along,
+    chain_end,
     chain_lines,
+    chain_power,
     complete,
     composite_action,
     default_steps,
+    edge_cells,
     induced_map,
     insertion,
     invert,
+    output_window,
     resolve_multiplier,
 )
 from .presentation import Presentation, expand
@@ -145,15 +149,16 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
 
     The corners and their maps come out on the window (default: the
     module's window, which must contain it), equal to the whole-window
-    corners restricted to it.  phi and tate compute only its cells; h is
-    inverted on the whole module, because tate reads it along rho-chains
-    that leave the window.
+    corners restricted to it.  phi and tate are answered on its cells
+    only; h is inverted on the whole module, because tate reads it along
+    rho-chains that leave the window.  Each localization visits only the
+    support of its input (see invert).
 
     The map h_d -> t_d is the rho-chain of up to K steps out of d in h;
     phi_d -> t_d is the tau-power insertion of the module cell at the end
     of that rho-chain (the same cell phi_d reads), into h there.  Both
-    come from one sliding window per chain line (chain_composite), equal
-    to the per-cell walks of composite_action and insertion.
+    come from chain_power, which gives a chain that meets a zero cell the
+    zero map and composes along runs of nonzero cells only.
     """
     if not rho_complete:
         raise RhoCompleteError(CONTRACT_MESSAGE)
@@ -168,24 +173,18 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
     tau = resolve_multiplier(module, tau_name)
     box = phi.window
 
+    along_rho = chain_power(h, rho)
+    along_tau = chain_power(module, tau)
     map_h_t = {}
     end_of = {}
-    for start, length in chain_lines(w, rho.degree):
-        span = chain_composite(h, rho, start)
+    for start, length in chain_lines(box, rho.degree):
         for k in range(length):
             d = start + rho.degree.scaled(k)
-            if box.contains(d):
-                a = min(K, length - 1 - k)
-                map_h_t[d] = span(k, k + a)
-                end_of[d] = d + rho.degree.scaled(a)
-    ends = set(end_of.values())
+            a, end_of[d] = chain_end(w, d, rho.degree, K)
+            map_h_t[d] = along_rho(d, a)
     insert_at = {}
-    for start, length in chain_lines(w, tau.degree):
-        span = chain_composite(module, tau, start)
-        for k in range(length):
-            cur = start + tau.degree.scaled(k)
-            if cur in ends:
-                insert_at[cur] = span(k, k + min(K, length - 1 - k))
+    for e in sorted(set(end_of.values()), key=along(tau.degree)):
+        insert_at[e] = along_tau(e, chain_end(w, e, tau.degree, K)[0])
     # chain lines visit the window out of order; keep the window's order
     map_h_t = {d: map_h_t[d] for d in box.cells()}
     map_phi_t = {d: insert_at[end_of[d]] for d in box.cells()}
@@ -196,15 +195,19 @@ def assemble(square, window=None):
     """Splice the corners into the realized module, cell by cell.
 
     Returns an AssemblyReport whose result lives on the given window
-    (default: the corners' window).  The splice at d reads the boundary
-    column d+(1,0), so cells on the corners' right edge treat the
-    missing column as zero and are flagged boundary-unverified.
+    (default: the corners' window, which must contain it).  The splice at
+    d reads the boundary column d+(1,0), so cells on the corners' right
+    edge treat the missing column as zero and are flagged
+    boundary-unverified.
+
+    The work follows the support: where h_d, phi_d and tate_(d+(1,0)) are
+    all zero the splice is zero and only its flag is decided, so only the
+    corners' nonzero and flagged cells and the right edge are visited.
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
         raise ValueError("corners must share a window and a prime")
-    w = h.window if window is None else Window(*window)
-    w.check()
+    w = output_window(h, window)
     big = h.window
 
     sums = {}
@@ -220,12 +223,24 @@ def assemble(square, window=None):
         kers[d] = kernel(diff)
         cokers[d] = cokernel(diff)
 
+    # a module's flags cover its nonzero cells and its unverified zeros, so
+    # every other cell of w splices zero from verified zeros
+    back = {d - BOUNDARY_SHIFT for d in tate.flags}
+    visit = {*h.flags, *phi.flags, *tate.flags, *back, *edge_cells(big, BOUNDARY_SHIFT, w)}
     cells = {}
     parts = {}
     flags = {}
     structure = {}
-    for d in w.cells():
+    for d in sorted(d for d in visit if w.contains(d)):
         up = d + BOUNDARY_SHIFT
+        ok = big.contains(up) and all(
+            m.flag(e) == FLAG_VERIFIED for m, e in ((h, d), (phi, d), (tate, d), (tate, up))
+        )
+        if h.cell(d).is_zero() and phi.cell(d).is_zero() and tate.cell(up).is_zero():
+            # no kernel and no cokernel: the splice is zero
+            if not ok:
+                flags[d] = FLAG_BOUNDARY
+            continue
         splice_data(d)
         if big.contains(up):
             splice_data(up)
@@ -235,9 +250,6 @@ def assemble(square, window=None):
         ker_group, ker_incl = kers[d]
         cok_group, cok_proj, cok_section = cokers[up]
         total, inc_q, inc_k, prj_q, prj_k = pgroup_sum(cok_group, ker_group)
-        ok = big.contains(up) and all(
-            m.flag(e) == FLAG_VERIFIED for m, e in ((h, d), (phi, d), (tate, d), (tate, up))
-        )
         if total.is_zero():
             if not ok:
                 flags[d] = FLAG_BOUNDARY
@@ -293,9 +305,8 @@ def assemble(square, window=None):
 
 def _clip(box, window):
     """The part of box inside window, or None when they do not meet."""
-    lo_i, hi_i = max(box[0], window.imin), min(box[1], window.imax)
-    lo_j, hi_j = max(box[2], window.jmin), min(box[3], window.jmax)
-    return Window(lo_i, hi_i, lo_j, hi_j) if lo_i <= hi_i and lo_j <= hi_j else None
+    part = window.meet(Window(*box))
+    return part if part.imin <= part.imax and part.jmin <= part.jmax else None
 
 
 def _reach(module, box, *chains):
@@ -380,9 +391,12 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     first and failing inputs are refused.
 
     The splice reads the corners on the assembly margin around the window
-    and on its boundary column, so only those corner cells are computed;
-    the corners read the expansion along tau- and rho-chains out of those
-    cells, so they are computed from just that part of the expansion.
+    and on its boundary column, so the corners answer only there; they
+    read the expansion along tau- and rho-chains out of those cells, so
+    they run on just that part of the expansion.  Within it the work
+    follows the support: the localizations and the splice visit nonzero
+    and flagged cells and the window's edges, and decide every other cell
+    without touching it.
 
     Kernels, cokernels, solves, direct sums and Smith normal forms are
     computed once per distinct input during the call (memo_scope).
@@ -414,10 +428,11 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
 
     The two inversions and the Tate corner read only the tau2- and
     rho-chains out of the window, so they run on that part of the
-    expansion, and phi and the Tate corner are computed on the window
-    alone.  The completion reads its chains from the opposite edge, so it
-    reads all of the expansion but computes only that part.  Exact-algebra
-    results are reused within the call, as in realize.
+    expansion, and phi and the Tate corner answer on the window alone.
+    The completion reads its chains from the opposite edge, so it reads
+    all of the expansion but answers only on that part.  Each stage
+    visits only the support of its input (see invert and complete), and
+    exact-algebra results are reused within the call, as in realize.
     """
     pres = _presentation_for(source, prime)
     if pres.prime == 2:
@@ -427,7 +442,7 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     phi = invert(restrict(expanded, reach), "rho", steps=pad, window=core)
     unit = invert(complete(expanded, "rho", steps=pad, window=reach), "tau2", steps=pad)
     tate = invert(unit, "rho", steps=pad, window=core)
-    bad = [d for d in core.cells() if not tate.cell(d).is_zero()]
+    bad = sorted(tate.cells)
     if bad:
         raise ValueError(f"Tate corner is nonzero at {bad[:4]}; the odd split does not apply")
     return phi, restrict(unit, core)

@@ -90,6 +90,12 @@ class Window(NamedTuple):
             for j in range(self.jmin, self.jmax + 1):
                 yield BiDegree(i, j)
 
+    def meet(self, other):
+        """The cells both windows contain, as a window; an empty one contains none."""
+        return Window(
+            max(self.imin, other.imin), min(self.imax, other.imax), max(self.jmin, other.jmin), min(self.jmax, other.jmax)
+        )
+
     @property
     def width(self):
         return self.imax - self.imin

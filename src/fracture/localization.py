@@ -26,6 +26,7 @@ from .bigraded import (
     memo_scope,
     multiplier,
     phom_identity,
+    phom_zero,
     reduce_entries,
 )
 from .matrices import column, identity, mat_mul
@@ -63,18 +64,57 @@ def _depth(window, d, delta, cap=None):
     return max(n, 0)
 
 
+def edge_cells(window, delta, within=None):
+    """The cells of within whose step by delta leaves the window, in window order.
+
+    within defaults to the window and must lie inside it.  The cells form
+    a strip of width |delta| along each side delta points through, so they
+    come from the coordinate ranges, not from a scan of the area.
+    """
+    within = window if within is None else within
+
+    def band(lo, hi, step, first, last):
+        # coordinates c in [first, last] with c + step outside [lo, hi]
+        if step > 0:
+            return range(max(first, hi - step + 1), last + 1)
+        if step < 0:
+            return range(first, min(last, lo - step - 1) + 1)
+        return range(0)
+
+    i_edge = band(window.imin, window.imax, delta[0], within.imin, within.imax)
+    j_edge = band(window.jmin, window.jmax, delta[1], within.jmin, within.jmax)
+    j_all = range(within.jmin, within.jmax + 1)
+    for i in range(within.imin, within.imax + 1):
+        for j in j_all if i in i_edge else j_edge:
+            yield BiDegree(i, j)
+
+
+def chain_end(window, d, delta, steps):
+    """Depth and end cell of the chain out of d along delta, capped at steps."""
+    n = _depth(window, d, delta, steps)
+    return n, d + delta.scaled(n)
+
+
 def chain_lines(window, delta):
-    """Each maximal chain start, start+delta, ... in the window, as (start, length)."""
-    for d in window.cells():
-        if not window.contains(d - delta):
-            yield d, _depth(window, d, delta) + 1
+    """Each maximal chain start, start+delta, ... in the window, as (start, length).
+
+    The starts are the cells whose step back by delta leaves the window.
+    """
+    for d in edge_cells(window, delta.scaled(-1)):
+        yield d, _depth(window, d, delta) + 1
+
+
+def along(delta):
+    """Sort key putting the cells of each chain along delta in chain order."""
+    return lambda d: d[0] * delta[0] + d[1] * delta[1]
 
 
 def composite_action(module, mult, start, count):
     """The PHom of count successive mult-actions out of the start cell.
 
     The reference walk, one composition per step; chain_composite gives the
-    same maps when many overlapping chains along one line are needed.
+    same maps when many overlapping chains along one line are needed, and
+    chain_power when the chains may meet zero cells.
     """
     f = phom_identity(module.cell(start))
     cur = BiDegree(*start)
@@ -137,6 +177,50 @@ def chain_composite(module, mult, start):
     return span
 
 
+def chain_power(module, mult):
+    """power(start, count): the composite of count mult-actions out of start.
+
+    Each map equals composite_action(module, mult, start, count).  A chain
+    that meets a zero cell composes to the zero map, which is returned as
+    such, so no action is read off a zero cell.  The other chains share one
+    chain_composite per run of nonzero cells; asked in chain order along
+    the run (see along), each action is composed about twice.
+    """
+    step = mult.degree
+    cells = module.cells
+    behind = {}
+    runs = {}
+
+    def before(d):
+        """How many nonzero cells precede d along the chain without a gap."""
+        trail = []
+        while d not in behind and d - step in cells:
+            trail.append(d)
+            d = d - step
+        n = behind.setdefault(d, 0)
+        for c in reversed(trail):
+            n += 1
+            behind[c] = n
+        return n
+
+    def power(start, count):
+        end = start + step.scaled(count)
+        if count == 0:
+            return phom_identity(module.cell(start))
+        if end not in cells or before(end) < count:
+            return phom_zero(module.cell(start), module.cell(end))
+        lo = before(start)
+        first = start - step.scaled(lo)
+        run = runs.get(first)
+        if run is None or lo < run[1] or lo + count < run[2]:
+            # a fresh run, or a request behind the last one on it
+            run = runs[first] = [chain_composite(module, mult, first), lo, lo + count]
+        run[1:] = lo, lo + count
+        return run[0](lo, lo + count)
+
+    return power
+
+
 def insertion(module, mult, d, steps=None):
     """Canonical map from M_d into the inverted module's cell at d."""
     x = resolve_multiplier(module, mult)
@@ -144,7 +228,7 @@ def insertion(module, mult, d, steps=None):
     return composite_action(module, x, d, _depth(module.window, d, x.degree, K))
 
 
-def _output_window(module, window):
+def output_window(module, window):
     """The window a localization answers on; it must lie inside the module's."""
     w = module.window
     if window is None:
@@ -178,6 +262,42 @@ def induced_map(f, source, target):
     return induced, None
 
 
+def _stabilized(module, x, n, e):
+    """The stabilization certificate of a chain that took n steps to end at e.
+
+    The chain moved, its end is verified and its final transition is an
+    isomorphism.  A map into a zero cell passes the isomorphism test
+    exactly when its source is zero too, so zero ends are decided from the
+    cells alone, without building the map.
+    """
+    if n < 1 or module.flag(e) != FLAG_VERIFIED:
+        return False
+    before = e - x.degree
+    if module.cell(e).is_zero():
+        return module.cell(before).is_zero()
+    return is_isomorphism(act(module, x, before))
+
+
+def chain_starts(window, out, e, delta, steps):
+    """The cells of out whose chain along delta, capped at steps, ends at e.
+
+    A chain stops early only at the window's edge, so an end inside has
+    the one start steps back, and an end on the edge has every start up
+    to steps back.  Those in out are the e - n*delta for n in an interval
+    read off out's bounds.
+    """
+    first = steps if window.contains(e + delta) else 0
+    last = steps
+    for c, s, lo, hi in ((e[0], delta[0], out.imin, out.imax), (e[1], delta[1], out.jmin, out.jmax)):
+        if s > 0:
+            first, last = max(first, -((hi - c) // s)), min(last, (c - lo) // s)
+        elif s < 0:
+            first, last = max(first, -((lo - c) // s)), min(last, (c - hi) // s)
+        elif not lo <= c <= hi:
+            return []
+    return [e - delta.scaled(n) for n in range(first, last + 1)]
+
+
 @memo_scope()
 def invert(module, mult, steps=None, window=None):
     """Localization of the module at a multiplier, truncated at K steps.
@@ -187,46 +307,63 @@ def invert(module, mult, steps=None, window=None):
     acts invertibly; near the window edge values are approximations
     flagged boundary-unverified.
 
-    Only the cells of the output window (default: the module's window,
-    which must contain it) are computed.  Chains are still measured in
-    the module's window, so the result equals restricting the
-    whole-window localization to the output window.
+    The answer covers the output window (default: the module's window,
+    which must contain it), and chains are still measured in the module's
+    window, so the result equals restricting the whole-window localization
+    to the output window.  The work follows the support: only cells whose
+    chain ends on a nonzero or flagged cell, or one step past a nonzero
+    one, or that sit on the window's edge can be nonzero or unverified,
+    and only those are visited.
 
     Isomorphism verdicts and inverses are computed once per distinct map
     during the call (memo_scope), and every computed one is certified.
     """
     x = resolve_multiplier(module, mult)
     w = module.window
-    out = _output_window(module, window)
+    out = output_window(module, window)
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("localization needs at least one step")
+    step = x.degree
     chains = {}
 
     def chain(d):
         """Depth and end cell of the chain out of d, in the module's window."""
         if d not in chains:
-            n = _depth(w, d, x.degree, K)
-            chains[d] = (n, d + x.degree.scaled(n))
+            chains[d] = chain_end(w, d, step, K)
         return chains[d]
+
+    # Visit the chains that end on a nonzero or flagged cell or one step
+    # past a nonzero one, and those that cannot move.  Every other cell of
+    # out ends a moving chain on a verified zero cell whose predecessor is
+    # zero too: zero, and certified.  Full-length chains end in out shifted
+    # K steps (deep), shorter ones on the window's edge.
+    ends = {*module.cells, *module.flags, *(c + step for c in module.cells)}
+    i, j = out.imin + K * step[0], out.jmin + K * step[1]
+    deep = w.meet(Window(i, i + out.width, j, j + out.height))
+    visit = set(edge_cells(w, step, out))
+    for e in ends:
+        if deep.contains(e):
+            visit.update(chain_starts(w, out, e, step, K))
+    for e in edge_cells(w, step):
+        if e in ends:
+            visit.update(chain_starts(w, out, e, step, K))
 
     cells = {}
     flags = {}
-    for d in out.cells():
+    for d in sorted(visit):
         n, e = chain(d)
         g = module.cell(e)
         if not g.is_zero():
             cells[d] = g
-        # stabilization certificate: the chain took at least one step and
-        # its final transition is an isomorphism.  Failures are recorded
-        # even on zero cells, so a truncation gap cannot pass for a
-        # verified zero.
-        ok = n >= 1 and module.flag(e) == FLAG_VERIFIED and is_isomorphism(act(module, x, e - x.degree))
-        if not ok:
+        # failures are recorded even on zero cells, so a truncation gap
+        # cannot pass for a verified zero
+        if not _stabilized(module, x, n, e):
             flags[d] = FLAG_BOUNDARY
 
+    power = chain_power(module, x)
     mults = dict(module.multipliers)
-    mults.setdefault(x.name, x.degree)
+    mults.setdefault(x.name, step)
     actions = {}
     for name, dy in mults.items():
         y = Multiplier(name, BiDegree(*dy))
@@ -240,7 +377,7 @@ def invert(module, mult, steps=None, window=None):
             shift = n_t - n
             if shift < 0:
                 # this check flags d even when t lies outside the output window
-                back = composite_action(module, x, d + x.degree.scaled(n_t), -shift)
+                back = power(d + step.scaled(n_t), -shift)
                 if not is_isomorphism(back):
                     flags[d] = FLAG_BOUNDARY
                     continue
@@ -250,9 +387,9 @@ def invert(module, mult, steps=None, window=None):
                 f = act(module, y, e).reduced()
             elif shift > 0:
                 # walk y once, then catch up along x inside the target chain
-                f = composite_action(module, x, e + y.degree, shift) @ act(module, y, e)
+                f = power(e + y.degree, shift) @ act(module, y, e)
             else:
-                f = act(module, y, d + x.degree.scaled(n_t)) @ invert_iso(back)
+                f = act(module, y, d + step.scaled(n_t)) @ invert_iso(back)
             actions[(name, d)] = f
     return BigradedModule(module.prime, out, cells, actions, mults, flags, module.caveats)
 
@@ -267,70 +404,68 @@ def complete(module, mult, steps=None, window=None):
     always carries the degreewise-completion caveat since no derived
     functors are modeled.
 
-    Only the cells of the output window (default: the module's window,
-    which must contain it) are kept, and quotients are computed there and
-    one step of any multiplier beyond it, where the well-definedness check
-    of the actions reads them.  Powers are still measured in the module's
-    window, so the result equals restricting the whole-window completion.
+    The answer covers the output window (default: the module's window,
+    which must contain it); quotients are also taken one step of any
+    multiplier beyond it, where the well-definedness check of the actions
+    reads them.  Powers are still measured in the module's window, so the
+    result equals restricting the whole-window completion.  The work
+    follows the support: a zero cell stays zero and keeps its flag, so only
+    the module's nonzero and flagged cells are visited.
 
     The powers of x ending at each cell, and the one-shorter powers the
-    certificate compares them with, come from one sliding window per
-    chain line (chain_composite) instead of a fresh walk per cell.
+    certificate compares them with, come from chain_power: zero where the
+    chain meets a zero cell, and otherwise from one sliding window per run
+    of nonzero cells.
     """
     x = resolve_multiplier(module, mult)
     w = module.window
-    out = _output_window(module, window)
+    out = output_window(module, window)
     K = default_steps(w) if steps is None else steps
     if K < 1:
         raise ValueError("completion needs at least one step")
-    # the window and its one-step neighbours; chain lines never leave w
-    need = {
-        (i + a, j + b)
-        for a, b in [(0, 0), *module.multipliers.values()]
-        for i in range(out.imin, out.imax + 1)
-        for j in range(out.jmin, out.jmax + 1)
-    }
+    step = x.degree
+    shifts = list(module.multipliers.values())
 
+    def needed(d):
+        """Whether d is in the output window or one multiplier step past it."""
+        return out.contains(d) or any(out.contains(d - y) for y in shifts)
+
+    power = chain_power(module, x)
     flags = {}
     quotients = {}
-    for start, length in chain_lines(w, x.degree):
-        span = chain_composite(module, x, start)
-        for k in range(length):
-            d = start + x.degree.scaled(k)
-            if d not in need:
-                continue
-            g = module.cell(d)
-            if g.is_zero():
-                if module.flag(d) != FLAG_VERIFIED:
-                    flags[d] = FLAG_BOUNDARY
-                continue
-            # the line starts at the window edge, so k steps back fit in it
-            m = min(k, K)
-            if m == 0:
-                quotient = (g, phom_identity(g), identity(g.ngens))
-                ok = False
-            else:
-                power = span(k - m, k)
-                quotient = cokernel(power)
-                # certificate that deeper stages cannot change the quotient:
-                # either the deepest visible image already vanishes (images
-                # only shrink further back, so the tower is constant from here
-                # on) or the image chain is seen to stabilize across the final
-                # step of a full-depth run
-                ok = power.is_zero()
-                if not ok and m == K:
-                    prev = span(k - m + 1, k)
-                    cols_prev = [column(prev.entries, s) for s in range(prev.source.ngens)]
-                    cols_last = [column(power.entries, s) for s in range(power.source.ngens)]
-                    ok = span_equal(g, cols_prev, cols_last)
-            verified = ok and module.flag(d) == FLAG_VERIFIED
-            if quotient[0].is_zero():
-                if not verified:
-                    flags[d] = FLAG_BOUNDARY
-                continue
-            quotients[d] = quotient
-            flags[d] = FLAG_VERIFIED if verified else FLAG_BOUNDARY
-    # chain lines visit the window out of order; keep the window's order
+    for d in sorted(filter(needed, {*module.cells, *module.flags}), key=along(step)):
+        g = module.cell(d)
+        if g.is_zero():
+            if module.flag(d) != FLAG_VERIFIED:
+                flags[d] = FLAG_BOUNDARY
+            continue
+        # the chain line runs back to the window edge
+        m = min(_depth(w, d, step.scaled(-1)), K)
+        if m == 0:
+            quotient = (g, phom_identity(g), identity(g.ngens))
+            ok = False
+        else:
+            last = power(d - step.scaled(m), m)
+            quotient = cokernel(last)
+            # certificate that deeper stages cannot change the quotient:
+            # either the deepest visible image already vanishes (images
+            # only shrink further back, so the tower is constant from here
+            # on) or the image chain is seen to stabilize across the final
+            # step of a full-depth run
+            ok = last.is_zero()
+            if not ok and m == K:
+                prev = power(d - step.scaled(m - 1), m - 1)
+                cols_prev = [column(prev.entries, s) for s in range(prev.source.ngens)]
+                cols_last = [column(last.entries, s) for s in range(last.source.ngens)]
+                ok = span_equal(g, cols_prev, cols_last)
+        verified = ok and module.flag(d) == FLAG_VERIFIED
+        if quotient[0].is_zero():
+            if not verified:
+                flags[d] = FLAG_BOUNDARY
+            continue
+        quotients[d] = quotient
+        flags[d] = FLAG_VERIFIED if verified else FLAG_BOUNDARY
+    # chains visit the window out of order; keep the window's order
     cells = {d: quotients[d][0] for d in sorted(quotients) if out.contains(d)}
 
     actions = {}

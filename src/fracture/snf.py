@@ -144,18 +144,18 @@ def smith_normal_form(a, p, rows=None, cols=None):
     Ui = [list(r) for r in identity(rows)]
     V = [list(r) for r in identity(cols)]
 
-    def row_combine(r1, r2, x, y, z, w, s):
-        # rows (r1, r2) <- (x*r1 + y*r2, z*r1 + w*r2), det = x*w - y*z = s
+    def row_combine(r1, r2, x, y, z, w):
+        # rows (r1, r2) <- (x*r1 + y*r2, z*r1 + w*r2), det = x*w - y*z = 1
         for M in (A, U):
             for c in range(len(M[r1])):
                 a1, a2 = M[r1][c], M[r2][c]
                 M[r1][c] = x * a1 + y * a2
                 M[r2][c] = z * a1 + w * a2
-        # inverse op on Ui acts by columns: Ui <- Ui @ E^-1, E^-1 = s*[[w,-y],[-z,x]]
+        # inverse op on Ui acts by columns: Ui <- Ui @ E^-1, E^-1 = [[w,-y],[-z,x]]
         for row in Ui:
             a1, a2 = row[r1], row[r2]
-            row[r1] = s * (w * a1 - z * a2)
-            row[r2] = s * (-y * a1 + x * a2)
+            row[r1] = w * a1 - z * a2
+            row[r2] = -y * a1 + x * a2
 
     def col_combine(c1, c2, x, y, z, w):
         # columns (c1, c2) <- (x*c1 + y*c2, z*c1 + w*c2)
@@ -201,10 +201,10 @@ def smith_normal_form(a, p, rows=None, cols=None):
                 a0, b0 = A[k][k], A[i][k]
                 if b0 % a0 == 0:
                     q = b0 // a0
-                    row_combine(k, i, 1, 0, -q, 1, 1)
+                    row_combine(k, i, 1, 0, -q, 1)
                 else:
                     g, x, y = xgcd(a0, b0)
-                    row_combine(k, i, x, y, -(b0 // g), a0 // g, 1)
+                    row_combine(k, i, x, y, -(b0 // g), a0 // g)
             if any(A[k][j] for j in range(k + 1, cols)):
                 for j in range(k + 1, cols):
                     if A[k][j] == 0:

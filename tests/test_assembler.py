@@ -167,6 +167,13 @@ def test_assemble_without_padding_flags_boundary() -> None:
     assert result.flag((0, 0)) == FLAG_BOUNDARY
 
 
+def test_assemble_refuses_a_window_outside_the_corners() -> None:
+    # cells outside the corners would otherwise pass for verified zeros
+    square = corners(expand(preset_presentation("hf2"), Window(-3, 3, -3, 3)), rho_complete=True)
+    with pytest.raises(ValueError, match="not inside"):
+        assemble(square, (-3, 4, -3, 3))
+
+
 @pytest.mark.parametrize("name,window", [("hf2", (-5, 5, -5, 5)), ("hz2", (-5, 5, -5, 5))])
 def test_realize_matches_reference(name, window) -> None:
     report = realize(name, 2, window)

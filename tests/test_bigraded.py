@@ -9,7 +9,6 @@ from fracture.bigraded import (
     BigradedModule,
     FLAG_BOUNDARY,
     FLAG_VERIFIED,
-    Multiplier,
     PGroup,
     PHom,
     Window,

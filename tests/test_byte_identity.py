@@ -4,9 +4,10 @@ The digests were recorded before the hot path of realize was rebuilt
 around sliding-window chain composites, per-call isomorphism verdicts
 and a shared zero cell; the wide KGL2 window and the odd split were
 recorded before expand pruned dead monomials and before each stage was
-handed only the part of the expansion its chains reach.  Any change in
-a cell, flag, edge matrix or provenance entry changes the bytes and
-fails here.
+handed only the part of the expansion its chains reach.  The sweep
+digest was recorded before the stages were made to visit only the
+support of their inputs.  Any change in a cell, flag, edge matrix or
+provenance entry changes the bytes and fails here.
 """
 
 import hashlib

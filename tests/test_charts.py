@@ -14,7 +14,6 @@ import pytest
 from fracture.assembler import realize
 from fracture.bigraded import (
     FLAG_BOUNDARY,
-    BiDegree,
     BigradedModule,
     PGroup,
     PHom,

@@ -6,10 +6,14 @@ on, on a window padded far enough that the core cells are exact.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fracture.localization as localization
 from fracture.bigraded import (
     FLAG_BOUNDARY,
     FLAG_VERIFIED,
+    KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
     BigradedModule,
     Multiplier,
@@ -22,11 +26,15 @@ from fracture.bigraded import (
 from fracture.localization import (
     COMPLETION_CAVEAT,
     _depth,
+    _stabilized,
     chain_composite,
+    chain_end,
     chain_lines,
+    chain_starts,
     complete,
     composite_action,
     default_steps,
+    edge_cells,
     induced_map,
     insertion,
     invert,
@@ -316,3 +324,119 @@ def test_multiplier_acts_invertibly_between_verified_cells() -> None:
             assert is_isomorphism(act(inv, "rho", d)), d
             checked += 1
     assert checked > 20
+
+
+# The support-driven stages against the window scans they replaced.
+
+SUPPORT_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SUPPORT_PRESETS = [("hf2", 2), ("hz2", 2), ("kgl2", 2), ("hfp_odd", 3), ("hfp_odd", 5)]
+STEP_DEGREES = sorted({BiDegree(*d) for d in KNOWN_MULTIPLIER_DEGREES.values()} | {BiDegree(1, 0), BiDegree(0, 3)})
+
+
+@st.composite
+def windows(draw, lo=-6, hi=6, max_size=8):
+    imin = draw(st.integers(lo, hi))
+    jmin = draw(st.integers(lo, hi))
+    return Window(imin, imin + draw(st.integers(0, max_size)), jmin, jmin + draw(st.integers(0, max_size)))
+
+
+@st.composite
+def subwindows(draw, w):
+    i0, i1 = sorted(draw(st.integers(w.imin, w.imax)) for _ in range(2))
+    j0, j1 = sorted(draw(st.integers(w.jmin, w.jmax)) for _ in range(2))
+    return Window(i0, i1, j0, j1)
+
+
+@st.composite
+def localization_cases(draw):
+    name, prime = draw(st.sampled_from(SUPPORT_PRESETS))
+    module = expand(preset_presentation(name, prime), draw(windows()))
+    names = sorted(set(module.multipliers) | {"rho", "tau", "tau2", "tau4", "v1"})
+    x = module.multiplier(draw(st.sampled_from(names)))
+    return module, x, draw(st.integers(1, 12)), draw(subwindows(module.window))
+
+
+@SUPPORT_SETTINGS
+@given(localization_cases())
+def test_zero_end_verdict_matches_the_isomorphism_test(case) -> None:
+    module, x, K, out = case
+    w = module.window
+    checked = 0
+    for d in out.cells():
+        n, e = chain_end(w, d, x.degree, K)
+        if not module.cell(e).is_zero():
+            continue
+        expected = n >= 1 and module.flag(e) == FLAG_VERIFIED and is_isomorphism(act(module, x, e - x.degree))
+        assert _stabilized(module, x, n, e) == expected, (d, e)
+        checked += 1
+    assert checked or module.cells
+
+
+def _chain_lines_by_scan(window, delta):
+    return [(d, _depth(window, d, delta) + 1) for d in window.cells() if not window.contains(d - delta)]
+
+
+def test_chain_lines_match_the_window_scan() -> None:
+    windows_checked = [Window(i0, i0 + di, j0, j0 + dj) for i0, j0 in [(-3, 2), (0, -5)] for di in range(6) for dj in range(6)]
+    for delta in STEP_DEGREES:
+        for w in windows_checked:
+            assert list(chain_lines(w, delta)) == _chain_lines_by_scan(w, delta), (delta, w)
+            covered = sorted(start + delta.scaled(k) for start, length in chain_lines(w, delta) for k in range(length))
+            assert covered == sorted(w.cells()), (delta, w)
+
+
+@SUPPORT_SETTINGS
+@given(windows(max_size=7), st.data())
+def test_edge_cells_and_chain_starts_match_the_window_scan(w, data) -> None:
+    delta = data.draw(st.sampled_from(STEP_DEGREES))
+    out = data.draw(subwindows(w))
+    K = data.draw(st.integers(1, 9))
+    assert list(edge_cells(w, delta, out)) == [d for d in out.cells() if not w.contains(d + delta)]
+    ends = {}
+    for d in out.cells():
+        ends.setdefault(chain_end(w, d, delta, K)[1], []).append(d)
+    for e in w.cells():
+        assert sorted(chain_starts(w, out, e, delta, K)) == sorted(ends.get(e, [])), (e, delta, K)
+
+
+def _zero_to_zero_guard(monkeypatch):
+    """Record every act or is_isomorphism call between two zero cells."""
+    seen = []
+    real_act, real_iso = localization.act, localization.is_isomorphism
+
+    def act_guard(module, mult, d):
+        f = real_act(module, mult, d)
+        if f.source.is_zero() and f.target.is_zero():
+            seen.append(("act", mult, tuple(d)))
+        return f
+
+    def iso_guard(f):
+        if f.source.is_zero() and f.target.is_zero():
+            seen.append(("is_isomorphism", f))
+        return real_iso(f)
+
+    monkeypatch.setattr(localization, "act", act_guard)
+    monkeypatch.setattr(localization, "is_isomorphism", iso_guard)
+    return seen
+
+
+@pytest.mark.parametrize("name,prime", SUPPORT_PRESETS)
+def test_localizations_never_read_a_map_between_zero_cells(name, prime, monkeypatch) -> None:
+    module = expand(preset_presentation(name, prime), Window(-5, 5, -6, 4))
+    seen = _zero_to_zero_guard(monkeypatch)
+    runs = 0
+    for mult in sorted(set(module.multipliers) | {"rho", "tau2"}):
+        for steps in (None, 1, 3):
+            for window in (None, (-3, 2, -4, 1), (1, 5, 0, 4)):
+                invert(module, mult, steps=steps, window=window)
+                complete(module, mult, steps=steps, window=window)
+                runs += 1
+    assert runs >= 18
+    assert not seen, seen[:3]
+
+
+def test_the_zero_map_guard_sees_a_zero_to_zero_action(monkeypatch) -> None:
+    module = BigradedModule(2, Window(0, 2, 0, 0), {}, {}, {"s": BiDegree(1, 0)})
+    seen = _zero_to_zero_guard(monkeypatch)
+    localization.is_isomorphism(localization.act(module, S, (0, 0)))
+    assert [kind for kind, *_ in seen] == ["act", "is_isomorphism"]

@@ -6,7 +6,7 @@ without PHom's checks only inside bigraded.py, where each such map is
 derived from maps already checked; the parser, the chart reader, snf and
 induced_map stay on the validating constructor.  Every module-level
 function and class is used somewhere in the package besides its own
-definition.
+definition, and every import is read where it is made.
 """
 
 import ast
@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fracture"
+TESTS = Path(__file__).resolve().parent
 
 FOREIGN_MODULES = """
 import sys
@@ -113,3 +114,43 @@ def test_the_unused_definition_rule_sees_dead_and_recursive_code() -> None:
         "b.py": "from a import live\n",
     }
     assert unreferenced_definitions(sources) == ["a.py:4 dead", "a.py:7 Old"]
+
+
+def unused_imports(name, text):
+    """Names a module imports and never reads.
+
+    Imports from __future__ and statements marked noqa: F401 (names kept
+    bound for outside tracers) are exempt.
+    """
+    tree = ast.parse(text, name)
+    lines = text.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        imported += [(node.lineno, alias.asname or alias.name.partition(".")[0]) for alias in node.names]
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [f"{name}:{line} {bound}" for line, bound in imported if bound not in read]
+
+
+def test_no_unused_imports_in_the_package_or_the_tests() -> None:
+    found = []
+    for path in sorted([*PACKAGE.rglob("*.py"), *TESTS.glob("*.py")]):
+        # the package's __init__ imports to re-export
+        if path != PACKAGE / "__init__.py":
+            found += unused_imports(path.name, path.read_text(encoding="utf-8"))
+    assert found == []
+
+
+def test_the_unused_import_rule_sees_dead_imports() -> None:
+    text = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from a import live, dead\n"
+        "from b import kept  # noqa: F401\n"
+        "print(live, os.sep)\n"
+    )
+    assert unused_imports("m.py", text) == ["m.py:3 js", "m.py:4 dead"]

@@ -8,7 +8,7 @@ tests rely on.
 
 import pytest
 
-from fracture.bigraded import BiDegree, PGroup, Window, act
+from fracture.bigraded import PGroup, Window, act
 from fracture.presentation import expand
 from fracture.presets import (
     preset_presentation,
