@@ -214,7 +214,7 @@ def chain_power(module, mult):
         run = runs.get(first)
         if run is None or lo < run[1] or lo + count < run[2]:
             # a fresh run, or a request behind the last one on it
-            run = runs[first] = [chain_composite(module, mult, first), lo, lo + count]
+            run = runs[first] = [chain_composite(module, mult, first), 0, 0]
         run[1:] = lo, lo + count
         return run[0](lo, lo + count)
 
