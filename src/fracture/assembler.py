@@ -24,7 +24,6 @@ from .bigraded import (
     FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
-    PHom,
     Window,
     act,
     cellwise_diff,
@@ -38,7 +37,6 @@ from .bigraded import (
 from .localization import (  # noqa: F401
     along,
     chain_end,
-    chain_lines,
     chain_power,
     complete,
     composite_action,
@@ -76,7 +74,9 @@ class SquareCorners(NamedTuple):
     """The three localization corners and their maps into the common one.
 
     map_h_t and map_phi_t are cellwise homs keyed by the result degree d:
-    map_h_t[d] sends h_d into t_d, map_phi_t[d] sends phi_d into t_d.
+    map_h_t[d] sends h_d into t_d, map_phi_t[d] sends phi_d into t_d.  A
+    map out of a zero cell is not stored; maps_to_t reads it as zero, as
+    act does for a module's missing actions.
     """
 
     h: BigradedModule
@@ -85,6 +85,14 @@ class SquareCorners(NamedTuple):
     map_h_t: dict
     map_phi_t: dict
     tau_name: str
+
+    def maps_to_t(self, d):
+        """The maps h_d -> t_d and phi_d -> t_d, zero where none is stored."""
+        t = self.tate.cell(d)
+        return tuple(
+            maps[d] if d in maps else phom_zero(corner.cell(d), t)
+            for corner, maps in ((self.h, self.map_h_t), (self.phi, self.map_phi_t))
+        )
 
 
 class CellAssembly(NamedTuple):
@@ -158,7 +166,8 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
     phi_d -> t_d is the tau-power insertion of the module cell at the end
     of that rho-chain (the same cell phi_d reads), into h there.  Both
     come from chain_power, which gives a chain that meets a zero cell the
-    zero map and composes along runs of nonzero cells only.
+    zero map and composes along runs of nonzero cells only.  A map is
+    stored only out of a nonzero cell; maps_to_t reads a missing one as zero.
     """
     if not rho_complete:
         raise RhoCompleteError(CONTRACT_MESSAGE)
@@ -175,19 +184,12 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
 
     along_rho = chain_power(h, rho)
     along_tau = chain_power(module, tau)
-    map_h_t = {}
-    end_of = {}
-    for start, length in chain_lines(box, rho.degree):
-        for k in range(length):
-            d = start + rho.degree.scaled(k)
-            a, end_of[d] = chain_end(w, d, rho.degree, K)
-            map_h_t[d] = along_rho(d, a)
-    insert_at = {}
-    for e in sorted(set(end_of.values()), key=along(tau.degree)):
-        insert_at[e] = along_tau(e, chain_end(w, e, tau.degree, K)[0])
-    # chain lines visit the window out of order; keep the window's order
-    map_h_t = {d: map_h_t[d] for d in box.cells()}
-    map_phi_t = {d: insert_at[end_of[d]] for d in box.cells()}
+    starts = sorted(filter(box.contains, h.cells), key=along(rho.degree))
+    map_h_t = {d: along_rho(d, chain_end(w, d, rho.degree, K)[0]) for d in starts}
+    end_of = {d: chain_end(w, d, rho.degree, K)[1] for d in phi.cells}
+    ends = sorted(set(end_of.values()), key=along(tau.degree))
+    insert_at = {e: along_tau(e, chain_end(w, e, tau.degree, K)[0]) for e in ends}
+    map_phi_t = {d: insert_at[e] for d, e in end_of.items()}
     return SquareCorners(restrict(h, box), phi, tate, map_h_t, map_phi_t, tau_name)
 
 
@@ -203,6 +205,9 @@ def assemble(square, window=None):
     The work follows the support: where h_d, phi_d and tate_(d+(1,0)) are
     all zero the splice is zero and only its flag is decided, so only the
     corners' nonzero and flagged cells and the right edge are visited.
+    The difference map comes from square.maps_to_t, which reads a map out
+    of a zero cell (never stored) as zero, so a boundary column outside
+    the corners' window, all zeros, splices the same way as any other.
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
@@ -218,7 +223,8 @@ def assemble(square, window=None):
         if d in sums:
             return
         total, ia, ib, pa, pb = pgroup_sum(h.cell(d), phi.cell(d))
-        diff = (square.map_h_t[d] @ pa) - (square.map_phi_t[d] @ pb)
+        h_to_t, phi_to_t = square.maps_to_t(d)
+        diff = (h_to_t @ pa) - (phi_to_t @ pb)
         sums[d] = (total, ia, ib, pa, pb)
         kers[d] = kernel(diff)
         cokers[d] = cokernel(diff)
@@ -242,11 +248,7 @@ def assemble(square, window=None):
                 flags[d] = FLAG_BOUNDARY
             continue
         splice_data(d)
-        if big.contains(up):
-            splice_data(up)
-        else:
-            zero = tate.cell(up)
-            cokers[up] = cokernel(PHom(zero, zero, []))
+        splice_data(up)
         ker_group, ker_incl = kers[d]
         cok_group, cok_proj, cok_section = cokers[up]
         total, inc_q, inc_k, prj_q, prj_k = pgroup_sum(cok_group, ker_group)

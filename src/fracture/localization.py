@@ -95,15 +95,6 @@ def chain_end(window, d, delta, steps):
     return n, d + delta.scaled(n)
 
 
-def chain_lines(window, delta):
-    """Each maximal chain start, start+delta, ... in the window, as (start, length).
-
-    The starts are the cells whose step back by delta leaves the window.
-    """
-    for d in edge_cells(window, delta.scaled(-1)):
-        yield d, _depth(window, d, delta) + 1
-
-
 def along(delta):
     """Sort key putting the cells of each chain along delta in chain order."""
     return lambda d: d[0] * delta[0] + d[1] * delta[1]

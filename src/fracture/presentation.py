@@ -287,7 +287,10 @@ def expand(pres, window=None, budget=None):
     window.check()
     hint = ""
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET)))
+        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
+        budget = int(raw) if raw.strip().isdecimal() else 0
+        if budget < 1:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer of at least 1, got {raw!r}")
         hint = f"; raise {BUDGET_ENV_VAR} if the window really is this dense"
     p = pres.prime
 

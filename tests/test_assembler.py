@@ -28,9 +28,9 @@ from fracture.bigraded import (
     cellwise_diff,
     validate_module,
 )
-from fracture.localization import invert
+from fracture.localization import chain_end, composite_action, default_steps, invert
 from fracture.presentation import expand, parse_presentation
-from fracture.presets import preset_presentation, reference_realization
+from fracture.presets import PRESET_NAMES, preset_presentation, reference_realization
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -114,8 +114,28 @@ def test_corners_of_zero_module() -> None:
     )
     square = corners(zero, rho_complete=True)
     assert not square.h.cells and not square.phi.cells and not square.tate.cells
-    assert all(f.is_zero() for f in square.map_h_t.values())
-    assert all(f.is_zero() for f in square.map_phi_t.values())
+    assert square.map_h_t == {} and square.map_phi_t == {}
+    assert all(f.is_zero() for d in square.phi.window.cells() for f in square.maps_to_t(d))
+
+
+@pytest.mark.parametrize("name,p", [(n, 3 if n == "HFP_ODD_R" else None) for n in PRESET_NAMES], ids=PRESET_NAMES)
+@pytest.mark.parametrize("steps,box", [(None, None), (3, Window(-3, 3, -4, 2))], ids=["whole", "box"])
+def test_corner_maps_follow_the_support(name, p, steps, box) -> None:
+    module = expand(preset_presentation(name, p), Window(-6, 6, -8, 6))
+    square = corners(module, rho_complete=True, steps=steps, window=box)
+    w = module.window
+    K = default_steps(w) if steps is None else steps
+    rho = module.multiplier("rho")
+    tau = module.multiplier(square.tau_name)
+    h = invert(module, square.tau_name, steps=K)
+    for d in square.phi.window.cells():
+        a, e = chain_end(w, d, rho.degree, K)
+        n = chain_end(w, e, tau.degree, K)[0]
+        expected = (composite_action(h, rho, d, a), composite_action(module, tau, e, n))
+        assert [repr(f) for f in square.maps_to_t(d)] == [repr(f) for f in expected], d
+    for corner, maps in ((square.h, square.map_h_t), (square.phi, square.map_phi_t)):
+        assert set(maps) == set(corner.cells)
+        assert not any(f.source.is_zero() for f in maps.values())
 
 
 def test_hf2_corner_supports() -> None:
@@ -148,11 +168,13 @@ def test_corner_maps_commute_with_actions() -> None:
             cells = ((h, d), (phi, d), (tate, d), (h, t), (phi, t), (tate, t))
             if any(m.flag(e) != FLAG_VERIFIED for m, e in cells):
                 continue
-            lhs = act(tate, name, d) @ square.map_h_t[d]
-            rhs = square.map_h_t[t] @ act(h, name, d)
+            h_to_t, phi_to_t = square.maps_to_t(d)
+            h_to_t_there, phi_to_t_there = square.maps_to_t(t)
+            lhs = act(tate, name, d) @ h_to_t
+            rhs = h_to_t_there @ act(h, name, d)
             assert lhs.same_map(rhs), (name, d)
-            lhs = act(tate, name, d) @ square.map_phi_t[d]
-            rhs = square.map_phi_t[t] @ act(phi, name, d)
+            lhs = act(tate, name, d) @ phi_to_t
+            rhs = phi_to_t_there @ act(phi, name, d)
             assert lhs.same_map(rhs), (name, d)
             checked += 1
     assert checked > 80
@@ -274,6 +296,24 @@ def test_realize_rejects_padding_below_one(pad) -> None:
         realize("HF2_R", 2, Window(-2, 2, -2, 2), pad=pad)
     with pytest.raises(ValueError, match=f"pad must be at least 1, got {pad}"):
         odd_split("HFP_ODD_R", 3, Window(-2, 2, -2, 2), pad=pad)
+
+
+FAR_CORNER = (-12, -9, -12, -9)
+
+
+def test_far_corner_realizes_with_a_deep_pad() -> None:
+    report = realize("HF2_R", 2, FAR_CORNER, pad=14)
+    assert cellwise_diff(report.result, reference_realization("HF2_R", 2, FAR_CORNER)) == []
+    assert report.certificates_hold()
+    assert all(report.result.flag(d) == FLAG_VERIFIED for d in Window(*FAR_CORNER).cells())
+
+
+# The default pad cuts the far corner's rho-chains short, so the defect
+# check sees a truncation gap and refuses an input that is rho-complete.
+@pytest.mark.xfail(strict=True, raises=RhoCompleteError, reason="false refusal at the default pad")
+def test_far_corner_realizes_at_the_default_pad() -> None:
+    report = realize("HF2_R", 2, FAR_CORNER)
+    assert cellwise_diff(report.result, reference_realization("HF2_R", 2, FAR_CORNER)) == []
 
 
 def test_rho_complete_defect() -> None:

@@ -18,7 +18,7 @@ from fracture.bigraded import Window
 from fracture.charts import emit_json, render_ascii
 from fracture.cli import main, window_arg
 from fracture.localization import COMPLETION_CAVEAT, invert
-from fracture.presentation import expand
+from fracture.presentation import BUDGET_ENV_VAR, expand
 from fracture.presets import preset_presentation, reference_realization
 
 RHO_INVERTED_SOURCE = """\
@@ -188,3 +188,13 @@ def test_odd_preset_requires_explicit_prime(capsysbinary) -> None:
         "--format", "ascii",
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_bad_cell_budget_variable_is_refused_by_name(monkeypatch, capsysbinary, value) -> None:
+    monkeypatch.setenv(BUDGET_ENV_VAR, value)
+    with pytest.raises(ValueError, match=f"{BUDGET_ENV_VAR} must be an integer of at least 1, got '{value}'"):
+        expand(preset_presentation("hf2"), Window(-2, 2, -2, 2))
+    assert main(["expand", "--module", "hf2", "--window", "-2:2,-2:2"]) == 1
+    err = capsysbinary.readouterr().err.decode("utf-8")
+    assert err == f"error: {BUDGET_ENV_VAR} must be an integer of at least 1, got '{value}'\n"

@@ -29,7 +29,6 @@ from fracture.localization import (
     _stabilized,
     chain_composite,
     chain_end,
-    chain_lines,
     chain_power,
     chain_starts,
     complete,
@@ -89,6 +88,11 @@ def test_depth_closed_form_matches_the_walk() -> None:
                 assert _depth(w, d, delta, cap) == expected, (d, delta, cap)
 
 
+def chain_lines_by_scan(window, delta):
+    """Each maximal chain start, start+delta, ... in the window, as (start, length)."""
+    return [(d, _depth(window, d, delta) + 1) for d in window.cells() if not window.contains(d - delta)]
+
+
 @pytest.mark.parametrize("name,prime", [("hf2", 2), ("hz2", 2), ("kgl2", 2), ("hfp_odd", 3)])
 def test_chain_composite_matches_composite_action(name, prime) -> None:
     module = expand(preset_presentation(name, prime), Window(-3, 3, -4, 3))
@@ -97,7 +101,7 @@ def test_chain_composite_matches_composite_action(name, prime) -> None:
         x = module.multiplier(mult)
         for K in (1, 2, diameter, diameter + 3):
             power = chain_power(module, x)
-            for start, length in chain_lines(module.window, x.degree):
+            for start, length in chain_lines_by_scan(module.window, x.degree):
                 starting_at = chain_composite(module, x, start)
                 ending_at = chain_composite(module, x, start)
                 for k in range(length):
@@ -371,19 +375,6 @@ def test_zero_end_verdict_matches_the_isomorphism_test(case) -> None:
             continue
         expected = n >= 1 and module.flag(e) == FLAG_VERIFIED and is_isomorphism(act(module, x, e - x.degree))
         assert _stabilized(module, x, n, e) == expected, (d, e)
-
-
-def _chain_lines_by_scan(window, delta):
-    return [(d, _depth(window, d, delta) + 1) for d in window.cells() if not window.contains(d - delta)]
-
-
-def test_chain_lines_match_the_window_scan() -> None:
-    windows_checked = [Window(i0, i0 + di, j0, j0 + dj) for i0, j0 in [(-3, 2), (0, -5)] for di in range(6) for dj in range(6)]
-    for delta in STEP_DEGREES:
-        for w in windows_checked:
-            assert list(chain_lines(w, delta)) == _chain_lines_by_scan(w, delta), (delta, w)
-            covered = sorted(start + delta.scaled(k) for start, length in chain_lines(w, delta) for k in range(length))
-            assert covered == sorted(w.cells()), (delta, w)
 
 
 @SUPPORT_SETTINGS
