@@ -31,6 +31,7 @@ from .bigraded import (
     pgroup_sum,
     phom_zero,
     restrict,
+    sum_map,
 )
 # composite_action and insertion are no longer called here; the names stay
 # bound because outside tracers wrap them by module attribute.
@@ -224,7 +225,7 @@ def assemble(square, window=None):
             return
         total, ia, ib, pa, pb = pgroup_sum(h.cell(d), phi.cell(d))
         h_to_t, phi_to_t = square.maps_to_t(d)
-        diff = (h_to_t @ pa) - (phi_to_t @ pb)
+        diff = sum_map(total, h_to_t.target, ((h_to_t, None, pa), (-phi_to_t, None, pb)))
         sums[d] = (total, ia, ib, pa, pb)
         kers[d] = kernel(diff)
         cokers[d] = cokernel(diff)
@@ -266,6 +267,8 @@ def assemble(square, window=None):
         flags[d] = FLAG_VERIFIED if ok else FLAG_BOUNDARY
 
     mults = dict(tate.multipliers)
+    # the kernel's inclusion into h_d + phi_d, split by the projections pa_d, pb_d once per cell
+    ker_parts = {d: tuple(proj @ kers[d][1] for proj in sums[d][3:]) for d in cells}
     actions = {}
     dropped = []
     for name, delta in mults.items():
@@ -274,12 +277,10 @@ def assemble(square, window=None):
             if not w.contains(t) or t not in cells:
                 continue
             up_d, up_t = d + BOUNDARY_SHIFT, t + BOUNDARY_SHIFT
-            _, _, _, pa_d, pb_d = sums[d]
-            _, ia_t, ib_t, _, _ = sums[t]
-            diag = (ia_t @ act(h, name, d) @ pa_d) + (ib_t @ act(phi, name, d) @ pb_d)
-            _, ker_incl_d = kers[d]
-            _, ker_incl_t = kers[t]
-            k2k = solve_hom(ker_incl_t, diag @ ker_incl_d)
+            ker_h, ker_phi = ker_parts[d]
+            total_t, ia_t, ib_t, _, _ = sums[t]
+            blocks = ((act(h, name, d) @ ker_h, ia_t, None), (act(phi, name, d) @ ker_phi, ib_t, None))
+            k2k = solve_hom(kers[t][1], sum_map(kers[d][0], total_t, blocks))
             if k2k is None:
                 flags[d] = FLAG_BOUNDARY
                 dropped.append((name, d, "kernel part does not transport"))
@@ -299,7 +300,7 @@ def assemble(square, window=None):
                     continue
             inc_q_d, inc_k_d, prj_q_d, prj_k_d = structure[d]
             inc_q_t, inc_k_t, prj_q_t, prj_k_t = structure[t]
-            actions[(name, d)] = (inc_k_t @ k2k @ prj_k_d) + (inc_q_t @ q2q @ prj_q_d)
+            actions[(name, d)] = sum_map(cells[d], cells[t], ((k2k, inc_k_t, prj_k_d), (q2q, inc_q_t, prj_q_d)))
     caveats = tuple(dict.fromkeys(h.caveats + phi.caveats + tate.caveats))
     result = BigradedModule(h.prime, w, cells, actions, mults, flags, caveats)
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))

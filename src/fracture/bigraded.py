@@ -158,10 +158,10 @@ def memo_scope():
     """Reuse exact-algebra results for the duration of the block.
 
     Inside a scope a per_call function returns its stored result when its
-    input repeats exactly; outside every scope it computes each time.
-    Scopes nest: an inner one shares the outer table, and the table is
-    dropped when the outermost scope exits, by return or by raise.  Each
-    thread sees only its own scope.
+    input repeats, generator labels aside; outside every scope it computes
+    each time.  Scopes nest: an inner one shares the outer table, and the
+    table is dropped when the outermost scope exits, by return or by raise.
+    Each thread sees only its own scope.
     """
     outermost = active_memo() is None
     if outermost:
@@ -176,9 +176,11 @@ def memo_scope():
 def per_call(key):
     """Memoize a pure function inside memo_scope, keyed by key(*args).
 
-    The key must cover everything the result depends on.  Only results
-    are stored, so every stored answer passed the checks of the call that
-    computed it; a raise stores nothing.
+    The key must cover everything the result depends on.  Labels are in
+    no key: a function whose answer is named after its inputs' generators
+    memoizes a label-free core, and each caller gets the result relabelled
+    onto its own groups.  Only results are stored, so every stored answer
+    passed the checks of the call that computed it; a raise stores nothing.
     """
 
     def wrap(fn):
@@ -199,17 +201,8 @@ def per_call(key):
     return wrap
 
 
-def group_key(g):
-    """Everything a result can read off a PGroup, labels included."""
-    return (g.prime, g.rank, g.torsion, g.labels)
-
-
-def hom_key(f):
-    return (group_key(f.source), group_key(f.target), f.entries)
-
-
 def map_key(f):
-    """What a result that reads no labels can read off a PHom."""
+    """What a label-free result can read off a PHom; PGroup equality ignores labels."""
     return (f.source, f.target, f.entries)
 
 
@@ -449,51 +442,67 @@ def phom_identity(group):
     return _trusted_phom(group, group, identity(group.ngens))
 
 
-@per_call(lambda a, b: (group_key(a), group_key(b)))
+@per_call(lambda a, b: (a, b))
+def _direct_sum(a, b):
+    """The unlabelled direct sum, its structure maps, and the rows each summand's generators take."""
+    if a.prime != b.prime:
+        raise ValueError("direct sum across primes")
+    gens = [(e, side, idx) for side, g in enumerate((a, b)) for idx, e in enumerate(g.exponents())]
+    # stable sort: free generators (None) first, then larger exponents
+    gens.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
+    torsion = tuple(g[0] for g in gens if g[0] is not None)
+    total = PGroup(a.prime, len(gens) - len(torsion), torsion)
+    places = ([0] * a.ngens, [0] * b.ngens)
+    for row, (_, side, idx) in enumerate(gens):
+        places[side][idx] = row
+    maps = []
+    for g, rows in zip((a, b), places):
+        incl = [[int(r == rows[s]) for s in range(g.ngens)] for r in range(total.ngens)]
+        proj = [[int(c == rows[t]) for c in range(total.ngens)] for t in range(g.ngens)]
+        maps.append((PHom(g, total, incl), PHom(total, g, proj)))
+    return total, maps, tuple(map(tuple, places))
+
+
 def pgroup_sum(a, b):
     """Direct sum with the four canonical structure maps.
 
     Returns (sum, incl_a, incl_b, proj_a, proj_b).  Generators are
-    reordered so the sum is again free-first with nonincreasing torsion.
+    reordered so the sum is again free-first with nonincreasing torsion;
+    each keeps its summand's label, or is named g<row> in a labelled sum.
+    Label twins share one computation inside memo_scope.
     """
-    if a.prime != b.prime:
-        raise ValueError("direct sum across primes")
-    gens = []
-    for idx, e in enumerate(a.exponents()):
-        label = a.labels[idx] if a.labels else None
-        gens.append((e, 0, idx, label))
-    for idx, e in enumerate(b.exponents()):
-        label = b.labels[idx] if b.labels else None
-        gens.append((e, 1, idx, label))
-    # stable sort: free generators (None) first, then larger exponents
-    gens.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
-    rank = sum(1 for g in gens if g[0] is None)
-    torsion = tuple(g[0] for g in gens if g[0] is not None)
-    labels = tuple(g[3] if g[3] is not None else f"g{k}" for k, g in enumerate(gens))
-    if a.labels is None and b.labels is None:
-        labels = None
-    total = PGroup(a.prime, rank, torsion, labels)
-    n = total.ngens
-    ia = zeros(n, a.ngens)
-    ib = zeros(n, b.ngens)
-    ia = [list(r) for r in ia]
-    ib = [list(r) for r in ib]
-    pa = [[0] * n for _ in range(a.ngens)]
-    pb = [[0] * n for _ in range(b.ngens)]
-    for row, (_, side, idx, _) in enumerate(gens):
-        if side == 0:
-            ia[row][idx] = 1
-            pa[idx][row] = 1
-        else:
-            ib[row][idx] = 1
-            pb[idx][row] = 1
-    return (
-        total,
-        PHom(a, total, ia),
-        PHom(b, total, ib),
-        PHom(total, a, pa),
-        PHom(total, b, pb),
-    )
+    total, ((ia, pa), (ib, pb)), places = _direct_sum(a, b)
+    if a.labels is not None or b.labels is not None:
+        labels = [None] * total.ngens
+        for g, rows in zip((a, b), places):
+            for row, label in zip(rows, g.labels or ()):
+                labels[row] = label
+        labels = [f"g{k}" if x is None else x for k, x in enumerate(labels)]
+        total = PGroup(total.prime, total.rank, total.torsion, labels)
+    return total, ia.on(a, total), ib.on(b, total), pa.on(total, a), pb.on(total, b)
+
+
+def sum_map(source, target, blocks):
+    """The sum of into @ f @ out_of over blocks (f, into, out_of), built by index placement.
+
+    into and out_of are structure maps of direct sums (pgroup_sum), or
+    None for the identity.  f's entries are placed at the generator
+    positions they pick instead of being composed; a block must land on
+    generators of its own orders (checked), so the map is valid.
+    """
+    src_e, tgt_e = source.exponents(), target.exponents()
+    entries = [[0] * source.ngens for _ in range(target.ngens)]
+    for f, into, out_of in blocks:
+        rows = range(f.target.ngens) if into is None else [col.index(1) for col in zip(*into.entries)]
+        cols = range(f.source.ngens) if out_of is None else [row.index(1) for row in out_of.entries]
+        lands = tuple(tgt_e[r] for r in rows), tuple(src_e[c] for c in cols)
+        if lands != (f.target.exponents(), f.source.exponents()):
+            raise ValueError("a block lands on generators of other orders")
+        for r, row in zip(rows, f.entries):
+            out = entries[r]
+            for c, x in zip(cols, row):
+                out[c] += x
+    return _trusted_phom(source, target, reduce_entries(source, target, entries))
 
 
 class BigradedModule:

@@ -21,7 +21,6 @@ from .bigraded import (
     PGroup,
     PHom,
     _compat_modulus,
-    hom_key,
     map_key,
     per_call,
     phom_identity,
@@ -338,31 +337,37 @@ def _unit_normalized(col, p):
 
 
 def _sorted_generators(p, ambient, columns, exponents):
-    """Free-first, nonincreasing-torsion PGroup from generator columns."""
+    """Unlabelled free-first, nonincreasing-torsion PGroup, its inclusion and generator columns."""
     keep = [(e, _unit_normalized(col, p)) for e, col in zip(exponents, columns) if e != 0]
     keep.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
     rank = sum(1 for e, _ in keep if e is None)
     torsion = tuple(e for e, _ in keep if e is not None)
     cols = [col for _, col in keep]
-    labels = [_label_for(ambient, col, p) for col in cols]
-    if any(lbl is None for lbl in labels):
-        labels = None
-    group = PGroup(p, rank, torsion, labels)
+    group = PGroup(p, rank, torsion)
     incl = PHom(group, ambient, reduce_entries(group, ambient, from_columns(cols, ambient.ngens)))
-    return group, incl
+    return group, incl, cols
+
+
+def _named(group, ambient, gens):
+    """group named after the ambient generators its columns gens are p-powers of, if all are."""
+    labels = None if gens is None else [_label_for(ambient, col, group.prime) for col in gens]
+    if labels is None or None in labels:
+        return group
+    return PGroup(group.prime, group.rank, group.torsion, labels)
 
 
 def subgroup(ambient, columns):
-    """Structure of the subgroup generated by columns, with its inclusion.
+    """Structure of the subgroup generated by columns: (group, inclusion, generator columns).
 
     columns is a list of length-ngens integer vectors.  The inclusion
-    matrix realizes the abstract group on its stated generators.
+    matrix realizes the abstract group on its stated generators, which
+    _named reads to label the group.
     """
     p = ambient.prime
     n = ambient.ngens
     k = len(columns)
     if k == 0:
-        return PGroup(p, 0, ()), PHom(PGroup(p, 0, ()), ambient, ((),) * n if n else ())
+        return PGroup(p, 0, ()), PHom(PGroup(p, 0, ()), ambient, ((),) * n if n else ()), None
     gmat = from_columns(columns, n)
     lifted = hstack(gmat, _relation_columns(ambient), n)
     rel = [w[:k] for w in kernel_columns(lifted, p, n, k + len(ambient.torsion))]
@@ -371,10 +376,7 @@ def subgroup(ambient, columns):
     # Quotient R^k / im(rel): generator t of the quotient is U^-1 e_t with
     # order the t-th diagonal p-power.
     new_gens = mat_mul(gmat, snf.U_inv, k, k)
-    exps = []
-    for t in range(k):
-        v = snf.valuations[t] if t < len(snf.valuations) else None
-        exps.append(v)
+    exps = [snf.valuations[t] if t < len(snf.valuations) else None for t in range(k)]
     cols = [column(new_gens, t) for t in range(k)]
     return _sorted_generators(p, ambient, cols, exps)
 
@@ -391,9 +393,18 @@ def span_equal(ambient, a_cols, b_cols):
     return span_contains(ambient, a_cols, b_cols) and span_contains(ambient, b_cols, a_cols)
 
 
-@per_call(hom_key)
+@per_call(map_key)
+def _kernel(f):
+    nA = f.source.ngens
+    lifted = _presentation_matrix(f)
+    wide = kernel_columns(lifted, f.prime, f.target.ngens, nA + len(f.target.torsion))
+    return subgroup(f.source, [w[:nA] for w in wide])
+
+
 def kernel(f):
     """Kernel of a PHom as (group, inclusion-into-source).
+
+    The group is named after f's own source; label twins share one kernel.
 
     >>> from .bigraded import PGroup, PHom
     >>> red = PHom(PGroup(2, 1, ()), PGroup(2, 0, (1,)), ((1,),))
@@ -401,21 +412,13 @@ def kernel(f):
     >>> (str(g), incl.entries)
     ('Z2', ((2,),))
     """
-    nA = f.source.ngens
-    lifted = _presentation_matrix(f)
-    wide = kernel_columns(lifted, f.prime, f.target.ngens, nA + len(f.target.torsion))
-    return subgroup(f.source, [w[:nA] for w in wide])
+    group, incl, gens = _kernel(f)
+    group = _named(group, f.source, gens)
+    return group, incl.on(group, f.source)
 
 
-@per_call(hom_key)
-def cokernel(f):
-    """Cokernel of a PHom as (group, projection, section).
-
-    The projection is a surjective PHom from the target.  The section is a
-    plain integer matrix of representatives (target gens x cokernel gens)
-    with proj @ section = identity; it is generally not itself a hom, but
-    it is exactly what inducing maps on quotients needs.
-    """
+@per_call(map_key)
+def _cokernel(f):
     p = f.prime
     nB = f.target.ngens
     lifted = _presentation_matrix(f)
@@ -435,25 +438,42 @@ def cokernel(f):
     kept.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
     rank = sum(1 for v, _, _ in kept if v is None)
     torsion = tuple(v for v, _, _ in kept if v is not None)
-    labels = [_label_for(f.target, rep, p) for _, _, rep in kept]
-    if any(lbl is None for lbl in labels):
-        labels = None
-    group = PGroup(p, rank, torsion, labels)
+    group = PGroup(p, rank, torsion)
     proj_rows = tuple(row for _, row, _ in kept)
     proj = PHom(f.target, group, reduce_entries(f.target, group, proj_rows))
-    section = from_columns([rep for _, _, rep in kept], nB)
-    return group, proj, section
+    reps = [rep for _, _, rep in kept]
+    return group, proj, from_columns(reps, nB), reps
 
 
-@per_call(lambda f, g: (hom_key(f), hom_key(g)))
+def cokernel(f):
+    """Cokernel of a PHom as (group, projection, section).
+
+    The projection is a surjective PHom from the target.  The section is a
+    plain integer matrix of representatives (target gens x cokernel gens)
+    with proj @ section = identity; it is generally not itself a hom, but
+    it is exactly what inducing maps on quotients needs.  The group is
+    named after f's own target, as kernel names its group.
+    """
+    group, proj, section, reps = _cokernel(f)
+    group = _named(group, f.target, reps)
+    return group, proj.on(f.target, group), section
+
+
 def solve_hom(f, g):
     """h with f o h = g as maps of PGroups, or None; f and g share a target.
 
     Each column is solved inside the subset of A-vectors a source generator
     of g may legally hit: coordinates are prescaled by the torsion
     compatibility modulus, so the result is a well-defined hom, not just a
-    columnwise preimage.
+    columnwise preimage.  h lies on g's source and f's source; label twins
+    share one solve and one check of f o h = g.
     """
+    h = _solve(f, g)
+    return None if h is None else h.on(g.source, f.source)
+
+
+@per_call(lambda f, g: (map_key(f), map_key(g)))
+def _solve(f, g):
     if f.target != g.target:
         raise ValueError("solve_hom needs a common target")
     p = f.prime
@@ -506,14 +526,13 @@ def is_isomorphism(f):
     """
     if f.source.rank != f.target.rank or f.source.torsion != f.target.torsion:
         return False
-    c, _, _ = cokernel(f)
-    return c.is_zero()
+    return _cokernel(f)[0].is_zero()
 
 
 @per_call(map_key)
 def _inverse(f):
     """An inverse of f; its entries read no generator labels."""
-    inv = solve_hom(f, phom_identity(f.target))
+    inv = _solve(f, phom_identity(f.target))
     if inv is None:
         raise ValueError("map is not invertible")
     return inv

@@ -1,11 +1,13 @@
 """The per-call memo of exact-algebra results.
 
 Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom,
-pgroup_sum, is_isomorphism and invert_iso return a stored result when
-their input repeats exactly.  The memo must never show: every answer
-equals the one computed afresh, labels included, and no scope outlives
-the realize, odd_split, invert or complete call that opened it, so a
-direct call outside one computes and certifies again.
+pgroup_sum, is_isomorphism and invert_iso compute once per distinct
+input.  Generator labels are in no memo key: label twins share one
+computation, and each caller gets the result relabelled onto its own
+groups.  The memo must never show: every answer equals the one computed
+afresh, labels included, and no scope outlives the realize, odd_split,
+invert or complete call that opened it, so a direct call outside one
+computes and certifies again.
 """
 
 import threading
@@ -168,6 +170,84 @@ def test_label_twins_share_one_inverse_solve(monkeypatch) -> None:
     assert inv_twin.entries == inv.entries
     assert fingerprint(inv_twin.source) == fingerprint(twin.target)
     assert fingerprint(inv_twin.target) == fingerprint(twin.source)
+
+
+def counted(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# multiplication by 3 on the free and the Z/9 generator, zero on the Z/3
+# one: the kernel <3y, z> and the cokernel Z/3 + Z/3 + Z/3 are spanned by
+# p-powers of single generators, so both come out labelled
+TWIN_SOURCE = PGroup(3, 1, (2, 1), ["x", "y", "z"])
+TWIN_MAP = PHom(TWIN_SOURCE, PGroup(3, 1, (2, 1), ["u", "v", "w"]), ((3, 0, 0), (0, 3, 0), (0, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "fn,core,named",
+    [(kernel, "subgroup", lambda f: f.source), (cokernel, "smith_normal_form", lambda f: f.target)],
+    ids=["kernel", "cokernel"],
+)
+def test_label_twins_share_one_kernel_and_cokernel(fn, core, named, monkeypatch) -> None:
+    twin = rehomed(TWIN_MAP, relabelled(TWIN_MAP.source), relabelled(TWIN_MAP.target))
+    fresh = [fingerprint(fn(f)) for f in (TWIN_MAP, twin)]
+    calls = counted(monkeypatch, snf_module, core)
+    with memo_scope():
+        first = fn(TWIN_MAP)
+        computed = len(calls)
+        second = fn(twin)
+    assert computed > 0 and len(calls) == computed
+    assert [fingerprint(first), fingerprint(second)] == fresh
+    # each twin's group is named after its own generators
+    assert first[0].labels and second[0].labels
+    assert set(first[0].labels).isdisjoint(second[0].labels)
+    assert all(label.endswith(tuple(named(twin).labels)) for label in second[0].labels)
+
+
+def test_label_twins_share_one_solve(monkeypatch) -> None:
+    f = TWIN_MAP
+    c = PGroup(3, 0, (2,), ["c"])
+    g = f @ PHom(c, f.source, ((0,), (4,), (1,)))
+    twin_f = rehomed(f, relabelled(f.source), f.target)
+    twin_g = rehomed(g, relabelled(c), g.target)
+    fresh = fingerprint(solve_hom(twin_f, twin_g))
+    solves = counted(monkeypatch, snf_module, "solve_columns")
+    with memo_scope():
+        h = solve_hom(f, g)
+        computed = len(solves)
+        h_twin = solve_hom(twin_f, twin_g)
+    assert computed > 0 and len(solves) == computed
+    assert fingerprint(h_twin) == fresh
+    assert h_twin.entries == h.entries
+    assert (fingerprint(h_twin.source), fingerprint(h_twin.target)) == (
+        fingerprint(twin_g.source),
+        fingerprint(twin_f.source),
+    )
+
+
+def test_label_twins_share_one_direct_sum() -> None:
+    a, b = TWIN_MAP.source, TWIN_MAP.target
+    fresh = fingerprint(pgroup_sum(relabelled(a), b))
+    with memo_scope():
+        table = active_memo()
+        first = pgroup_sum(a, b)
+        stored = len(table)
+        second = pgroup_sum(relabelled(a), b)
+        assert len(table) == stored
+    assert fingerprint(second) == fresh
+    assert first[0].labels == ("x", "u", "y", "v", "z", "w")
+    assert second[0].labels == ("r0", "u", "r1", "v", "r2", "w")
+    # an unlabelled summand's generators are named by their row in the sum
+    assert pgroup_sum(a, PGroup(3, 1, (2, 1)))[0].labels == ("x", "g1", "y", "g3", "z", "g5")
 
 
 @MEMO_SETTINGS

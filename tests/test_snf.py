@@ -220,11 +220,43 @@ def test_kernel_cokernel_against_enumeration() -> None:
                 assert (composed[r][s] - want) % p ** c.exponents()[r] == 0
 
 
+@st.composite
+def finite_groups(draw, p):
+    torsion = draw(st.lists(st.integers(1, 2), max_size=3 if p == 2 else 2))
+    return PGroup(p, 0, tuple(sorted(torsion, reverse=True)))
+
+
+@st.composite
+def finite_homs(draw, source, target):
+    p = source.prime
+    rows = []
+    for f in target.exponents():
+        steps = [p ** (f - e) if e < f else 1 for e in source.exponents()]
+        rows.append([step * draw(st.integers(-8, 8)) for step in steps])
+    return PHom(source, target, rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_kernel_cokernel_and_solve_against_enumeration(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b, c = (data.draw(finite_groups(p)) for _ in range(3))
+    f = data.draw(finite_homs(a, b))
+    images = [_apply(f, x) for x in _elements(a)]
+    assert kernel(f)[0].order() == sum(1 for y in images if not any(y))
+    assert cokernel(f)[0].order() * len(set(images)) == b.order()
+    h0 = data.draw(finite_homs(c, a))
+    h = solve_hom(f, f @ h0)
+    assert h is not None
+    assert all(_apply(f, _apply(h, x)) == _apply(f, _apply(h0, x)) for x in _elements(c))
+
+
 def test_image_subgroup() -> None:
     z2 = PGroup(2, 1, ())
-    g, incl = subgroup(z2, [column(phom_scalar(z2, 4).entries, 0)])
+    g, incl, gens = subgroup(z2, [column(phom_scalar(z2, 4).entries, 0)])
     assert g == z2
     assert incl.entries == ((4,),)
+    assert gens == [(4,)]
 
 
 def test_solve_hom_roundtrip() -> None:

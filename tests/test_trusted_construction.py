@@ -28,10 +28,12 @@ from fracture.bigraded import (
     PGroup,
     PHom,
     Window,
+    pgroup_sum,
     phom_identity,
     phom_zero,
     reduce_entries,
     restrict,
+    sum_map,
     validate_module,
 )
 from fracture.localization import complete, invert
@@ -194,3 +196,32 @@ def test_arithmetic_equals_its_validated_construction(data) -> None:
     same_hom(f.reduced(), PHom(b, c, reduce_entries(b, c, f.entries)))
     same_hom(phom_zero(b, c), PHom(b, c, [[0] * b.ngens for _ in range(c.ngens)]))
     same_hom(phom_identity(b), PHom(b, b, [[int(r == s) for s in range(b.ngens)] for r in range(b.ngens)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_placed_sum_maps_equal_the_composites_they_replace(data) -> None:
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    a, b, c, d, k = (data.draw(groups(p)) for _ in range(5))
+    ab, ia, ib, pa, pb = pgroup_sum(a, b)
+    cd, ic, id_, _, _ = pgroup_sum(c, d)
+    # out of a sum, by columns: the splice's difference map
+    f, g = data.draw(homs(a, c)), data.draw(homs(b, c))
+    same_hom(sum_map(ab, c, ((f, None, pa), (-g, None, pb))), (f @ pa) - (g @ pb))
+    # into a sum, by rows: a kernel's images in both summands, stacked
+    x, y = data.draw(homs(k, a)), data.draw(homs(k, b))
+    same_hom(sum_map(k, ab, ((x, ia, None), (y, ib, None))), (ia @ x) + (ib @ y))
+    # between sums, block diagonal: an action on cokernel + kernel
+    f, g = data.draw(homs(a, c)), data.draw(homs(b, d))
+    same_hom(sum_map(ab, cd, ((f, ic, pa), (g, id_, pb))), (ic @ f @ pa) + (id_ @ g @ pb))
+    # the structure maps themselves are placed identities
+    same_hom(sum_map(ab, a, ((phom_identity(a), None, pa),)), pa)
+    same_hom(sum_map(b, ab, ((phom_identity(b), ib, None),)), ib)
+
+
+def test_a_block_lands_only_on_generators_of_its_orders() -> None:
+    a, b = PGroup(2, 0, (2,)), PGroup(2, 0, (1,))
+    ab, _, _, pa, pb = pgroup_sum(a, b)
+    assert sum_map(ab, a, ((phom_identity(a), None, pa),)).entries == ((1, 0),)
+    with pytest.raises(ValueError, match="other orders"):
+        sum_map(ab, a, ((phom_identity(a), None, pb),))
