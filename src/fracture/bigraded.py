@@ -157,11 +157,12 @@ def active_memo():
 def memo_scope():
     """Reuse exact-algebra results for the duration of the block.
 
-    Inside a scope a per_call function returns its stored result when its
-    input repeats, generator labels aside; outside every scope it computes
-    each time.  Scopes nest: an inner one shares the outer table, and the
-    table is dropped when the outermost scope exits, by return or by raise.
-    Each thread sees only its own scope.
+    Inside a scope a per_call function returns its stored result when an
+    equal input repeats, so every caller with that input shares the one
+    result object; outside every scope it computes each time.  Scopes
+    nest: an inner one shares the outer table, and the table is dropped
+    when the outermost scope exits, by return or by raise.  Each thread
+    sees only its own scope.
     """
     outermost = active_memo() is None
     if outermost:
@@ -176,11 +177,11 @@ def memo_scope():
 def per_call(key):
     """Memoize a pure function inside memo_scope, keyed by key(*args).
 
-    The key must cover everything the result depends on.  Labels are in
-    no key: a function whose answer is named after its inputs' generators
-    memoizes a label-free core, and each caller gets the result relabelled
-    onto its own groups.  Only results are stored, so every stored answer
-    passed the checks of the call that computed it; a raise stores nothing.
+    The key must cover everything the result depends on; it is built from
+    the matrices and groups themselves, and a repeated input gets the
+    stored result object back.  Only results are stored, so every stored
+    answer passed the checks of the call that computed it; a raise stores
+    nothing.
     """
 
     def wrap(fn):
@@ -202,7 +203,7 @@ def per_call(key):
 
 
 def map_key(f):
-    """What a label-free result can read off a PHom; PGroup equality ignores labels."""
+    """Everything a result can read off a PHom: its groups and its matrix."""
     return (f.source, f.target, f.entries)
 
 
@@ -210,7 +211,8 @@ class PGroup:
     """Finitely generated module over Z_(p): free rank plus p-power torsion.
 
     Generators are ordered free-first, then torsion in nonincreasing
-    exponent order.  Labels are advisory generator names.
+    exponent order.  They carry no names: a group is its prime, rank and
+    torsion, so equal groups are interchangeable.
 
     >>> G = PGroup(2, 1, (2, 1))
     >>> str(G)
@@ -219,9 +221,9 @@ class PGroup:
     (None, 2, 1)
     """
 
-    __slots__ = ("prime", "rank", "torsion", "labels", "ngens", "_exponents")
+    __slots__ = ("prime", "rank", "torsion", "ngens", "_exponents")
 
-    def __init__(self, prime, rank, torsion=(), labels=None):
+    def __init__(self, prime, rank, torsion=()):
         if not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         torsion = tuple(int(e) for e in torsion)
@@ -231,14 +233,9 @@ class PGroup:
             raise ValueError(f"torsion exponents must be >= 1: {torsion}")
         if any(a < b for a, b in zip(torsion, torsion[1:])):
             raise ValueError(f"torsion exponents must be nonincreasing: {torsion}")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != rank + len(torsion):
-                raise ValueError("label count does not match generator count")
         self.prime = prime
         self.rank = rank
         self.torsion = torsion
-        self.labels = labels
         self.ngens = rank + len(torsion)
         self._exponents = (None,) * rank + torsion
 
@@ -390,16 +387,6 @@ class PHom:
         entries = reduce_entries(self.source, self.target, self.entries)
         return self if entries == self.entries else _trusted_phom(self.source, self.target, entries)
 
-    def on(self, source, target):
-        """The same matrix between label twins of the source and target.
-
-        PGroup equality ignores labels, so equal groups have the same
-        generator orders and the matrix stays compatible.
-        """
-        if source != self.source or target != self.target:
-            raise ValueError("groups differ from the map's source and target")
-        return _trusted_phom(source, target, self.entries)
-
     def __repr__(self):
         return f"PHom({self.source!r} -> {self.target!r}, {self.entries})"
 
@@ -443,8 +430,12 @@ def phom_identity(group):
 
 
 @per_call(lambda a, b: (a, b))
-def _direct_sum(a, b):
-    """The unlabelled direct sum, its structure maps, and the rows each summand's generators take."""
+def pgroup_sum(a, b):
+    """Direct sum with the four canonical structure maps.
+
+    Returns (sum, incl_a, incl_b, proj_a, proj_b).  Generators are
+    reordered so the sum is again free-first with nonincreasing torsion.
+    """
     if a.prime != b.prime:
         raise ValueError("direct sum across primes")
     gens = [(e, side, idx) for side, g in enumerate((a, b)) for idx, e in enumerate(g.exponents())]
@@ -455,31 +446,11 @@ def _direct_sum(a, b):
     places = ([0] * a.ngens, [0] * b.ngens)
     for row, (_, side, idx) in enumerate(gens):
         places[side][idx] = row
-    maps = []
+    incl, proj = [], []
     for g, rows in zip((a, b), places):
-        incl = [[int(r == rows[s]) for s in range(g.ngens)] for r in range(total.ngens)]
-        proj = [[int(c == rows[t]) for c in range(total.ngens)] for t in range(g.ngens)]
-        maps.append((PHom(g, total, incl), PHom(total, g, proj)))
-    return total, maps, tuple(map(tuple, places))
-
-
-def pgroup_sum(a, b):
-    """Direct sum with the four canonical structure maps.
-
-    Returns (sum, incl_a, incl_b, proj_a, proj_b).  Generators are
-    reordered so the sum is again free-first with nonincreasing torsion;
-    each keeps its summand's label, or is named g<row> in a labelled sum.
-    Label twins share one computation inside memo_scope.
-    """
-    total, ((ia, pa), (ib, pb)), places = _direct_sum(a, b)
-    if a.labels is not None or b.labels is not None:
-        labels = [None] * total.ngens
-        for g, rows in zip((a, b), places):
-            for row, label in zip(rows, g.labels or ()):
-                labels[row] = label
-        labels = [f"g{k}" if x is None else x for k, x in enumerate(labels)]
-        total = PGroup(total.prime, total.rank, total.torsion, labels)
-    return total, ia.on(a, total), ib.on(b, total), pa.on(total, a), pb.on(total, b)
+        incl.append(PHom(g, total, [[int(r == rows[s]) for s in range(g.ngens)] for r in range(total.ngens)]))
+        proj.append(PHom(total, g, [[int(c == rows[t]) for c in range(total.ngens)] for t in range(g.ngens)]))
+    return (total, *incl, *proj)
 
 
 def sum_map(source, target, blocks):
@@ -591,7 +562,7 @@ def validate_module(module):
         if g.prime != module.prime:
             out.append(f"cell {tuple(d)}: prime {g.prime} != module prime {module.prime}")
         try:
-            PGroup(g.prime, g.rank, g.torsion, g.labels)
+            PGroup(g.prime, g.rank, g.torsion)
         except ValueError as exc:
             out.append(f"cell {tuple(d)}: {exc}")
     for name, deg in module.multipliers.items():

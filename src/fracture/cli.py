@@ -188,7 +188,11 @@ def build_parser():
         _add_steps_arg(p)
         p.set_defaults(func=run_localize, localize=localize)
 
-    p = sub.add_parser("regions", help="print the periodicity verdict table for a window")
+    p = sub.add_parser(
+        "regions",
+        help="print the periodicity verdict table for a window; the period is that of the tau"
+        " self-map on the cofiber of the i-th rho power, not of the preset charts",
+    )
     p.add_argument("--window", type=window_arg, required=True)
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
     p.set_defaults(func=run_regions)

@@ -10,8 +10,9 @@ region classifies a bidegree (i, j) on the realized charts.  The range
 i >= 3j - 5 is where the comparison with the underlying nonequivariant
 stem is an isomorphism.  The wedge j - 1 <= i <= 2j is where the
 self-map degrees make no periodicity claim; everywhere else, for
-i >= 1, the chart pattern repeats vertically with period
-2**gamma(i - 1).
+i >= 1, region reports the period 2**gamma(i - 1) of the tau self-map
+on the cofiber of the i-th Euler power.  That is not a period of the
+preset charts.
 
 Only the degrees are tabulated here.  The self maps themselves are
 never constructed, and nothing here identifies one choice of map with
@@ -95,6 +96,10 @@ def tau_selfmap_degree(i, p):
 
 def region(i, j):
     """Classify the bidegree (i, j).
+
+    The period is that of the tau self-map on the cofiber of the i-th
+    rho (Euler) power, not a period of the preset charts: HF2_R is 0 at
+    (3, 1) but Z/2 at (3, 5).
 
     >>> region(0, 0).in_di_range
     True

@@ -253,10 +253,6 @@ def _order_exponent(killers, vec):
     return None
 
 
-def _powers_of(pres, vec):
-    return tuple((g.name, e) for g, e in zip(pres.generators, vec) if e)
-
-
 def _action_name(p, term):
     scalar = str(p ** term.vexp) if term.vexp else ""
     body = "".join(name if e == 1 else f"{name}{e}" for name, e in term.powers)
@@ -352,10 +348,7 @@ def expand(pres, window=None, budget=None):
         gens_here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
         rank = sum(1 for _, _, e in gens_here if e is None)
         torsion = tuple(e - v for _, v, e in gens_here if e is not None)
-        labels = tuple(
-            term_string(p, Term(v, _powers_of(pres, vec))) for vec, v, _ in gens_here
-        )
-        cells[deg] = PGroup(p, rank, torsion, labels)
+        cells[deg] = PGroup(p, rank, torsion)
         index[deg] = {vec: (pos, v) for pos, (vec, v, _) in enumerate(gens_here)}
 
     multipliers = {}

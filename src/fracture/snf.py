@@ -305,18 +305,6 @@ def _plocal_residue(x, modulus):
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
-def _label_for(ambient, col, p):
-    nonzero = [(r, x) for r, x in enumerate(col) if x]
-    if len(nonzero) != 1 or ambient.labels is None:
-        return None
-    r, x = nonzero[0]
-    v = valuation(x, p)
-    if abs(x) != p ** v:
-        return None
-    base = ambient.labels[r]
-    return base if v == 0 else f"{p ** v}*{base}"
-
-
 def _unit_normalized(col, p):
     """Strip the prime-to-p content of a generator column.
 
@@ -337,7 +325,7 @@ def _unit_normalized(col, p):
 
 
 def _sorted_generators(p, ambient, columns, exponents):
-    """Unlabelled free-first, nonincreasing-torsion PGroup, its inclusion and generator columns."""
+    """Free-first, nonincreasing-torsion PGroup on the columns of nonzero order, and its inclusion."""
     keep = [(e, _unit_normalized(col, p)) for e, col in zip(exponents, columns) if e != 0]
     keep.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
     rank = sum(1 for e, _ in keep if e is None)
@@ -345,29 +333,20 @@ def _sorted_generators(p, ambient, columns, exponents):
     cols = [col for _, col in keep]
     group = PGroup(p, rank, torsion)
     incl = PHom(group, ambient, reduce_entries(group, ambient, from_columns(cols, ambient.ngens)))
-    return group, incl, cols
-
-
-def _named(group, ambient, gens):
-    """group named after the ambient generators its columns gens are p-powers of, if all are."""
-    labels = None if gens is None else [_label_for(ambient, col, group.prime) for col in gens]
-    if labels is None or None in labels:
-        return group
-    return PGroup(group.prime, group.rank, group.torsion, labels)
+    return group, incl
 
 
 def subgroup(ambient, columns):
-    """Structure of the subgroup generated by columns: (group, inclusion, generator columns).
+    """Structure of the subgroup generated by columns: (group, inclusion).
 
     columns is a list of length-ngens integer vectors.  The inclusion
-    matrix realizes the abstract group on its stated generators, which
-    _named reads to label the group.
+    matrix realizes the abstract group on its stated generators.
     """
     p = ambient.prime
     n = ambient.ngens
     k = len(columns)
     if k == 0:
-        return PGroup(p, 0, ()), PHom(PGroup(p, 0, ()), ambient, ((),) * n if n else ()), None
+        return PGroup(p, 0, ()), PHom(PGroup(p, 0, ()), ambient, ((),) * n if n else ())
     gmat = from_columns(columns, n)
     lifted = hstack(gmat, _relation_columns(ambient), n)
     rel = [w[:k] for w in kernel_columns(lifted, p, n, k + len(ambient.torsion))]
@@ -394,17 +373,8 @@ def span_equal(ambient, a_cols, b_cols):
 
 
 @per_call(map_key)
-def _kernel(f):
-    nA = f.source.ngens
-    lifted = _presentation_matrix(f)
-    wide = kernel_columns(lifted, f.prime, f.target.ngens, nA + len(f.target.torsion))
-    return subgroup(f.source, [w[:nA] for w in wide])
-
-
 def kernel(f):
     """Kernel of a PHom as (group, inclusion-into-source).
-
-    The group is named after f's own source; label twins share one kernel.
 
     >>> from .bigraded import PGroup, PHom
     >>> red = PHom(PGroup(2, 1, ()), PGroup(2, 0, (1,)), ((1,),))
@@ -412,13 +382,21 @@ def kernel(f):
     >>> (str(g), incl.entries)
     ('Z2', ((2,),))
     """
-    group, incl, gens = _kernel(f)
-    group = _named(group, f.source, gens)
-    return group, incl.on(group, f.source)
+    nA = f.source.ngens
+    lifted = _presentation_matrix(f)
+    wide = kernel_columns(lifted, f.prime, f.target.ngens, nA + len(f.target.torsion))
+    return subgroup(f.source, [w[:nA] for w in wide])
 
 
 @per_call(map_key)
-def _cokernel(f):
+def cokernel(f):
+    """Cokernel of a PHom as (group, projection, section).
+
+    The projection is a surjective PHom from the target.  The section is a
+    plain integer matrix of representatives (target gens x cokernel gens)
+    with proj @ section = identity; it is generally not itself a hom, but
+    it is exactly what inducing maps on quotients needs.
+    """
     p = f.prime
     nB = f.target.ngens
     lifted = _presentation_matrix(f)
@@ -441,39 +419,19 @@ def _cokernel(f):
     group = PGroup(p, rank, torsion)
     proj_rows = tuple(row for _, row, _ in kept)
     proj = PHom(f.target, group, reduce_entries(f.target, group, proj_rows))
-    reps = [rep for _, _, rep in kept]
-    return group, proj, from_columns(reps, nB), reps
+    return group, proj, from_columns([rep for _, _, rep in kept], nB)
 
 
-def cokernel(f):
-    """Cokernel of a PHom as (group, projection, section).
-
-    The projection is a surjective PHom from the target.  The section is a
-    plain integer matrix of representatives (target gens x cokernel gens)
-    with proj @ section = identity; it is generally not itself a hom, but
-    it is exactly what inducing maps on quotients needs.  The group is
-    named after f's own target, as kernel names its group.
-    """
-    group, proj, section, reps = _cokernel(f)
-    group = _named(group, f.target, reps)
-    return group, proj.on(f.target, group), section
-
-
+@per_call(lambda f, g: (map_key(f), map_key(g)))
 def solve_hom(f, g):
     """h with f o h = g as maps of PGroups, or None; f and g share a target.
 
     Each column is solved inside the subset of A-vectors a source generator
     of g may legally hit: coordinates are prescaled by the torsion
     compatibility modulus, so the result is a well-defined hom, not just a
-    columnwise preimage.  h lies on g's source and f's source; label twins
-    share one solve and one check of f o h = g.
+    columnwise preimage.  The check of f o h = g runs once per distinct
+    input.
     """
-    h = _solve(f, g)
-    return None if h is None else h.on(g.source, f.source)
-
-
-@per_call(lambda f, g: (map_key(f), map_key(g)))
-def _solve(f, g):
     if f.target != g.target:
         raise ValueError("solve_hom needs a common target")
     p = f.prime
@@ -518,7 +476,7 @@ def _solve(f, g):
 
 @per_call(map_key)
 def is_isomorphism(f):
-    """Whether f is an isomorphism; the verdict reads no generator labels.
+    """Whether f is an isomorphism.
 
     Source and target are isomorphic once their ranks and torsion agree,
     and a surjection between isomorphic finitely generated modules is
@@ -526,18 +484,13 @@ def is_isomorphism(f):
     """
     if f.source.rank != f.target.rank or f.source.torsion != f.target.torsion:
         return False
-    return _cokernel(f)[0].is_zero()
+    return cokernel(f)[0].is_zero()
 
 
 @per_call(map_key)
-def _inverse(f):
-    """An inverse of f; its entries read no generator labels."""
-    inv = _solve(f, phom_identity(f.target))
+def invert_iso(f):
+    """Exact inverse of an isomorphism of PGroups."""
+    inv = solve_hom(f, phom_identity(f.target))
     if inv is None:
         raise ValueError("map is not invertible")
     return inv
-
-
-def invert_iso(f):
-    """Exact inverse of an isomorphism of PGroups, on f's own groups."""
-    return _inverse(f).on(f.target, f.source)

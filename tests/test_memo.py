@@ -2,12 +2,12 @@
 
 Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom,
 pgroup_sum, is_isomorphism and invert_iso compute once per distinct
-input.  Generator labels are in no memo key: label twins share one
-computation, and each caller gets the result relabelled onto its own
-groups.  The memo must never show: every answer equals the one computed
-afresh, labels included, and no scope outlives the realize, odd_split,
-invert or complete call that opened it, so a direct call outside one
-computes and certifies again.
+input.  Groups carry no generator names, and the memo keys are the
+matrices and groups themselves, so equal inputs built as separate objects
+compute once and share one result object inside a scope.  The memo must
+never show: every answer equals the one computed afresh, and no scope
+outlives the realize, odd_split, invert or complete call that opened it,
+so a direct call outside one computes and certifies again.
 """
 
 import threading
@@ -48,7 +48,7 @@ MEMO_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, datab
 def fingerprint(x):
     """Everything observable about a result, as plain nested tuples."""
     if isinstance(x, PGroup):
-        return ("group", x.prime, x.rank, x.torsion, x.labels)
+        return ("group", x.prime, x.rank, x.torsion)
     if isinstance(x, PHom):
         return ("hom", fingerprint(x.source), fingerprint(x.target), x.entries)
     if isinstance(x, SnfResult):
@@ -62,9 +62,7 @@ def fingerprint(x):
 def groups(draw, p):
     rank = draw(st.integers(0, 2))
     torsion = sorted(draw(st.lists(st.integers(1, 3), max_size=2)), reverse=True)
-    labelled = draw(st.booleans())
-    labels = [draw(st.sampled_from("abc")) for _ in range(rank + len(torsion))] if labelled else None
-    return PGroup(p, rank, tuple(torsion), labels)
+    return PGroup(p, rank, tuple(torsion))
 
 
 @st.composite
@@ -83,13 +81,14 @@ def homs(draw, source, target):
     return PHom(source, target, rows)
 
 
-def relabelled(group):
-    """The same group under other generator names."""
-    return PGroup(group.prime, group.rank, group.torsion, [f"r{k}" for k in range(group.ngens)])
+def twin(group):
+    """An equal group built as a separate object."""
+    return PGroup(group.prime, group.rank, group.torsion)
 
 
-def rehomed(f, source, target):
-    return PHom(source, target, f.entries)
+def twin_map(f):
+    """An equal map built as a separate object, between twins of its groups."""
+    return PHom(twin(f.source), twin(f.target), f.entries)
 
 
 def agrees_inside_a_scope(fn, *variants):
@@ -108,10 +107,8 @@ def test_kernel_and_cokernel_agree_inside_a_scope(data) -> None:
     p = data.draw(st.sampled_from((2, 3)))
     a, b = data.draw(groups(p)), data.draw(groups(p))
     f = data.draw(homs(a, b))
-    # equal groups (PGroup equality ignores labels) must not share a result
-    twin = rehomed(f, relabelled(a), relabelled(b))
-    agrees_inside_a_scope(kernel, (f,), (twin,))
-    agrees_inside_a_scope(cokernel, (f,), (twin,))
+    agrees_inside_a_scope(kernel, (f,), (twin_map(f),))
+    agrees_inside_a_scope(cokernel, (f,), (twin_map(f),))
 
 
 @MEMO_SETTINGS
@@ -121,10 +118,7 @@ def test_is_isomorphism_agrees_inside_a_scope(data) -> None:
     a = data.draw(groups(p))
     b = a if data.draw(st.booleans()) else data.draw(groups(p))
     f = data.draw(homs(a, b))
-    # the verdict reads no labels, so label twins share one
-    twin = rehomed(f, relabelled(a), relabelled(b))
-    assert is_isomorphism(twin) == is_isomorphism(f)
-    agrees_inside_a_scope(is_isomorphism, (f,), (twin,))
+    agrees_inside_a_scope(is_isomorphism, (f,), (twin_map(f),))
 
 
 @MEMO_SETTINGS
@@ -136,40 +130,13 @@ def test_invert_iso_agrees_inside_a_scope(data) -> None:
     # integer inverse
     g = data.draw(homs(a, a))
     rows = [[int(r == c) + (x if r > c else 0) for c, x in enumerate(row)] for r, row in enumerate(g.entries)]
-    f = PHom(a, relabelled(a), rows)
-    twin = rehomed(f, relabelled(a), a)
-    agrees_inside_a_scope(invert_iso, (f,), (twin,))
-    with memo_scope():
-        inverses = [invert_iso(iso) for iso in (f, twin, f)]
-        for iso, inv in zip((f, twin, f), inverses):
-            # the inverse lives on the caller's own labelled groups
-            assert fingerprint(inv.source) == fingerprint(iso.target)
-            assert fingerprint(inv.target) == fingerprint(iso.source)
-            assert (iso @ inv).same_map(phom_identity(iso.target))
-        # label twins get entry-equal inverses
-        assert len({inv.entries for inv in inverses}) == 1
-
-
-def test_label_twins_share_one_inverse_solve(monkeypatch) -> None:
-    a = PGroup(3, 1, (2, 1), ["x", "y", "z"])
-    f = PHom(a, relabelled(a), ((1, 0, 0), (4, 1, 0), (2, 3, 1)))
-    twin = rehomed(f, relabelled(a), a)
-    solves = []
-    original = snf_module.solve_columns
-
-    def counting(*args):
-        solves.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(snf_module, "solve_columns", counting)
+    f = PHom(a, twin(a), rows)
+    agrees_inside_a_scope(invert_iso, (f,), (twin_map(f),))
     with memo_scope():
         inv = invert_iso(f)
-        first = len(solves)
-        inv_twin = invert_iso(twin)
-    assert first > 0 and len(solves) == first
-    assert inv_twin.entries == inv.entries
-    assert fingerprint(inv_twin.source) == fingerprint(twin.target)
-    assert fingerprint(inv_twin.target) == fingerprint(twin.source)
+        assert invert_iso(twin_map(f)) is inv
+    assert (inv.source, inv.target) == (f.target, f.source)
+    assert (f @ inv).same_map(phom_identity(f.target))
 
 
 def counted(monkeypatch, module, name):
@@ -186,68 +153,50 @@ def counted(monkeypatch, module, name):
 
 
 # multiplication by 3 on the free and the Z/9 generator, zero on the Z/3
-# one: the kernel <3y, z> and the cokernel Z/3 + Z/3 + Z/3 are spanned by
-# p-powers of single generators, so both come out labelled
-TWIN_SOURCE = PGroup(3, 1, (2, 1), ["x", "y", "z"])
-TWIN_MAP = PHom(TWIN_SOURCE, PGroup(3, 1, (2, 1), ["u", "v", "w"]), ((3, 0, 0), (0, 3, 0), (0, 0, 0)))
+# one: kernel <3y, z>, cokernel Z/3 + Z/3 + Z/3
+THREE = PHom(PGroup(3, 1, (2, 1)), PGroup(3, 1, (2, 1)), ((3, 0, 0), (0, 3, 0), (0, 0, 0)))
 
 
-@pytest.mark.parametrize(
-    "fn,core,named",
-    [(kernel, "subgroup", lambda f: f.source), (cokernel, "smith_normal_form", lambda f: f.target)],
-    ids=["kernel", "cokernel"],
-)
-def test_label_twins_share_one_kernel_and_cokernel(fn, core, named, monkeypatch) -> None:
-    twin = rehomed(TWIN_MAP, relabelled(TWIN_MAP.source), relabelled(TWIN_MAP.target))
-    fresh = [fingerprint(fn(f)) for f in (TWIN_MAP, twin)]
+def computes_once(monkeypatch, core, fn, args, twin_args):
+    """Inside a scope, fn on twin_args returns fn(*args)'s result object; only the first call reaches core."""
+    fresh = fingerprint(fn(*args))
     calls = counted(monkeypatch, snf_module, core)
     with memo_scope():
-        first = fn(TWIN_MAP)
+        first = fn(*args)
         computed = len(calls)
-        second = fn(twin)
+        second = fn(*twin_args)
     assert computed > 0 and len(calls) == computed
-    assert [fingerprint(first), fingerprint(second)] == fresh
-    # each twin's group is named after its own generators
-    assert first[0].labels and second[0].labels
-    assert set(first[0].labels).isdisjoint(second[0].labels)
-    assert all(label.endswith(tuple(named(twin).labels)) for label in second[0].labels)
+    assert second is first
+    assert fingerprint(first) == fresh
 
 
-def test_label_twins_share_one_solve(monkeypatch) -> None:
-    f = TWIN_MAP
-    c = PGroup(3, 0, (2,), ["c"])
-    g = f @ PHom(c, f.source, ((0,), (4,), (1,)))
-    twin_f = rehomed(f, relabelled(f.source), f.target)
-    twin_g = rehomed(g, relabelled(c), g.target)
-    fresh = fingerprint(solve_hom(twin_f, twin_g))
-    solves = counted(monkeypatch, snf_module, "solve_columns")
-    with memo_scope():
-        h = solve_hom(f, g)
-        computed = len(solves)
-        h_twin = solve_hom(twin_f, twin_g)
-    assert computed > 0 and len(solves) == computed
-    assert fingerprint(h_twin) == fresh
-    assert h_twin.entries == h.entries
-    assert (fingerprint(h_twin.source), fingerprint(h_twin.target)) == (
-        fingerprint(twin_g.source),
-        fingerprint(twin_f.source),
-    )
+@pytest.mark.parametrize("fn,core", [(kernel, "subgroup"), (cokernel, "smith_normal_form")], ids=["kernel", "cokernel"])
+def test_equal_maps_compute_one_kernel_and_cokernel(fn, core, monkeypatch) -> None:
+    computes_once(monkeypatch, core, fn, (THREE,), (twin_map(THREE),))
 
 
-def test_label_twins_share_one_direct_sum() -> None:
-    a, b = TWIN_MAP.source, TWIN_MAP.target
-    fresh = fingerprint(pgroup_sum(relabelled(a), b))
+def test_equal_maps_compute_one_solve(monkeypatch) -> None:
+    g = THREE @ PHom(PGroup(3, 0, (2,)), THREE.source, ((0,), (4,), (1,)))
+    computes_once(monkeypatch, "solve_columns", solve_hom, (THREE, g), (twin_map(THREE), twin_map(g)))
+
+
+def test_equal_isomorphisms_compute_one_inverse(monkeypatch) -> None:
+    f = PHom(THREE.source, twin(THREE.source), ((1, 0, 0), (4, 1, 0), (2, 3, 1)))
+    # solve_hom is memoized too, so count the calls invert_iso makes to it
+    computes_once(monkeypatch, "solve_hom", invert_iso, (f,), (twin_map(f),))
+
+
+def test_equal_groups_compute_one_direct_sum() -> None:
+    a, b = THREE.source, PGroup(3, 0, (3, 1))
+    fresh = fingerprint(pgroup_sum(a, b))
     with memo_scope():
         table = active_memo()
         first = pgroup_sum(a, b)
         stored = len(table)
-        second = pgroup_sum(relabelled(a), b)
-        assert len(table) == stored
-    assert fingerprint(second) == fresh
-    assert first[0].labels == ("x", "u", "y", "v", "z", "w")
-    assert second[0].labels == ("r0", "u", "r1", "v", "r2", "w")
-    # an unlabelled summand's generators are named by their row in the sum
-    assert pgroup_sum(a, PGroup(3, 1, (2, 1)))[0].labels == ("x", "g1", "y", "g3", "z", "g5")
+        second = pgroup_sum(twin(a), twin(b))
+        assert len(table) == stored == 1
+    assert second is first
+    assert fingerprint(first) == fresh
 
 
 @MEMO_SETTINGS
@@ -257,9 +206,7 @@ def test_solve_hom_agrees_inside_a_scope(data) -> None:
     a, b, c = data.draw(groups(p)), data.draw(groups(p)), data.draw(groups(p))
     f = data.draw(homs(a, b))
     g = f @ data.draw(homs(c, a)) if data.draw(st.booleans()) else data.draw(homs(c, b))
-    twin_g = rehomed(g, relabelled(c), b)
-    twin_f = rehomed(f, relabelled(a), b)
-    agrees_inside_a_scope(solve_hom, (f, g), (f, twin_g), (twin_f, g))
+    agrees_inside_a_scope(solve_hom, (f, g), (f, twin_map(g)), (twin_map(f), g))
 
 
 @MEMO_SETTINGS
@@ -267,7 +214,7 @@ def test_solve_hom_agrees_inside_a_scope(data) -> None:
 def test_pgroup_sum_agrees_inside_a_scope(data) -> None:
     p = data.draw(st.sampled_from((2, 3)))
     a, b = data.draw(groups(p)), data.draw(groups(p))
-    agrees_inside_a_scope(pgroup_sum, (a, b), (relabelled(a), b), (b, a))
+    agrees_inside_a_scope(pgroup_sum, (a, b), (twin(a), b), (b, a))
 
 
 @MEMO_SETTINGS

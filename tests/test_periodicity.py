@@ -3,12 +3,17 @@
 gamma is implemented with a closed form per block of eight, so the
 oracle here recounts the admissible residues one by one.  The region
 predicates are pure inequalities; the tests pin the frozen boundary
-cases and the defined-iff-outside-the-cone contract for the period.
+cases and the defined-iff-outside-the-cone contract for the period, and
+that the period is not one of the preset charts.
 """
 
 import pytest
 
+from fracture.bigraded import PGroup, Window
 from fracture.periodicity import RegionVerdict, gamma, region, tau_selfmap_degree, u_period
+from fracture.presets import reference_realization
+
+PERIOD_WINDOW = Window(-12, 12, -12, 12)
 
 
 def gamma_by_counting(m: int) -> int:
@@ -108,3 +113,30 @@ def test_region_period_defined_iff_outside_cone_in_positive_stems() -> None:
                 assert v.period is None
             else:
                 assert v.period == 2 ** gamma_by_counting(i - 1)
+
+
+def period_pairs(window):
+    """Pairs (d, d + (0, period)) in window, for each d with a period, whose far end is outside the wedge."""
+    pairs = []
+    for d in window.cells():
+        period = region(*d).period
+        if period is None:
+            continue
+        far = (d.i, d.j + period)
+        if window.contains(far) and not region(*far).in_nonperiodicity_cone:
+            pairs.append((d, far))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "name,p,mismatches", [("HF2_R", 2, 15), ("HZ2_R", 2, 15), ("KGL2_R", 2, 29), ("HFP_ODD_R", 3, 0)]
+)
+def test_region_periods_are_not_periods_of_the_preset_charts(name, p, mismatches) -> None:
+    # the period is that of the tau self-map on the cofiber of the i-th rho
+    # power; the preset charts differ across some of its pairs
+    pairs = period_pairs(PERIOD_WINDOW)
+    assert len(pairs) == 112
+    module = reference_realization(name, p, PERIOD_WINDOW)
+    assert sum(module.cell(d) != module.cell(far) for d, far in pairs) == mismatches
+    if name == "HF2_R":
+        assert (module.cell((3, 1)), module.cell((3, 5))) == (PGroup(2, 0), PGroup(2, 0, (1,)))

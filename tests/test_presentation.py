@@ -4,6 +4,8 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture.bigraded import PRIME_TEST_BOUND, BiDegree, PGroup, Window, _is_prime, validate_module
 from fracture.assembler import realize
@@ -215,6 +217,72 @@ def test_prime_beyond_the_exact_test_is_refused() -> None:
         parse_presentation(f"prime {PRIME_TEST_BOUND}\n")
     assert str(PRIME_TEST_BOUND) in str(info.value)
     assert (info.value.line, info.value.col) == (1, 7)
+
+
+NAMES = st.sampled_from(("tau", "rho", "v1", "t", "x_2", "1", "-", "é", ""))
+NUMBERS = st.one_of(
+    st.sampled_from((0, 1, 2, 3, 4, 5, 8, 9, 27, -1, -2, 6)),
+    st.integers(-(10**30), 10**30),
+    st.just(PRIME_TEST_BOUND),
+)
+SEPARATORS = st.sampled_from((" ",) * 6 + ("  ", "\t", "\u00a0", "·", ","))
+
+
+@st.composite
+def terms(draw):
+    """<scalar>·<monomial> with random scalars, names, exponents and joins."""
+    powers = [
+        f"{draw(NAMES)}{draw(st.sampled_from(('^', '^', '', '^^')))}{draw(NUMBERS)}"
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    join = draw(st.sampled_from(("*", "*", "·", "")))
+    return f"{draw(NUMBERS)}{draw(st.sampled_from(('·', '·', '.', '*', '')))}{join.join(powers) or draw(NAMES)}"
+
+
+def _flat(args):
+    return [a for arg in args for a in ((arg,) if isinstance(arg, str) else arg)]
+
+
+NUMBER_WORDS = NUMBERS.map(str)
+# the arguments each directive takes, in shape, with random values; or loose words
+SHAPED = {
+    "prime": st.tuples(NUMBER_WORDS),
+    "gen": st.tuples(NAMES, NUMBER_WORDS, NUMBER_WORDS, st.sampled_from(((), ("inv",), ("in",)))),
+    "rel": st.tuples(terms()),
+    "span": st.tuples(terms()),
+    "window": st.tuples(NUMBER_WORDS, NUMBER_WORDS, NUMBER_WORDS, NUMBER_WORDS),
+}
+LOOSE = st.lists(st.one_of(NAMES, NUMBER_WORDS, terms(), st.just("inv")), max_size=5)
+
+
+@st.composite
+def directive_lines(draw):
+    """prime, gen, rel, span and window lines with random arguments and separators."""
+    lines = [f"prime {draw(st.sampled_from((2, 3, 5)))}"] if draw(st.integers(0, 5)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(("prime", "gen", "gen", "rel", "span", "span", "window")))
+        args = draw(LOOSE) if draw(st.integers(0, 3)) == 0 else _flat(draw(SHAPED[key]))
+        lines.append(draw(SEPARATORS).join([key, *args]))
+    return "\n".join(lines)
+
+
+def parse_or_refuse(text):
+    try:
+        parse_presentation(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(max_size=80))
+def test_only_parse_errors_escape_on_random_text(text) -> None:
+    parse_or_refuse(text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(directive_lines())
+def test_only_parse_errors_escape_on_directive_lines(text) -> None:
+    parse_or_refuse(text)
 
 
 def test_parse_error_reports_position() -> None:

@@ -2,8 +2,9 @@
 
 The expansion cells below were worked out by hand from the presentation
 semantics, the reference cells from the closed form laws.  They pin down
-labels, valuations and a few action matrices that the wider pipeline
-tests rely on.
+cells, valuations and a few action matrices that the wider pipeline
+tests rely on; an action matrix out of the unit cell shows which multiple
+of a monomial generates its target cell.
 """
 
 import pytest
@@ -47,8 +48,11 @@ def test_prime_validation() -> None:
 def test_hf2_expansion_cells() -> None:
     module = expand(preset_presentation("hf2"), Window(-4, 2, -6, 2))
     assert module.cell((0, 0)) == PGroup(2, 0, (1,))
-    assert module.cell((0, 0)).labels == ("1·1",)
-    assert module.cell((-2, -5)).labels == ("1·tau^3*rho^2",)
+    # the unit at (0,0) generates (-2,-5) as tau^3*rho^2, with no scalar
+    composite = act(module, "rho", (0, 0))
+    for name, d in [("rho", (-1, -1)), ("tau", (-2, -2)), ("tau", (-2, -3)), ("tau", (-2, -4))]:
+        composite = act(module, name, d) @ composite
+    assert composite.entries == ((1,),)
     assert module.cell((0, 1)).is_zero()
     assert module.cell((1, 0)).is_zero()
     for d in module.window.cells():
@@ -60,7 +64,8 @@ def test_hz2_expansion_cells() -> None:
     module = expand(preset_presentation("hz2"), Window(-4, 2, -6, 2))
     assert module.cell((0, 0)) == PGroup(2, 1)
     assert module.cell((0, -2)) == PGroup(2, 1)
-    assert module.cell((0, -2)).labels == ("1·tau^2",)
+    # tau^2 itself generates (0,-2)
+    assert act(module, "tau2", (0, 0)).entries == ((1,),)
     assert module.cell((-1, -1)) == PGroup(2, 0, (1,))
     assert module.cell((-1, -3)) == PGroup(2, 0, (1,))
     assert module.cell((-1, -2)).is_zero()
@@ -71,11 +76,7 @@ def test_kgl2_expansion_cells() -> None:
     module = expand(preset_presentation("kgl2"), Window(-4, 3, -8, 2))
     assert module.cell((0, 0)) == PGroup(2, 1)
     assert module.cell((0, -2)) == PGroup(2, 1)
-    assert module.cell((0, -2)).labels == ("2·tau^2",)
-    assert module.cell((0, -4)).labels == ("1·tau^4",)
-    assert module.cell((0, -6)).labels == ("2·tau^6",)
     assert module.cell((2, 1)) == PGroup(2, 1)
-    assert module.cell((2, 1)).labels == ("1·v1",)
     assert module.cell((1, 0)) == PGroup(2, 0, (1,))
     assert module.cell((0, -1)) == PGroup(2, 0, (1,))
     assert module.cell((-1, -5)) == PGroup(2, 0, (1,))
@@ -88,10 +89,14 @@ def test_kgl2_expansion_actions() -> None:
     module = expand(preset_presentation("kgl2"), Window(-4, 3, -8, 2))
     assert act(module, "v1", (0, 0)).entries == ((1,),)
     assert act(module, "v1", (0, -4)).entries == ((1,),)
-    # 2tau2 lands on the generator named 2·tau^2, so the matrix entry is 1
+    # 2·tau^2 generates (0,-2), so 2tau2 out of the unit has entry 1
     assert act(module, "2tau2", (0, 0)).entries == ((1,),)
-    # and squaring it gives 4·tau^4 against the generator 1·tau^4
+    # and squaring it gives 4·tau^4 against the generator tau^4 of (0,-4)
     assert act(module, "2tau2", (0, -2)).entries == ((4,),)
+    assert act(module, "tau4", (0, 0)).entries == ((1,),)
+    # 2·tau^6 generates (0,-6)
+    assert act(module, "tau4", (0, -2)).entries == ((1,),)
+    assert act(module, "2tau2", (0, -4)).entries == ((1,),)
 
 
 def test_hfp_odd_expansion_cells() -> None:

@@ -253,10 +253,9 @@ def test_kernel_cokernel_and_solve_against_enumeration(data) -> None:
 
 def test_image_subgroup() -> None:
     z2 = PGroup(2, 1, ())
-    g, incl, gens = subgroup(z2, [column(phom_scalar(z2, 4).entries, 0)])
+    g, incl = subgroup(z2, [column(phom_scalar(z2, 4).entries, 0)])
     assert g == z2
     assert incl.entries == ((4,),)
-    assert gens == [(4,)]
 
 
 def test_solve_hom_roundtrip() -> None:
@@ -293,7 +292,7 @@ def test_isomorphism_detection_and_inverse() -> None:
 
 @st.composite
 def maps_between_twins(draw):
-    """A random map between a PGroup and a label twin of it.
+    """A random map between a PGroup and an equal group built as a separate object.
 
     The diagonal is a unit, p or 0, and each entry is scaled by the
     torsion compatibility step, so both verdicts come up often.
@@ -302,8 +301,8 @@ def maps_between_twins(draw):
     rank = draw(st.integers(0, 2))
     torsion = tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=3)), reverse=True))
     n = rank + len(torsion)
-    source = PGroup(p, rank, torsion, [f"s{k}" for k in range(n)] if draw(st.booleans()) else None)
-    target = PGroup(p, rank, torsion, [f"t{k}" for k in range(n)])
+    source = PGroup(p, rank, torsion)
+    target = PGroup(p, rank, torsion)
     e = source.exponents()
     rows = []
     for r in range(n):

@@ -141,15 +141,6 @@ def test_zero_map_keeps_its_prime_check() -> None:
         phom_zero(PGroup(2, 1, ()), PGroup(3, 1, ()))
 
 
-def test_a_map_moves_only_onto_label_twins() -> None:
-    a = PGroup(2, 1, (1,))
-    twin = PGroup(2, 1, (1,), ["x", "y"])
-    moved = phom_identity(a).on(twin, a)
-    assert (moved.source.labels, moved.entries) == (("x", "y"), ((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="groups differ"):
-        phom_identity(a).on(PGroup(2, 0, (1, 1)), a)
-
-
 @st.composite
 def groups(draw, p):
     rank = draw(st.integers(0, 2))
