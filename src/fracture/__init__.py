@@ -20,8 +20,6 @@ from .assembler import (
     rho_complete_defect,
 )
 from .bigraded import (
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
     Multiplier,
@@ -30,7 +28,7 @@ from .bigraded import (
     Window,
     validate_module,
 )
-from .charts import emit_json, load_json, render, render_ascii, render_svg
+from .charts import FLAG_BOUNDARY, FLAG_VERIFIED, emit_json, load_json, render, render_ascii, render_svg
 from .localization import complete, invert
 from .periodicity import RegionVerdict, gamma, region, tau_selfmap_degree, u_period
 from .presentation import (

@@ -20,8 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bigraded import (
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
     Window,
@@ -126,10 +124,16 @@ class AssemblyReport(NamedTuple):
             )
         return out
 
+    def certificate_failures(self):
+        """One message per cell whose splice order equation fails, in degree order."""
+        return [
+            f"cell {tuple(d)}: splice order equation fails: {res} != {ker} + {cok}"
+            for d, (res, ker, cok) in sorted(self.certificates().items())
+            if res != (ker[0] + cok[0], ker[1] + cok[1])
+        ]
+
     def certificates_hold(self):
-        return all(
-            res == (k[0] + c[0], k[1] + c[1]) for res, k, c in self.certificates().values()
-        )
+        return not self.certificate_failures()
 
 
 def select_tau_power(module):
@@ -200,12 +204,11 @@ def assemble(square, window=None):
     Returns an AssemblyReport whose result lives on the given window
     (default: the corners' window, which must contain it).  The splice at
     d reads the boundary column d+(1,0), so cells on the corners' right
-    edge treat the missing column as zero and are flagged
-    boundary-unverified.
+    edge treat the missing column as zero and are marked unverified.
 
     The work follows the support: where h_d, phi_d and tate_(d+(1,0)) are
-    all zero the splice is zero and only its flag is decided, so only the
-    corners' nonzero and flagged cells and the right edge are visited.
+    all zero the splice is zero, so only the corners' nonzero and
+    unverified cells and the right edge are visited.
     The difference map comes from square.maps_to_t, which reads a map out
     of a zero cell (never stored) as zero, so a boundary column outside
     the corners' window, all zeros, splices the same way as any other.
@@ -230,23 +233,21 @@ def assemble(square, window=None):
         kers[d] = kernel(diff)
         cokers[d] = cokernel(diff)
 
-    # a module's flags cover its nonzero cells and its unverified zeros, so
-    # every other cell of w splices zero from verified zeros
-    back = {d - BOUNDARY_SHIFT for d in tate.flags}
-    visit = {*h.flags, *phi.flags, *tate.flags, *back, *edge_cells(big, BOUNDARY_SHIFT, w)}
+    # every cell of a module outside its nonzero and unverified cells is a
+    # verified zero, so every other cell of w splices zero from verified zeros
+    back = {d - BOUNDARY_SHIFT for d in (*tate.cells, *tate.unverified)}
+    visit = {*h.cells, *h.unverified, *phi.cells, *phi.unverified, *tate.cells, *tate.unverified, *back}
+    visit.update(edge_cells(big, BOUNDARY_SHIFT, w))
     cells = {}
     parts = {}
-    flags = {}
+    unverified = set()
     structure = {}
     for d in sorted(d for d in visit if w.contains(d)):
         up = d + BOUNDARY_SHIFT
-        ok = big.contains(up) and all(
-            m.flag(e) == FLAG_VERIFIED for m, e in ((h, d), (phi, d), (tate, d), (tate, up))
-        )
+        if not big.contains(up) or any(e in m.unverified for m, e in ((h, d), (phi, d), (tate, d), (tate, up))):
+            unverified.add(d)
         if h.cell(d).is_zero() and phi.cell(d).is_zero() and tate.cell(up).is_zero():
             # no kernel and no cokernel: the splice is zero
-            if not ok:
-                flags[d] = FLAG_BOUNDARY
             continue
         splice_data(d)
         splice_data(up)
@@ -254,8 +255,6 @@ def assemble(square, window=None):
         cok_group, cok_proj, cok_section = cokers[up]
         total, inc_q, inc_k, prj_q, prj_k = pgroup_sum(cok_group, ker_group)
         if total.is_zero():
-            if not ok:
-                flags[d] = FLAG_BOUNDARY
             continue
         cells[d] = total
         parts[d] = CellAssembly(
@@ -264,7 +263,6 @@ def assemble(square, window=None):
             EXT_AMBIGUOUS if not ker_group.is_zero() and not cok_group.is_zero() else EXT_SPLIT,
         )
         structure[d] = (inc_q, inc_k, prj_q, prj_k)
-        flags[d] = FLAG_VERIFIED if ok else FLAG_BOUNDARY
 
     mults = dict(tate.multipliers)
     # the kernel's inclusion into h_d + phi_d, split by the projections pa_d, pb_d once per cell
@@ -282,27 +280,27 @@ def assemble(square, window=None):
             blocks = ((act(h, name, d) @ ker_h, ia_t, None), (act(phi, name, d) @ ker_phi, ib_t, None))
             k2k = solve_hom(kers[t][1], sum_map(kers[d][0], total_t, blocks))
             if k2k is None:
-                flags[d] = FLAG_BOUNDARY
+                unverified.add(d)
                 dropped.append((name, d, "kernel part does not transport"))
                 continue
             cok_d, cok_t = cokers[up_d][0], cokers[up_t][0]
             if cok_d.is_zero():
                 q2q = phom_zero(cok_d, cok_t)
             elif not big.contains(up_t):
-                flags[d] = FLAG_BOUNDARY
+                unverified.add(d)
                 dropped.append((name, d, "cokernel target outside the window"))
                 continue
             else:
                 q2q, why = induced_map(act(tate, name, up_d), cokers[up_d], cokers[up_t])
                 if q2q is None:
-                    flags[d] = FLAG_BOUNDARY
+                    unverified.add(d)
                     dropped.append((name, d, f"cokernel part {why}"))
                     continue
             inc_q_d, inc_k_d, prj_q_d, prj_k_d = structure[d]
             inc_q_t, inc_k_t, prj_q_t, prj_k_t = structure[t]
             actions[(name, d)] = sum_map(cells[d], cells[t], ((k2k, inc_k_t, prj_k_d), (q2q, inc_q_t, prj_q_d)))
     caveats = tuple(dict.fromkeys(h.caveats + phi.caveats + tate.caveats))
-    result = BigradedModule(h.prime, w, cells, actions, mults, flags, caveats)
+    result = BigradedModule(h.prime, w, cells, actions, mults, unverified, caveats)
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 
@@ -316,7 +314,7 @@ def _reach(module, box, *chains):
     """The part of the module's window that answering the box can read.
 
     The box grows by one step of any multiplier on every side (the action
-    loops of invert and complete flag a cell from a target one step away)
+    loops of invert and complete mark a cell from a target one step away)
     and is swept to the window's edge along each chain degree, so every
     chain out of it runs exactly as far as in the whole window.  A box that
     misses the window reaches all of it.
@@ -398,7 +396,7 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     read the expansion along tau- and rho-chains out of those cells, so
     they run on just that part of the expansion.  Within it the work
     follows the support: the localizations and the splice visit nonzero
-    and flagged cells and the window's edges, and decide every other cell
+    and unverified cells and the window's edges, and decide every other cell
     without touching it.
 
     Kernels, cokernels, solves, direct sums and Smith normal forms are

@@ -17,10 +17,6 @@ from typing import NamedTuple
 
 from .matrices import identity, mat_add, mat_mul, mat_neg, zeros
 
-FLAG_VERIFIED = "verified"
-FLAG_BOUNDARY = "boundary-unverified"
-FLAGS = (FLAG_VERIFIED, FLAG_BOUNDARY)
-
 # Degrees fixed per multiplier name.  rho/a raise the cone degree, tau/u
 # powers move weight, v1 is the Bott-flavored class of degree (2, 1).
 KNOWN_MULTIPLIER_DEGREES = {
@@ -429,6 +425,16 @@ def phom_identity(group):
     return _trusted_phom(group, group, identity(group.ngens))
 
 
+def free_first(prime, gens):
+    """The PGroup on gens and gens in its generator order: free first, then nonincreasing torsion.
+
+    Each of gens is a tuple led by its order exponent (None for free); the sort is stable.
+    """
+    gens = sorted(gens, key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
+    torsion = tuple(g[0] for g in gens if g[0] is not None)
+    return PGroup(prime, len(gens) - len(torsion), torsion), gens
+
+
 @per_call(lambda a, b: (a, b))
 def pgroup_sum(a, b):
     """Direct sum with the four canonical structure maps.
@@ -439,10 +445,7 @@ def pgroup_sum(a, b):
     if a.prime != b.prime:
         raise ValueError("direct sum across primes")
     gens = [(e, side, idx) for side, g in enumerate((a, b)) for idx, e in enumerate(g.exponents())]
-    # stable sort: free generators (None) first, then larger exponents
-    gens.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
-    torsion = tuple(g[0] for g in gens if g[0] is not None)
-    total = PGroup(a.prime, len(gens) - len(torsion), torsion)
+    total, gens = free_first(a.prime, gens)
     places = ([0] * a.ngens, [0] * b.ngens)
     for row, (_, side, idx) in enumerate(gens):
         places[side][idx] = row
@@ -481,14 +484,14 @@ class BigradedModule:
 
     cells: {BiDegree: PGroup}; actions: {(name, BiDegree): PHom} where the
     key degree is the source cell; multipliers: {name: BiDegree} fixing the
-    degree of every action name; flags: per-cell verification status.  A
-    flag may sit on a zero cell: truncated constructions use that to say
-    the zero itself is unverified.  Absent flags mean verified.
+    degree of every action name; unverified: the frozenset of window
+    degrees, zero cells included, whose value a truncated construction
+    could not certify.  Every other cell is verified.
     """
 
-    __slots__ = ("prime", "window", "cells", "actions", "multipliers", "flags", "caveats")
+    __slots__ = ("prime", "window", "cells", "actions", "multipliers", "unverified", "caveats")
 
-    def __init__(self, prime, window, cells, actions=None, multipliers=None, flags=None, caveats=()):
+    def __init__(self, prime, window, cells, actions=None, multipliers=None, unverified=(), caveats=()):
         window = Window(*window)
         window.check()
         self.prime = prime
@@ -503,21 +506,12 @@ class BigradedModule:
             if d in self.cells and (d + self.multipliers[name]) in self.cells and not f.is_zero():
                 acts[(name, d)] = f
         self.actions = acts
-        self.flags = {
-            BiDegree(*d): fl
-            for d, fl in (flags or {}).items()
-            if BiDegree(*d) in self.cells or (window.contains(d) and fl != FLAG_VERIFIED)
-        }
-        for d in self.cells:
-            self.flags.setdefault(d, FLAG_VERIFIED)
+        self.unverified = frozenset(BiDegree(*d) for d in unverified if window.contains(d))
         self.caveats = tuple(caveats)
 
     def cell(self, d):
         g = self.cells.get(tuple(d))
         return zero_group(self.prime) if g is None else g
-
-    def flag(self, d):
-        return self.flags.get(tuple(d), FLAG_VERIFIED)
 
     def multiplier(self, name):
         if name in self.multipliers:
@@ -581,9 +575,6 @@ def validate_module(module):
             continue
         if f.source != module.cell(d) or f.target != module.cell(target):
             out.append(f"action {name} at {tuple(d)}: matrix does not match its cells")
-    for d, fl in module.flags.items():
-        if fl not in FLAGS:
-            out.append(f"flag at {tuple(d)}: unknown value {fl!r}")
     names = sorted(module.multipliers)
     for ax in range(len(names)):
         for bx in range(ax + 1, len(names)):
@@ -603,7 +594,7 @@ def validate_module(module):
 def restrict(module, window):
     """The same module on a subwindow; actions crossing the edge drop.
 
-    The module's cells, actions and flags are already in the form
+    The module's cells, actions and unverified cells are already in the form
     BigradedModule.__init__ leaves them, and a subwindow of that form keeps
     it, so the result is assembled directly.
     """
@@ -620,7 +611,7 @@ def restrict(module, window):
         if window.contains(d) and window.contains(d + mults[name])
     }
     out.multipliers = dict(mults)
-    out.flags = {d: fl for d, fl in module.flags.items() if window.contains(d)}
+    out.unverified = frozenset(filter(window.contains, module.unverified))
     out.caveats = module.caveats
     return out
 

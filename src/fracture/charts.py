@@ -3,11 +3,13 @@
 The JSON form is byte stable: keys are sorted, the cell and edge arrays
 are ordered by bidegree, and every value is an integer or a string, so
 equal modules serialize to identical bytes.  Cells record rank, torsion
-exponents and the verification flag; a zero cell appears only when its
-flag says the zero itself is unverified.  Edges record the stored
-action matrices with canonical entries.  Realization reports also carry
-a provenance entry per assembled cell holding the kernel and cokernel
-parts and whether the extension between them is split.
+exponents and a flag, "verified" or "boundary-unverified"; these strings
+belong to this format alone, as a module keeps just the set of its
+unverified cells.  A zero cell appears only when unverified.  Edges
+record the stored action matrices with canonical entries.  Realization
+reports also carry a provenance entry per assembled cell holding the
+kernel and cokernel parts and whether the extension between them is
+split.
 
 Charts draw the stem i rightward and the weight j upward.  A filled dot
 is a torsion summand of exponent 1 and an open box is a free summand.
@@ -34,7 +36,6 @@ import json
 
 from .assembler import AssemblyReport
 from .bigraded import (
-    FLAG_VERIFIED,
     KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
     BigradedModule,
@@ -43,6 +44,9 @@ from .bigraded import (
     Window,
     reduce_entries,
 )
+
+FLAG_VERIFIED = "verified"
+FLAG_BOUNDARY = "boundary-unverified"
 
 ASCII_CANVAS = 200
 
@@ -57,8 +61,7 @@ def _group_json(g):
 
 
 def _charted_degrees(module):
-    flagged = {d for d, fl in module.flags.items() if fl != FLAG_VERIFIED}
-    return sorted(set(module.cells) | flagged)
+    return sorted({*module.cells, *module.unverified})
 
 
 def chart_payload(obj):
@@ -74,7 +77,7 @@ def chart_payload(obj):
             "j": d.j,
             "rank": g.rank,
             "torsion": list(g.torsion),
-            "flags": [module.flag(d)],
+            "flags": [FLAG_BOUNDARY if d in module.unverified else FLAG_VERIFIED],
         }
         if report is not None and d in report.parts:
             part = report.parts[d]
@@ -122,7 +125,8 @@ def load_json(data):
 
     Provenance entries are display data and are not reloaded; loading
     the emission of a report gives its result module.  Emission of the
-    loaded module reproduces the module emission byte for byte.
+    loaded module reproduces the module emission byte for byte.  A flag
+    other than the two this format writes is refused with ValueError.
     """
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
@@ -131,12 +135,15 @@ def load_json(data):
     w = payload["window"]
     window = Window(w["imin"], w["imax"], w["jmin"], w["jmax"])
     cells = {}
-    flags = {}
+    unverified = set()
     for entry in payload["cells"]:
         d = BiDegree(entry["i"], entry["j"])
         cells[d] = PGroup(prime, entry["rank"], tuple(entry["torsion"]))
-        listed = entry.get("flags") or [FLAG_VERIFIED]
-        flags[d] = listed[0]
+        for flag in entry.get("flags") or ():
+            if flag == FLAG_BOUNDARY:
+                unverified.add(d)
+            elif flag != FLAG_VERIFIED:
+                raise ValueError(f"cell {tuple(d)}: unknown flag {flag!r}")
     multipliers = {name: BiDegree(*deg) for name, deg in payload.get("multipliers", {}).items()}
     actions = {}
     for edge in payload.get("edges", ()):
@@ -151,10 +158,10 @@ def load_json(data):
         f = PHom(cells[d], cells[t], tuple(tuple(r) for r in edge["matrix"]))
         actions[(name, d)] = f
     caveats = tuple(payload.get("caveats", ()))
-    return BigradedModule(prime, window, cells, actions, multipliers, flags, caveats)
+    return BigradedModule(prime, window, cells, actions, multipliers, unverified, caveats)
 
 
-def _glyph(group, flag=FLAG_VERIFIED):
+def _glyph(group, verified=True):
     """One display character for one cell.
 
     >>> _glyph(PGroup(2, 0, (1,)))
@@ -165,7 +172,7 @@ def _glyph(group, flag=FLAG_VERIFIED):
     '='
     """
     if group.is_zero():
-        return "?" if flag != FLAG_VERIFIED else " "
+        return " " if verified else "?"
     n = group.ngens
     if n == 1:
         if group.rank:
@@ -197,7 +204,7 @@ def render_ascii(module):
     for j in range(w.jmax, w.jmin - 1, -1):
         axis = "+" if j == 0 else "|"
         row = "".join(
-            _glyph(module.cell((i, j)), module.flag((i, j))) for i in range(w.imin, w.imax + 1)
+            _glyph(module.cell((i, j)), (i, j) not in module.unverified) for i in range(w.imin, w.imax + 1)
         )
         lines.append(f"{j:>{label}} {axis}{row}".rstrip())
     border = "".join("+" if i == 0 else "-" for i in range(w.imin, w.imax + 1))
@@ -210,7 +217,7 @@ def render_svg(module):
     """Deterministic SVG 1.1 of the module's window, glyphs on a 24 px lattice.
 
     Edges are drawn under the glyphs, rho and a as solid segments and v1
-    dotted; cells flagged unverified come out gray.
+    dotted; unverified cells come out gray.
     """
     w = module.window
     s = 24
@@ -253,7 +260,7 @@ def render_svg(module):
         if not w.contains(d):
             continue
         g = module.cell(d)
-        color = "#000000" if module.flag(d) == FLAG_VERIFIED else "#888888"
+        color = "#888888" if d in module.unverified else "#000000"
         cx, cy = x(d.i), y(d.j)
         if g.is_zero():
             out.append(

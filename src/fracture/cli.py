@@ -142,12 +142,7 @@ def run_regions(args):
 
 def run_check(args):
     report = _realized(args)
-    problems = list(validate_module(report.result))
-    for d, (res, ker, cok) in sorted(report.certificates().items()):
-        if res != (ker[0] + cok[0], ker[1] + cok[1]):
-            problems.append(
-                f"cell {tuple(d)}: splice order equation fails: {res} != {ker} + {cok}"
-            )
+    problems = validate_module(report.result) + report.certificate_failures()
     if problems:
         for line in problems:
             print(line)
@@ -159,6 +154,12 @@ def run_check(args):
     return 0
 
 
+def _command(sub, name, text, func, **defaults):
+    p = sub.add_parser(name, help=text, description=text)
+    p.set_defaults(func=func, **defaults)
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fracture",
@@ -166,41 +167,38 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("realize", help="run the full pipeline and print the result")
+    p = _command(sub, "realize", "run the full pipeline and print the result", run_realize)
     _add_module_args(p)
     _add_output_args(p)
     _add_realize_args(p)
-    p.set_defaults(func=run_realize)
 
-    p = sub.add_parser("expand", help="expand a presentation into cells on a window")
+    p = _command(sub, "expand", "expand a presentation into cells on a window", run_expand)
     _add_module_args(p)
     _add_output_args(p)
-    p.set_defaults(func=run_expand)
 
     for name, localize, what, mult_help in (
         ("invert", invert, "invert a multiplier action degreewise", "multiplier name to invert"),
         ("complete", complete, "complete along a multiplier degreewise", "multiplier name to complete along"),
     ):
-        p = sub.add_parser(name, help=what)
+        p = _command(sub, name, what, run_localize, localize=localize)
         _add_module_args(p)
         _add_output_args(p)
         p.add_argument("--mult", required=True, help=mult_help)
         _add_steps_arg(p)
-        p.set_defaults(func=run_localize, localize=localize)
 
-    p = sub.add_parser(
+    p = _command(
+        sub,
         "regions",
-        help="print the periodicity verdict table for a window; the period is that of the tau"
+        "print the periodicity verdict table for a window; the period is that of the tau"
         " self-map on the cofiber of the i-th rho power, not of the preset charts",
+        run_regions,
     )
     p.add_argument("--window", type=window_arg, required=True)
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
-    p.set_defaults(func=run_regions)
 
-    p = sub.add_parser("check", help="realize and verify certificates and validity")
+    p = _command(sub, "check", "realize and verify certificates and validity", run_check)
     _add_module_args(p)
     _add_realize_args(p)
-    p.set_defaults(func=run_check)
 
     return parser
 

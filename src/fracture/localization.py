@@ -8,15 +8,15 @@ verified.  The truncated completion quotients by the image of the deepest
 in-window power of x and is verified when later stages provably cannot
 change the quotient.
 
-Verification flags are honest bookkeeping, not guarantees of failure:
-an unverified cell still holds the best in-window approximation.
+Verification is recorded as the set of cells that could not be
+certified (BigradedModule.unverified); every other cell is verified.
+That set is honest bookkeeping, not a guarantee of failure: an
+unverified cell still holds the best in-window approximation.
 """
 
 from __future__ import annotations
 
 from .bigraded import (
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
     Multiplier,
@@ -261,7 +261,7 @@ def _stabilized(module, x, n, e):
     exactly when its source is zero too, so zero ends are decided from the
     cells alone, without building the map.
     """
-    if n < 1 or module.flag(e) != FLAG_VERIFIED:
+    if n < 1 or e in module.unverified:
         return False
     before = e - x.degree
     if module.cell(e).is_zero():
@@ -296,13 +296,13 @@ def invert(module, mult, steps=None, window=None):
     The cell at d is the module's cell K steps along the multiplier (or as
     far as the module's window allows).  On verified cells the multiplier
     acts invertibly; near the window edge values are approximations
-    flagged boundary-unverified.
+    marked unverified.
 
     The answer covers the output window (default: the module's window,
     which must contain it), and chains are still measured in the module's
     window, so the result equals restricting the whole-window localization
     to the output window.  The work follows the support: only cells whose
-    chain ends on a nonzero or flagged cell, or one step past a nonzero
+    chain ends on a nonzero or unverified cell, or one step past a nonzero
     one, or that sit on the window's edge can be nonzero or unverified,
     and only those are visited.
 
@@ -324,12 +324,12 @@ def invert(module, mult, steps=None, window=None):
             chains[d] = chain_end(w, d, step, K)
         return chains[d]
 
-    # Visit the chains that end on a nonzero or flagged cell or one step
+    # Visit the chains that end on a nonzero or unverified cell or one step
     # past a nonzero one, and those that cannot move.  Every other cell of
     # out ends a moving chain on a verified zero cell whose predecessor is
     # zero too: zero, and certified.  Full-length chains end in out shifted
     # K steps (deep), shorter ones on the window's edge.
-    ends = {*module.cells, *module.flags, *(c + step for c in module.cells)}
+    ends = {*module.cells, *module.unverified, *(c + step for c in module.cells)}
     i, j = out.imin + K * step[0], out.jmin + K * step[1]
     deep = w.meet(Window(i, i + out.width, j, j + out.height))
     visit = set(edge_cells(w, step, out))
@@ -341,7 +341,7 @@ def invert(module, mult, steps=None, window=None):
             visit.update(chain_starts(w, out, e, step, K))
 
     cells = {}
-    flags = {}
+    unverified = set()
     for d in sorted(visit):
         n, e = chain(d)
         g = module.cell(e)
@@ -350,7 +350,7 @@ def invert(module, mult, steps=None, window=None):
         # failures are recorded even on zero cells, so a truncation gap
         # cannot pass for a verified zero
         if not _stabilized(module, x, n, e):
-            flags[d] = FLAG_BOUNDARY
+            unverified.add(d)
 
     power = chain_power(module, x)
     mults = dict(module.multipliers)
@@ -367,10 +367,10 @@ def invert(module, mult, steps=None, window=None):
                 continue
             shift = n_t - n
             if shift < 0:
-                # this check flags d even when t lies outside the output window
+                # this check marks d even when t lies outside the output window
                 back = power(d + step.scaled(n_t), -shift)
                 if not is_isomorphism(back):
-                    flags[d] = FLAG_BOUNDARY
+                    unverified.add(d)
                     continue
             if not out.contains(t):
                 continue
@@ -382,7 +382,7 @@ def invert(module, mult, steps=None, window=None):
             else:
                 f = act(module, y, d + step.scaled(n_t)) @ invert_iso(back)
             actions[(name, d)] = f
-    return BigradedModule(module.prime, out, cells, actions, mults, flags, module.caveats)
+    return BigradedModule(module.prime, out, cells, actions, mults, unverified, module.caveats)
 
 
 @memo_scope()
@@ -400,8 +400,8 @@ def complete(module, mult, steps=None, window=None):
     multiplier beyond it, where the well-definedness check of the actions
     reads them.  Powers are still measured in the module's window, so the
     result equals restricting the whole-window completion.  The work
-    follows the support: a zero cell stays zero and keeps its flag, so only
-    the module's nonzero and flagged cells are visited.
+    follows the support: a zero cell stays zero and stays unverified if it
+    was, so only the module's nonzero cells are visited.
 
     The powers of x ending at each cell, and the one-shorter powers the
     certificate compares them with, come from chain_power: zero where the
@@ -422,19 +422,15 @@ def complete(module, mult, steps=None, window=None):
         return out.contains(d) or any(out.contains(d - y) for y in shifts)
 
     power = chain_power(module, x)
-    flags = {}
+    unverified = set(filter(needed, module.unverified))
     quotients = {}
-    for d in sorted(filter(needed, {*module.cells, *module.flags}), key=along(step)):
-        g = module.cell(d)
-        if g.is_zero():
-            if module.flag(d) != FLAG_VERIFIED:
-                flags[d] = FLAG_BOUNDARY
-            continue
+    for d in sorted(filter(needed, module.cells), key=along(step)):
+        g = module.cells[d]
         # the chain line runs back to the window edge
         m = min(_depth(w, d, step.scaled(-1)), K)
         if m == 0:
             quotient = (g, phom_identity(g), identity(g.ngens))
-            ok = False
+            unverified.add(d)
         else:
             last = power(d - step.scaled(m), m)
             quotient = cokernel(last)
@@ -443,19 +439,16 @@ def complete(module, mult, steps=None, window=None):
             # only shrink further back, so the tower is constant from here
             # on) or the image chain is seen to stabilize across the final
             # step of a full-depth run
-            ok = last.is_zero()
-            if not ok and m == K:
+            stable = last.is_zero()
+            if not stable and m == K:
                 prev = power(d - step.scaled(m - 1), m - 1)
                 cols_prev = [column(prev.entries, s) for s in range(prev.source.ngens)]
                 cols_last = [column(last.entries, s) for s in range(last.source.ngens)]
-                ok = span_equal(g, cols_prev, cols_last)
-        verified = ok and module.flag(d) == FLAG_VERIFIED
-        if quotient[0].is_zero():
-            if not verified:
-                flags[d] = FLAG_BOUNDARY
-            continue
-        quotients[d] = quotient
-        flags[d] = FLAG_VERIFIED if verified else FLAG_BOUNDARY
+                stable = span_equal(g, cols_prev, cols_last)
+            if not stable:
+                unverified.add(d)
+        if not quotient[0].is_zero():
+            quotients[d] = quotient
     # chains visit the window out of order; keep the window's order
     cells = {d: quotients[d][0] for d in sorted(quotients) if out.contains(d)}
 
@@ -468,8 +461,8 @@ def complete(module, mult, steps=None, window=None):
                 continue
             induced, _ = induced_map(act(module, y, d), quotients[d], quotients[t])
             if induced is None:
-                flags[d] = FLAG_BOUNDARY
+                unverified.add(d)
             elif out.contains(t):
                 actions[(name, d)] = induced
     caveats = tuple(dict.fromkeys(module.caveats + (COMPLETION_CAVEAT,)))
-    return BigradedModule(module.prime, out, cells, actions, dict(module.multipliers), flags, caveats)
+    return BigradedModule(module.prime, out, cells, actions, dict(module.multipliers), unverified, caveats)

@@ -111,7 +111,7 @@ def region(i, j):
     16
     """
     cone = j - 1 <= i <= 2 * j
-    period = None if cone or i < 1 else 1 << gamma(i - 1)
+    period = None if cone or i < 1 else u_period(i)
     return RegionVerdict(
         in_di_range=i >= 3 * j - 5,
         in_nonperiodicity_cone=cone,

@@ -21,6 +21,7 @@ from .bigraded import (
     PGroup,
     PHom,
     _compat_modulus,
+    free_first,
     map_key,
     per_call,
     phom_identity,
@@ -326,12 +327,9 @@ def _unit_normalized(col, p):
 
 def _sorted_generators(p, ambient, columns, exponents):
     """Free-first, nonincreasing-torsion PGroup on the columns of nonzero order, and its inclusion."""
-    keep = [(e, _unit_normalized(col, p)) for e, col in zip(exponents, columns) if e != 0]
-    keep.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
-    rank = sum(1 for e, _ in keep if e is None)
-    torsion = tuple(e for e, _ in keep if e is not None)
+    nonzero = ((e, _unit_normalized(col, p)) for e, col in zip(exponents, columns) if e != 0)
+    group, keep = free_first(p, nonzero)
     cols = [col for _, col in keep]
-    group = PGroup(p, rank, torsion)
     incl = PHom(group, ambient, reduce_entries(group, ambient, from_columns(cols, ambient.ngens)))
     return group, incl
 
@@ -413,10 +411,7 @@ def cokernel(f):
             rep = tuple(-x for x in rep)
             row = tuple(-x for x in row)
         kept.append((v, row, rep))
-    kept.sort(key=lambda g: (0, 0) if g[0] is None else (1, -g[0]))
-    rank = sum(1 for v, _, _ in kept if v is None)
-    torsion = tuple(v for v, _, _ in kept if v is not None)
-    group = PGroup(p, rank, torsion)
+    group, kept = free_first(p, kept)
     proj_rows = tuple(row for _, row, _ in kept)
     proj = PHom(f.target, group, reduce_entries(f.target, group, proj_rows))
     return group, proj, from_columns([rep for _, _, rep in kept], nB)

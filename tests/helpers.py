@@ -1,8 +1,6 @@
 """Maps and module operations only the tests use: scalar maps, cellwise sums and comparisons."""
 
 from fracture.bigraded import (
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     BigradedModule,
     Multiplier,
     PHom,
@@ -49,12 +47,14 @@ def direct_sum(a, b):
             f = (ja @ fa @ pa) + (jb @ fb @ pb)
             if not f.is_zero():
                 actions[(name, d)] = f
-    flags = {}
-    for d in set(cells) | set(a.flags) | set(b.flags):
-        fl = (a.flag(d), b.flag(d))
-        flags[d] = FLAG_BOUNDARY if FLAG_BOUNDARY in fl else FLAG_VERIFIED
     return BigradedModule(
-        a.prime, a.window, cells, actions, mults, flags, caveats=tuple(dict.fromkeys(a.caveats + b.caveats))
+        a.prime,
+        a.window,
+        cells,
+        actions,
+        mults,
+        a.unverified | b.unverified,
+        caveats=tuple(dict.fromkeys(a.caveats + b.caveats)),
     )
 
 

@@ -15,7 +15,6 @@ import time
 
 from fracture.assembler import CONTRACT_MESSAGE, corners, odd_split, realize
 from fracture.bigraded import (
-    FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
     Multiplier,
@@ -67,7 +66,7 @@ def test_criterion_1_hf2_reproduction() -> None:
     reference = reference_realization("hf2", 2, window)
     assert cellwise_diff(report.result, reference) == []
     assert report.result.cell((0, 2)) == PGroup(2, 0, (1,))
-    assert all(fl == FLAG_VERIFIED for fl in report.result.flags.values())
+    assert report.result.unverified == frozenset()
     assert time.monotonic() - t0 < TIME_BUDGET
 
 
@@ -135,7 +134,7 @@ def test_criterion_4_odd_prime_split() -> None:
     square = corners(expand(preset_presentation("hfp_odd", 3), big), rho_complete=True, steps=pad)
     for d in Window(*window).cells():
         assert square.tate.cell(d).is_zero()
-        assert square.tate.flag(d) == FLAG_VERIFIED
+        assert d not in square.tate.unverified
     assert time.monotonic() - t0 < TIME_BUDGET
 
 
@@ -280,9 +279,9 @@ def test_criterion_6c_localization_idempotent_and_invertible() -> None:
         twice = invert(once, name, steps=3)
         delta = once.multipliers[name]
         for d in once.window.cells():
-            if once.flag(d) != FLAG_VERIFIED:
+            if d in once.unverified:
                 continue
-            if twice.flag(d) == FLAG_VERIFIED:
+            if d not in twice.unverified:
                 assert twice.cell(d) == once.cell(d)
                 if not once.cell(d).is_zero():
                     idempotence_checked += 1
@@ -290,7 +289,7 @@ def test_criterion_6c_localization_idempotent_and_invertible() -> None:
             if (
                 not once.cell(d).is_zero()
                 and once.window.contains(target)
-                and once.flag(target) == FLAG_VERIFIED
+                and target not in once.unverified
             ):
                 assert is_isomorphism(act(once, name, d))
                 iso_checked += 1

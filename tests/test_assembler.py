@@ -18,8 +18,6 @@ from fracture.assembler import (
     select_tau_power,
 )
 from fracture.bigraded import (
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
     PGroup,
@@ -151,7 +149,7 @@ def test_square_commutes_on_verified_cells() -> None:
     other = invert(square.phi, square.tau_name, steps=12)
     checked = 0
     for d in Window(-2, 2, -2, 2).cells():
-        if FLAG_VERIFIED == square.tate.flag(d) == other.flag(d):
+        if d not in square.tate.unverified | other.unverified:
             assert square.tate.cell(d) == other.cell(d), d
             checked += 1
     assert checked >= 20
@@ -166,7 +164,7 @@ def test_corner_maps_commute_with_actions() -> None:
         for d in Window(-4, 4, -4, 4).cells():
             t = d + delta
             cells = ((h, d), (phi, d), (tate, d), (h, t), (phi, t), (tate, t))
-            if any(m.flag(e) != FLAG_VERIFIED for m, e in cells):
+            if any(e in m.unverified for m, e in cells):
                 continue
             h_to_t, phi_to_t = square.maps_to_t(d)
             h_to_t_there, phi_to_t_there = square.maps_to_t(t)
@@ -185,8 +183,7 @@ def test_assemble_without_padding_flags_boundary() -> None:
     report = assemble(corners(module, rho_complete=True))
     result = report.result
     assert result.cell((-3, -3)) == PGroup(2, 0, (1,))
-    assert result.flag((-3, -3)) == FLAG_BOUNDARY
-    assert result.flag((0, 0)) == FLAG_BOUNDARY
+    assert {(-3, -3), (0, 0)} <= result.unverified
 
 
 def test_assemble_refuses_a_window_outside_the_corners() -> None:
@@ -204,7 +201,7 @@ def test_realize_matches_reference(name, window) -> None:
     assert report.certificates_hold()
     assert report.dropped == ()
     assert validate_module(report.result) == []
-    assert all(f == FLAG_VERIFIED for f in report.result.flags.values())
+    assert report.result.unverified == frozenset()
     assert all(p.extension == "split" for p in report.parts.values())
     assert set(report.parts) == set(report.result.cells)
 
@@ -220,6 +217,19 @@ def test_hf2_splice_parts() -> None:
     assert origin.cokernel.is_zero()
     certs = report.certificates()
     assert certs[BiDegree(0, 2)] == ((0, 1), (0, 0), (0, 1))
+
+
+def test_certificate_failures_name_each_failing_cell() -> None:
+    report = realize("hf2", 2, Window(-2, 2, -2, 2))
+    assert report.certificate_failures() == []
+    # a part that no longer adds up to its cell fails the order equation
+    parts = dict(report.parts)
+    parts[BiDegree(0, 0)] = parts[BiDegree(0, 0)]._replace(kernel=PGroup(2, 1))
+    broken = report._replace(parts=parts)
+    assert broken.certificate_failures() == [
+        "cell (0, 0): splice order equation fails: (0, 1) != (1, 0) + (0, 0)"
+    ]
+    assert not broken.certificates_hold()
 
 
 def test_hz2_splice_free_kernel() -> None:
@@ -305,7 +315,7 @@ def test_far_corner_realizes_with_a_deep_pad() -> None:
     report = realize("HF2_R", 2, FAR_CORNER, pad=14)
     assert cellwise_diff(report.result, reference_realization("HF2_R", 2, FAR_CORNER)) == []
     assert report.certificates_hold()
-    assert all(report.result.flag(d) == FLAG_VERIFIED for d in Window(*FAR_CORNER).cells())
+    assert report.result.unverified == frozenset()
 
 
 # The default pad cuts the far corner's rho-chains short, so the defect

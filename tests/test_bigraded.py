@@ -7,8 +7,6 @@ import pytest
 from fracture.bigraded import (
     BiDegree,
     BigradedModule,
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     PGroup,
     PHom,
     Window,
@@ -166,13 +164,25 @@ def test_direct_sum_and_restrict() -> None:
 
 def test_flags_default_and_propagate() -> None:
     m = _two_cell_module()
-    assert m.flag((0, 0)) == FLAG_VERIFIED
-    flagged = BigradedModule(
-        2, m.window, dict(m.cells), {}, dict(m.multipliers), {BiDegree(0, 0): FLAG_BOUNDARY}
-    )
+    assert m.unverified == frozenset()
+    flagged = BigradedModule(2, m.window, dict(m.cells), {}, dict(m.multipliers), [(0, 0)])
     s = direct_sum(m, flagged)
-    assert s.flag((0, 0)) == FLAG_BOUNDARY
-    assert s.flag((0, -1)) == FLAG_VERIFIED
+    assert s.unverified == {BiDegree(0, 0)}
+    assert BiDegree(0, -1) not in s.unverified
+
+
+def test_unverified_is_a_frozenset_of_window_degrees() -> None:
+    m = _two_cell_module()
+    w = m.window
+    # a zero cell may be unverified; a degree outside the window is dropped
+    zero = BiDegree(w.imin, w.jmin)
+    assert m.cell(zero).is_zero()
+    marked = BigradedModule(2, w, dict(m.cells), {}, dict(m.multipliers), [(0, 0), zero, (w.imax + 1, 0)])
+    assert isinstance(marked.unverified, frozenset)
+    assert marked.unverified == {BiDegree(0, 0), zero}
+    assert all(type(d) is BiDegree for d in marked.unverified)
+    assert restrict(marked, Window(0, 0, w.jmin, w.jmax)).unverified == {BiDegree(0, 0)}
+    assert not hasattr(marked, "flags") and not hasattr(marked, "flag")
 
 
 def test_window_helpers() -> None:

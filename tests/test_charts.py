@@ -11,15 +11,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fracture.assembler import realize
+from fracture.assembler import AssemblyReport, assemble, corners, realize
 from fracture.bigraded import (
-    FLAG_BOUNDARY,
     BigradedModule,
     PGroup,
     PHom,
     Window,
 )
 from fracture.charts import (
+    FLAG_BOUNDARY,
+    FLAG_VERIFIED,
     chart_payload,
     emit_json,
     load_json,
@@ -27,6 +28,7 @@ from fracture.charts import (
     render_ascii,
     render_svg,
 )
+from fracture.localization import complete, invert
 from fracture.presentation import expand
 from fracture.presets import preset_presentation, reference_realization
 
@@ -45,7 +47,7 @@ def small_module() -> BigradedModule:
         {(0, 0): a, (-1, -1): b},
         {("rho", (0, 0)): rho},
         {"rho": (-1, -1)},
-        {(1, 1): FLAG_BOUNDARY},
+        [(1, 1)],
     )
 
 
@@ -95,7 +97,7 @@ def test_json_round_trip_is_identity_on_bytes() -> None:
         back = load_json(blob)
         assert emit_json(back) == blob
         assert cellwise_equal(back, module)
-        assert back.flags == module.flags
+        assert back.unverified == module.unverified
         assert set(back.actions) == set(module.actions)
         for key, f in module.actions.items():
             assert back.actions[key].same_map(f)
@@ -109,7 +111,49 @@ def test_json_keeps_unverified_zero_cells() -> None:
     assert flagged["torsion"] == []
     assert flagged["flags"] == [FLAG_BOUNDARY]
     back = load_json(emit_json(module))
-    assert back.flag((1, 1)) == FLAG_BOUNDARY
+    assert back.unverified == {(1, 1)}
+
+
+@pytest.mark.parametrize("flags", [["maybe"], ["verified", "maybe"], ["Verified"]])
+def test_load_json_refuses_an_unknown_flag(flags) -> None:
+    payload = chart_payload(small_module())
+    cell = next(c for c in payload["cells"] if (c["i"], c["j"]) == (0, 0))
+    cell["flags"] = flags
+    with pytest.raises(ValueError, match=rf"^cell \(0, 0\): unknown flag '{flags[-1]}'$"):
+        load_json(json.dumps(payload))
+
+
+EMISSIONS = {
+    "hand": small_module,
+    "expand-kgl2": lambda: expand(preset_presentation("kgl2"), SQUARE_5),
+    "invert-hf2": lambda: invert(expand(preset_presentation("hf2"), SQUARE_5), "tau"),
+    "complete-hz2": lambda: complete(expand(preset_presentation("hz2"), SQUARE_5), "rho"),
+    "unpadded-hf2": lambda: assemble(
+        corners(expand(preset_presentation("hf2"), Window(-3, 3, -3, 3)), rho_complete=True)
+    ),
+    "realize-kgl2": lambda: realize("kgl2", 2, (-3, 3, -3, 3)),
+    "realize-hfp-odd": lambda: realize("hfp_odd", 3, (-3, 3, -3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMISSIONS))
+def test_every_emission_round_trips_byte_for_byte(name) -> None:
+    obj = EMISSIONS[name]()
+    module = obj.result if isinstance(obj, AssemblyReport) else obj
+    blob = emit_json(module)
+    back = load_json(blob)
+    assert emit_json(back) == blob
+    assert back.unverified == module.unverified
+    # a report's emission reloads as its result module
+    assert emit_json(load_json(emit_json(obj))) == blob
+
+
+def test_round_tripped_emissions_cover_both_flags() -> None:
+    flags = set()
+    for build in EMISSIONS.values():
+        for cell in chart_payload(build())["cells"]:
+            flags.update(cell["flags"])
+    assert flags == {FLAG_VERIFIED, FLAG_BOUNDARY}
 
 
 def test_report_emission_carries_provenance() -> None:

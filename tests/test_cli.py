@@ -1,24 +1,27 @@
 """Driver tests: flags, formats, files, exit codes and the refusal path.
 
 Most cases call main() in process and compare output bytes against the
-library functions the subcommands wrap.  The realize round trip and the
+library functions the subcommands wrap; the README's command lines and
+each subcommand's --help run the same way.  The realize round trip and the
 refusal contract also run as real subprocesses, since their exit status
 is part of the interface.
 """
 
 import argparse
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fracture.assembler import CONTRACT_MESSAGE, realize
 from fracture.bigraded import Window
 from fracture.charts import emit_json, render_ascii
-from fracture.cli import main, window_arg
+from fracture.cli import build_parser, main, window_arg
 from fracture.localization import COMPLETION_CAVEAT, invert
-from fracture.presentation import BUDGET_ENV_VAR, expand
+from fracture.presentation import BUDGET_ENV_VAR, expand, print_presentation
 from fracture.presets import preset_presentation, reference_realization
 
 RHO_INVERTED_SOURCE = """\
@@ -124,6 +127,17 @@ def test_check_reports_ok(capsysbinary) -> None:
     assert "certificates hold" in out
 
 
+def test_check_prints_failing_certificates(monkeypatch, capsysbinary) -> None:
+    report = realize("hf2", 2, (-2, 2, -2, 2))
+    part = report.parts[(0, 0)]
+    broken = report._replace(parts={**report.parts, (0, 0): part._replace(kernel=part.cokernel)})
+    monkeypatch.setattr("fracture.cli.realize", lambda *args, **kwargs: broken)
+    assert main(["check", "--module", "hf2", "--window", "-2:2,-2:2"]) == 1
+    out = capsysbinary.readouterr().out.decode("utf-8")
+    assert out == "".join(line + "\n" for line in broken.certificate_failures())
+    assert out.startswith("cell (0, 0): splice order equation fails:")
+
+
 def test_refusal_exits_nonzero_with_contract_message(tmp_path) -> None:
     src = tmp_path / "rho_inverted.txt"
     src.write_text(RHO_INVERTED_SOURCE, encoding="utf-8")
@@ -198,3 +212,47 @@ def test_bad_cell_budget_variable_is_refused_by_name(monkeypatch, capsysbinary, 
     assert main(["expand", "--module", "hf2", "--window", "-2:2,-2:2"]) == 1
     err = capsysbinary.readouterr().err.decode("utf-8")
     assert err == f"error: {BUDGET_ENV_VAR} must be an integer of at least 1, got '{value}'\n"
+
+
+def subcommand_texts():
+    """Each subcommand's name and the text fracture --help lists for it."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(choice.dest, choice.help) for choice in sub._choices_actions]
+
+
+@pytest.mark.parametrize("name,text", subcommand_texts(), ids=[name for name, _ in subcommand_texts()])
+def test_subcommand_help_says_what_it_does(name, text, capsys) -> None:
+    assert main([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: fracture {name}")
+    # argparse rewraps the description to the terminal width
+    assert " ".join(text.split()) in " ".join(out.split())
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_command_lines():
+    """The fracture lines of the sh block in README's Command line section."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("fracture ")]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_exits_zero(line, tmp_path, capsysbinary) -> None:
+    module = tmp_path / "my_module.txt"
+    pres = preset_presentation("hf2")._replace(window=Window(-3, 3, -3, 3))
+    module.write_text(print_presentation(pres), encoding="utf-8")
+    argv = [str(module) if arg == "my_module.txt" else arg for arg in shlex.split(line)[1:]]
+    out = None
+    if "--out" in argv:
+        k = argv.index("--out") + 1
+        out = argv[k] = str(tmp_path / argv[k])
+    assert main(argv) == 0, capsysbinary.readouterr().err
+    assert out is None or Path(out).stat().st_size > 0
+
+
+def test_readme_lists_every_subcommand() -> None:
+    used = {shlex.split(line)[1] for line in readme_command_lines()}
+    assert used == {name for name, _ in subcommand_texts()}

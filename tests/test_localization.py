@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 import fracture.localization as localization
 from fracture.bigraded import (
-    FLAG_BOUNDARY,
-    FLAG_VERIFIED,
     KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
     BigradedModule,
@@ -132,9 +130,9 @@ def test_invert_reads_the_deepest_stage_and_flags_honestly() -> None:
     inv = invert(module, S)
     for k in range(3):
         assert inv.cell((k, 0)) == PGroup(2, 0, (2,))
-    assert inv.flag((0, 0)) == FLAG_VERIFIED
-    assert inv.flag((1, 0)) == FLAG_VERIFIED
-    assert inv.flag((2, 0)) == FLAG_BOUNDARY
+    assert (0, 0) not in inv.unverified
+    assert (1, 0) not in inv.unverified
+    assert (2, 0) in inv.unverified
     # the multiplier acts as the identity on the common deepest stage
     assert act(inv, "s", (0, 0)).entries == ((1,),)
     assert act(inv, "s", (1, 0)).entries == ((1,),)
@@ -145,16 +143,15 @@ def test_invert_is_idempotent_on_verified_cells() -> None:
     module = chain_module([PGroup(2, 0, (2,))] * 3, [[[2]], [[1]]])
     once = invert(module, S)
     twice = invert(once, S)
-    for d, flag in once.flags.items():
-        if flag == FLAG_VERIFIED:
-            assert twice.cell(d) == once.cell(d)
+    for d in set(once.cells) - once.unverified:
+        assert twice.cell(d) == once.cell(d)
 
 
 def test_invert_drops_actions_it_cannot_transport() -> None:
     module = chain_module([PGroup(2, 0, (2,))] * 2, [[[2]]])
     inv = invert(module, S)
     assert inv.cell((0, 0)) == PGroup(2, 0, (2,))
-    assert inv.flag((0, 0)) == FLAG_BOUNDARY
+    assert (0, 0) in inv.unverified
     assert ("s", BiDegree(0, 0)) not in inv.actions
 
 
@@ -176,13 +173,13 @@ def test_complete_quotients_by_the_deepest_image() -> None:
     done = complete(module, S)
     # at (2,0) the two-step image is 4 = 0, so the cell is certified whole
     assert done.cell((2, 0)) == PGroup(2, 0, (2,))
-    assert done.flag((2, 0)) == FLAG_VERIFIED
+    assert (2, 0) not in done.unverified
     # at (1,0) only one step is visible and its image is 2Z/4
     assert done.cell((1, 0)) == PGroup(2, 0, (1,))
-    assert done.flag((1, 0)) == FLAG_BOUNDARY
+    assert (1, 0) in done.unverified
     # at (0,0) nothing is visible and the cell passes through untouched
     assert done.cell((0, 0)) == PGroup(2, 0, (2,))
-    assert done.flag((0, 0)) == FLAG_BOUNDARY
+    assert (0, 0) in done.unverified
     assert COMPLETION_CAVEAT in done.caveats
 
 
@@ -201,12 +198,12 @@ def test_complete_flags_actions_that_do_not_descend() -> None:
     # across the last one, so only a failed action can flag it
     plain = completed(x_chain)
     assert plain.cell((2, 0)) == plain.cell((3, 0)) == PGroup(2, 0, (1,))
-    assert plain.flag((2, 0)) == plain.flag((3, 0)) == FLAG_VERIFIED
+    assert plain.unverified.isdisjoint({(2, 0), (3, 0)})
     # y sends the x-image off itself, so it induces no map of the quotients
     done = completed({**x_chain, **off_image})
     assert done.cell((2, 0)) == PGroup(2, 0, (1,))
-    assert done.flag((2, 0)) == FLAG_BOUNDARY
-    assert done.flag((3, 0)) == FLAG_VERIFIED
+    assert (2, 0) in done.unverified
+    assert (3, 0) not in done.unverified
     assert ("y", BiDegree(2, 0)) not in done.actions
 
 
@@ -254,14 +251,14 @@ def test_complete_flags_a_cell_whose_action_fails_to_induce(middle, rho_in, bad,
     control = _tau_off_a_rho_chain(middle, rho_in, *good)
     assert _quotient_reason(control) is None
     fine = complete(control, "rho", steps=2)
-    assert fine.flag(d) == FLAG_VERIFIED
+    assert d not in fine.unverified
     assert ("tau", d) in fine.actions
 
     module = _tau_off_a_rho_chain(middle, rho_in, *bad)
     assert _quotient_reason(module) == reason
     done = complete(module, "rho", steps=2)
     assert done.cell(d) == fine.cell(d)
-    assert done.flag(d) == FLAG_BOUNDARY
+    assert d in done.unverified
     assert ("tau", d) not in done.actions
 
 
@@ -286,7 +283,7 @@ def test_inverted_preset_obeys_the_support_law() -> None:
         expected = d.i >= d.j
         assert (not inv.cell(d).is_zero()) == expected, d
         if expected:
-            assert inv.flag(d) == FLAG_VERIFIED, d
+            assert d not in inv.unverified, d
 
 
 def test_inverted_preset_order_bound_at_full_depth() -> None:
@@ -318,7 +315,7 @@ def test_completion_fixes_rho_complete_presets() -> None:
         expected = expand(preset_presentation(name, prime), core)
         assert cellwise_equal(done, expected)
         for d in done.cells:
-            assert done.flag(d) == FLAG_VERIFIED, (name, d)
+            assert d not in done.unverified, (name, d)
     assert act(done, "tau2", (0, 0)).entries == ((1,),)
 
 
@@ -328,7 +325,7 @@ def test_multiplier_acts_invertibly_between_verified_cells() -> None:
     checked = 0
     for d in core.cells():
         t = d + BiDegree(-1, -1)
-        if inv.flag(d) == inv.flag(t) == FLAG_VERIFIED and not inv.cell(d).is_zero():
+        if inv.unverified.isdisjoint({d, t}) and not inv.cell(d).is_zero():
             assert is_isomorphism(act(inv, "rho", d)), d
             checked += 1
     assert checked > 20
@@ -373,7 +370,7 @@ def test_zero_end_verdict_matches_the_isomorphism_test(case) -> None:
         n, e = chain_end(w, d, x.degree, K)
         if not module.cell(e).is_zero():
             continue
-        expected = n >= 1 and module.flag(e) == FLAG_VERIFIED and is_isomorphism(act(module, x, e - x.degree))
+        expected = n >= 1 and e not in module.unverified and is_isomorphism(act(module, x, e - x.degree))
         assert _stabilized(module, x, n, e) == expected, (d, e)
 
 

@@ -6,7 +6,9 @@ without PHom's checks only inside bigraded.py, where each such map is
 derived from maps already checked; the parser, the chart reader, snf and
 induced_map stay on the validating constructor.  Every module-level
 function and class is used somewhere in the package besides its own
-definition, and every import is read where it is made.
+definition, and every import is read where it is made.  The strings of
+the verification flags belong to the JSON format in charts.py; every
+other module reads a module's set of unverified cells.
 """
 
 import ast
@@ -65,6 +67,31 @@ def test_only_bigraded_builds_maps_without_checks() -> None:
 def test_the_trusted_constructor_is_named_where_the_rule_looks() -> None:
     source = (PACKAGE / "bigraded.py").read_text(encoding="utf-8")
     assert list(unchecked_constructions(ast.parse(source)))
+
+
+FLAG_STRINGS = ("verified", "boundary-unverified")
+
+
+def flag_string_lines(tree):
+    """Lines holding a string constant equal to a verification flag of the JSON format."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in FLAG_STRINGS:
+            yield node.lineno
+
+
+def test_only_charts_spells_the_flag_strings() -> None:
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "charts.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{line}" for line in flag_string_lines(tree)]
+    assert found == []
+
+
+def test_the_flag_strings_are_spelled_where_the_rule_looks() -> None:
+    source = (PACKAGE / "charts.py").read_text(encoding="utf-8")
+    assert len(list(flag_string_lines(ast.parse(source)))) == len(FLAG_STRINGS)
 
 
 def test_realize_loads_only_the_standard_library() -> None:

@@ -10,8 +10,8 @@ the checked construction on random maps.
 
 A localization of a truncated expansion approximates near the window
 edge, and there two actions need not commute.  validate_module reports
-that too; it is allowed only on squares that touch a cell flagged
-boundary-unverified, the same as when every map was validated.
+that too; it is allowed only on squares that touch an unverified cell,
+the same as when every map was validated.
 """
 
 import re
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from fracture.assembler import corners, odd_split, realize
 from fracture.bigraded import (
-    FLAG_VERIFIED,
     BiDegree,
     BigradedModule,
     PGroup,
@@ -66,7 +65,7 @@ def touches_unverified(module, violation):
         return False
     x, y = module.multipliers[match[1]], module.multipliers[match[2]]
     d = BiDegree(int(match[3]), int(match[4]))
-    return any(module.flag(c) != FLAG_VERIFIED for c in (d, d + x, d + y, d + x + y))
+    return any(c in module.unverified for c in (d, d + x, d + y, d + x + y))
 
 
 def assert_sound(module, truncated=False):
@@ -124,13 +123,12 @@ def test_restrict_equals_the_validated_construction(name, p) -> None:
         {d: g for d, g in module.cells.items() if sub.contains(d)},
         {(n, d): f for (n, d), f in module.actions.items() if sub.contains(d)},
         module.multipliers,
-        {d: fl for d, fl in module.flags.items() if sub.contains(d)},
+        [d for d in module.unverified if sub.contains(d)],
         module.caveats,
     )
     for slot in BigradedModule.__slots__:
         assert getattr(got, slot) == getattr(want, slot), slot
     assert list(got.cells) == list(want.cells)
-    assert list(got.flags) == list(want.flags)
     # modules stay independent of each other
     assert got.multipliers is not module.multipliers
     assert_sound(got)
