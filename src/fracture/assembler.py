@@ -101,7 +101,14 @@ class CellAssembly(NamedTuple):
 
 
 class AssemblyReport(NamedTuple):
-    """Realized module plus per-cell provenance and certificates."""
+    """Realized module plus per-cell provenance and certificates.
+
+    dropped holds one (name, d, why) per action the splice could not
+    build out of cell d, why naming the part that failed; the action is
+    left out and d is marked unverified.  A report from realize keeps the
+    entries of the whole assembly margin, so it can also list actions out
+    of margin cells outside the returned window.
+    """
 
     result: BigradedModule
     parts: dict
@@ -304,20 +311,14 @@ def assemble(square, window=None):
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 
-def _clip(box, window):
-    """The part of box inside window, or None when they do not meet."""
-    part = window.meet(Window(*box))
-    return part if part.imin <= part.imax and part.jmin <= part.jmax else None
-
-
 def _reach(module, box, *chains):
     """The part of the module's window that answering the box can read.
 
     The box grows by one step of any multiplier on every side (the action
     loops of invert and complete mark a cell from a target one step away)
     and is swept to the window's edge along each chain degree, so every
-    chain out of it runs exactly as far as in the whole window.  A box that
-    misses the window reaches all of it.
+    chain out of it runs exactly as far as in the whole window.  The box
+    must meet the window.
     """
     w = module.window
     degrees = list(module.multipliers.values()) + list(chains)
@@ -327,7 +328,7 @@ def _reach(module, box, *chains):
     for di, dj in chains:
         lo_i, hi_i = (w.imin if di < 0 else lo_i), (w.imax if di > 0 else hi_i)
         lo_j, hi_j = (w.jmin if dj < 0 else lo_j), (w.jmax if dj > 0 else hi_j)
-    return _clip((lo_i, hi_i, lo_j, hi_j), w) or w
+    return w.meet(Window(lo_i, hi_i, lo_j, hi_j))
 
 
 def rho_complete_defect(module, window=None):
@@ -336,12 +337,13 @@ def rho_complete_defect(module, window=None):
     An empty list is the necessary condition the realization contract
     asks for; a nonempty one is a proof of incompleteness.  Compare on a
     subwindow well inside the module's own, if one is given: cells near
-    the edge can show truncation artifacts that mean nothing.  Completion
+    the edge can show truncation artifacts that mean nothing.  A window
+    not inside the module's is refused with ValueError.  Completion
     at d reads the rho-chain that ends there, so only the compared cells
     are completed, on the part of the module those chains pass through and
     to the depth the whole module would get.
     """
-    window = module.window if window is None else Window(*window)
+    window = output_window(module, window)
     up = module.multiplier("rho").degree.scaled(-1)
     part = restrict(module, _reach(module, window, up))
     done = complete(part, "rho", steps=default_steps(module.window), window=window)
@@ -401,16 +403,20 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
 
     Kernels, cokernels, solves, direct sums and Smith normal forms are
     computed once per distinct input during the call (memo_scope).
+
+    The expansion runs under budget monomials, INTERNAL_BUDGET (2,000,000)
+    when budget is None; FRACTURE_CELL_BUDGET, which expand reads, is not
+    consulted.
     """
     expanded, core, pad = _expanded_for(_presentation_for(source, prime), window, pad, budget, rho_complete)
     # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
     m = ASSEMBLY_MARGIN
-    margin = _clip((core.imin - m, core.imax + m, core.jmin - m, core.jmax + m), expanded.window)
+    margin = expanded.window.meet(Window(core.imin - m, core.imax + m, core.jmin - m, core.jmax + m))
     tau = expanded.multiplier(select_tau_power(expanded))
     box = margin._replace(imax=margin.imax + BOUNDARY_SHIFT.i)
     reach = _reach(expanded, box, tau.degree, expanded.multiplier("rho").degree)
     # with pad = 1 the boundary column can stick out of the expansion
-    box = _clip(box, reach)
+    box = reach.meet(box)
     square = corners(restrict(expanded, reach), rho_complete=True, steps=pad, window=box)
     report = assemble(square, margin)
     result = restrict(report.result, core)
@@ -433,7 +439,8 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     The completion reads its chains from the opposite edge, so it reads
     all of the expansion but answers only on that part.  Each stage
     visits only the support of its input (see invert and complete), and
-    exact-algebra results are reused within the call, as in realize.
+    exact-algebra results are reused within the call, and the expansion
+    budget is INTERNAL_BUDGET unless budget is given, as in realize.
     """
     pres = _presentation_for(source, prime)
     if pres.prime == 2:

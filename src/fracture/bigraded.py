@@ -170,37 +170,28 @@ def memo_scope():
             _SCOPE.memo = None
 
 
-def per_call(key):
-    """Memoize a pure function inside memo_scope, keyed by key(*args).
+def per_call(fn):
+    """Memoize a pure function inside memo_scope, keyed by its arguments.
 
-    The key must cover everything the result depends on; it is built from
-    the matrices and groups themselves, and a repeated input gets the
-    stored result object back.  Only results are stored, so every stored
-    answer passed the checks of the call that computed it; a raise stores
-    nothing.
+    The arguments are groups, maps and integer tuples, which compare and
+    hash by value, so a repeated input gets the stored result object back.
+    Only results are stored, so every stored answer passed the checks of
+    the call that computed it; a raise stores nothing.
     """
 
-    def wrap(fn):
-        @wraps(fn)
-        def memoized(*args, **kwargs):
-            memo = active_memo()
-            if memo is None:
-                return fn(*args, **kwargs)
-            k = (fn, key(*args, **kwargs))
-            try:
-                return memo[k]
-            except KeyError:
-                out = memo[k] = fn(*args, **kwargs)
-                return out
+    @wraps(fn)
+    def memoized(*args):
+        memo = active_memo()
+        if memo is None:
+            return fn(*args)
+        k = (fn, args)
+        try:
+            return memo[k]
+        except KeyError:
+            out = memo[k] = fn(*args)
+            return out
 
-        return memoized
-
-    return wrap
-
-
-def map_key(f):
-    """Everything a result can read off a PHom: its groups and its matrix."""
-    return (f.source, f.target, f.entries)
+    return memoized
 
 
 class PGroup:
@@ -296,13 +287,15 @@ def _compat_modulus(p, e_src, e_tgt):
 class PHom:
     """Map of PGroups given by an integer matrix (target gens x source gens).
 
-    Entries into a torsion generator of order p^f are classes mod p^f; two
-    homs are the same map when they agree modulo those orders.
+    Entries into a torsion generator of order p^f are classes mod p^f, and
+    every PHom stores them reduced into [0, p^f), so each map has exactly
+    one matrix: maps are equal, and hash equal, when their groups and
+    entries are.
 
     PHom(...) checks shape and torsion compatibility; use it for every map
     that comes from outside or from fresh arithmetic.  Maps derived from
-    valid maps (composites, sums, negations, reductions, zero and identity
-    maps) are built by _trusted_phom without the checks.
+    valid maps (composites, sums, negations, zero and identity maps) are
+    built by _trusted_phom without the checks.
     """
 
     __slots__ = ("source", "target", "entries")
@@ -331,7 +324,7 @@ class PHom:
                     raise ValueError(f"entry ({t},{s})={x} violates torsion compatibility mod {m}")
         self.source = source
         self.target = target
-        self.entries = entries
+        self.entries = reduce_entries(target, entries)
 
     @property
     def prime(self):
@@ -344,44 +337,33 @@ class PHom:
         # entry (t, s) sums products divisible by p^(f_t - e_k) * p^(e_k - e_s),
         # so the composite of compatible maps is compatible
         entries = mat_mul(self.entries, other.entries, self.source.ngens, other.source.ngens)
-        return _trusted_phom(other.source, self.target, reduce_entries(other.source, self.target, entries))
+        return _trusted_phom(other.source, self.target, reduce_entries(self.target, entries))
 
     def __add__(self, other):
         if other.source != self.source or other.target != self.target:
             raise ValueError("sum mismatch")
         entries = mat_add(self.entries, other.entries) if self.entries else self.entries
-        return _trusted_phom(self.source, self.target, reduce_entries(self.source, self.target, entries))
+        return _trusted_phom(self.source, self.target, reduce_entries(self.target, entries))
 
     def __neg__(self):
-        return _trusted_phom(self.source, self.target, mat_neg(self.entries))
+        return _trusted_phom(self.source, self.target, reduce_entries(self.target, mat_neg(self.entries)))
 
     def __sub__(self, other):
         return self + (-other)
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, PHom)
+            and self.entries == other.entries
+            and self.source == other.source
+            and self.target == other.target
+        )
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.entries))
+
     def is_zero(self):
-        tgt_e = self.target.exponents()
-        p = self.prime
-        for t, row in enumerate(self.entries):
-            for x in row:
-                if tgt_e[t] is None:
-                    if x != 0:
-                        return False
-                elif x % p ** tgt_e[t]:
-                    return False
-        return True
-
-    def same_map(self, other):
-        if self.source != other.source or self.target != other.target:
-            return False
-        return (self + (-other)).is_zero()
-
-    def reduced(self):
-        """The same map with entries reduced modulo the target orders.
-
-        A stored action need not be reduced; a composite already is.
-        """
-        entries = reduce_entries(self.source, self.target, self.entries)
-        return self if entries == self.entries else _trusted_phom(self.source, self.target, entries)
+        return not any(map(any, self.entries))
 
     def __repr__(self):
         return f"PHom({self.source!r} -> {self.target!r}, {self.entries})"
@@ -391,8 +373,9 @@ def _trusted_phom(source, target, entries):
     """A PHom built without PHom's checks; only for maps valid by construction.
 
     entries must be a tuple of int tuples of the right shape, compatible
-    with the torsion of source and target.  Callers derive them from maps
-    that were already checked, by operations that keep compatibility.
+    with the torsion of source and target and reduced mod the target
+    orders.  Callers derive them from maps that were already checked, by
+    operations that keep compatibility.
     """
     f = object.__new__(PHom)
     f.source = source
@@ -401,16 +384,15 @@ def _trusted_phom(source, target, entries):
     return f
 
 
-def reduce_entries(source, target, entries):
+def reduce_entries(target, entries):
     """Canonical representatives: reduce mod the target order rowwise."""
     p = target.prime
-    tgt_e = target.exponents()
     out = []
-    for t, row in enumerate(entries):
-        if tgt_e[t] is None:
+    for e, row in zip(target.exponents(), entries):
+        if e is None:
             out.append(tuple(row))
         else:
-            m = p ** tgt_e[t]
+            m = p ** e
             out.append(tuple(x % m for x in row))
     return tuple(out)
 
@@ -435,7 +417,7 @@ def free_first(prime, gens):
     return PGroup(prime, len(gens) - len(torsion), torsion), gens
 
 
-@per_call(lambda a, b: (a, b))
+@per_call
 def pgroup_sum(a, b):
     """Direct sum with the four canonical structure maps.
 
@@ -476,7 +458,7 @@ def sum_map(source, target, blocks):
             out = entries[r]
             for c, x in zip(cols, row):
                 out[c] += x
-    return _trusted_phom(source, target, reduce_entries(source, target, entries))
+    return _trusted_phom(source, target, reduce_entries(target, entries))
 
 
 class BigradedModule:
@@ -586,7 +568,7 @@ def validate_module(module):
                     continue
                 xy = act(module, y, d + dx) @ act(module, x, d)
                 yx = act(module, x, d + dy) @ act(module, y, d)
-                if not xy.same_map(yx):
+                if xy != yx:
                     out.append(f"actions {x},{y} at {tuple(d)}: composites differ")
     return out
 

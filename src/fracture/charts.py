@@ -42,7 +42,6 @@ from .bigraded import (
     PGroup,
     PHom,
     Window,
-    reduce_entries,
 )
 
 FLAG_VERIFIED = "verified"
@@ -89,8 +88,7 @@ def chart_payload(obj):
         cells.append(entry)
     edges = []
     for name, d in sorted(module.actions, key=lambda k: (k[1][0], k[1][1], k[0])):
-        f = module.actions[(name, d)]
-        matrix = reduce_entries(f.source, f.target, f.entries)
+        matrix = module.actions[(name, d)].entries
         edges.append({"from": [d.i, d.j], "mult": name, "matrix": [list(r) for r in matrix]})
     payload = {
         "prime": module.prime,
@@ -120,31 +118,49 @@ def emit_json(obj):
     return (json.dumps(chart_payload(obj), sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
+def _integers(x, where):
+    """x, an int or nested lists of ints, with lists as tuples; else a ValueError naming where."""
+    if isinstance(x, list):
+        return tuple(_integers(y, where) for y in x)
+    if type(x) is not int:
+        raise ValueError(f"{where}: {x!r} is not an integer")
+    return x
+
+
 def load_json(data):
     """Rebuild a BigradedModule from emit_json output.
 
     Provenance entries are display data and are not reloaded; loading
     the emission of a report gives its result module.  Emission of the
-    loaded module reproduces the module emission byte for byte.  A flag
-    other than the two this format writes is refused with ValueError.
+    loaded module reproduces the module emission byte for byte.  What
+    this format never writes is refused with a ValueError naming the
+    cell or edge: a flag other than its two, a number that is not an
+    integer, a cell outside the window or listed twice, and an edge whose
+    endpoint is not a listed cell.
     """
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     payload = json.loads(data)
-    prime = payload["prime"]
+    prime = _integers(payload["prime"], "prime")
     w = payload["window"]
-    window = Window(w["imin"], w["imax"], w["jmin"], w["jmax"])
+    window = Window(*_integers([w["imin"], w["imax"], w["jmin"], w["jmax"]], "window"))
     cells = {}
     unverified = set()
     for entry in payload["cells"]:
-        d = BiDegree(entry["i"], entry["j"])
-        cells[d] = PGroup(prime, entry["rank"], tuple(entry["torsion"]))
+        where = f"cell ({entry['i']!r}, {entry['j']!r})"
+        i, j, rank, torsion = _integers([entry["i"], entry["j"], entry["rank"], entry["torsion"]], where)
+        d = BiDegree(i, j)
+        if not window.contains(d):
+            raise ValueError(f"{where}: outside the window {tuple(window)}")
+        if d in cells:
+            raise ValueError(f"{where}: listed twice")
+        cells[d] = PGroup(prime, rank, torsion)
         for flag in entry.get("flags") or ():
             if flag == FLAG_BOUNDARY:
                 unverified.add(d)
             elif flag != FLAG_VERIFIED:
-                raise ValueError(f"cell {tuple(d)}: unknown flag {flag!r}")
-    multipliers = {name: BiDegree(*deg) for name, deg in payload.get("multipliers", {}).items()}
+                raise ValueError(f"{where}: unknown flag {flag!r}")
+    multipliers = {n: BiDegree(*_integers(deg, f"multiplier {n}")) for n, deg in payload.get("multipliers", {}).items()}
     actions = {}
     for edge in payload.get("edges", ()):
         name = edge["mult"]
@@ -153,10 +169,13 @@ def load_json(data):
             if deg is None:
                 raise ValueError(f"edge multiplier {name!r} has no known degree")
             multipliers[name] = BiDegree(*deg)
-        d = BiDegree(*edge["from"])
+        where = f"edge {name} from {tuple(edge['from'])}"
+        d = BiDegree(*_integers(edge["from"], where))
         t = d + multipliers[name]
-        f = PHom(cells[d], cells[t], tuple(tuple(r) for r in edge["matrix"]))
-        actions[(name, d)] = f
+        for c in (d, t):
+            if c not in cells:
+                raise ValueError(f"{where}: endpoint {tuple(c)} is not a listed cell")
+        actions[(name, d)] = PHom(cells[d], cells[t], _integers(edge["matrix"], where))
     caveats = tuple(payload.get("caveats", ()))
     return BigradedModule(prime, window, cells, actions, multipliers, unverified, caveats)
 

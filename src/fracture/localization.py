@@ -27,7 +27,6 @@ from .bigraded import (
     multiplier,
     phom_identity,
     phom_zero,
-    reduce_entries,
 )
 from .matrices import column, identity, mat_mul
 from .snf import cokernel, invert_iso, is_isomorphism, span_equal
@@ -126,10 +125,8 @@ def chain_composite(module, mult, start):
     (front); each action is composed into back once and into front at most
     once, so a span costs a few compositions instead of hi - lo.
 
-    Composites come out with entries reduced modulo the target orders, and
-    those are determined by the map alone: compatibility of the middle
-    factor kills whatever the reduction of an inner product changes.  The
-    order of composition therefore cannot show in the result.
+    A map has exactly one matrix (see PHom), so the order of composition
+    cannot show in the result.
     """
     step = mult.degree
     front = {}
@@ -148,7 +145,7 @@ def chain_composite(module, mult, start):
         if top is None or lo >= top:
             front, back, pending, mid, top = {}, None, [], lo, lo
         while top < hi:
-            f = act(module, mult, at(top)).reduced()
+            f = act(module, mult, at(top))
             pending.append(f)
             back = f if back is None else f @ back
             top += 1
@@ -245,10 +242,10 @@ def induced_map(f, source, target):
     middle = mat_mul(proj_t.entries, f.entries, f.target.ngens, f.source.ngens)
     entries = mat_mul(middle, section_s, f.source.ngens, q_s.ngens)
     try:
-        induced = PHom(q_s, q_t, reduce_entries(q_s, q_t, entries))
+        induced = PHom(q_s, q_t, entries)
     except ValueError:
         return None, "does not descend"
-    if not (induced @ proj_s).same_map(proj_t @ f):
+    if induced @ proj_s != proj_t @ f:
         return None, "is not well defined"
     return induced, None
 
@@ -375,7 +372,7 @@ def invert(module, mult, steps=None, window=None):
             if not out.contains(t):
                 continue
             if shift == 0:
-                f = act(module, y, e).reduced()
+                f = act(module, y, e)
             elif shift > 0:
                 # walk y once, then catch up along x inside the target chain
                 f = power(e + y.degree, shift) @ act(module, y, e)

@@ -29,7 +29,7 @@ import re
 from operator import add
 from typing import NamedTuple
 
-from .bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, _is_prime, reduce_entries
+from .bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, _is_prime
 from .snf import valuation
 
 DEFAULT_CELL_BUDGET = 100_000
@@ -371,6 +371,5 @@ def expand(pres, window=None, budget=None):
                     continue
                 r, v_tgt = hit
                 rows[r][c] = p ** (vexp + v - v_tgt)
-            entries = reduce_entries(cells[deg], cells[tgt_deg], rows)
-            actions[(name, deg)] = PHom(cells[deg], cells[tgt_deg], entries)
+            actions[(name, deg)] = PHom(cells[deg], cells[tgt_deg], rows)
     return BigradedModule(p, window, cells, actions, multipliers)

@@ -22,10 +22,8 @@ from .bigraded import (
     PHom,
     _compat_modulus,
     free_first,
-    map_key,
     per_call,
     phom_identity,
-    reduce_entries,
 )
 from .matrices import column, from_columns, hstack, identity, mat_mul
 
@@ -121,13 +119,9 @@ class SnfResult:
         return True
 
 
-def _snf_key(a, p, rows=None, cols=None):
-    return (p, rows, cols, tuple(map(tuple, a)))
-
-
-@per_call(_snf_key)
+@per_call
 def smith_normal_form(a, p, rows=None, cols=None):
-    """Exact SNF of an integer matrix, interpreted over Z_(p).
+    """Exact SNF of an integer matrix (a tuple of row tuples), interpreted over Z_(p).
 
     >>> r = smith_normal_form(((2, 1), (4, 3)), 2)
     >>> r.valuations
@@ -232,7 +226,7 @@ def smith_normal_form(a, p, rows=None, cols=None):
         tuple(tuple(r) for r in V),
         tuple(tuple(r) for r in Ui),
     )
-    if not result.certify(tuple(tuple(r) for r in a)):
+    if not result.certify(a):
         raise CertificateError(f"Smith normal form of a {rows}x{cols} matrix failed its certificate")
     return result
 
@@ -330,7 +324,7 @@ def _sorted_generators(p, ambient, columns, exponents):
     nonzero = ((e, _unit_normalized(col, p)) for e, col in zip(exponents, columns) if e != 0)
     group, keep = free_first(p, nonzero)
     cols = [col for _, col in keep]
-    incl = PHom(group, ambient, reduce_entries(group, ambient, from_columns(cols, ambient.ngens)))
+    incl = PHom(group, ambient, from_columns(cols, ambient.ngens))
     return group, incl
 
 
@@ -370,7 +364,7 @@ def span_equal(ambient, a_cols, b_cols):
     return span_contains(ambient, a_cols, b_cols) and span_contains(ambient, b_cols, a_cols)
 
 
-@per_call(map_key)
+@per_call
 def kernel(f):
     """Kernel of a PHom as (group, inclusion-into-source).
 
@@ -386,7 +380,7 @@ def kernel(f):
     return subgroup(f.source, [w[:nA] for w in wide])
 
 
-@per_call(map_key)
+@per_call
 def cokernel(f):
     """Cokernel of a PHom as (group, projection, section).
 
@@ -413,11 +407,11 @@ def cokernel(f):
         kept.append((v, row, rep))
     group, kept = free_first(p, kept)
     proj_rows = tuple(row for _, row, _ in kept)
-    proj = PHom(f.target, group, reduce_entries(f.target, group, proj_rows))
+    proj = PHom(f.target, group, proj_rows)
     return group, proj, from_columns([rep for _, _, rep in kept], nB)
 
 
-@per_call(lambda f, g: (map_key(f), map_key(g)))
+@per_call
 def solve_hom(f, g):
     """h with f o h = g as maps of PGroups, or None; f and g share a target.
 
@@ -463,13 +457,13 @@ def solve_hom(f, g):
                 col.append(scale * _plocal_residue(y[t], p ** f_t))
         columns.append(tuple(col))
     entries = from_columns(columns, nA)
-    h = PHom(g.source, f.source, reduce_entries(g.source, f.source, entries))
-    if not (f @ h).same_map(g):
+    h = PHom(g.source, f.source, entries)
+    if f @ h != g:
         raise CertificateError("solve_hom produced h with f o h != g")
     return h
 
 
-@per_call(map_key)
+@per_call
 def is_isomorphism(f):
     """Whether f is an isomorphism.
 
@@ -482,7 +476,7 @@ def is_isomorphism(f):
     return cokernel(f)[0].is_zero()
 
 
-@per_call(map_key)
+@per_call
 def invert_iso(f):
     """Exact inverse of an isomorphism of PGroups."""
     inv = solve_hom(f, phom_identity(f.target))

@@ -1,8 +1,9 @@
-"""Maps and module operations only the tests use: scalar maps, cellwise sums and comparisons."""
+"""Maps and module operations only the tests use: twin groups, scalar maps, cellwise sums and comparisons."""
 
 from fracture.bigraded import (
     BigradedModule,
     Multiplier,
+    PGroup,
     PHom,
     act,
     cellwise_diff,
@@ -10,14 +11,14 @@ from fracture.bigraded import (
 )
 
 
+def twin(group):
+    """An equal group built as a separate object."""
+    return PGroup(group.prime, group.rank, group.torsion)
+
+
 def phom_scalar(group, n):
     """Multiplication by the integer n on a PGroup."""
-    e = group.exponents()
-    rows = []
-    for t in range(group.ngens):
-        x = n if e[t] is None else n % group.prime ** e[t]
-        rows.append(tuple(x if s == t else 0 for s in range(group.ngens)))
-    return PHom(group, group, rows)
+    return PHom(group, group, [[n if s == t else 0 for s in range(group.ngens)] for t in range(group.ngens)])
 
 
 def direct_sum(a, b):

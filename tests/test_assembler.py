@@ -170,10 +170,10 @@ def test_corner_maps_commute_with_actions() -> None:
             h_to_t_there, phi_to_t_there = square.maps_to_t(t)
             lhs = act(tate, name, d) @ h_to_t
             rhs = h_to_t_there @ act(h, name, d)
-            assert lhs.same_map(rhs), (name, d)
+            assert lhs == rhs, (name, d)
             lhs = act(tate, name, d) @ phi_to_t
             rhs = phi_to_t_there @ act(phi, name, d)
-            assert lhs.same_map(rhs), (name, d)
+            assert lhs == rhs, (name, d)
             checked += 1
     assert checked > 80
 

@@ -100,7 +100,7 @@ def test_json_round_trip_is_identity_on_bytes() -> None:
         assert back.unverified == module.unverified
         assert set(back.actions) == set(module.actions)
         for key, f in module.actions.items():
-            assert back.actions[key].same_map(f)
+            assert back.actions[key] == f
 
 
 def test_json_keeps_unverified_zero_cells() -> None:
@@ -121,6 +121,71 @@ def test_load_json_refuses_an_unknown_flag(flags) -> None:
     cell["flags"] = flags
     with pytest.raises(ValueError, match=rf"^cell \(0, 0\): unknown flag '{flags[-1]}'$"):
         load_json(json.dumps(payload))
+
+
+def two_cell_payload() -> dict:
+    """The payload of Z --tau--> Z on the window i = 0, j = -1..0."""
+    z = PGroup(2, 1, ())
+    module = BigradedModule(
+        2, Window(0, 0, -1, 0), {(0, 0): z, (0, -1): z}, {("tau", (0, 0)): PHom(z, z, ((1,),))}, {"tau": (0, -1)}
+    )
+    return chart_payload(module)
+
+
+# (how to spoil the two-cell payload, what load_json must say); cells[0] is (0, -1)
+MALFORMED = {
+    "edge-to-unlisted-cell": (
+        lambda p: p["edges"].append({"from": [0, 0], "mult": "v1", "matrix": [[1]]}),
+        r"edge v1 from \(0, 0\): endpoint \(2, 1\) is not a listed cell",
+    ),
+    "edge-from-unlisted-cell": (
+        lambda p: p["edges"].append({"from": [0, 1], "mult": "tau", "matrix": [[1]]}),
+        r"edge tau from \(0, 1\): endpoint \(0, 1\) is not a listed cell",
+    ),
+    "cell-outside-window": (
+        lambda p: p["cells"].append({**p["cells"][0], "i": 3}),
+        r"cell \(3, -1\): outside the window \(0, 0, -1, 0\)",
+    ),
+    "cell-listed-twice": (lambda p: p["cells"].append(dict(p["cells"][0])), r"cell \(0, -1\): listed twice"),
+    "fractional-matrix-entry": (
+        lambda p: p["edges"][0].update(matrix=[[1.7]]),
+        r"edge tau from \(0, 0\): 1.7 is not an integer",
+    ),
+    "fractional-torsion": (
+        lambda p: p["cells"][0].update(rank=0, torsion=[1.9]),
+        r"cell \(0, -1\): 1.9 is not an integer",
+    ),
+    "fractional-rank": (lambda p: p["cells"][0].update(rank=1.0), r"cell \(0, -1\): 1.0 is not an integer"),
+    "fractional-degree": (lambda p: p["cells"][0].update(i=0.4), r"cell \(0.4, -1\): 0.4 is not an integer"),
+    "boolean-entry": (
+        lambda p: p["edges"][0].update(matrix=[[True]]),
+        r"edge tau from \(0, 0\): True is not an integer",
+    ),
+}
+
+
+def test_the_unspoiled_two_cell_payload_loads() -> None:
+    payload = two_cell_payload()
+    assert len(payload["cells"]) == 2 and len(payload["edges"]) == 1
+    assert chart_payload(load_json(json.dumps(payload))) == payload
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_json_refuses_what_emit_json_never_writes(case) -> None:
+    spoil, message = MALFORMED[case]
+    payload = two_cell_payload()
+    spoil(payload)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_json(json.dumps(payload))
+
+
+def test_a_hand_built_module_emits_canonical_edge_matrices() -> None:
+    a, b = PGroup(2, 1, (2,)), PGroup(2, 0, (1,))
+    module = BigradedModule(
+        2, Window(-1, 0, -1, 0), {(0, 0): a, (-1, -1): b}, {("rho", (0, 0)): PHom(a, b, ((3, -6),))}, {"rho": (-1, -1)}
+    )
+    (edge,) = chart_payload(module)["edges"]
+    assert edge["matrix"] == [[1, 0]]
 
 
 EMISSIONS = {

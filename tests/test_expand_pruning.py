@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import emit_json
-from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, reduce_entries
+from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window
 from fracture.presentation import BudgetError, expand, parse_presentation
 from fracture.presets import preset_presentation
 
@@ -121,8 +121,7 @@ def unpruned_expand(pres, window, budget):
                 hit = tgt.get(tuple(map(add, vec, svec)))
                 if hit is not None:
                     rows[hit[0]][c] = p ** (vexp + v - hit[1])
-            entries = reduce_entries(cells[deg], cells[deg + sdeg], rows)
-            actions[(name, deg)] = PHom(cells[deg], cells[deg + sdeg], entries)
+            actions[(name, deg)] = PHom(cells[deg], cells[deg + sdeg], rows)
     return BigradedModule(p, window, cells, actions, multipliers)
 
 

@@ -33,6 +33,8 @@ from fracture.snf import (
     solve_hom,
 )
 
+from helpers import twin
+
 RHO_INVERTED_SOURCE = """\
 prime 2
 gen rho -1 -1 inv
@@ -79,11 +81,6 @@ def homs(draw, source, target):
                 row.append(step * draw(st.integers(-6, 6)))
         rows.append(row)
     return PHom(source, target, rows)
-
-
-def twin(group):
-    """An equal group built as a separate object."""
-    return PGroup(group.prime, group.rank, group.torsion)
 
 
 def twin_map(f):
@@ -136,7 +133,7 @@ def test_invert_iso_agrees_inside_a_scope(data) -> None:
         inv = invert_iso(f)
         assert invert_iso(twin_map(f)) is inv
     assert (inv.source, inv.target) == (f.target, f.source)
-    assert (f @ inv).same_map(phom_identity(f.target))
+    assert f @ inv == phom_identity(f.target)
 
 
 def counted(monkeypatch, module, name):
@@ -223,8 +220,8 @@ def test_smith_normal_form_agrees_inside_a_scope(data) -> None:
     p = data.draw(st.sampled_from((2, 3, 5)))
     rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     a = tuple(tuple(data.draw(st.integers(-12, 12)) for _ in range(cols)) for _ in range(rows))
-    as_lists = [list(row) for row in a]
-    agrees_inside_a_scope(smith_normal_form, (a, p), (as_lists, p), (a, p, rows, cols))
+    rebuilt = tuple(tuple([*row]) for row in a)
+    agrees_inside_a_scope(smith_normal_form, (a, p), (rebuilt, p), (a, p, rows, cols))
 
 
 @pytest.fixture
@@ -324,9 +321,9 @@ def test_each_distinct_smith_normal_form_is_certified_once(call, certify_calls, 
     inputs = []
     memoized = snf_module.smith_normal_form
 
-    def recording(*args, **kwargs):
-        inputs.append(snf_module._snf_key(*args, **kwargs))
-        return memoized(*args, **kwargs)
+    def recording(*args):
+        inputs.append(args)
+        return memoized(*args)
 
     monkeypatch.setattr(snf_module, "smith_normal_form", recording)
     if call == "realize":

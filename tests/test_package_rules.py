@@ -4,9 +4,10 @@ Correctness checks raise instead of asserting, so they survive python -O,
 and the package runs on the standard library alone.  Maps are built
 without PHom's checks only inside bigraded.py, where each such map is
 derived from maps already checked; the parser, the chart reader, snf and
-induced_map stay on the validating constructor.  Every module-level
-function and class is used somewhere in the package besides its own
-definition, and every import is read where it is made.  The strings of
+induced_map stay on the validating constructor, and only bigraded.py
+reduces entries, since every map stores them reduced when it is built.
+Every module-level function and class is used somewhere in the package
+besides its own definition, and every import is read where it is made.  The strings of
 the verification flags belong to the JSON format in charts.py; every
 other module reads a module's set of unverified cells.
 """
@@ -67,6 +68,38 @@ def test_only_bigraded_builds_maps_without_checks() -> None:
 def test_the_trusted_constructor_is_named_where_the_rule_looks() -> None:
     source = (PACKAGE / "bigraded.py").read_text(encoding="utf-8")
     assert list(unchecked_constructions(ast.parse(source)))
+
+
+def reduce_entries_lines(tree):
+    """Lines that define reduce_entries or name it, bare, as an attribute or in an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.alias)):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name == "reduce_entries":
+            yield node.lineno
+
+
+def test_only_bigraded_reduces_entries() -> None:
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "bigraded.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{line}" for line in reduce_entries_lines(tree)]
+    assert found == []
+
+
+def test_reduce_entries_is_named_where_the_rule_looks() -> None:
+    source = (PACKAGE / "bigraded.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    definition = next(n.lineno for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "reduce_entries")
+    assert definition in set(reduce_entries_lines(tree))
 
 
 FLAG_STRINGS = ("verified", "boundary-unverified")

@@ -9,6 +9,7 @@ windows.
 """
 
 import random
+import re
 
 import pytest
 
@@ -183,3 +184,11 @@ def test_windowed_localization_refuses_window_outside_module(operation) -> None:
     for window in [LOCAL_WINDOW._replace(imax=6), LOCAL_WINDOW._replace(jmin=-7), Window(7, 8, 0, 1)]:
         with pytest.raises(ValueError, match="not inside"):
             operation(module, "rho", window=window)
+
+
+def test_rho_complete_defect_refuses_window_outside_module_naming_its_window() -> None:
+    module = expand(PRESENTATIONS["HF2_R"](), Window(-5, 5, -6, 4))
+    for window in [Window(3, 7, 0, 1), Window(-5, 5, -7, 4), Window(7, 8, 0, 1)]:
+        message = f"window {tuple(window)} is not inside the module's window (-5, 5, -6, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rho_complete_defect(module, window)

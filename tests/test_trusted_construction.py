@@ -1,7 +1,7 @@
 """Maps and modules built without re-validation are valid all the same.
 
 PHom(...) checks shape and torsion compatibility.  Composites, sums,
-negations, reductions, zero and identity maps, and restrictions are
+negations, zero and identity maps, and restrictions are
 built without those checks, on the argument that validity follows from
 their inputs.  These tests hold the argument to the outputs: every module
 the pipeline emits passes validate_module, every map it stores passes the
@@ -30,15 +30,16 @@ from fracture.bigraded import (
     pgroup_sum,
     phom_identity,
     phom_zero,
-    reduce_entries,
     restrict,
     sum_map,
     validate_module,
 )
 from fracture.localization import complete, invert
-from fracture.matrices import mat_add, mat_mul, mat_neg
+from fracture.matrices import identity, mat_add, mat_mul, mat_neg
 from fracture.presentation import expand
 from fracture.presets import PRESET_NAMES, preset_presentation
+
+from helpers import twin
 
 WINDOW = (-4, 4, -4, 4)
 EXPANSION = Window(-6, 6, -8, 6)
@@ -178,11 +179,10 @@ def test_arithmetic_equals_its_validated_construction(data) -> None:
     f, f2 = data.draw(homs(b, c)), data.draw(homs(b, c))
     g = data.draw(homs(a, b))
     product = mat_mul(f.entries, g.entries, b.ngens, a.ngens)
-    same_hom(f @ g, PHom(a, c, reduce_entries(a, c, product)))
+    same_hom(f @ g, PHom(a, c, product))
     total = mat_add(f.entries, f2.entries)
-    same_hom(f + f2, PHom(b, c, reduce_entries(b, c, total)))
+    same_hom(f + f2, PHom(b, c, total))
     same_hom(-f, PHom(b, c, mat_neg(f.entries)))
-    same_hom(f.reduced(), PHom(b, c, reduce_entries(b, c, f.entries)))
     same_hom(phom_zero(b, c), PHom(b, c, [[0] * b.ngens for _ in range(c.ngens)]))
     same_hom(phom_identity(b), PHom(b, b, [[int(r == s) for s in range(b.ngens)] for r in range(b.ngens)]))
 
@@ -206,6 +206,44 @@ def test_placed_sum_maps_equal_the_composites_they_replace(data) -> None:
     # the structure maps themselves are placed identities
     same_hom(sum_map(ab, a, ((phom_identity(a), None, pa),)), pa)
     same_hom(sum_map(b, ab, ((phom_identity(b), ib, None),)), ib)
+
+
+def is_canonical(f):
+    """Whether every entry into a torsion generator of order p^e lies in [0, p^e)."""
+    return all(
+        e is None or 0 <= x < f.prime**e for e, row in zip(f.target.exponents(), f.entries) for x in row
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_construction_is_canonical_and_equal_maps_are_equal(data) -> None:
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    a, b, c = (data.draw(groups(p)) for _ in range(3))
+    f, f2 = data.draw(homs(b, c)), data.draw(homs(b, c))
+    g = data.draw(homs(a, b))
+    # the same map as f, each entry moved by a multiple of its target order
+    shifts = [data.draw(st.integers(-3, 3)) for _ in range(b.ngens * c.ngens)]
+    moved = [
+        [x if e is None else x + shifts[t * b.ngens + s] * p**e for s, x in enumerate(row)]
+        for t, (e, row) in enumerate(zip(c.exponents(), f.entries))
+    ]
+    ab, _, _, pa, pb = pgroup_sum(a, b)
+    h = data.draw(homs(a, c))
+    twins = (twin(a), twin(b), twin(c))
+    built = {
+        "validating": (f, PHom(twins[1], twins[2], moved)),
+        "composite": (f @ g, PHom(twins[0], twins[2], mat_mul(f.entries, g.entries, b.ngens, a.ngens))),
+        "sum": (f + f2, PHom(twins[1], twins[2], mat_add(f.entries, f2.entries))),
+        "negation": (-f, PHom(twins[1], twins[2], mat_neg(moved))),
+        "zero": (phom_zero(b, c), PHom(twins[1], twins[2], [[0] * b.ngens for _ in range(c.ngens)])),
+        "identity": (phom_identity(b), PHom(twins[1], twins[1], identity(b.ngens))),
+        "sum_map": (sum_map(ab, c, ((h, None, pa), (-f, None, pb))), (h @ pa) - (f @ pb)),
+    }
+    for path, (one, other) in built.items():
+        assert is_canonical(one) and is_canonical(other), path
+        assert one == other and hash(one) == hash(other), path
+        assert one is not other, path
 
 
 def test_a_block_lands_only_on_generators_of_its_orders() -> None:
