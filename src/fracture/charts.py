@@ -127,6 +127,22 @@ def _integers(x, where):
     return x
 
 
+def _fields(entry, keys, where):
+    """The values of entry at keys, in order; a missing key is a ValueError naming where."""
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{where}: no {key!r}")
+    return [entry[key] for key in keys]
+
+
+def _degree(x, where):
+    """x, a list of two ints, as a BiDegree; else a ValueError naming where."""
+    pair = _integers(x, where)
+    if not isinstance(pair, tuple) or len(pair) != 2 or not all(type(c) is int for c in pair):
+        raise ValueError(f"{where}: {x!r} is not a degree [i, j]")
+    return BiDegree(*pair)
+
+
 def load_json(data):
     """Rebuild a BigradedModule from emit_json output.
 
@@ -134,9 +150,10 @@ def load_json(data):
     the emission of a report gives its result module.  Emission of the
     loaded module reproduces the module emission byte for byte.  What
     this format never writes is refused with a ValueError naming the
-    cell or edge: a flag other than its two, a number that is not an
-    integer, a cell outside the window or listed twice, and an edge whose
-    endpoint is not a listed cell.
+    cell or edge: a missing field, a flag other than its two, a number
+    that is not an integer, a degree that is not a pair, a group or matrix
+    that PGroup or PHom refuses, a cell outside the window or listed twice,
+    and an edge whose endpoint is not a listed cell.
     """
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
@@ -147,35 +164,42 @@ def load_json(data):
     cells = {}
     unverified = set()
     for entry in payload["cells"]:
-        where = f"cell ({entry['i']!r}, {entry['j']!r})"
-        i, j, rank, torsion = _integers([entry["i"], entry["j"], entry["rank"], entry["torsion"]], where)
+        where = f"cell ({entry.get('i')!r}, {entry.get('j')!r})"
+        i, j, rank, torsion = _integers(_fields(entry, ("i", "j", "rank", "torsion"), where), where)
         d = BiDegree(i, j)
         if not window.contains(d):
             raise ValueError(f"{where}: outside the window {tuple(window)}")
         if d in cells:
             raise ValueError(f"{where}: listed twice")
-        cells[d] = PGroup(prime, rank, torsion)
+        try:
+            cells[d] = PGroup(prime, rank, torsion)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         for flag in entry.get("flags") or ():
             if flag == FLAG_BOUNDARY:
                 unverified.add(d)
             elif flag != FLAG_VERIFIED:
                 raise ValueError(f"{where}: unknown flag {flag!r}")
-    multipliers = {n: BiDegree(*_integers(deg, f"multiplier {n}")) for n, deg in payload.get("multipliers", {}).items()}
+    multipliers = {n: _degree(deg, f"multiplier {n}") for n, deg in payload.get("multipliers", {}).items()}
     actions = {}
     for edge in payload.get("edges", ()):
-        name = edge["mult"]
+        name, start, matrix = _fields(edge, ("mult", "from", "matrix"), f"edge {edge!r}")
         if name not in multipliers:
             deg = KNOWN_MULTIPLIER_DEGREES.get(name)
             if deg is None:
                 raise ValueError(f"edge multiplier {name!r} has no known degree")
             multipliers[name] = BiDegree(*deg)
-        where = f"edge {name} from {tuple(edge['from'])}"
-        d = BiDegree(*_integers(edge["from"], where))
+        where = f"edge {name} from {tuple(start) if isinstance(start, list) else start!r}"
+        d = _degree(start, where)
         t = d + multipliers[name]
         for c in (d, t):
             if c not in cells:
                 raise ValueError(f"{where}: endpoint {tuple(c)} is not a listed cell")
-        actions[(name, d)] = PHom(cells[d], cells[t], _integers(edge["matrix"], where))
+        entries = _integers(matrix, where)
+        try:
+            actions[(name, d)] = PHom(cells[d], cells[t], entries)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     caveats = tuple(payload.get("caveats", ()))
     return BigradedModule(prime, window, cells, actions, multipliers, unverified, caveats)
 

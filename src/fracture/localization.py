@@ -303,6 +303,14 @@ def invert(module, mult, steps=None, window=None):
     one, or that sit on the window's edge can be nonzero or unverified,
     and only those are visited.
 
+    An action out of d is a function of the multiplier, the end e of d's
+    chain and how much longer the target's chain is, so it is computed
+    once per (multiplier, chain end, length difference) and shared by
+    every cell with that key: chains running to the window's edge end on
+    few cells.  A shorter target chain reads the inverse of the last steps
+    of d's chain, so the isomorphism test of those steps, and the inverse,
+    is made once per (chain end, length difference).
+
     Isomorphism verdicts and inverses are computed once per distinct map
     during the call (memo_scope), and every computed one is certified.
     """
@@ -350,8 +358,30 @@ def invert(module, mult, steps=None, window=None):
             unverified.add(d)
 
     power = chain_power(module, x)
+    backs = {}
+    inverses = {}
+
+    def back_chain(e, shift):
+        """The -shift steps of x into e, or None when they are not an isomorphism."""
+        if (e, shift) not in backs:
+            back = power(e + step.scaled(shift), -shift)
+            backs[(e, shift)] = back if is_isomorphism(back) else None
+        return backs[(e, shift)]
+
+    def transported(y, e, shift):
+        """The action of y out of a chain ending at e, into one shift steps longer."""
+        if shift == 0:
+            return act(module, y, e)
+        if shift > 0:
+            # walk y once, then catch up along x inside the target chain
+            return power(e + y.degree, shift) @ act(module, y, e)
+        if (e, shift) not in inverses:
+            inverses[(e, shift)] = invert_iso(backs[(e, shift)])
+        return act(module, y, e + step.scaled(shift)) @ inverses[(e, shift)]
+
     mults = dict(module.multipliers)
     mults.setdefault(x.name, step)
+    found = {}
     actions = {}
     for name, dy in mults.items():
         y = Multiplier(name, BiDegree(*dy))
@@ -363,22 +393,15 @@ def invert(module, mult, steps=None, window=None):
             if module.cell(e_t).is_zero():
                 continue
             shift = n_t - n
-            if shift < 0:
-                # this check marks d even when t lies outside the output window
-                back = power(d + step.scaled(n_t), -shift)
-                if not is_isomorphism(back):
-                    unverified.add(d)
-                    continue
+            # this check marks d even when t lies outside the output window
+            if shift < 0 and back_chain(e, shift) is None:
+                unverified.add(d)
+                continue
             if not out.contains(t):
                 continue
-            if shift == 0:
-                f = act(module, y, e)
-            elif shift > 0:
-                # walk y once, then catch up along x inside the target chain
-                f = power(e + y.degree, shift) @ act(module, y, e)
-            else:
-                f = act(module, y, d + step.scaled(n_t)) @ invert_iso(back)
-            actions[(name, d)] = f
+            if (name, e, shift) not in found:
+                found[(name, e, shift)] = transported(y, e, shift)
+            actions[(name, d)] = found[(name, e, shift)]
     return BigradedModule(module.prime, out, cells, actions, mults, unverified, module.caveats)
 
 

@@ -6,6 +6,8 @@ hand-checked values.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture.assembler import (
     CONTRACT_MESSAGE,
@@ -29,6 +31,8 @@ from fracture.bigraded import (
 from fracture.localization import chain_end, composite_action, default_steps, invert
 from fracture.presentation import expand, parse_presentation
 from fracture.presets import PRESET_NAMES, preset_presentation, reference_realization
+
+from helpers import direct_sum
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -383,3 +387,49 @@ def test_odd_split_tate_obstruction() -> None:
     pres = parse_presentation(ODD_TATE_SOURCE)
     with pytest.raises(ValueError, match="Tate corner is nonzero"):
         odd_split(pres, 3, Window(-3, 3, -3, 3))
+
+
+@st.composite
+def odd_rho_complete_presentations(draw):
+    """Random presentations at p = 3 or 5 with a tau^2 action and rho nilpotent.
+
+    rho, when it is a generator, dies at a power of at most 3, and the
+    optional third generator v at a power of at most 3, so every input is
+    rho-complete and expands to finitely many monomials in any window.
+    """
+    p = draw(st.sampled_from([3, 5]))
+    lines = [f"prime {p}", "gen tau 0 -1"]
+    names = ["tau"]
+    if draw(st.booleans()):
+        lines += ["gen rho -1 -1", f"rel 1·rho^{draw(st.integers(1, 3))}"]
+        names.append("rho")
+    if draw(st.booleans()):
+        lines += [f"gen v {draw(st.integers(1, 3))} {draw(st.integers(0, 1))}", f"rel 1·v^{draw(st.integers(1, 3))}"]
+        names.append("v")
+
+    def term():
+        powers = [(name, draw(st.integers(0, 3 if name == "tau" else 2))) for name in names]
+        mono = "*".join(f"{name}^{e}" for name, e in powers if e) or "1"
+        return f"{p ** draw(st.integers(0, 2))}·{mono}"
+
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"rel {term()}")
+    lines.append("span 1·tau^2")
+    lines += [f"span 1·{name}" for name in names[1:] if draw(st.booleans())]
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append(f"span {term()}")
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pres=odd_rho_complete_presentations(), corner=st.sampled_from([(-3, -3), (-6, 0), (0, -6), (-1, 2)]))
+def test_random_odd_realization_is_the_sum_of_the_odd_split(pres, corner) -> None:
+    # no reference chart covers these inputs: the two sides share only the
+    # expansion, and meet after invert and complete ran on each
+    i, j = corner
+    window = Window(i, i + 6, j, j + 6)
+    report = realize(pres, None, window)
+    geometric, unit = odd_split(pres, None, window)
+    total = direct_sum(geometric, unit)
+    assert cellwise_diff(report.result, total) == []
+    assert report.result.unverified == total.unverified

@@ -161,6 +161,20 @@ MALFORMED = {
         lambda p: p["edges"][0].update(matrix=[[True]]),
         r"edge tau from \(0, 0\): True is not an integer",
     ),
+    "edge-from-one-coordinate": (
+        lambda p: p["edges"][0].update({"from": [0]}),
+        r"edge tau from \(0,\): \[0\] is not a degree \[i, j\]",
+    ),
+    "cell-without-rank": (lambda p: p["cells"][0].pop("rank"), r"cell \(0, -1\): no 'rank'"),
+    "increasing-torsion": (
+        lambda p: p["cells"][0].update(rank=0, torsion=[2, 3]),
+        r"cell \(0, -1\): torsion exponents must be nonincreasing: \(2, 3\)",
+    ),
+    "negative-rank": (lambda p: p["cells"][0].update(rank=-1), r"cell \(0, -1\): negative rank"),
+    "matrix-of-the-wrong-shape": (
+        lambda p: p["edges"][0].update(matrix=[[1, 0]]),
+        r"edge tau from \(0, 0\): matrix shape 1x2 does not match 1x1",
+    ),
 }
 
 

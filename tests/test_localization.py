@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracture.assembler as assembler
 import fracture.localization as localization
+from fracture.assembler import realize
 from fracture.bigraded import (
     KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
@@ -39,7 +41,7 @@ from fracture.localization import (
 )
 from fracture.presentation import expand
 from fracture.presets import preset_presentation
-from fracture.snf import cokernel, is_isomorphism
+from fracture.snf import cokernel, invert_iso, is_isomorphism
 
 from helpers import cellwise_equal
 
@@ -429,3 +431,149 @@ def test_the_zero_map_guard_sees_a_zero_to_zero_action(monkeypatch) -> None:
     seen = _zero_to_zero_guard(monkeypatch)
     localization.is_isomorphism(localization.act(module, S, (0, 0)))
     assert [kind for kind, *_ in seen] == ["act", "is_isomorphism"]
+
+
+def invert_per_cell(module, mult, steps=None, window=None):
+    """invert with one action computed per (multiplier, cell), on a scan of the whole output window.
+
+    The reference for invert's support-driven visit and its actions shared
+    per chain end: every cell of the output window is read, and every
+    action is transported from its own cell.
+    """
+    x = localization.resolve_multiplier(module, mult)
+    w = module.window
+    out = localization.output_window(module, window)
+    K = default_steps(w) if steps is None else steps
+    step = x.degree
+    cells = {}
+    unverified = set()
+    for d in sorted(out.cells()):
+        n, e = chain_end(w, d, step, K)
+        if not module.cell(e).is_zero():
+            cells[d] = module.cell(e)
+        if not _stabilized(module, x, n, e):
+            unverified.add(d)
+    power = chain_power(module, x)
+    mults = dict(module.multipliers)
+    mults.setdefault(x.name, step)
+    actions = {}
+    for name, dy in mults.items():
+        y = Multiplier(name, BiDegree(*dy))
+        for d in cells:
+            t = d + y.degree
+            if not w.contains(t):
+                continue
+            (n, e), (n_t, e_t) = chain_end(w, d, step, K), chain_end(w, t, step, K)
+            if module.cell(e_t).is_zero():
+                continue
+            shift = n_t - n
+            if shift < 0:
+                back = power(d + step.scaled(n_t), -shift)
+                if not is_isomorphism(back):
+                    unverified.add(d)
+                    continue
+            if not out.contains(t):
+                continue
+            if shift == 0:
+                f = act(module, y, e)
+            elif shift > 0:
+                f = power(e + y.degree, shift) @ act(module, y, e)
+            else:
+                f = act(module, y, d + step.scaled(n_t)) @ invert_iso(back)
+            actions[(name, d)] = f
+    return BigradedModule(module.prime, out, cells, actions, mults, unverified, module.caveats)
+
+
+def assert_same_inversion(got, want):
+    assert list(got.cells.items()) == list(want.cells.items())
+    assert list(got.actions) == list(want.actions)
+    assert got.actions == want.actions
+    assert got.unverified == want.unverified
+    assert got.multipliers == want.multipliers
+
+
+@SUPPORT_SETTINGS
+@given(localization_cases())
+def test_invert_matches_the_per_cell_reference(case) -> None:
+    module, x, K, out = case
+    for window in (None, out):
+        assert_same_inversion(invert(module, x, steps=K, window=window), invert_per_cell(module, x, K, window))
+
+
+@pytest.mark.parametrize("name,prime", SUPPORT_PRESETS)
+def test_short_inversions_match_the_per_cell_reference(name, prime) -> None:
+    # short chains capped at K: cells ending on one chain end can differ in
+    # how much longer their targets' chains are
+    module = expand(preset_presentation(name, prime), Window(-5, 5, -6, 4))
+    for mult in sorted(set(module.multipliers) | {"rho", "tau2"}):
+        for steps in (1, 2, 3, None):
+            for window in (None, (-3, 2, -4, 1)):
+                got = invert(module, mult, steps=steps, window=window)
+                assert_same_inversion(got, invert_per_cell(module, mult, steps, window))
+
+
+def corner_inversions(name, prime, window, monkeypatch):
+    """The (module, mult, steps, window) of each invert call realize makes, with its result."""
+    calls = []
+
+    def recording(module, mult, steps=None, window=None):
+        result = invert(module, mult, steps=steps, window=window)
+        calls.append(((module, mult, steps, window), result))
+        return result
+
+    monkeypatch.setattr(assembler, "invert", recording)
+    realize(name, prime, window)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name,prime", SUPPORT_PRESETS)
+def test_corner_inversions_match_the_per_cell_reference(name, prime, monkeypatch) -> None:
+    calls = corner_inversions(name, prime, Window(-3, 3, -3, 3), monkeypatch)
+    assert len(calls) == 3
+    for args, result in calls:
+        assert_same_inversion(result, invert_per_cell(*args))
+
+
+def test_inversion_transports_each_action_once_per_chain_end(monkeypatch) -> None:
+    # the h corner of KGL2 on (-10,10)^2: chains to the window's edge share ends
+    (args, _), *_ = corner_inversions("kgl2", 2, Window(-10, 10, -10, 10), monkeypatch)
+    module, mult, steps, window = args
+    x = localization.resolve_multiplier(module, mult)
+    w, K = module.window, steps
+    backs, forwards, cells_read = set(), set(), 0
+    result = invert_per_cell(module, x, K, window)
+    for name, dy in result.multipliers.items():
+        for d in result.cells:
+            t = d + BiDegree(*dy)
+            (n, e), (n_t, e_t) = chain_end(w, d, x.degree, K), chain_end(w, t, x.degree, K)
+            if not w.contains(t) or module.cell(e_t).is_zero():
+                continue
+            cells_read += 1
+            if n_t < n:
+                backs.add((e, n_t - n))
+            elif n_t > n:
+                forwards.add((name, e, n_t - n))
+    inverses, powers = [], []
+    real_chain_power, real_invert_iso = localization.chain_power, localization.invert_iso
+
+    def counting_chain_power(module, mult):
+        power = real_chain_power(module, mult)
+
+        def counted(start, count):
+            powers.append((start, count))
+            return power(start, count)
+
+        return counted
+
+    def counting_invert_iso(f):
+        inverses.append(f)
+        return real_invert_iso(f)
+
+    monkeypatch.setattr(localization, "chain_power", counting_chain_power)
+    monkeypatch.setattr(localization, "invert_iso", counting_invert_iso)
+    invert(module, mult, steps=steps, window=window)
+    assert len(inverses) <= len(backs)
+    assert len(powers) <= len(backs) + len(forwards)
+    # the per-cell loop reads many more cells than there are chain ends
+    assert cells_read > 5 * (len(backs) + len(forwards))
