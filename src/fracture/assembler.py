@@ -11,8 +11,16 @@ sum.  Cells where both parts are nonzero are marked ambiguous rather
 than silently resolved.
 
 The realization theorems behind this pipeline apply to rho-complete
-inputs only, so the entry points refuse anything that visibly fails the
-degreewise completeness check unless the caller asserts the contract.
+inputs only, and the presentation alone decides which inputs need a
+check.  rho acts by multiplying a monomial by the generator rho, so the
+image of rho^n in a cell is spanned by the cell's monomials of rho
+exponent at least n.  Unless rho is an inverted generator those
+exponents are never negative, and a cell has finitely many monomials
+(or expand would exceed its budget), so the image is zero past the
+largest of them: the module is degreewise rho-complete exactly, with
+nothing to check.  An input that declares rho inverted is compared with
+its degreewise completion instead, and refused when they visibly differ,
+unless the caller asserts the contract.
 """
 
 from __future__ import annotations
@@ -164,8 +172,8 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
 
     h inverts the tau power select_tau_power picks.  The caller must
     assert rho_complete: the corner h only deserves its name for
-    rho-complete inputs.  realize() runs the completeness check and
-    asserts this for you.
+    rho-complete inputs.  realize() decides the contract from the
+    presentation and asserts this for you.
 
     The corners and their maps come out on the window (default: the
     module's window, which must contain it), equal to the whole-window
@@ -335,10 +343,13 @@ def rho_complete_defect(module, window=None):
     """Cells where completing along rho visibly changes the module.
 
     An empty list is the necessary condition the realization contract
-    asks for; a nonempty one is a proof of incompleteness.  Compare on a
-    subwindow well inside the module's own, if one is given: cells near
-    the edge can show truncation artifacts that mean nothing.  A window
-    not inside the module's is refused with ValueError.  Completion
+    asks for; a nonempty one is a proof of incompleteness.  realize and
+    odd_split run it only on inputs that invert rho; on any other
+    expansion it is empty once the rho-chains into the compared cells
+    are longer than the largest rho exponent of their monomials.  Compare
+    on a subwindow well inside the module's own, if one is given: cells
+    near the edge can show truncation artifacts that mean nothing.  A
+    window not inside the module's is refused with ValueError.  Completion
     at d reads the rho-chain that ends there, so only the compared cells
     are completed, on the part of the module those chains pass through and
     to the depth the whole module would get.
@@ -361,7 +372,14 @@ def _presentation_for(source, prime):
 
 
 def _expanded_for(pres, window, pad, budget, rho_complete):
-    """The padded expansion, the window and the pad; refuses a visible rho-completeness defect."""
+    """The padded expansion, the window and the pad; refuses a visible rho-completeness defect.
+
+    Only a presentation that declares rho an inverted generator is
+    compared with its completion: every other one is degreewise
+    rho-complete exactly (see the module docstring), and a completion run
+    on the padded expansion could only find the truncation gaps of its
+    edge.  rho_complete=True skips the comparison as well.
+    """
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
@@ -376,7 +394,7 @@ def _expanded_for(pres, window, pad, budget, rho_complete):
     # the h corner below them; the tallest such step is tau^4.
     big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
     expanded = expand(pres, big, budget=INTERNAL_BUDGET if budget is None else budget)
-    if not rho_complete:
+    if not rho_complete and any(g.name == "rho" and g.invertible for g in pres.generators):
         defect = rho_complete_defect(expanded, core)
         if defect:
             raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
@@ -389,9 +407,11 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
 
     The presentation is expanded on a padded window so that every cell
     of the requested window clears the truncation horizon, the fracture
-    square is assembled there, and the result is cut back down.  Unless
-    rho-completeness is asserted, the necessary condition is checked
-    first and failing inputs are refused.
+    square is assembled there, and the result is cut back down.  An
+    input whose rho is not inverted is rho-complete by its presentation
+    and is not checked; one that inverts rho is refused with
+    RhoCompleteError when its degreewise completion differs on the
+    window, unless rho_complete=True takes the contract on faith.
 
     The splice reads the corners on the assembly margin around the window
     and on its boundary column, so the corners answer only there; they
@@ -441,6 +461,8 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     visits only the support of its input (see invert and complete), and
     exact-algebra results are reused within the call, and the expansion
     budget is INTERNAL_BUDGET unless budget is given, as in realize.
+    The contract is decided as in realize: only an input that inverts rho
+    is checked, and refused when its completion visibly differs.
     """
     pres = _presentation_for(source, prime)
     if pres.prime == 2:

@@ -68,7 +68,8 @@ def _add_realize_args(p):
     p.add_argument(
         "--assert-rho-complete",
         action="store_true",
-        help="skip the rho-completeness check and take the contract on faith",
+        help="skip the rho-completeness check and take the contract on faith;"
+        " matters only for presentations that invert rho, the only ones checked",
     )
 
 

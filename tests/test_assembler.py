@@ -322,12 +322,13 @@ def test_far_corner_realizes_with_a_deep_pad() -> None:
     assert report.result.unverified == frozenset()
 
 
-# The default pad cuts the far corner's rho-chains short, so the defect
-# check sees a truncation gap and refuses an input that is rho-complete.
-@pytest.mark.xfail(strict=True, raises=RhoCompleteError, reason="false refusal at the default pad")
+# HF2_R does not invert rho, so no completion run can cut the far
+# corner's rho-chains short and refuse it.
 def test_far_corner_realizes_at_the_default_pad() -> None:
     report = realize("HF2_R", 2, FAR_CORNER)
     assert cellwise_diff(report.result, reference_realization("HF2_R", 2, FAR_CORNER)) == []
+    assert report.result.unverified == frozenset()
+    assert report.certificates_hold()
 
 
 def test_rho_complete_defect() -> None:

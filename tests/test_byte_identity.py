@@ -6,15 +6,18 @@ and a shared zero cell; the wide KGL2 window and the odd split were
 recorded before expand pruned dead monomials and before each stage was
 handed only the part of the expansion its chains reach.  The sweep
 digest was recorded before the stages were made to visit only the
-support of their inputs.  Any change in a cell, flag, edge matrix or
-provenance entry changes the bytes and fails here.
+support of their inputs, and re-pinned when realize stopped running a
+completion check on inputs whose rho is not inverted: seven sweep
+records that were refusals became answers (SWEEP_ANSWERED), and no other
+record moved.  Any change in a cell, flag, edge matrix or provenance
+entry changes the bytes and fails here.
 """
 
 import hashlib
 
 import pytest
 
-from fracture import complete, emit_json, expand, invert, odd_split, preset_presentation, realize
+from fracture import complete, emit_json, expand, invert, odd_split, preset_presentation, realize, reference_realization
 
 PINNED = [
     ("HF2_R", None, (-3, 3, -3, 3), "44c73288825777136cf9049196861d7f9beffa5ff9654fcd80a3ee9ec2836eb1"),
@@ -97,7 +100,7 @@ def sweep_records():
     return out
 
 
-PINNED_SWEEP = "2a266ad8045ed098ee1f82242b9a7cecdcdf820c23c3979353c5d519f1f1a9f2"
+PINNED_SWEEP = "4bbab9a93b3079154df7e82d857b7e4e346e6bcae6a90f32a0b8354faabba5bc"
 
 
 def test_sweep_is_byte_identical() -> None:
@@ -105,3 +108,26 @@ def test_sweep_is_byte_identical() -> None:
     for chunk in sweep_records():
         digest.update(len(chunk).to_bytes(8, "big") + chunk)
     assert digest.hexdigest() == PINNED_SWEEP
+
+
+# (preset, window, pad, cells that differ from the reference): the sweep
+# records that a completion run on the padded expansion used to refuse
+SWEEP_ANSWERED = [
+    ("HF2_R", (-4, -1, -4, -1), 1, 0),
+    ("HZ2_R", (-4, -1, -4, -1), 1, 0),
+    ("KGL2_R", (1, 4, 1, 4), 1, 2),
+    ("KGL2_R", (1, 4, 1, 4), 2, 1),
+    ("KGL2_R", (-4, -1, -4, -1), 1, 0),
+    ("KGL2_R", (1, 4, -4, -1), 1, 0),
+    ("KGL2_R", (1, 4, -4, -1), 2, 0),
+]
+
+
+@pytest.mark.parametrize("name,window,pad,wrong", SWEEP_ANSWERED)
+def test_answered_sweep_records_hold_their_certificates(name, window, pad, wrong) -> None:
+    report = realize(name, 2, window, pad=pad)
+    assert report.certificates_hold()
+    reference = reference_realization(name, 2, window)
+    differ = [d for d in report.result.window.cells() if report.result.cell(d) != reference.cell(d)]
+    assert len(differ) == wrong
+    assert report.result.unverified.issuperset(differ)

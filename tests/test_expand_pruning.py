@@ -1,12 +1,12 @@
 """expand stops at monomials a relation has killed; nothing it returns moves.
 
-unpruned_expand below is the search expand ran before it learned to
-prune: every settled monomial is extended, dead or alive.  Both must give
-the same cells, actions and bytes on every preset's padded
-realize window and on small random presentations.
+unpruned_expand below builds a module on helpers.live_monomials, the
+search expand ran before it learned to prune: every settled monomial is
+extended, dead or alive.  Both must give the same cells, actions and
+bytes on every preset's padded realize window and on small random
+presentations.
 """
 
-import heapq
 from operator import add
 
 import pytest
@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import emit_json
-from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window
-from fracture.presentation import BudgetError, expand, parse_presentation
+from fracture.bigraded import BigradedModule, PGroup, PHom, Window
+from fracture.presentation import expand, parse_presentation
 from fracture.presets import preset_presentation
+
+from helpers import live_monomials, span_steps
 
 INVERTIBLE_SOURCE = """\
 prime 2
@@ -44,59 +46,8 @@ def unpruned_expand(pres, window, budget):
     """The reference search: dead monomials are extended like live ones."""
     window = Window(*window)
     p = pres.prime
-    gens = pres.generators
-    index = {g.name: k for k, g in enumerate(gens)}
-
-    def vector(powers):
-        vec = [0] * len(gens)
-        for name, e in powers:
-            vec[index[name]] += e
-        return tuple(vec)
-
-    def degree(vec):
-        return BiDegree(
-            sum(e * g.degree.i for e, g in zip(vec, gens)), sum(e * g.degree.j for e, g in zip(vec, gens))
-        )
-
-    def order_exponent(vec):
-        best = None
-        for vexp, rvec in rels:
-            if all(g.invertible or vec[k] >= rvec[k] for k, g in enumerate(gens)):
-                best = vexp if best is None else min(best, vexp)
-        return best
-
-    spans = [(t.vexp, vector(t.powers), degree(vector(t.powers))) for t in pres.spans]
-    rels = [(t.vexp, vector(t.powers)) for t in pres.relations]
-    step = max((max(abs(d.i), abs(d.j)) for _, _, d in spans), default=1)
-    collar = 2 * step + 2
-    box = Window(
-        min(0, window.imin) - collar,
-        max(0, window.imax) + collar,
-        min(0, window.jmin) - collar,
-        max(0, window.jmax) + collar,
-    )
-    best = {}
-    heap = [(vexp, k, vec, deg) for k, (vexp, vec, deg) in enumerate(spans) if box.contains(deg)]
-    heapq.heapify(heap)
-    counter = len(heap)
-    while heap:
-        val, _, vec, deg = heapq.heappop(heap)
-        if vec in best:
-            continue
-        best[vec] = (val, deg)
-        if len(best) > budget:
-            raise BudgetError("over budget")
-        for vexp, svec, sdeg in spans:
-            nvec = tuple(map(add, vec, svec))
-            if nvec not in best and box.contains(deg + sdeg):
-                heapq.heappush(heap, (val + vexp, counter, nvec, deg + sdeg))
-                counter += 1
-
-    per_degree = {}
-    for vec, (val, deg) in best.items():
-        e = order_exponent(vec)
-        if window.contains(deg) and (e is None or val < e):
-            per_degree.setdefault(deg, []).append((vec, val, e))
+    spans = span_steps(pres)
+    per_degree = live_monomials(pres, window, budget)
     cells, where = {}, {}
     for deg, here in per_degree.items():
         here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
