@@ -34,6 +34,7 @@ from .bigraded import (
     act,
     cellwise_diff,
     memo_scope,
+    multiplier,
     pgroup_sum,
     phom_zero,
     restrict,
@@ -55,7 +56,7 @@ from .localization import (  # noqa: F401
     output_window,
     resolve_multiplier,
 )
-from .presentation import Presentation, expand
+from .presentation import Presentation, expand, span_actions
 from .presets import preset_presentation
 from .snf import cokernel, kernel, solve_hom
 
@@ -151,18 +152,18 @@ class AssemblyReport(NamedTuple):
         return not self.certificate_failures()
 
 
-def select_tau_power(module):
-    """The tau power to invert: the finest one the module acts by.
+def select_tau_power(prime, multipliers):
+    """The tau power to invert: the finest one among the multiplier names.
 
     Odd-primary modules only ever carry a tau^2 self map, so only that
     name is accepted there.
     """
-    if module.prime != 2:
-        if "tau2" in module.multipliers:
+    if prime != 2:
+        if "tau2" in multipliers:
             return "tau2"
         raise ValueError("odd-primary input needs a tau2 action to invert")
     for name in ("tau", "tau2", "tau4"):
-        if name in module.multipliers:
+        if name in multipliers:
             return name
     raise ValueError("input has no tau power action to invert")
 
@@ -191,7 +192,7 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
     """
     if not rho_complete:
         raise RhoCompleteError(CONTRACT_MESSAGE)
-    tau_name = select_tau_power(module)
+    tau_name = select_tau_power(module.prime, module.multipliers)
     w = module.window
     K = default_steps(w) if steps is None else steps
     rho = module.multiplier("rho")
@@ -319,24 +320,23 @@ def assemble(square, window=None):
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 
-def _reach(module, box, *chains):
-    """The part of the module's window that answering the box can read.
+def _reach(window, degrees, box, *chains):
+    """The part of the window that answering the box can read.
 
-    The box grows by one step of any multiplier on every side (the action
-    loops of invert and complete mark a cell from a target one step away)
-    and is swept to the window's edge along each chain degree, so every
-    chain out of it runs exactly as far as in the whole window.  The box
-    must meet the window.
+    degrees are those of the module's multipliers.  The box grows by one
+    step of any of them on every side (the action loops of invert and
+    complete mark a cell from a target one step away) and is swept to the
+    window's edge along each chain degree, so every chain out of it runs
+    exactly as far as in the whole window.  The box must meet the window.
     """
-    w = module.window
-    degrees = list(module.multipliers.values()) + list(chains)
+    degrees = [*degrees, *chains]
     si = max((abs(d[0]) for d in degrees), default=0)
     sj = max((abs(d[1]) for d in degrees), default=0)
     lo_i, hi_i, lo_j, hi_j = box[0] - si, box[1] + si, box[2] - sj, box[3] + sj
     for di, dj in chains:
-        lo_i, hi_i = (w.imin if di < 0 else lo_i), (w.imax if di > 0 else hi_i)
-        lo_j, hi_j = (w.jmin if dj < 0 else lo_j), (w.jmax if dj > 0 else hi_j)
-    return w.meet(Window(lo_i, hi_i, lo_j, hi_j))
+        lo_i, hi_i = (window.imin if di < 0 else lo_i), (window.imax if di > 0 else hi_i)
+        lo_j, hi_j = (window.jmin if dj < 0 else lo_j), (window.jmax if dj > 0 else hi_j)
+    return window.meet(Window(lo_i, hi_i, lo_j, hi_j))
 
 
 def rho_complete_defect(module, window=None):
@@ -356,7 +356,7 @@ def rho_complete_defect(module, window=None):
     """
     window = output_window(module, window)
     up = module.multiplier("rho").degree.scaled(-1)
-    part = restrict(module, _reach(module, window, up))
+    part = restrict(module, _reach(module.window, module.multipliers.values(), window, up))
     done = complete(part, "rho", steps=default_steps(module.window), window=window)
     return cellwise_diff(done, restrict(module, window))
 
@@ -371,15 +371,8 @@ def _presentation_for(source, prime):
     raise TypeError("expected a preset name or a Presentation")
 
 
-def _expanded_for(pres, window, pad, budget, rho_complete):
-    """The padded expansion, the window and the pad; refuses a visible rho-completeness defect.
-
-    Only a presentation that declares rho an inverted generator is
-    compared with its completion: every other one is degreewise
-    rho-complete exactly (see the module docstring), and a completion run
-    on the padded expansion could only find the truncation gaps of its
-    edge.  rho_complete=True skips the comparison as well.
-    """
+def _padded(pres, window, pad):
+    """The requested window, the pad and the padded window around it."""
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
@@ -393,32 +386,55 @@ def _expanded_for(pres, window, pad, budget, rho_complete):
     # and the cells they end on still need room for one tau power step of
     # the h corner below them; the tallest such step is tau^4.
     big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
-    expanded = expand(pres, big, budget=INTERNAL_BUDGET if budget is None else budget)
-    if not rho_complete and any(g.name == "rho" and g.invertible for g in pres.generators):
+    return core, pad, big
+
+
+def _expanded_for(pres, core, big, reach, budget, rho_complete):
+    """The expansion on reach, a part of the padded window big; refuses a visible rho-completeness defect.
+
+    Expanding a cell reads no other (see expand), so the expansion on
+    reach is the padded one restricted to it.  Only a presentation that
+    declares rho an inverted generator is compared with its completion:
+    every other one is degreewise rho-complete exactly (see the module
+    docstring), and a completion run on the padded expansion could only
+    find the truncation gaps of its edge.  rho_complete=True skips the
+    comparison as well.  The comparison reads rho-chains from the core up
+    to the far corner of big, to the depth big gives them, and the
+    corners read down to its near corner, so a compared input is expanded
+    on all of big and then cut to reach.
+    """
+    checked = not rho_complete and any(g.name == "rho" and g.invertible for g in pres.generators)
+    expanded = expand(pres, big if checked else reach, budget=INTERNAL_BUDGET if budget is None else budget)
+    if checked:
         defect = rho_complete_defect(expanded, core)
         if defect:
             raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
-    return expanded, core, pad
+        expanded = restrict(expanded, reach)
+    return expanded
 
 
 @memo_scope()
 def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, budget=None):
     """Expand a presentation and realize it on the window.
 
-    The presentation is expanded on a padded window so that every cell
-    of the requested window clears the truncation horizon, the fracture
-    square is assembled there, and the result is cut back down.  An
-    input whose rho is not inverted is rho-complete by its presentation
-    and is not checked; one that inverts rho is refused with
-    RhoCompleteError when its degreewise completion differs on the
-    window, unless rho_complete=True takes the contract on faith.
+    Every cell of the requested window has to clear the truncation
+    horizon, so the fracture square is assembled on a padded window and
+    the result is cut back down.  An input whose rho is not inverted is
+    rho-complete by its presentation and is not checked; one that inverts
+    rho is refused with RhoCompleteError when its degreewise completion
+    differs on the window, unless rho_complete=True takes the contract on
+    faith.
 
     The splice reads the corners on the assembly margin around the window
     and on its boundary column, so the corners answer only there; they
-    read the expansion along tau- and rho-chains out of those cells, so
-    they run on just that part of the expansion.  Within it the work
-    follows the support: the localizations and the splice visit nonzero
-    and unverified cells and the window's edges, and decide every other cell
+    read the padded window only along tau- and rho-chains out of those
+    cells (the reach), and only the reach is expanded.  The multipliers
+    that size it come from the presentation (span_actions), the same
+    names and degrees the expansion acts by.  An input that is compared
+    with its completion is still expanded on the whole padded window,
+    which the comparison reads.  Within the reach the work follows the
+    support: the localizations and the splice visit nonzero and
+    unverified cells and the window's edges, and decide every other cell
     without touching it.
 
     Kernels, cokernels, solves, direct sums and Smith normal forms are
@@ -426,18 +442,26 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
 
     The expansion runs under budget monomials, INTERNAL_BUDGET (2,000,000)
     when budget is None; FRACTURE_CELL_BUDGET, which expand reads, is not
-    consulted.
+    consulted.  The budget counts the monomials of the expansion actually
+    made: the reach's, or the padded window's for a compared input.
     """
-    expanded, core, pad = _expanded_for(_presentation_for(source, prime), window, pad, budget, rho_complete)
+    pres = _presentation_for(source, prime)
+    core, pad, big = _padded(pres, window, pad)
     # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
     m = ASSEMBLY_MARGIN
-    margin = expanded.window.meet(Window(core.imin - m, core.imax + m, core.jmin - m, core.jmax + m))
-    tau = expanded.multiplier(select_tau_power(expanded))
+    margin = big.meet(Window(core.imin - m, core.imax + m, core.jmin - m, core.jmax + m))
     box = margin._replace(imax=margin.imax + BOUNDARY_SHIFT.i)
-    reach = _reach(expanded, box, tau.degree, expanded.multiplier("rho").degree)
+    mults = span_actions(pres)
+    try:
+        tau = mults[select_tau_power(pres.prime, mults)]
+    except ValueError:
+        # corners refuses the input, once the contract check has had its say
+        reach = big
+    else:
+        reach = _reach(big, mults.values(), box, tau, mults.get("rho", multiplier("rho").degree))
+    expanded = _expanded_for(pres, core, big, reach, budget, rho_complete)
     # with pad = 1 the boundary column can stick out of the expansion
-    box = reach.meet(box)
-    square = corners(restrict(expanded, reach), rho_complete=True, steps=pad, window=box)
+    square = corners(expanded, rho_complete=True, steps=pad, window=reach.meet(box))
     report = assemble(square, margin)
     result = restrict(report.result, core)
     parts = {d: part for d, part in report.parts.items() if core.contains(d)}
@@ -456,19 +480,23 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     The two inversions and the Tate corner read only the tau2- and
     rho-chains out of the window, so they run on that part of the
     expansion, and phi and the Tate corner answer on the window alone.
-    The completion reads its chains from the opposite edge, so it reads
-    all of the expansion but answers only on that part.  Each stage
-    visits only the support of its input (see invert and complete), and
-    exact-algebra results are reused within the call, and the expansion
-    budget is INTERNAL_BUDGET unless budget is given, as in realize.
-    The contract is decided as in realize: only an input that inverts rho
-    is checked, and refused when its completion visibly differs.
+    The completion reads its chains from the opposite edge, so unlike
+    realize's corners it reads all of the padded window: the whole padded
+    window is expanded, and the completion answers only on that part.
+    Each stage visits only the support of its input (see invert and
+    complete), and exact-algebra results are reused within the call.  The
+    expansion budget is INTERNAL_BUDGET unless budget is given, and counts
+    the monomials of the padded window.  The contract is decided as in
+    realize: only an input that inverts rho is checked, and refused when
+    its completion visibly differs.
     """
     pres = _presentation_for(source, prime)
     if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
-    expanded, core, pad = _expanded_for(pres, window, pad, budget, rho_complete)
-    reach = _reach(expanded, core, expanded.multiplier("tau2").degree, expanded.multiplier("rho").degree)
+    core, pad, big = _padded(pres, window, pad)
+    expanded = _expanded_for(pres, core, big, big, budget, rho_complete)
+    tau2, rho = (expanded.multiplier(name).degree for name in ("tau2", "rho"))
+    reach = _reach(big, expanded.multipliers.values(), core, tau2, rho)
     phi = invert(restrict(expanded, reach), "rho", steps=pad, window=core)
     unit = invert(complete(expanded, "rho", steps=pad, window=reach), "tau2", steps=pad)
     tate = invert(unit, "rho", steps=pad, window=core)

@@ -259,6 +259,20 @@ def _action_name(p, term):
     return scalar + body
 
 
+def span_actions(pres):
+    """{action name: degree} of the span terms of nonzero degree, in span order.
+
+    These are the multipliers expand gives its module, known before
+    expanding.
+    """
+    out = {}
+    for term in pres.spans:
+        degree = _degree_of(pres, _vector(pres, term.powers))
+        if degree != (0, 0):
+            out[_action_name(pres.prime, term)] = degree
+    return out
+
+
 def expand(pres, window=None, budget=None):
     """Expand a presentation into a BigradedModule on a window.
 
@@ -266,10 +280,14 @@ def expand(pres, window=None, budget=None):
     contributes a cyclic summand: a monomial reached with total scalar
     valuation v and killed at valuation e gives Z/p^(e-v), or a free
     summand when no relation applies.  Span elements of nonzero bidegree
-    also become named multiplier actions.
+    also become named multiplier actions (span_actions).
 
-    The search walks a collar around the window (reordering factors keeps
-    partial products nearby, so nothing reachable is missed).  Monomials a
+    The search walks a collar around the hull of the window and the
+    origin, where the empty product starts (reordering factors keeps
+    partial products nearby, so nothing reachable is missed).  What a
+    cell holds therefore does not depend on the window around it: the
+    expansion on a subwindow R of W equals the expansion on W restricted
+    to R, which is what lets realize expand only the part it reads.  Monomials a
     relation has killed are settled but not extended: everything reached
     through them is killed too.  The search gives up once it has settled
     more monomials than the cell budget: the budget argument, or else
@@ -351,13 +369,12 @@ def expand(pres, window=None, budget=None):
         cells[deg] = PGroup(p, rank, torsion)
         index[deg] = {vec: (pos, v) for pos, (vec, v, _) in enumerate(gens_here)}
 
-    multipliers = {}
+    multipliers = span_actions(pres)
     actions = {}
     for term, (vexp, svec, sdeg) in zip(pres.spans, span_vecs):
         if sdeg == (0, 0):
             continue
         name = _action_name(p, term)
-        multipliers[name] = sdeg
         for deg, src in index.items():
             tgt_deg = deg + sdeg
             if not window.contains(tgt_deg) or tgt_deg not in index:

@@ -1,9 +1,11 @@
 """Maps and module operations only the tests use: twin groups, scalar maps,
-cellwise sums and comparisons, and the reference monomial search."""
+cellwise sums and comparisons, the reference monomial search, and a
+record of the windows realize expands."""
 
 import heapq
 from operator import add
 
+from fracture import assembler
 from fracture.bigraded import (
     BiDegree,
     BigradedModule,
@@ -15,7 +17,7 @@ from fracture.bigraded import (
     cellwise_diff,
     pgroup_sum,
 )
-from fracture.presentation import BudgetError
+from fracture.presentation import BudgetError, expand
 
 
 def twin(group):
@@ -147,3 +149,20 @@ def live_monomials(pres, window, budget, extend_dead=True):
         if window.contains(deg) and (e is None or val < e):
             per_degree.setdefault(deg, []).append((vec, val, e))
     return per_degree
+
+
+def expanded_windows(monkeypatch, run):
+    """The windows fracture.assembler.expand is asked for while run() runs.
+
+    The window is the second argument, where outside tracers read it too.
+    """
+    seen = []
+
+    def recording(pres, window, **kwargs):
+        seen.append(Window(*window))
+        return expand(pres, window, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(assembler, "expand", recording)
+        run()
+    return seen

@@ -29,7 +29,7 @@ from fracture.bigraded import (
     validate_module,
 )
 from fracture.localization import chain_end, composite_action, default_steps, invert
-from fracture.presentation import expand, parse_presentation
+from fracture.presentation import expand, parse_presentation, span_actions
 from fracture.presets import PRESET_NAMES, preset_presentation, reference_realization
 
 from helpers import direct_sum
@@ -87,20 +87,17 @@ def hf2_corners():
 
 
 def test_select_tau_power() -> None:
-    w = Window(-6, 6, -6, 6)
-    assert select_tau_power(expand(preset_presentation("hf2"), w)) == "tau"
-    assert select_tau_power(expand(preset_presentation("hz2"), w)) == "tau2"
-    assert select_tau_power(expand(preset_presentation("kgl2"), w)) == "tau4"
-    assert select_tau_power(expand(preset_presentation("hfp_odd", 5), w)) == "tau2"
+    for name, prime, tau in [("hf2", 2, "tau"), ("hz2", 2, "tau2"), ("kgl2", 2, "tau4"), ("hfp_odd", 5, "tau2")]:
+        pres = preset_presentation(name, prime)
+        assert select_tau_power(prime, span_actions(pres)) == tau
+        assert select_tau_power(prime, expand(pres, Window(-6, 6, -6, 6)).multipliers) == tau
 
 
 def test_select_tau_power_missing() -> None:
-    no_tau = BigradedModule(2, Window(-2, 2, -2, 2), {}, {}, {"rho": (-1, -1)})
     with pytest.raises(ValueError, match="no tau power"):
-        select_tau_power(no_tau)
-    odd_wrong = BigradedModule(3, Window(-2, 2, -2, 2), {}, {}, {"tau4": (0, -4)})
+        select_tau_power(2, {"rho": (-1, -1)})
     with pytest.raises(ValueError, match="tau2"):
-        select_tau_power(odd_wrong)
+        select_tau_power(3, {"tau4": (0, -4)})
 
 
 def test_corners_refuse_without_assertion() -> None:

@@ -1,24 +1,29 @@
-"""expand stops at monomials a relation has killed; nothing it returns moves.
+"""expand stops at monomials a relation has killed, and reads nothing outside a cell.
 
 unpruned_expand below builds a module on helpers.live_monomials, the
 search expand ran before it learned to prune: every settled monomial is
 extended, dead or alive.  Both must give the same cells, actions and
 bytes on every preset's padded realize window and on small random
 presentations.
+
+realize expands only the part of the padded window its corners read, so
+expanding a window R inside W must give the bytes of the expansion on W
+restricted to R, wherever the two lie relative to the origin.
 """
 
+import random
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracture import emit_json
-from fracture.bigraded import BigradedModule, PGroup, PHom, Window
-from fracture.presentation import expand, parse_presentation
+from fracture import assembler, emit_json
+from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, restrict
+from fracture.presentation import expand, parse_presentation, span_actions
 from fracture.presets import preset_presentation
 
-from helpers import live_monomials, span_steps
+from helpers import expanded_windows, live_monomials, span_steps
 
 INVERTIBLE_SOURCE = """\
 prime 2
@@ -116,15 +121,20 @@ def test_pruning_keeps_invertible_expansions(source) -> None:
 def presentations(draw):
     """Small presentations whose expansion is finite.
 
-    Every generator has j < 0 and spans use nonnegative powers, so each
-    factor lowers j and only finitely many products land in any window.
+    Every generator steps the same way along one axis, both drawn, and
+    spans use nonnegative powers, so each factor moves a product further
+    that way and only finitely many products land in any window.  The
+    other coordinate of a degree takes either sign.
     """
     p = draw(st.sampled_from([2, 3]))
     ngens = draw(st.integers(1, 3))
+    axis, way = draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
     lines = [f"prime {p}"]
     for k in range(ngens):
-        i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, -1))
-        lines.append(f"gen g{k} {i} {j}" + (" inv" if draw(st.booleans()) else ""))
+        degree = [draw(st.integers(-2, 2)), way * draw(st.integers(1, 2))]
+        if axis == 0:
+            degree.reverse()
+        lines.append(f"gen g{k} {degree[0]} {degree[1]}" + (" inv" if draw(st.booleans()) else ""))
 
     def term():
         scalar = p ** draw(st.integers(0, 2))
@@ -139,8 +149,50 @@ def presentations(draw):
     return parse_presentation("\n".join(lines) + "\n")
 
 
+def inner_window(draw_int, w):
+    """A window of at most 5x5 cells inside w, its bounds drawn by draw_int(lo, hi)."""
+    imin, jmin = draw_int(w.imin, w.imax), draw_int(w.jmin, w.jmax)
+    return Window(imin, min(imin + draw_int(0, 4), w.imax), jmin, min(jmin + draw_int(0, 4), w.jmax))
+
+
+@st.composite
+def nested_windows(draw, pres):
+    """A window W around a product of up to four span terms, and a window R
+    inside it; either may miss the origin."""
+    degrees = list(span_actions(pres).values()) or [BiDegree(0, 0)]
+    factors = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=4))
+    i, j = sum(d.i for d in factors), sum(d.j for d in factors)
+    imin, jmin = i - draw(st.integers(0, 6)), j - draw(st.integers(0, 6))
+    w = Window(imin, imin + draw(st.integers(0, 12)), jmin, jmin + draw(st.integers(0, 12)))
+    return w, inner_window(lambda lo, hi: draw(st.integers(lo, hi)), w)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(pres=presentations())
 def test_pruning_keeps_random_expansions(pres) -> None:
-    window = Window(-6, 4, -8, 2)
+    window = Window(-8, 8, -8, 8)
     assert_same_expansion(expand(pres, window), unpruned_expand(pres, window, 100_000))
+
+
+@pytest.mark.parametrize("name,prime,core", FIXED)
+def test_expansion_is_window_local_on_preset_windows(monkeypatch, name, prime, core) -> None:
+    pres = preset_presentation(name, prime)
+    big = realize_window(core)
+    (reach,) = expanded_windows(monkeypatch, lambda: assembler.realize(pres, prime, core))
+    assert reach == big.meet(reach)
+    whole = expand(pres, big, budget=2_000_000)
+    rng = random.Random(f"{name} {core}")
+    for part in [reach, big, *(inner_window(rng.randint, big) for _ in range(6))]:
+        assert_same_expansion(expand(pres, part, budget=2_000_000), restrict(whole, part))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_expansion_is_window_local(data) -> None:
+    pres = data.draw(presentations())
+    w, r = data.draw(nested_windows(pres))
+    whole = expand(pres, w)
+    # the corners of W lie farthest from the origin the search starts at
+    corners = [w.meet(Window(i - 2, i + 2, j - 2, j + 2)) for i in w[:2] for j in w[2:]]
+    for part in [r, *corners]:
+        assert_same_expansion(expand(pres, part), restrict(whole, part))

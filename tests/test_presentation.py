@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracture import emit_json
 from fracture.bigraded import PRIME_TEST_BOUND, BiDegree, PGroup, Window, _is_prime, validate_module
 from fracture.assembler import realize
 from fracture.presentation import (
@@ -313,6 +314,20 @@ def test_budget_error_names_the_variable_only_when_it_set_the_budget(monkeypatch
     with pytest.raises(BudgetError) as info:
         realize("KGL2_R", 2, (-10, 10, -10, 10), budget=10)
     assert str(info.value) == "expansion exceeded the budget of 10 monomials"
+
+
+def test_realize_budget_counts_the_expansion_it_makes() -> None:
+    # KGL2_R on (-10,10)^2 settles 2119 monomials on the part of the padded
+    # window its corners read and 3248 on the whole padded window; realize
+    # expands only the first, so a budget between the two answers
+    pres = preset_presentation("KGL2_R")
+    with pytest.raises(BudgetError):
+        expand(pres, Window(-34, 34, -38, 34), budget=3000)
+    expand(pres, Window(-34, 15, -38, 16), budget=3000)
+    answer = realize(pres, 2, (-10, 10, -10, 10), budget=3000)
+    assert emit_json(answer) == emit_json(realize(pres, 2, (-10, 10, -10, 10)))
+    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 2118 monomials$"):
+        realize(pres, 2, (-10, 10, -10, 10), budget=2118)
 
 
 def test_budget_error_names_the_variable_for_the_default(monkeypatch) -> None:

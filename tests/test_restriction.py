@@ -5,7 +5,9 @@ the expansion its chains reach, and invert and complete compute only the
 cells of the window they are asked for.  The reference path here runs
 the same public stages on the whole expansion, the way the pipeline did
 before the restriction, and must give the same bytes on seeded random
-windows.
+windows.  realize expands only the part its corners read, unless the
+degreewise rho-completeness check runs, which reads the whole padded
+window; the windows it asks expand for are recorded here too.
 """
 
 import random
@@ -14,11 +16,21 @@ import re
 import pytest
 
 from fracture import emit_json
-from fracture.assembler import AssemblyReport, assemble, corners, odd_split, realize, rho_complete_defect
+from fracture.assembler import (
+    AssemblyReport,
+    RhoCompleteError,
+    assemble,
+    corners,
+    odd_split,
+    realize,
+    rho_complete_defect,
+)
 from fracture.bigraded import Window, cellwise_diff, restrict
 from fracture.localization import complete, invert
 from fracture.presentation import expand, parse_presentation
 from fracture.presets import preset_presentation
+
+from helpers import expanded_windows
 
 # HF2 with one more generator of mixed-sign degree: its action steps down
 # in j but up in i, against the direction of the tau- and rho-chains.
@@ -42,6 +54,18 @@ rel 2·1
 span 1·1
 span 1·rho
 span 1·rho^-1
+"""
+
+# rho inverted, with a tau; its completion agrees with it on (-4,-1,1,4)
+RHO_TAU_SOURCE = """\
+prime 2
+gen rho -1 -1 inv
+gen tau 0 -1
+rel 2·1
+span 1·1
+span 1·rho
+span 1·rho^-1
+span 1·tau
 """
 
 PRESENTATIONS = {
@@ -99,6 +123,34 @@ def test_realize_matches_whole_window_path(name, core, pad) -> None:
     want = whole_window_realize(pres, core, pad)
     assert emit_json(got) == emit_json(want)
     assert got.dropped == want.dropped
+
+
+def test_realize_expands_only_what_the_corners_read(monkeypatch) -> None:
+    # the padded window of (-10,10)^2 is (-34,34,-38,34); the corners read
+    # it down and left from the splice box, along tau4 and rho
+    seen = expanded_windows(monkeypatch, lambda: realize("KGL2_R", 2, (-10, 10, -10, 10)))
+    assert seen == [Window(-34, 15, -38, 16)]
+
+
+def test_a_checked_rho_inverted_input_expands_the_padded_window(monkeypatch) -> None:
+    pres = parse_presentation(RHO_TAU_SOURCE)
+    core = Window(-4, -1, 1, 4)
+    reports = []
+    # the degreewise check runs and passes: the whole padded window (pad 7) is expanded
+    seen = expanded_windows(monkeypatch, lambda: reports.append(realize(pres, 2, core)))
+    assert seen == [Window(-11, 6, -10, 11)]
+    # asserted rho-complete, the input is expanded on the corners' reach alone
+    seen = expanded_windows(monkeypatch, lambda: reports.append(realize(pres, 2, core, rho_complete=True)))
+    assert seen == [Window(-11, 3, -10, 7)]
+    checked, asserted = reports
+    assert emit_json(checked) == emit_json(asserted)
+    assert checked.dropped == asserted.dropped
+
+    def refused():
+        with pytest.raises(RhoCompleteError):
+            realize(parse_presentation(RHO_INVERTED_SOURCE), 2, Window(-3, 3, -3, 3))
+
+    assert expanded_windows(monkeypatch, refused) == [Window(-13, 13, -17, 13)]
 
 
 def odd_split_outcome(run):
