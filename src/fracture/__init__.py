@@ -30,7 +30,6 @@ from .bigraded import (
 )
 from .charts import FLAG_BOUNDARY, FLAG_VERIFIED, emit_json, load_json, render, render_ascii, render_svg
 from .localization import complete, invert
-from .periodicity import RegionVerdict, gamma, region, tau_selfmap_degree, u_period
 from .presentation import (
     BudgetError,
     ParseError,

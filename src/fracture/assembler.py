@@ -389,27 +389,24 @@ def _padded(pres, window, pad):
     return core, pad, big
 
 
-def _expanded_for(pres, core, big, reach, budget, rho_complete):
-    """The expansion on reach, a part of the padded window big; refuses a visible rho-completeness defect.
+def _checked_expansion(pres, core, big, budget, rho_complete):
+    """The padded expansion of an input compared with its completion, else None.
 
-    Expanding a cell reads no other (see expand), so the expansion on
-    reach is the padded one restricted to it.  Only a presentation that
-    declares rho an inverted generator is compared with its completion:
-    every other one is degreewise rho-complete exactly (see the module
-    docstring), and a completion run on the padded expansion could only
-    find the truncation gaps of its edge.  rho_complete=True skips the
-    comparison as well.  The comparison reads rho-chains from the core up
-    to the far corner of big, to the depth big gives them, and the
-    corners read down to its near corner, so a compared input is expanded
-    on all of big and then cut to reach.
+    Only a presentation that declares rho an inverted generator is
+    compared: every other one is degreewise rho-complete exactly (see the
+    module docstring), and a completion run on the padded expansion could
+    only find the truncation gaps of its edge.  rho_complete=True skips
+    the comparison as well.  The comparison reads rho-chains from the
+    core up to the far corner of big, to the depth big gives them, so a
+    compared input is expanded on all of big; a visible defect is refused
+    with RhoCompleteError.
     """
-    checked = not rho_complete and any(g.name == "rho" and g.invertible for g in pres.generators)
-    expanded = expand(pres, big if checked else reach, budget=INTERNAL_BUDGET if budget is None else budget)
-    if checked:
-        defect = rho_complete_defect(expanded, core)
-        if defect:
-            raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
-        expanded = restrict(expanded, reach)
+    if rho_complete or not any(g.name == "rho" and g.invertible for g in pres.generators):
+        return None
+    expanded = expand(pres, big, budget=budget)
+    defect = rho_complete_defect(expanded, core)
+    if defect:
+        raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
     return expanded
 
 
@@ -444,22 +441,26 @@ def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, bu
     when budget is None; FRACTURE_CELL_BUDGET, which expand reads, is not
     consulted.  The budget counts the monomials of the expansion actually
     made: the reach's, or the padded window's for a compared input.
+
+    Refusals come in this order: the contract check (whose padded
+    expansion can itself exceed the budget), then a missing tau power,
+    a ValueError raised before anything else is expanded, then the
+    budget of the reach.  So a tau-less input that is not compared is
+    refused for its missing tau power even where its expansion would
+    exceed the budget.
     """
     pres = _presentation_for(source, prime)
     core, pad, big = _padded(pres, window, pad)
+    budget = INTERNAL_BUDGET if budget is None else budget
+    checked = _checked_expansion(pres, core, big, budget, rho_complete)
+    mults = span_actions(pres)
+    tau = mults[select_tau_power(pres.prime, mults)]
     # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
     m = ASSEMBLY_MARGIN
     margin = big.meet(Window(core.imin - m, core.imax + m, core.jmin - m, core.jmax + m))
     box = margin._replace(imax=margin.imax + BOUNDARY_SHIFT.i)
-    mults = span_actions(pres)
-    try:
-        tau = mults[select_tau_power(pres.prime, mults)]
-    except ValueError:
-        # corners refuses the input, once the contract check has had its say
-        reach = big
-    else:
-        reach = _reach(big, mults.values(), box, tau, mults.get("rho", multiplier("rho").degree))
-    expanded = _expanded_for(pres, core, big, reach, budget, rho_complete)
+    reach = _reach(big, mults.values(), box, tau, mults.get("rho", multiplier("rho").degree))
+    expanded = expand(pres, reach, budget=budget) if checked is None else restrict(checked, reach)
     # with pad = 1 the boundary column can stick out of the expansion
     square = corners(expanded, rho_complete=True, steps=pad, window=reach.meet(box))
     report = assemble(square, margin)
@@ -494,7 +495,10 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
     core, pad, big = _padded(pres, window, pad)
-    expanded = _expanded_for(pres, core, big, big, budget, rho_complete)
+    budget = INTERNAL_BUDGET if budget is None else budget
+    expanded = _checked_expansion(pres, core, big, budget, rho_complete)
+    if expanded is None:
+        expanded = expand(pres, big, budget=budget)
     tau2, rho = (expanded.multiplier(name).degree for name in ("tau2", "rho"))
     reach = _reach(big, expanded.multipliers.values(), core, tau2, rho)
     phi = invert(restrict(expanded, reach), "rho", steps=pad, window=core)

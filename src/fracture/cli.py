@@ -1,4 +1,4 @@
-"""Command line driver for realization, localization and region tables.
+"""Command line driver for realization, expansion and localization.
 
 Subcommands take a module as a preset name or a path to a presentation
 file, a window of bidegrees, and write json, ascii or svg output to a
@@ -16,7 +16,6 @@ from .assembler import RhoCompleteError, realize
 from .bigraded import Window, validate_module
 from .charts import render
 from .localization import complete, invert
-from .periodicity import region
 from .presentation import BudgetError, ParseError, expand, parse_presentation
 from .presets import PRESET_NAMES, preset_presentation, resolve_preset
 
@@ -126,21 +125,6 @@ def run_localize(args):
     return 0
 
 
-def run_regions(args):
-    w = args.window
-    lines = [f"{'i':>5} {'j':>5} {'di_range':>9} {'cone':>5} {'period':>7}"]
-    for j in range(w.jmax, w.jmin - 1, -1):
-        for i in range(w.imin, w.imax + 1):
-            v = region(i, j)
-            period = "-" if v.period is None else str(v.period)
-            lines.append(
-                f"{i:>5} {j:>5} {str(v.in_di_range).lower():>9}"
-                f" {str(v.in_nonperiodicity_cone).lower():>5} {period:>7}"
-            )
-    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.out)
-    return 0
-
-
 def run_check(args):
     report = _realized(args)
     problems = validate_module(report.result) + report.certificate_failures()
@@ -186,16 +170,6 @@ def build_parser():
         _add_output_args(p)
         p.add_argument("--mult", required=True, help=mult_help)
         _add_steps_arg(p)
-
-    p = _command(
-        sub,
-        "regions",
-        "print the periodicity verdict table for a window; the period is that of the tau"
-        " self-map on the cofiber of the i-th rho power, not of the preset charts",
-        run_regions,
-    )
-    p.add_argument("--window", type=window_arg, required=True)
-    p.add_argument("--out", default=None, help="output path; stdout when omitted")
 
     p = _command(sub, "check", "realize and verify certificates and validity", run_check)
     _add_module_args(p)

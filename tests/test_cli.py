@@ -107,16 +107,9 @@ def test_complete_records_caveat(capsysbinary) -> None:
     assert COMPLETION_CAVEAT in payload["caveats"]
 
 
-def test_regions_table(capsysbinary) -> None:
-    code = main(["regions", "--window", "0:6,0:4"])
-    assert code == 0
-    lines = capsysbinary.readouterr().out.decode("utf-8").splitlines()
-    assert lines[0].split() == ["i", "j", "di_range", "cone", "period"]
-    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[1:]}
-    assert rows[("5", "3")] == ["true", "true", "-"]
-    assert rows[("6", "0")] == ["true", "false", "8"]
-    assert rows[("0", "0")] == ["true", "true", "-"]
-    assert len(rows) == 7 * 5
+def test_removed_subcommand_is_a_usage_error(capsys) -> None:
+    assert main(["regions", "--window", "0:6,0:4"]) == 2
+    assert "invalid choice: 'regions'" in capsys.readouterr().err
 
 
 def test_check_reports_ok(capsysbinary) -> None:

@@ -15,7 +15,6 @@ MODULES = [
     "fracture.presets",
     "fracture.localization",
     "fracture.assembler",
-    "fracture.periodicity",
     "fracture.charts",
 ]
 

@@ -46,6 +46,18 @@ span 1·rho
 span 1·rho^-1
 """
 
+# g1 is inverted, so it divides every monomial: rel 2·g1 kills every even
+# multiple and rel 1·g0 every multiple of g0, and each span term is dead
+KILLED_SOURCE = """\
+prime 2
+gen g0 1 1
+gen g1 -1 1 inv
+rel 1·g0
+rel 2·g1
+span 2·g1
+span 1·g0*g1
+"""
+
 
 def unpruned_expand(pres, window, budget):
     """The reference search: dead monomials are extended like live ones."""
@@ -110,7 +122,7 @@ def test_pruning_keeps_preset_expansions(name, prime, core) -> None:
     assert_same_expansion(expand(pres, big, budget=2_000_000), unpruned_expand(pres, big, 2_000_000))
 
 
-@pytest.mark.parametrize("source", [INVERTIBLE_SOURCE, TATE_STYLE_SOURCE])
+@pytest.mark.parametrize("source", [INVERTIBLE_SOURCE, TATE_STYLE_SOURCE, KILLED_SOURCE])
 def test_pruning_keeps_invertible_expansions(source) -> None:
     pres = parse_presentation(source)
     big = Window(-8, 6, -9, 5)
@@ -124,28 +136,42 @@ def presentations(draw):
     Every generator steps the same way along one axis, both drawn, and
     spans use nonnegative powers, so each factor moves a product further
     that way and only finitely many products land in any window.  The
-    other coordinate of a degree takes either sign.
+    other coordinate of a degree takes either sign.  The first span term
+    has scalar 1, and a relation with scalar 1 needs a positive power of
+    a generator that is not inverted (one that needs none would kill
+    every monomial), so few draws expand to an empty module; relations
+    still kill monomials in about a third of them.
     """
     p = draw(st.sampled_from([2, 3]))
     ngens = draw(st.integers(1, 3))
     axis, way = draw(st.sampled_from([0, 1])), draw(st.sampled_from([-1, 1]))
     lines = [f"prime {p}"]
+    finite = []
     for k in range(ngens):
         degree = [draw(st.integers(-2, 2)), way * draw(st.integers(1, 2))]
         if axis == 0:
             degree.reverse()
-        lines.append(f"gen g{k} {degree[0]} {degree[1]}" + (" inv" if draw(st.booleans()) else ""))
+        inv = draw(st.booleans())
+        lines.append(f"gen g{k} {degree[0]} {degree[1]}" + (" inv" if inv else ""))
+        if not inv:
+            finite.append(k)
 
-    def term():
-        scalar = p ** draw(st.integers(0, 2))
-        powers = [(k, draw(st.integers(0, 2))) for k in range(ngens)]
-        mono = "*".join(f"g{k}^{e}" for k, e in powers if e) or "1"
-        return f"{scalar}·{mono}"
+    def term(vexp, relation=False):
+        powers = [draw(st.integers(0, 2)) for _ in range(ngens)]
+        if relation and vexp == 0 and not any(powers[k] for k in finite):
+            # inverted generators divide every monomial: this would kill them all
+            if finite:
+                powers[draw(st.sampled_from(finite))] = draw(st.integers(1, 2))
+            else:
+                vexp = 1
+        mono = "*".join(f"g{k}^{e}" for k, e in enumerate(powers) if e) or "1"
+        return f"{p**vexp}·{mono}"
 
     for _ in range(draw(st.integers(0, 2))):
-        lines.append(f"rel {term()}")
-    for _ in range(draw(st.integers(1, 4))):
-        lines.append(f"span {term()}")
+        lines.append(f"rel {term(draw(st.integers(0, 2)), relation=True)}")
+    lines.append(f"span {term(0)}")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(f"span {term(draw(st.integers(0, 2)))}")
     return parse_presentation("\n".join(lines) + "\n")
 
 

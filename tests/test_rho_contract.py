@@ -20,7 +20,7 @@ from fracture.cli import main
 from fracture.presentation import expand, parse_presentation
 from fracture.presets import PRESET_NAMES, preset_presentation
 
-from helpers import live_monomials
+from helpers import expanded_windows, live_monomials
 
 BUDGET = 200_000
 
@@ -138,10 +138,14 @@ def test_deep_rho_input_answers_with_every_cell_unverified() -> None:
     assert report.result.unverified == frozenset(window.cells())
 
 
-@pytest.mark.parametrize("window", DEEP_RHO_WINDOWS, ids=str)
-def test_without_tau_the_input_fails_for_its_own_reason(window) -> None:
-    with pytest.raises(ValueError, match="^input has no tau power action to invert$"):
-        realize(parse_presentation(WITHOUT_TAU_SOURCE), 2, window)
+@pytest.mark.parametrize("window", [*DEEP_RHO_WINDOWS, Window(-30, 30, -30, 30)], ids=str)
+def test_without_tau_the_input_fails_for_its_own_reason(window, monkeypatch) -> None:
+    def refused():
+        with pytest.raises(ValueError, match="^input has no tau power action to invert$"):
+            realize(parse_presentation(WITHOUT_TAU_SOURCE), 2, window)
+
+    # rho is not inverted, so nothing is checked and the refusal comes before any expansion
+    assert expanded_windows(monkeypatch, refused) == []
 
 
 # The rho-periodic inputs of the benchmark's small-sweep workload, and
