@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracture.assembler import (
     CONTRACT_MESSAGE,
     RhoCompleteError,
+    _reach,
     assemble,
     corners,
     odd_split,
@@ -98,6 +99,55 @@ def test_select_tau_power_missing() -> None:
         select_tau_power(2, {"rho": (-1, -1)})
     with pytest.raises(ValueError, match="tau2"):
         select_tau_power(3, {"tau4": (0, -4)})
+
+
+# the actions of each input, in span order; span terms of degree (0,0) name none
+SPAN_ACTIONS = {
+    "HF2_R": (preset_presentation("HF2_R"), {"tau": (0, -1), "rho": (-1, -1)}),
+    "HZ2_R": (preset_presentation("HZ2_R"), {"rho": (-1, -1), "tau2": (0, -2)}),
+    "KGL2_R": (
+        preset_presentation("KGL2_R"),
+        {"rho": (-1, -1), "2tau2": (0, -2), "tau4": (0, -4), "v1": (2, 1)},
+    ),
+    "HFP_ODD_R-3": (preset_presentation("HFP_ODD_R", 3), {"tau2": (0, -2)}),
+    "HFP_ODD_R-5": (preset_presentation("HFP_ODD_R", 5), {"tau2": (0, -2)}),
+    "rho-inverted": (parse_presentation(RHO_INVERTED_SOURCE), {"rho": (-1, -1), "rho-1": (1, 1)}),
+    "tau-less": (
+        parse_presentation(
+            "prime 2\ngen rho -1 -1\ngen tau 0 -1\ngen v 1 1\nrel 4·rho\n"
+            "span 1·1\nspan 2·1\nspan 1·rho\nspan 1·tau*v^3\n"
+        ),
+        {"rho": (-1, -1), "tauv3": (3, 2)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SPAN_ACTIONS)
+def test_span_actions_are_the_expansions_multipliers(name) -> None:
+    pres, actions = SPAN_ACTIONS[name]
+    assert list(span_actions(pres).items()) == list(actions.items())
+    assert expand(pres, Window(-3, 3, -3, 3)).multipliers == actions
+
+
+# (multiplier degrees, box, chain degrees) -> the part of (-10,10)^2 the box reads
+REACH_CASES = {
+    "one step around the box": ([(0, -1), (-1, -1)], Window(-2, 2, -2, 2), [], Window(-3, 3, -3, 3)),
+    "swept down a tau chain": ([(0, -1), (-1, -1)], Window(-2, 2, -2, 2), [(0, -1)], Window(-3, 3, -10, 3)),
+    "swept down tau and rho chains": (
+        [(0, -1), (-1, -1)],
+        Window(-2, 2, -2, 2),
+        [(0, -1), (-1, -1)],
+        Window(-10, 3, -10, 3),
+    ),
+    "the widest step on each axis": ([(2, 1)], Window(-2, 2, -2, 2), [(0, -4)], Window(-4, 4, -10, 6)),
+    "cut to the window": ([(0, -1)], Window(8, 10, 8, 10), [(0, -1)], Window(8, 10, -10, 10)),
+}
+
+
+@pytest.mark.parametrize("case", REACH_CASES)
+def test_reach_grows_the_box_by_one_step_and_sweeps_along_each_chain(case) -> None:
+    degrees, box, chains, reach = REACH_CASES[case]
+    assert _reach(Window(-10, 10, -10, 10), degrees, box, *chains) == reach
 
 
 def test_corners_refuse_without_assertion() -> None:

@@ -141,6 +141,34 @@ def test_refusal_exits_nonzero_with_contract_message(tmp_path) -> None:
     assert proc.stderr.decode("utf-8").startswith(CONTRACT_MESSAGE)
 
 
+# inputs with no tau power realize can invert, and the error each is refused with
+TAU_LESS = {
+    "without-tau": (
+        "prime 2\ngen rho -1 -1\ngen tau 0 -1\ngen v 1 1\nrel 4·rho\nspan 1·1\nspan 1·rho\nspan 1·tau*v^3\n",
+        [],
+        "input has no tau power action to invert",
+    ),
+    "without-tau2": (
+        "prime 3\ngen rho -1 -1\ngen tau 0 -1\nrel 3·1\nspan 1·1\nspan 1·rho\nspan 1·tau\n",
+        [],
+        "odd-primary input needs a tau2 action to invert",
+    ),
+    "asserted-rho-f2": (RHO_INVERTED_SOURCE, ["--assert-rho-complete"], "input has no tau power action to invert"),
+}
+
+
+@pytest.mark.parametrize("name", TAU_LESS)
+@pytest.mark.parametrize("command", ["realize", "check"])
+def test_tau_less_input_exits_one_with_its_own_error(command, name, tmp_path, capsysbinary) -> None:
+    source, flags, message = TAU_LESS[name]
+    src = tmp_path / f"{name}.txt"
+    src.write_text(source, encoding="utf-8")
+    assert main([command, "--module", str(src), "--window", "-30:30,-30:30", *flags]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode("utf-8") == f"error: {message}\n"
+
+
 def test_override_realizes_file_module(tmp_path, capsysbinary) -> None:
     src = tmp_path / "tate_style.txt"
     src.write_text(TATE_STYLE_SOURCE, encoding="utf-8")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fracture.assembler import CONTRACT_MESSAGE, RhoCompleteError, odd_split, realize, rho_complete_defect
 from fracture.bigraded import Window
 from fracture.cli import main
-from fracture.presentation import expand, parse_presentation
+from fracture.presentation import BudgetError, expand, parse_presentation
 from fracture.presets import PRESET_NAMES, preset_presentation
 
 from helpers import expanded_windows, live_monomials
@@ -148,6 +148,26 @@ def test_without_tau_the_input_fails_for_its_own_reason(window, monkeypatch) -> 
     assert expanded_windows(monkeypatch, refused) == []
 
 
+# an odd-primary input whose tau acts but no tau2 does: realize inverts only tau2 there
+WITHOUT_TAU2_SOURCE = "prime 3\ngen rho -1 -1\ngen tau 0 -1\nrel 3·1\nspan 1·1\nspan 1·rho\nspan 1·tau\n"
+TAU_LESS = {
+    "without-tau": (WITHOUT_TAU_SOURCE, "input has no tau power action to invert"),
+    "without-tau2": (WITHOUT_TAU2_SOURCE, "odd-primary input needs a tau2 action to invert"),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 100, None])
+@pytest.mark.parametrize("name", TAU_LESS)
+def test_the_tau_refusal_comes_before_the_budget(name, budget, monkeypatch) -> None:
+    source, message = TAU_LESS[name]
+
+    def refused():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            realize(parse_presentation(source), None, Window(-30, 30, -30, 30), budget=budget)
+
+    assert expanded_windows(monkeypatch, refused) == []
+
+
 # The rho-periodic inputs of the benchmark's small-sweep workload, and
 # TATE_STYLE_SOURCE of test_assembler; rho-f2 and rho-f3 are also its
 # RHO_INVERTED_SOURCE and ODD_RHO_INVERTED_SOURCE.
@@ -187,3 +207,33 @@ def test_rho_inverted_inputs_are_still_refused(name, window, tmp_path, capsysbin
         captured = capsysbinary.readouterr()
         assert captured.out == b""
         assert captured.err.decode("utf-8").startswith(CONTRACT_MESSAGE)
+
+
+# the inputs of RHO_INVERTED that have no tau power action
+TAU_LESS_RHO_INVERTED = ["rho-f2", "rho-z4", "rho-f3", "rho-f5"]
+
+
+@pytest.mark.parametrize("name", TAU_LESS_RHO_INVERTED)
+def test_an_asserted_rho_inverted_input_without_tau_is_refused_before_expanding(name, monkeypatch) -> None:
+    pres = parse_presentation(RHO_INVERTED[name])
+    message = TAU_LESS["without-tau" if pres.prime == 2 else "without-tau2"][1]
+
+    def refused():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            realize(pres, None, REFUSED_WINDOWS[0], rho_complete=True)
+
+    # asserting the contract skips its check, so the tau refusal is the first
+    assert expanded_windows(monkeypatch, refused) == []
+
+
+@pytest.mark.parametrize("name", TAU_LESS_RHO_INVERTED)
+def test_the_contract_check_meets_the_budget_before_the_tau_refusal(name, monkeypatch) -> None:
+    window = REFUSED_WINDOWS[0]
+
+    def over_budget():
+        with pytest.raises(BudgetError, match="^expansion exceeded the budget of 1 monomials$"):
+            realize(parse_presentation(RHO_INVERTED[name]), None, window, budget=1)
+
+    # the check expands the whole padded window, before the tau power is looked for
+    (padded,) = expanded_windows(monkeypatch, over_budget)
+    assert padded.meet(window) == window and padded != window
