@@ -489,7 +489,9 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     expansion budget is INTERNAL_BUDGET unless budget is given, and counts
     the monomials of the padded window.  The contract is decided as in
     realize: only an input that inverts rho is checked, and refused when
-    its completion visibly differs.
+    its completion visibly differs.  Refusals come in realize's order:
+    the contract check, then a missing tau2 action, a ValueError raised
+    before anything else is expanded, then the budget.
     """
     pres = _presentation_for(source, prime)
     if pres.prime == 2:
@@ -497,6 +499,7 @@ def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budge
     core, pad, big = _padded(pres, window, pad)
     budget = INTERNAL_BUDGET if budget is None else budget
     expanded = _checked_expansion(pres, core, big, budget, rho_complete)
+    select_tau_power(pres.prime, span_actions(pres))
     if expanded is None:
         expanded = expand(pres, big, budget=budget)
     tau2, rho = (expanded.multiplier(name).degree for name in ("tau2", "rho"))

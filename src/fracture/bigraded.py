@@ -573,29 +573,49 @@ def validate_module(module):
     return out
 
 
+def trusted_module(prime, window, cells, actions, multipliers, unverified, caveats):
+    """A BigradedModule built without BigradedModule.__init__; only for parts already in its form.
+
+    window must be a checked Window, cells a dict of nonzero groups keyed by
+    BiDegree inside it, multipliers a dict of BiDegree, and actions keyed by
+    (declared name, BiDegree) between two of the cells; the dicts become the
+    module's own.  The two filters a stage's output can need are kept: zero
+    actions are dropped and unverified is cut to the window.
+    """
+    out = object.__new__(BigradedModule)
+    out.prime = prime
+    out.window = window
+    out.cells = cells
+    out.actions = {key: f for key, f in actions.items() if not f.is_zero()}
+    out.multipliers = multipliers
+    out.unverified = frozenset(filter(window.contains, unverified))
+    out.caveats = tuple(caveats)
+    return out
+
+
 def restrict(module, window):
     """The same module on a subwindow; actions crossing the edge drop.
 
     The module's cells, actions and unverified cells are already in the form
     BigradedModule.__init__ leaves them, and a subwindow of that form keeps
-    it, so the result is assembled directly.
+    it, so the result is assembled by trusted_module.
     """
     window = Window(*window)
     window.check()
     mults = module.multipliers
-    out = object.__new__(BigradedModule)
-    out.prime = module.prime
-    out.window = window
-    out.cells = {d: g for d, g in module.cells.items() if window.contains(d)}
-    out.actions = {
-        (name, d): f
-        for (name, d), f in module.actions.items()
-        if window.contains(d) and window.contains(d + mults[name])
-    }
-    out.multipliers = dict(mults)
-    out.unverified = frozenset(filter(window.contains, module.unverified))
-    out.caveats = module.caveats
-    return out
+    return trusted_module(
+        module.prime,
+        window,
+        {d: g for d, g in module.cells.items() if window.contains(d)},
+        {
+            (name, d): f
+            for (name, d), f in module.actions.items()
+            if window.contains(d) and window.contains(d + mults[name])
+        },
+        dict(mults),
+        module.unverified,
+        module.caveats,
+    )
 
 
 def cellwise_diff(a, b):

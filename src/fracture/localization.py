@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .bigraded import (
     BiDegree,
-    BigradedModule,
     Multiplier,
     PHom,
     Window,
@@ -27,6 +26,7 @@ from .bigraded import (
     multiplier,
     phom_identity,
     phom_zero,
+    trusted_module,
 )
 from .matrices import column, identity, mat_mul
 from .snf import cokernel, invert_iso, is_isomorphism, span_equal
@@ -267,12 +267,12 @@ def _stabilized(module, x, n, e):
 
 
 def chain_starts(window, out, e, delta, steps):
-    """The cells of out whose chain along delta, capped at steps, ends at e.
+    """The cells of out whose chain along delta, capped at steps, ends at e, each with its depth.
 
     A chain stops early only at the window's edge, so an end inside has
     the one start steps back, and an end on the edge has every start up
-    to steps back.  Those in out are the e - n*delta for n in an interval
-    read off out's bounds.
+    to steps back.  Those in out are the (e - n*delta, n) for n in an
+    interval read off out's bounds.
     """
     first = steps if window.contains(e + delta) else 0
     last = steps
@@ -283,7 +283,7 @@ def chain_starts(window, out, e, delta, steps):
             first, last = max(first, -((lo - c) // s)), min(last, (c - hi) // s)
         elif not lo <= c <= hi:
             return []
-    return [e - delta.scaled(n) for n in range(first, last + 1)]
+    return [(e - delta.scaled(n), n) for n in range(first, last + 1)]
 
 
 @memo_scope()
@@ -301,16 +301,25 @@ def invert(module, mult, steps=None, window=None):
     to the output window.  The work follows the support: only cells whose
     chain ends on a nonzero or unverified cell, or one step past a nonzero
     one, or that sit on the window's edge can be nonzero or unverified,
-    and only those are visited.
+    and only those are visited.  The visit runs from the chain ends, not
+    the cells: chain_starts hands each end its starts with their depths,
+    so no visited cell works its chain out again, and each end's cell and
+    stabilization certificate are decided once for all its starts (a
+    start of depth 0 never moved and stays unverified).
 
     An action out of d is a function of the multiplier, the end e of d's
     chain and how much longer the target's chain is, so it is computed
     once per (multiplier, chain end, length difference) and shared by
     every cell with that key: chains running to the window's edge end on
-    few cells.  A shorter target chain reads the inverse of the last steps
-    of d's chain, so the isomorphism test of those steps, and the inverse,
-    is made once per (chain end, length difference).
+    few cells.  A target in the output window that was not visited ends
+    on a verified zero, so it has no action; only a target outside the
+    output window has its chain worked out, for the check below.  A
+    shorter target chain reads the inverse of the last steps of d's
+    chain, so the isomorphism test of those steps, and the inverse, is
+    made once per (chain end, length difference).
 
+    The result is built by trusted_module: its cells, actions and flags
+    come out in the module's form, so only zero actions are dropped.
     Isomorphism verdicts and inverses are computed once per distinct map
     during the call (memo_scope), and every computed one is certified.
     """
@@ -321,13 +330,6 @@ def invert(module, mult, steps=None, window=None):
     if K < 1:
         raise ValueError("localization needs at least one step")
     step = x.degree
-    chains = {}
-
-    def chain(d):
-        """Depth and end cell of the chain out of d, in the module's window."""
-        if d not in chains:
-            chains[d] = chain_end(w, d, step, K)
-        return chains[d]
 
     # Visit the chains that end on a nonzero or unverified cell or one step
     # past a nonzero one, and those that cannot move.  Every other cell of
@@ -337,24 +339,27 @@ def invert(module, mult, steps=None, window=None):
     ends = {*module.cells, *module.unverified, *(c + step for c in module.cells)}
     i, j = out.imin + K * step[0], out.jmin + K * step[1]
     deep = w.meet(Window(i, i + out.width, j, j + out.height))
-    visit = set(edge_cells(w, step, out))
-    for e in ends:
-        if deep.contains(e):
-            visit.update(chain_starts(w, out, e, step, K))
-    for e in edge_cells(w, step):
-        if e in ends:
-            visit.update(chain_starts(w, out, e, step, K))
+    visit = {d: (0, d) for d in edge_cells(w, step, out)}
+    for e in {*filter(deep.contains, ends), *(e for e in edge_cells(w, step) if e in ends)}:
+        for d, n in chain_starts(w, out, e, step, K):
+            visit[d] = (n, e)
 
+    stable = {}
     cells = {}
     unverified = set()
     for d in sorted(visit):
-        n, e = chain(d)
+        n, e = visit[d]
         g = module.cell(e)
         if not g.is_zero():
             cells[d] = g
         # failures are recorded even on zero cells, so a truncation gap
         # cannot pass for a verified zero
-        if not _stabilized(module, x, n, e):
+        if n == 0:
+            unverified.add(d)
+            continue
+        if e not in stable:
+            stable[e] = _stabilized(module, x, n, e)
+        if not stable[e]:
             unverified.add(d)
 
     power = chain_power(module, x)
@@ -387,11 +392,16 @@ def invert(module, mult, steps=None, window=None):
         y = Multiplier(name, BiDegree(*dy))
         for d in cells:
             t = d + y.degree
-            if not w.contains(t):
+            if t in visit:
+                n_t, e_t = visit[t]
+            elif out.contains(t) or not w.contains(t):
+                # a cell of out left unvisited ends on a verified zero
                 continue
-            (n, e), (n_t, e_t) = chain(d), chain(t)
+            else:
+                n_t, e_t = chain_end(w, t, step, K)
             if module.cell(e_t).is_zero():
                 continue
+            n, e = visit[d]
             shift = n_t - n
             # this check marks d even when t lies outside the output window
             if shift < 0 and back_chain(e, shift) is None:
@@ -402,7 +412,7 @@ def invert(module, mult, steps=None, window=None):
             if (name, e, shift) not in found:
                 found[(name, e, shift)] = transported(y, e, shift)
             actions[(name, d)] = found[(name, e, shift)]
-    return BigradedModule(module.prime, out, cells, actions, mults, unverified, module.caveats)
+    return trusted_module(module.prime, out, cells, actions, mults, unverified, module.caveats)
 
 
 @memo_scope()
@@ -485,4 +495,4 @@ def complete(module, mult, steps=None, window=None):
             elif out.contains(t):
                 actions[(name, d)] = induced
     caveats = tuple(dict.fromkeys(module.caveats + (COMPLETION_CAVEAT,)))
-    return BigradedModule(module.prime, out, cells, actions, dict(module.multipliers), unverified, caveats)
+    return trusted_module(module.prime, out, cells, actions, dict(module.multipliers), unverified, caveats)

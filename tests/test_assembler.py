@@ -424,8 +424,12 @@ def test_odd_split_free_rho_module() -> None:
     window = Window(-3, 3, -3, 3)
     with pytest.raises(RhoCompleteError):
         odd_split(pres, 3, window)
-    geometric, unit = odd_split(pres, 3, window, rho_complete=True)
-    assert unit.cells == {}
+    # asserted complete, it has no tau2 action to invert, and realize refuses it for that too
+    for split in (odd_split, realize):
+        with pytest.raises(ValueError, match="^odd-primary input needs a tau2 action to invert$"):
+            split(pres, 3, window, rho_complete=True)
+    # its rho-inverted part, the first half of the split
+    geometric = invert(expand(pres, Window(-9, 9, -9, 9)), "rho", window=window)
     for d in window.cells():
         expected = PGroup(3, 0, (1,)) if d.i == d.j else PGroup(3, 0)
         assert geometric.cell(d) == expected, d

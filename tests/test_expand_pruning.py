@@ -12,6 +12,7 @@ restricted to R, wherever the two lie relative to the origin.
 """
 
 import random
+from itertools import combinations_with_replacement
 from operator import add
 
 import pytest
@@ -181,16 +182,50 @@ def inner_window(draw_int, w):
     return Window(imin, min(imin + draw_int(0, 4), w.imax), jmin, min(jmin + draw_int(0, 4), w.jmax))
 
 
+def span_products(degrees, most):
+    """The degrees of the products of up to most span terms, the empty one included."""
+    return sorted(
+        {
+            BiDegree(sum(d.i for d in factors), sum(d.j for d in factors))
+            for n in range(most + 1)
+            for factors in combinations_with_replacement(degrees, n)
+        }
+    )
+
+
+def hull(c, t, pad=(0, 0, 0, 0)):
+    """The smallest window holding the cells c and t, widened by pad on each side."""
+    return Window(min(c.i, t.i) - pad[0], max(c.i, t.i) + pad[1], min(c.j, t.j) - pad[2], max(c.j, t.j) + pad[3])
+
+
 @st.composite
-def nested_windows(draw, pres):
-    """A window W around a product of up to four span terms, and a window R
-    inside it; either may miss the origin."""
+def around_a_product(draw, pres):
+    """A window around a product c of up to three span terms and c times one
+    more, where an action out of c lands; it may miss the origin."""
     degrees = list(span_actions(pres).values()) or [BiDegree(0, 0)]
-    factors = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=4))
-    i, j = sum(d.i for d in factors), sum(d.j for d in factors)
-    imin, jmin = i - draw(st.integers(0, 6)), j - draw(st.integers(0, 6))
-    w = Window(imin, imin + draw(st.integers(0, 12)), jmin, jmin + draw(st.integers(0, 12)))
-    return w, inner_window(lambda lo, hi: draw(st.integers(lo, hi)), w)
+    c = draw(st.sampled_from(span_products(degrees, 3)))
+    return hull(c, c + draw(st.sampled_from(degrees)), [draw(st.integers(0, 6)) for _ in range(4)])
+
+
+@st.composite
+def probes(draw, pres, whole):
+    """Five windows inside whole's, each around a cell c and c times one more
+    span term: c and the term are drawn among whole's actions, or else c
+    among its cells or its window's lower corner, so most probes see cells
+    and actions."""
+    w = whole.window
+    degrees = list(span_actions(pres).values()) or [BiDegree(0, 0)]
+    pairs = [(d, d + whole.multipliers[name]) for name, d in sorted(whole.actions)]
+    centers = sorted(whole.cells) or [BiDegree(w.imin, w.jmin)]
+    out = []
+    for _ in range(5):
+        if pairs:
+            c, t = draw(st.sampled_from(pairs))
+        else:
+            c = draw(st.sampled_from(centers))
+            t = c + draw(st.sampled_from(degrees))
+        out.append(w.meet(hull(c, t, [draw(st.integers(0, 1))] * 4)))
+    return out
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -216,9 +251,6 @@ def test_expansion_is_window_local_on_preset_windows(monkeypatch, name, prime, c
 @given(data=st.data())
 def test_expansion_is_window_local(data) -> None:
     pres = data.draw(presentations())
-    w, r = data.draw(nested_windows(pres))
-    whole = expand(pres, w)
-    # the corners of W lie farthest from the origin the search starts at
-    corners = [w.meet(Window(i - 2, i + 2, j - 2, j + 2)) for i in w[:2] for j in w[2:]]
-    for part in [r, *corners]:
+    whole = expand(pres, data.draw(around_a_product(pres)))
+    for part in data.draw(probes(pres, whole)):
         assert_same_expansion(expand(pres, part), restrict(whole, part))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fracture.assembler as assembler
 import fracture.localization as localization
-from fracture.assembler import realize
+from fracture.assembler import corners, realize
 from fracture.bigraded import (
     KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
@@ -385,7 +385,8 @@ def test_edge_cells_and_chain_starts_match_the_window_scan(w, data) -> None:
     assert list(edge_cells(w, delta, out)) == [d for d in out.cells() if not w.contains(d + delta)]
     ends = {}
     for d in out.cells():
-        ends.setdefault(chain_end(w, d, delta, K)[1], []).append(d)
+        n, e = chain_end(w, d, delta, K)
+        ends.setdefault(e, []).append((d, n))
     for e in w.cells():
         assert sorted(chain_starts(w, out, e, delta, K)) == sorted(ends.get(e, [])), (e, delta, K)
 
@@ -577,3 +578,90 @@ def test_inversion_transports_each_action_once_per_chain_end(monkeypatch) -> Non
     assert len(powers) <= len(backs) + len(forwards)
     # the per-cell loop reads many more cells than there are chain ends
     assert cells_read > 5 * (len(backs) + len(forwards))
+
+
+def counted_inversion(args, monkeypatch):
+    """The cells invert(*args) calls chain_end for, and the chain ends whose stabilization it decides."""
+    walked, decided = [], []
+    real_chain_end, real_stabilized = localization.chain_end, localization._stabilized
+
+    def counting_chain_end(w, d, delta, steps):
+        walked.append(d)
+        return real_chain_end(w, d, delta, steps)
+
+    def counting_stabilized(module, x, n, e):
+        decided.append(e)
+        return real_stabilized(module, x, n, e)
+
+    module, mult, steps, window = args
+    with monkeypatch.context() as patch:
+        patch.setattr(localization, "chain_end", counting_chain_end)
+        patch.setattr(localization, "_stabilized", counting_stabilized)
+        invert(module, mult, steps=steps, window=window)
+    return walked, decided
+
+
+def test_inversion_decides_each_chain_end_once(monkeypatch) -> None:
+    # the three corner inversions of KGL2 on (-10,10)^2
+    calls = corner_inversions("kgl2", 2, Window(-10, 10, -10, 10), monkeypatch)
+    ends = []
+    for args, result in calls:
+        walked, decided = counted_inversion(args, monkeypatch)
+        # a visited cell lies in the output window and gets its chain from its end
+        assert not [d for d in walked if result.window.contains(d)]
+        assert len(decided) == len(set(decided))
+        ends.append(decided)
+    # the h corner answers on the whole module, and its nonzero cells end on few chain ends
+    (h_args, h), *_ = calls
+    assert h_args[3] is None
+    assert 0 < 5 * len(ends[0]) < len(h.cells)
+
+
+def built_modules(run):
+    """The parts handed to localization's trusted_module while run() runs, with each module built."""
+    built = []
+    real = localization.trusted_module
+
+    def recording(*parts):
+        module = real(*parts)
+        built.append((parts, module))
+        return module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(localization, "trusted_module", recording)
+        run()
+    return built
+
+
+def assert_built_as_validated(built):
+    """Each trusted module equals BigradedModule(...) built from the same parts, in the same order."""
+    assert built
+    for parts, got in built:
+        want = BigradedModule(*parts)
+        for slot in BigradedModule.__slots__:
+            assert getattr(got, slot) == getattr(want, slot), slot
+        assert list(got.cells) == list(want.cells)
+        assert list(got.actions) == list(want.actions)
+
+
+@SUPPORT_SETTINGS
+@given(localization_cases())
+def test_trusted_localizations_equal_the_validated_construction(case) -> None:
+    module, x, K, out = case
+
+    def run():
+        for window in (None, out):
+            invert(module, x, steps=K, window=window)
+            complete(module, x, steps=K, window=window)
+
+    built = built_modules(run)
+    assert len(built) == 4
+    assert_built_as_validated(built)
+
+
+@pytest.mark.parametrize("name,prime", SUPPORT_PRESETS)
+def test_trusted_corners_equal_the_validated_construction(name, prime) -> None:
+    module = expand(preset_presentation(name, prime), Window(-5, 5, -6, 4))
+    built = built_modules(lambda: corners(module, rho_complete=True, window=(-3, 2, -4, 1)))
+    assert len(built) == 3
+    assert_built_as_validated(built)

@@ -168,6 +168,17 @@ def test_the_tau_refusal_comes_before_the_budget(name, budget, monkeypatch) -> N
     assert expanded_windows(monkeypatch, refused) == []
 
 
+@pytest.mark.parametrize("budget", [1, None])
+@pytest.mark.parametrize("window", [Window(-3, 3, -3, 3), Window(-20, 20, -20, 20)], ids=str)
+def test_odd_split_refuses_an_input_without_tau2_before_expanding(window, budget, monkeypatch) -> None:
+    def refused():
+        with pytest.raises(ValueError, match=f"^{TAU_LESS['without-tau2'][1]}$"):
+            odd_split(parse_presentation(WITHOUT_TAU2_SOURCE), None, window, budget=budget)
+
+    # the same refusal, at the same point, as realize's
+    assert expanded_windows(monkeypatch, refused) == []
+
+
 # The rho-periodic inputs of the benchmark's small-sweep workload, and
 # TATE_STYLE_SOURCE of test_assembler; rho-f2 and rho-f3 are also its
 # RHO_INVERTED_SOURCE and ODD_RHO_INVERTED_SOURCE.
@@ -221,6 +232,9 @@ def test_an_asserted_rho_inverted_input_without_tau_is_refused_before_expanding(
     def refused():
         with pytest.raises(ValueError, match=f"^{message}$"):
             realize(pres, None, REFUSED_WINDOWS[0], rho_complete=True)
+        if pres.prime != 2:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                odd_split(pres, None, REFUSED_WINDOWS[0], rho_complete=True)
 
     # asserting the contract skips its check, so the tau refusal is the first
     assert expanded_windows(monkeypatch, refused) == []
