@@ -40,22 +40,19 @@ from .bigraded import (
     restrict,
     sum_map,
 )
-# composite_action and insertion are no longer called here; the names stay
-# bound because outside tracers wrap them by module attribute.
-from .localization import (  # noqa: F401
-    along,
+from .localization import (
     chain_end,
-    chain_power,
     complete,
-    composite_action,
     default_steps,
     edge_cells,
     induced_map,
     insertion,
     invert,
     output_window,
-    resolve_multiplier,
 )
+# composite_action is no longer called here; the name stays bound because
+# outside tracers wrap it by module attribute.
+from .localization import composite_action  # noqa: F401
 from .presentation import Presentation, expand, span_actions
 from .presets import preset_presentation
 from .snf import cokernel, kernel, solve_hom
@@ -183,12 +180,12 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
     rho-chains that leave the window.  Each localization visits only the
     support of its input (see invert).
 
-    The map h_d -> t_d is the rho-chain of up to K steps out of d in h;
-    phi_d -> t_d is the tau-power insertion of the module cell at the end
-    of that rho-chain (the same cell phi_d reads), into h there.  Both
-    come from chain_power, which gives a chain that meets a zero cell the
-    zero map and composes along runs of nonzero cells only.  A map is
-    stored only out of a nonzero cell; maps_to_t reads a missing one as zero.
+    Both maps are insertions (see insertion), so corners walks no chain
+    itself.  h_d -> t_d is the insertion of h into its rho-inversion t;
+    phi_d -> t_d is the insertion of the module into h along the tau
+    power, at the end e of d's rho-chain: phi_d is the module's cell e and
+    t_d is h's.  A map is stored only out of a nonzero cell; maps_to_t
+    reads a missing one as zero.
     """
     if not rho_complete:
         raise RhoCompleteError(CONTRACT_MESSAGE)
@@ -200,16 +197,11 @@ def corners(module, *, rho_complete=False, steps=None, window=None):
     h = invert(module, tau_name, steps=K)
     phi = invert(module, rho, steps=K, window=window)
     tate = invert(h, rho, steps=K, window=window)
-    tau = resolve_multiplier(module, tau_name)
     box = phi.window
 
-    along_rho = chain_power(h, rho)
-    along_tau = chain_power(module, tau)
-    starts = sorted(filter(box.contains, h.cells), key=along(rho.degree))
-    map_h_t = {d: along_rho(d, chain_end(w, d, rho.degree, K)[0]) for d in starts}
+    map_h_t = insertion(h, rho, filter(box.contains, h.cells), K)
     end_of = {d: chain_end(w, d, rho.degree, K)[1] for d in phi.cells}
-    ends = sorted(set(end_of.values()), key=along(tau.degree))
-    insert_at = {e: along_tau(e, chain_end(w, e, tau.degree, K)[0]) for e in ends}
+    insert_at = insertion(module, tau_name, end_of.values(), K)
     map_phi_t = {d: insert_at[e] for d, e in end_of.items()}
     return SquareCorners(restrict(h, box), phi, tate, map_h_t, map_phi_t, tau_name)
 

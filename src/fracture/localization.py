@@ -46,21 +46,22 @@ def resolve_multiplier(module, mult):
     return m
 
 
-def _depth(window, d, delta, cap=None):
-    """Longest chain d, d+delta, ..., d+n*delta staying in the window.
+def steps_inside(window, d, delta):
+    """The range of n for which d + n*delta lies in the window.
 
-    n is at most cap (unbounded when cap is None).  The window is convex,
-    so the chain stays inside up to the first coordinate bound it meets.
+    The window is convex, so the n form an interval: each coordinate that
+    delta moves bounds it on both sides, and one it keeps fixed lets every
+    n in or none.  delta must not be (0, 0).
     """
-    if not window.contains((d[0] + delta[0], d[1] + delta[1])):
-        return 0
-    n = cap
-    axes = ((d[0], delta[0], window.imin, window.imax), (d[1], delta[1], window.jmin, window.jmax))
-    for x, step, lo, hi in axes:
-        if step:
-            room = (hi - x) // step if step > 0 else (x - lo) // -step
-            n = room if n is None else min(n, room)
-    return max(n, 0)
+    first = last = None
+    for x, s, lo, hi in ((d[0], delta[0], window.imin, window.imax), (d[1], delta[1], window.jmin, window.jmax)):
+        if s:
+            lo, hi = (lo, hi) if s > 0 else (hi, lo)
+            a, b = -((x - lo) // s), (hi - x) // s
+            first, last = (a, b) if first is None else (max(first, a), min(last, b))
+        elif not lo <= x <= hi:
+            return range(0)
+    return range(first, last + 1)
 
 
 def edge_cells(window, delta, within=None):
@@ -89,8 +90,9 @@ def edge_cells(window, delta, within=None):
 
 
 def chain_end(window, d, delta, steps):
-    """Depth and end cell of the chain out of d along delta, capped at steps."""
-    n = _depth(window, d, delta, steps)
+    """Depth and end cell of the chain out of d along delta in the window, capped at steps."""
+    inside = steps_inside(window, d, delta)
+    n = min(steps, inside[-1]) if 1 in inside else 0
     return n, d + delta.scaled(n)
 
 
@@ -209,11 +211,22 @@ def chain_power(module, mult):
     return power
 
 
-def insertion(module, mult, d, steps=None):
-    """Canonical map from M_d into the inverted module's cell at d."""
+def insertion(module, mult, cells, steps=None):
+    """Canonical maps from the module into its inversion at mult, at each of cells.
+
+    Returns {d: M_d -> cell d of invert(module, mult, steps)}, the composite
+    of the chain out of d as deep as invert reads it (chain_end).  The
+    cells may come in any order, repeated and as plain tuples.  One
+    chain_power composes them in chain order (along), so chains on one
+    run of nonzero cells share their compositions and a chain that meets
+    a zero cell gives the zero map.
+    """
     x = resolve_multiplier(module, mult)
-    K = default_steps(module.window) if steps is None else steps
-    return composite_action(module, x, d, _depth(module.window, d, x.degree, K))
+    w = module.window
+    K = default_steps(w) if steps is None else steps
+    power = chain_power(module, x)
+    chain_order = sorted(dict.fromkeys(BiDegree(*d) for d in cells), key=along(x.degree))
+    return {d: power(d, chain_end(w, d, x.degree, K)[0]) for d in chain_order}
 
 
 def output_window(module, window):
@@ -271,19 +284,12 @@ def chain_starts(window, out, e, delta, steps):
 
     A chain stops early only at the window's edge, so an end inside has
     the one start steps back, and an end on the edge has every start up
-    to steps back.  Those in out are the (e - n*delta, n) for n in an
-    interval read off out's bounds.
+    to steps back.  Those in out are the (e - n*delta, n) for the n of
+    that interval for which e - n*delta lies in out (steps_inside).
     """
     first = steps if window.contains(e + delta) else 0
-    last = steps
-    for c, s, lo, hi in ((e[0], delta[0], out.imin, out.imax), (e[1], delta[1], out.jmin, out.jmax)):
-        if s > 0:
-            first, last = max(first, -((hi - c) // s)), min(last, (c - lo) // s)
-        elif s < 0:
-            first, last = max(first, -((lo - c) // s)), min(last, (c - hi) // s)
-        elif not lo <= c <= hi:
-            return []
-    return [(e - delta.scaled(n), n) for n in range(first, last + 1)]
+    back = steps_inside(out, e, (-delta[0], -delta[1]))
+    return [(e - delta.scaled(n), n) for n in range(max(first, back.start), min(steps + 1, back.stop))]
 
 
 @memo_scope()
@@ -457,7 +463,7 @@ def complete(module, mult, steps=None, window=None):
     for d in sorted(filter(needed, module.cells), key=along(step)):
         g = module.cells[d]
         # the chain line runs back to the window edge
-        m = min(_depth(w, d, step.scaled(-1)), K)
+        m = chain_end(w, d, step.scaled(-1), K)[0]
         if m == 0:
             quotient = (g, phom_identity(g), identity(g.ngens))
             unverified.add(d)

@@ -25,7 +25,6 @@ from fracture.bigraded import (
 )
 from fracture.localization import (
     COMPLETION_CAVEAT,
-    _depth,
     _stabilized,
     chain_composite,
     chain_end,
@@ -38,6 +37,7 @@ from fracture.localization import (
     induced_map,
     insertion,
     invert,
+    steps_inside,
 )
 from fracture.presentation import expand
 from fracture.presets import preset_presentation
@@ -68,7 +68,7 @@ def test_composite_action_multiplies_the_steps() -> None:
     module = chain_module([PGroup(2, 0, (2,))] * 3, [[[2]], [[1]]])
     assert composite_action(module, S, (0, 0), 0).entries == ((1,),)
     assert composite_action(module, S, (0, 0), 2).entries == ((2,),)
-    assert insertion(module, S, (0, 0)).entries == ((2,),)
+    assert insertion(module, S, [(0, 0)])[(0, 0)].entries == ((2,),)
 
 
 def _depth_by_walking(window, d, delta, cap):
@@ -85,12 +85,45 @@ def test_depth_closed_form_matches_the_walk() -> None:
         for d in outside.cells():
             for cap in (0, 1, 3, 20):
                 expected = _depth_by_walking(w, d, delta, cap)
-                assert _depth(w, d, delta, cap) == expected, (d, delta, cap)
+                assert chain_end(w, d, delta, cap)[0] == expected, (d, delta, cap)
+
+
+def test_steps_inside_matches_the_walk_both_ways() -> None:
+    w = Window(-3, 4, -2, 5)
+    outside = Window(-6, 7, -5, 8)
+    for delta in (BiDegree(-1, -1), BiDegree(0, -1), BiDegree(0, -4), BiDegree(2, 1), BiDegree(1, 0), BiDegree(-3, 2)):
+        for d in outside.cells():
+            walked = set()
+            for way in (1, -1):
+                # a walk of 30 steps leaves the window for good
+                for n in range(0, 30 * way, way):
+                    if w.contains(d + delta.scaled(n)):
+                        walked.add(n)
+            assert set(steps_inside(w, d, delta)) == walked, (d, delta)
+
+
+@pytest.mark.parametrize("name,prime", [("hf2", 2), ("hz2", 2), ("kgl2", 2), ("hfp_odd", 3)])
+def test_insertion_matches_composite_action(name, prime) -> None:
+    module = expand(preset_presentation(name, prime), Window(-3, 3, -4, 3))
+    w = module.window
+    # plain tuples, out of chain order and repeated
+    cells = [tuple(d) for d in reversed(list(w.cells()))]
+    cells = cells[1::2] + cells[::2] + cells[:5]
+    for mult in module.multipliers:
+        x = module.multiplier(mult)
+        for K in (1, 3, None):
+            maps = insertion(module, mult, cells, K)
+            assert sorted(maps) == sorted(w.cells())
+            assert all(type(d) is BiDegree for d in maps)
+            depth = default_steps(w) if K is None else K
+            for d in w.cells():
+                expected = composite_action(module, x, d, chain_end(w, d, x.degree, depth)[0])
+                assert repr(maps[d]) == repr(expected), (mult, K, d)
 
 
 def chain_lines_by_scan(window, delta):
     """Each maximal chain start, start+delta, ... in the window, as (start, length)."""
-    return [(d, _depth(window, d, delta) + 1) for d in window.cells() if not window.contains(d - delta)]
+    return [(d, len(steps_inside(window, d, delta))) for d in window.cells() if not window.contains(d - delta)]
 
 
 @pytest.mark.parametrize("name,prime", [("hf2", 2), ("hz2", 2), ("kgl2", 2), ("hfp_odd", 3)])
@@ -665,3 +698,30 @@ def test_trusted_corners_equal_the_validated_construction(name, prime) -> None:
     built = built_modules(lambda: corners(module, rho_complete=True, window=(-3, 2, -4, 1)))
     assert len(built) == 3
     assert_built_as_validated(built)
+
+
+def zero_actions(module):
+    return [key for key, f in module.actions.items() if f.is_zero()]
+
+
+@pytest.mark.parametrize("mult,handed", [("tau", 12), ("tau2", 5)])
+def test_no_output_keeps_a_zero_action(mult, handed) -> None:
+    # KGL2 inverted along tau or tau2 transports actions onto zero maps,
+    # which trusted_module must drop
+    module = expand(preset_presentation("KGL2_R"), Window(-5, 5, -6, 4))
+    [(parts, inverted)] = built_modules(lambda: invert(module, mult, steps=6))
+    assert sum(f.is_zero() for f in parts[3].values()) == handed
+    square = corners(module, rho_complete=True, steps=6)
+    outputs = [
+        inverted,
+        invert(module, mult, steps=6, window=(-3, 2, -4, 1)),
+        complete(module, mult, steps=6),
+        restrict(inverted, (-3, 2, -4, 1)),
+        square.h,
+        square.phi,
+        square.tate,
+        realize("KGL2_R", 2, (-3, 3, -3, 3)).result,
+    ]
+    for out in outputs:
+        assert out.actions
+        assert zero_actions(out) == []
