@@ -1,8 +1,13 @@
 """Gluing localization corners into the realized module.
 
-The pipeline inverts a tau power to get the corner h, inverts rho to get
-the corner phi, and inverts rho again on h for the common corner t.  The
-realized cell at d is then spliced from the difference map
+The fracture square of a module M has three corners: h = M[tau^-k],
+which inverts the tau power select_tau_power picks, phi = M[rho^-1], and
+their common localization t = M[rho^-1, tau^-k].  M is the expansion of
+a presentation of a monomial module, and so is each corner: the
+presentation localized at the span term it inverts (see
+presentation.localized).  The maps h -> t and phi -> t send each
+monomial to itself (see insertion).  The realized cell at d is then
+spliced from the difference map
 
     phi_d : h_d + phi_d -> t_d,   (x, y) |-> to_t(x) - to_t(y)
 
@@ -30,35 +35,35 @@ from typing import NamedTuple
 from .bigraded import (
     BiDegree,
     BigradedModule,
+    PHom,
     Window,
     act,
     cellwise_diff,
     memo_scope,
-    multiplier,
     pgroup_sum,
     phom_zero,
     restrict,
     sum_map,
+    trusted_module,
 )
-from .localization import (
-    chain_end,
-    complete,
-    default_steps,
-    edge_cells,
-    induced_map,
-    insertion,
-    invert,
-    output_window,
+from .localization import complete, default_steps, induced_map, output_window
+# invert and composite_action are no longer called here; the names stay
+# bound because outside tracers wrap them by module attribute.
+from .localization import composite_action, invert  # noqa: F401
+from .presentation import (
+    BudgetError,
+    Presentation,
+    expand,
+    expand_indexed,
+    localized,
+    monomial_string,
+    span_actions,
+    unbounded_ray,
 )
-# composite_action is no longer called here; the name stays bound because
-# outside tracers wrap it by module attribute.
-from .localization import composite_action  # noqa: F401
-from .presentation import Presentation, expand, span_actions
 from .presets import preset_presentation
 from .snf import cokernel, kernel, solve_hom
 
 BOUNDARY_SHIFT = BiDegree(1, 0)
-ASSEMBLY_MARGIN = 2
 INTERNAL_BUDGET = 2_000_000
 
 CONTRACT_MESSAGE = (
@@ -111,9 +116,7 @@ class AssemblyReport(NamedTuple):
 
     dropped holds one (name, d, why) per action the splice could not
     build out of cell d, why naming the part that failed; the action is
-    left out and d is marked unverified.  A report from realize keeps the
-    entries of the whole assembly margin, so it can also list actions out
-    of margin cells outside the returned window.
+    left out and d is marked unverified.
     """
 
     result: BigradedModule
@@ -165,67 +168,87 @@ def select_tau_power(prime, multipliers):
     raise ValueError("input has no tau power action to invert")
 
 
-def corners(module, *, rho_complete=False, steps=None, window=None):
-    """The three corners h, phi, tate of the fracture square of a module.
+def insertion(source, target):
+    """The localization map between two expansions, as {d: source_d -> target_d}.
 
-    h inverts the tau power select_tau_power picks.  The caller must
-    assert rho_complete: the corner h only deserves its name for
-    rho-complete inputs.  realize() decides the contract from the
-    presentation and asserts this for you.
-
-    The corners and their maps come out on the window (default: the
-    module's window, which must contain it), equal to the whole-window
-    corners restricted to it.  phi and tate are answered on its cells
-    only; h is inverted on the whole module, because tate reads it along
-    rho-chains that leave the window.  Each localization visits only the
-    support of its input (see invert).
-
-    Both maps are insertions (see insertion), so corners walks no chain
-    itself.  h_d -> t_d is the insertion of h into its rho-inversion t;
-    phi_d -> t_d is the insertion of the module into h along the tau
-    power, at the end e of d's rho-chain: phi_d is the module's cell e and
-    t_d is h's.  A map is stored only out of a nonzero cell; maps_to_t
-    reads a missing one as zero.
+    source and target are (module, index) pairs from expand_indexed, the
+    target's presentation a localization of the source's.  Each monomial
+    goes to itself times p^(v_source - v_target), or to 0 where it is
+    dead in the target; valuations and orders only fall, so it is a hom.
     """
-    if not rho_complete:
-        raise RhoCompleteError(CONTRACT_MESSAGE)
-    tau_name = select_tau_power(module.prime, module.multipliers)
-    w = module.window
-    K = default_steps(w) if steps is None else steps
-    rho = module.multiplier("rho")
+    (module, src_index), (tmod, tgt_index) = source, target
+    maps = {}
+    for d, src in src_index.items():
+        tgt = tgt_index.get(d, {})
+        rows = [[0] * len(src) for _ in tgt]
+        for vec, (c, v) in src.items():
+            if vec in tgt:
+                r, v_tgt = tgt[vec]
+                rows[r][c] = module.prime ** (v - v_tgt)
+        maps[d] = PHom(module.cell(d), tmod.cell(d), rows)
+    return maps
 
-    h = invert(module, tau_name, steps=K)
-    phi = invert(module, rho, steps=K, window=window)
-    tate = invert(h, rho, steps=K, window=window)
-    box = phi.window
 
-    map_h_t = insertion(h, rho, filter(box.contains, h.cells), K)
-    end_of = {d: chain_end(w, d, rho.degree, K)[1] for d in phi.cells}
-    insert_at = insertion(module, tau_name, end_of.values(), K)
-    map_phi_t = {d: insert_at[e] for d, e in end_of.items()}
-    return SquareCorners(restrict(h, box), phi, tate, map_h_t, map_phi_t, tau_name)
+def corner_presentations(pres, tau_name):
+    """{corner: presentation} of h = M[tau_name^-1], and of phi = M[rho^-1] and tate = h[rho^-1] when rho acts."""
+    h = localized(pres, tau_name)
+    if "rho" not in span_actions(pres):
+        return {"h": h}
+    return {"h": h, "phi": localized(pres, "rho"), "tate": localized(h, "rho")}
+
+
+def corners(pres, window, budget=None):
+    """The corners h, phi, tate of the fracture square of a presentation, exact on the window.
+
+    Each is the expansion of its localized presentation (corner_presentations);
+    an input with no rho span action has zero phi and tate.  Every corner
+    acts by the input's span actions only.  Both maps into tate are
+    insertions, stored out of nonzero cells only.  Refusals come in this
+    order: a missing tau power (ValueError), then a corner not of finite
+    type (BudgetError naming it and its ray, see unbounded_ray), both
+    before anything is expanded, then the budget, which each corner
+    expansion has to itself.  The contract is the caller's: h deserves its
+    name only for a rho-complete input.
+    """
+    mults = span_actions(pres)
+    tau_name = select_tau_power(pres.prime, mults)
+    named = corner_presentations(pres, tau_name)
+    for corner, local in named.items():
+        ray = unbounded_ray(local)
+        if ray is not None:
+            raise BudgetError(
+                f"corner {corner} is not of finite type: no relation of scalar 1 kills the powers of"
+                f" {monomial_string(ray)}, of degree (0,0)"
+            )
+    window = Window(*window)
+    zero = (BigradedModule(pres.prime, window, {}), {})
+    parts = []
+    for corner in ("h", "phi", "tate"):
+        module, index = expand_indexed(named[corner], window, budget) if corner in named else zero
+        actions = {key: f for key, f in module.actions.items() if key[0] in mults}
+        parts.append((trusted_module(pres.prime, window, module.cells, actions, dict(mults), (), ()), index))
+    h, phi, tate = parts
+    return SquareCorners(h[0], phi[0], tate[0], insertion(h, tate), insertion(phi, tate), tau_name)
 
 
 def assemble(square, window=None):
     """Splice the corners into the realized module, cell by cell.
 
-    Returns an AssemblyReport whose result lives on the given window
-    (default: the corners' window, which must contain it).  The splice at
-    d reads the boundary column d+(1,0), so cells on the corners' right
-    edge treat the missing column as zero and are marked unverified.
-
-    The work follows the support: where h_d, phi_d and tate_(d+(1,0)) are
-    all zero the splice is zero, so only the corners' nonzero and
-    unverified cells and the right edge are visited.
-    The difference map comes from square.maps_to_t, which reads a map out
-    of a zero cell (never stored) as zero, so a boundary column outside
-    the corners' window, all zeros, splices the same way as any other.
+    The splice at d reads the boundary column d+(1,0), so the result lives
+    on the corners' window less its right column (default), or on a window
+    inside that.  Only cells where h_d, phi_d or tate_(d+(1,0)) is nonzero
+    are visited; every other splice is zero.  A cell is unverified only
+    when an action out of it cannot be built (dropped).
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
         raise ValueError("corners must share a window and a prime")
-    w = output_window(h, window)
     big = h.window
+    inner = big._replace(imax=big.imax - BOUNDARY_SHIFT.i)
+    w = inner if window is None else Window(*window)
+    w.check()
+    if inner.meet(w) != w:
+        raise ValueError(f"window {tuple(w)} and its boundary column are not inside the corners' window {tuple(big)}")
 
     sums = {}
     kers = {}
@@ -241,22 +264,13 @@ def assemble(square, window=None):
         kers[d] = kernel(diff)
         cokers[d] = cokernel(diff)
 
-    # every cell of a module outside its nonzero and unverified cells is a
-    # verified zero, so every other cell of w splices zero from verified zeros
-    back = {d - BOUNDARY_SHIFT for d in (*tate.cells, *tate.unverified)}
-    visit = {*h.cells, *h.unverified, *phi.cells, *phi.unverified, *tate.cells, *tate.unverified, *back}
-    visit.update(edge_cells(big, BOUNDARY_SHIFT, w))
+    visit = {*h.cells, *phi.cells, *(d - BOUNDARY_SHIFT for d in tate.cells)}
     cells = {}
     parts = {}
     unverified = set()
     structure = {}
-    for d in sorted(d for d in visit if w.contains(d)):
+    for d in sorted(filter(w.contains, visit)):
         up = d + BOUNDARY_SHIFT
-        if not big.contains(up) or any(e in m.unverified for m, e in ((h, d), (phi, d), (tate, d), (tate, up))):
-            unverified.add(d)
-        if h.cell(d).is_zero() and phi.cell(d).is_zero() and tate.cell(up).is_zero():
-            # no kernel and no cokernel: the splice is zero
-            continue
         splice_data(d)
         splice_data(up)
         ker_group, ker_incl = kers[d]
@@ -294,10 +308,6 @@ def assemble(square, window=None):
             cok_d, cok_t = cokers[up_d][0], cokers[up_t][0]
             if cok_d.is_zero():
                 q2q = phom_zero(cok_d, cok_t)
-            elif not big.contains(up_t):
-                unverified.add(d)
-                dropped.append((name, d, "cokernel target outside the window"))
-                continue
             else:
                 q2q, why = induced_map(act(tate, name, up_d), cokers[up_d], cokers[up_t])
                 if q2q is None:
@@ -307,8 +317,7 @@ def assemble(square, window=None):
             inc_q_d, inc_k_d, prj_q_d, prj_k_d = structure[d]
             inc_q_t, inc_k_t, prj_q_t, prj_k_t = structure[t]
             actions[(name, d)] = sum_map(cells[d], cells[t], ((k2k, inc_k_t, prj_k_d), (q2q, inc_q_t, prj_q_d)))
-    caveats = tuple(dict.fromkeys(h.caveats + phi.caveats + tate.caveats))
-    result = BigradedModule(h.prime, w, cells, actions, mults, unverified, caveats)
+    result = BigradedModule(h.prime, w, cells, actions, mults, unverified)
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 
@@ -363,143 +372,72 @@ def _presentation_for(source, prime):
     raise TypeError("expected a preset name or a Presentation")
 
 
-def _padded(pres, window, pad):
-    """The requested window, the pad and the padded window around it."""
+def _checked(pres, window, budget, rho_complete):
+    """The requested window (else the presentation's) and the budget, once the rho contract holds.
+
+    Only a presentation that declares rho an inverted generator is
+    compared with its degreewise completion (see the module docstring),
+    unless rho_complete=True.  The comparison reads rho-chains from the
+    window across a padded one (the window's larger side + 4 on each
+    side, and 4 more below for the tallest tau power step), expanded
+    under the budget; a visible defect raises RhoCompleteError.
+    """
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
     core = Window(*core)
     core.check()
-    if pad is None:
+    budget = INTERNAL_BUDGET if budget is None else budget
+    if not rho_complete and any(g.name == "rho" and g.invertible for g in pres.generators):
         pad = max(core.width, core.height) + 4
-    elif pad < 1:
-        raise ValueError(f"pad must be at least 1, got {pad}")
-    # The Tate corner walks rho chains of length pad down from the core,
-    # and the cells they end on still need room for one tau power step of
-    # the h corner below them; the tallest such step is tau^4.
-    big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
-    return core, pad, big
-
-
-def _checked_expansion(pres, core, big, budget, rho_complete):
-    """The padded expansion of an input compared with its completion, else None.
-
-    Only a presentation that declares rho an inverted generator is
-    compared: every other one is degreewise rho-complete exactly (see the
-    module docstring), and a completion run on the padded expansion could
-    only find the truncation gaps of its edge.  rho_complete=True skips
-    the comparison as well.  The comparison reads rho-chains from the
-    core up to the far corner of big, to the depth big gives them, so a
-    compared input is expanded on all of big; a visible defect is refused
-    with RhoCompleteError.
-    """
-    if rho_complete or not any(g.name == "rho" and g.invertible for g in pres.generators):
-        return None
-    expanded = expand(pres, big, budget=budget)
-    defect = rho_complete_defect(expanded, core)
-    if defect:
-        raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
-    return expanded
+        big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
+        defect = rho_complete_defect(expand(pres, big, budget=budget), core)
+        if defect:
+            raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
+    return core, budget
 
 
 @memo_scope()
-def realize(source, prime=None, window=None, *, rho_complete=False, pad=None, budget=None):
+def realize(source, prime=None, window=None, *, rho_complete=False, budget=None):
     """Expand a presentation and realize it on the window.
 
-    Every cell of the requested window has to clear the truncation
-    horizon, so the fracture square is assembled on a padded window and
-    the result is cut back down.  An input whose rho is not inverted is
-    rho-complete by its presentation and is not checked; one that inverts
-    rho is refused with RhoCompleteError when its degreewise completion
-    differs on the window, unless rho_complete=True takes the contract on
-    faith.
+    The rho contract is checked first (see _checked), then the corners are
+    expanded on the window plus the boundary column the splice reads, and
+    spliced on the window.  Every corner cell is exact, so no cell is
+    approximated.  Kernels, cokernels, solves, direct sums and Smith
+    normal forms are computed once per distinct input during the call
+    (memo_scope).
 
-    The splice reads the corners on the assembly margin around the window
-    and on its boundary column, so the corners answer only there; they
-    read the padded window only along tau- and rho-chains out of those
-    cells (the reach), and only the reach is expanded.  The multipliers
-    that size it come from the presentation (span_actions), the same
-    names and degrees the expansion acts by.  An input that is compared
-    with its completion is still expanded on the whole padded window,
-    which the comparison reads.  Within the reach the work follows the
-    support: the localizations and the splice visit nonzero and
-    unverified cells and the window's edges, and decide every other cell
-    without touching it.
-
-    Kernels, cokernels, solves, direct sums and Smith normal forms are
-    computed once per distinct input during the call (memo_scope).
-
-    The expansion runs under budget monomials, INTERNAL_BUDGET (2,000,000)
-    when budget is None; FRACTURE_CELL_BUDGET, which expand reads, is not
-    consulted.  The budget counts the monomials of the expansion actually
-    made: the reach's, or the padded window's for a compared input.
-
-    Refusals come in this order: the contract check (whose padded
-    expansion can itself exceed the budget), then a missing tau power,
-    a ValueError raised before anything else is expanded, then the
-    budget of the reach.  So a tau-less input that is not compared is
-    refused for its missing tau power even where its expansion would
-    exceed the budget.
+    Each expansion, the contract check's and each corner's, runs under
+    its own budget of monomials: budget, or INTERNAL_BUDGET (2,000,000);
+    FRACTURE_CELL_BUDGET is not consulted.  Refusals come in this order:
+    the contract check (whose expansion can itself exceed the budget),
+    then a missing tau power (ValueError) and a corner not of finite type
+    (BudgetError), both before anything else is expanded, then the budget
+    of the corners.
     """
     pres = _presentation_for(source, prime)
-    core, pad, big = _padded(pres, window, pad)
-    budget = INTERNAL_BUDGET if budget is None else budget
-    checked = _checked_expansion(pres, core, big, budget, rho_complete)
-    mults = span_actions(pres)
-    tau = mults[select_tau_power(pres.prime, mults)]
-    # with pad < ASSEMBLY_MARGIN the margin would stick out of the expansion
-    m = ASSEMBLY_MARGIN
-    margin = big.meet(Window(core.imin - m, core.imax + m, core.jmin - m, core.jmax + m))
-    box = margin._replace(imax=margin.imax + BOUNDARY_SHIFT.i)
-    reach = _reach(big, mults.values(), box, tau, mults.get("rho", multiplier("rho").degree))
-    expanded = expand(pres, reach, budget=budget) if checked is None else restrict(checked, reach)
-    # with pad = 1 the boundary column can stick out of the expansion
-    square = corners(expanded, rho_complete=True, steps=pad, window=reach.meet(box))
-    report = assemble(square, margin)
-    result = restrict(report.result, core)
-    parts = {d: part for d, part in report.parts.items() if core.contains(d)}
-    return AssemblyReport(result, parts, report.tau_name, report.dropped)
+    core, budget = _checked(pres, window, budget, rho_complete)
+    return assemble(corners(pres, core._replace(imax=core.imax + BOUNDARY_SHIFT.i), budget), core)
 
 
 @memo_scope()
-def odd_split(source, prime, window=None, *, rho_complete=False, pad=None, budget=None):
+def odd_split(source, prime, window=None, *, rho_complete=False, budget=None):
     """Split an odd-primary module into its rho-inverted and completed parts.
 
-    Returns (invert(M, rho), invert(complete(M, rho), tau2)) cut to the
-    window.  The Tate corner of the completed part must vanish and is
-    asserted to; realizing the same input gives the direct sum of the
-    two parts.
-
-    The two inversions and the Tate corner read only the tau2- and
-    rho-chains out of the window, so they run on that part of the
-    expansion, and phi and the Tate corner answer on the window alone.
-    The completion reads its chains from the opposite edge, so unlike
-    realize's corners it reads all of the padded window: the whole padded
-    window is expanded, and the completion answers only on that part.
-    Each stage visits only the support of its input (see invert and
-    complete), and exact-algebra results are reused within the call.  The
-    expansion budget is INTERNAL_BUDGET unless budget is given, and counts
-    the monomials of the padded window.  The contract is decided as in
-    realize: only an input that inverts rho is checked, and refused when
-    its completion visibly differs.  Refusals come in realize's order:
-    the contract check, then a missing tau2 action, a ValueError raised
-    before anything else is expanded, then the budget.
+    Returns the corners (phi, h) = (M[rho^-1], M[tau2^-1]) on the window.
+    h is the tau2-inversion of the rho-completion of M: an input that does
+    not invert rho is its own degreewise rho-completion (see the module
+    docstring), and one that does is checked, or asserted, to be.  The
+    Tate corner must vanish and is asserted to; realizing the same input
+    gives the direct sum of the two parts.  Budget and refusals are as in
+    realize.
     """
     pres = _presentation_for(source, prime)
     if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
-    core, pad, big = _padded(pres, window, pad)
-    budget = INTERNAL_BUDGET if budget is None else budget
-    expanded = _checked_expansion(pres, core, big, budget, rho_complete)
-    select_tau_power(pres.prime, span_actions(pres))
-    if expanded is None:
-        expanded = expand(pres, big, budget=budget)
-    tau2, rho = (expanded.multiplier(name).degree for name in ("tau2", "rho"))
-    reach = _reach(big, expanded.multipliers.values(), core, tau2, rho)
-    phi = invert(restrict(expanded, reach), "rho", steps=pad, window=core)
-    unit = invert(complete(expanded, "rho", steps=pad, window=reach), "tau2", steps=pad)
-    tate = invert(unit, "rho", steps=pad, window=core)
-    bad = sorted(tate.cells)
+    square = corners(pres, *_checked(pres, window, budget, rho_complete))
+    bad = sorted(square.tate.cells)
     if bad:
         raise ValueError(f"Tate corner is nonzero at {bad[:4]}; the odd split does not apply")
-    return phi, restrict(unit, core)
+    return square.phi, square.h

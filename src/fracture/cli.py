@@ -58,12 +58,7 @@ def _add_output_args(p):
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
 
 
-def _add_steps_arg(p):
-    p.add_argument("--steps", type=int, default=None, help="truncation depth override")
-
-
 def _add_realize_args(p):
-    _add_steps_arg(p)
     p.add_argument(
         "--assert-rho-complete",
         action="store_true",
@@ -99,13 +94,7 @@ def _emit(data, out):
 
 
 def _realized(args):
-    return realize(
-        _load_presentation(args),
-        args.prime,
-        args.window,
-        rho_complete=args.assert_rho_complete,
-        pad=args.steps,
-    )
+    return realize(_load_presentation(args), args.prime, args.window, rho_complete=args.assert_rho_complete)
 
 
 def run_realize(args):
@@ -169,7 +158,7 @@ def build_parser():
         _add_module_args(p)
         _add_output_args(p)
         p.add_argument("--mult", required=True, help=mult_help)
-        _add_steps_arg(p)
+        p.add_argument("--steps", type=int, default=None, help="truncation depth override")
 
     p = _command(sub, "check", "realize and verify certificates and validity", run_check)
     _add_module_args(p)

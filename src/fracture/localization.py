@@ -211,24 +211,6 @@ def chain_power(module, mult):
     return power
 
 
-def insertion(module, mult, cells, steps=None):
-    """Canonical maps from the module into its inversion at mult, at each of cells.
-
-    Returns {d: M_d -> cell d of invert(module, mult, steps)}, the composite
-    of the chain out of d as deep as invert reads it (chain_end).  The
-    cells may come in any order, repeated and as plain tuples.  One
-    chain_power composes them in chain order (along), so chains on one
-    run of nonzero cells share their compositions and a chain that meets
-    a zero cell gives the zero map.
-    """
-    x = resolve_multiplier(module, mult)
-    w = module.window
-    K = default_steps(w) if steps is None else steps
-    power = chain_power(module, x)
-    chain_order = sorted(dict.fromkeys(BiDegree(*d) for d in cells), key=along(x.degree))
-    return {d: power(d, chain_end(w, d, x.degree, K)[0]) for d in chain_order}
-
-
 def output_window(module, window):
     """The window a localization answers on; it must lie inside the module's."""
     w = module.window

@@ -26,6 +26,8 @@ from __future__ import annotations
 import heapq
 import os
 import re
+from itertools import combinations
+from math import gcd
 from operator import add
 from typing import NamedTuple
 
@@ -273,9 +275,86 @@ def span_actions(pres):
     return out
 
 
-def expand(pres, window=None, budget=None):
-    """Expand a presentation into a BigradedModule on a window.
+def localized(pres, name):
+    """The presentation of M[x^-1], for x the first span term whose action is called name.
 
+    x must have scalar 1.  Its generators are marked invertible and the
+    span 1·x^-1 is added.  _killers leaves invertible generators out of
+    what a relation needs, so a monomial is dead in M[x^-1] exactly when
+    some x^n·m is dead in M, and its valuation is the limit along the
+    colimit.
+    """
+    for term in pres.spans:
+        if _action_name(pres.prime, term) != name:
+            continue
+        if term.vexp:
+            raise ValueError(f"cannot invert {name!r}: its scalar is not 1")
+        inverted = {g for g, _ in term.powers}
+        gens = tuple(g._replace(invertible=True) if g.name in inverted else g for g in pres.generators)
+        inverse = Term(0, tuple((g, -e) for g, e in term.powers))
+        return pres._replace(generators=gens, spans=pres.spans + (inverse,))
+    raise ValueError(f"no span action {name!r} to invert")
+
+
+def _balance(degrees):
+    """Positive weights c with sum(c_k * degrees_k) = (0, 0), for one to three degrees, else None.
+
+    The kernel of the 2 x n degree matrix must be a line of positive
+    vectors: a degree (0,0) alone, two opposite degrees weighted by each
+    other's size, or three weighted by their 2 x 2 minors.
+    """
+    if len(degrees) == 3:
+        (a, b), (c, d), (e, f) = degrees
+        weights = (c * f - d * e, e * b - f * a, a * d - b * c)
+    elif len(degrees) == 2:
+        (a, b), (c, d) = degrees
+        weights = (abs(c) + abs(d), abs(a) + abs(b))
+    else:
+        weights = (1,)
+    weights = weights if weights[0] > 0 else tuple(-w for w in weights)
+    balanced = all(sum(w * deg[x] for w, deg in zip(weights, degrees)) == 0 for x in (0, 1))
+    return weights if balanced and min(weights) > 0 else None
+
+
+def unbounded_ray(pres):
+    """A monomial of degree (0,0) whose powers no unit relation kills, or None.
+
+    A cell holds infinitely many monomials only along a ray: a product of
+    span terms of degree (0,0).  The ray weights form a cone generated by
+    its extreme rays, each spanned by at most rank + 1 = 3 span terms.
+    Span terms are nonnegative on the generators that are not inverted,
+    so the positive support of a sum of rays there contains each ray's.
+    A ray counts as killed when a relation of scalar 1 needs only
+    generators of its positive support, so None proves every cell finite.
+    A ray that dies only through a growing valuation is returned too: the
+    check may refuse such an input, never accept an infinite one.  The
+    ray comes back as the powers of its primitive monomial.
+    """
+    vecs = [_vector(pres, term.powers) for term in pres.spans]
+    needs = [need for vexp, need in _killers(pres) if vexp == 0]
+    for size in (1, 2, 3):
+        for support in combinations(range(len(vecs)), size):
+            weights = _balance([_degree_of(pres, vecs[k]) for k in support])
+            if weights is None:
+                continue
+            ray = [sum(w * vecs[k][g] for w, k in zip(weights, support)) for g in range(len(pres.generators))]
+            if any(ray) and not any(all(ray[g] > 0 for g, _ in need) for need in needs):
+                common = gcd(*ray)
+                return tuple((gen.name, e // common) for gen, e in zip(pres.generators, ray) if e)
+    return None
+
+
+def expand(pres, window=None, budget=None):
+    """Expand a presentation into a BigradedModule on a window (see expand_indexed)."""
+    return expand_indexed(pres, window, budget)[0]
+
+
+def expand_indexed(pres, window=None, budget=None):
+    """Expand a presentation on a window, with the index of its monomials.
+
+    Returns (module, index), where index[d] maps each live monomial of
+    bidegree d (an exponent vector) to its (position, valuation): the
+    monomial times p^valuation is the cell's generator at that position.
     Every product of span elements whose bidegree lies in the window
     contributes a cyclic summand: a monomial reached with total scalar
     valuation v and killed at valuation e gives Z/p^(e-v), or a free
@@ -287,8 +366,8 @@ def expand(pres, window=None, budget=None):
     partial products nearby, so nothing reachable is missed).  What a
     cell holds therefore does not depend on the window around it: the
     expansion on a subwindow R of W equals the expansion on W restricted
-    to R, which is what lets realize expand only the part it reads.  Monomials a
-    relation has killed are settled but not extended: everything reached
+    to R, which is what lets realize expand its corners on the window it
+    answers alone.  Monomials a relation has killed are settled but not extended: everything reached
     through them is killed too.  The search gives up once it has settled
     more monomials than the cell budget: the budget argument, or else
     FRACTURE_CELL_BUDGET, or else DEFAULT_CELL_BUDGET.
@@ -389,4 +468,4 @@ def expand(pres, window=None, budget=None):
                 r, v_tgt = hit
                 rows[r][c] = p ** (vexp + v - v_tgt)
             actions[(name, deg)] = PHom(cells[deg], cells[tgt_deg], rows)
-    return BigradedModule(p, window, cells, actions, multipliers)
+    return BigradedModule(p, window, cells, actions, multipliers), index

@@ -1,9 +1,12 @@
 """Maps and module operations only the tests use: twin groups, scalar maps,
-cellwise sums and comparisons, the reference monomial search, and a
-record of the windows realize expands."""
+cellwise sums and comparisons, the reference monomial search, a record
+of the windows realize expands, and random presentations that realize
+accepts."""
 
 import heapq
 from operator import add
+
+from hypothesis import strategies as st
 
 from fracture import assembler
 from fracture.bigraded import (
@@ -17,7 +20,7 @@ from fracture.bigraded import (
     cellwise_diff,
     pgroup_sum,
 )
-from fracture.presentation import BudgetError, expand
+from fracture.presentation import BudgetError, expand, expand_indexed, parse_presentation
 
 
 def twin(group):
@@ -152,17 +155,86 @@ def live_monomials(pres, window, budget, extend_dead=True):
 
 
 def expanded_windows(monkeypatch, run):
-    """The windows fracture.assembler.expand is asked for while run() runs.
+    """The windows fracture.assembler expands while run() runs, in call order.
 
-    The window is the second argument, where outside tracers read it too.
+    Both expand (the contract check's) and expand_indexed (each corner's)
+    are recorded.  The window is the second argument, where outside
+    tracers read it too.
     """
     seen = []
 
-    def recording(pres, window, **kwargs):
-        seen.append(Window(*window))
-        return expand(pres, window, **kwargs)
+    def recording(real):
+        def expanding(pres, window, *args, **kwargs):
+            seen.append(Window(*window))
+            return real(pres, window, *args, **kwargs)
+
+        return expanding
 
     with monkeypatch.context() as patch:
-        patch.setattr(assembler, "expand", recording)
+        patch.setattr(assembler, "expand", recording(expand))
+        patch.setattr(assembler, "expand_indexed", recording(expand_indexed))
         run()
     return seen
+
+
+@st.composite
+def odd_rho_complete_presentations(draw):
+    """Random presentations at p = 3 or 5 with a tau^2 action and rho nilpotent.
+
+    rho, when it is a generator, dies at a power of at most 3, and the
+    optional third generator v at a power of at most 3, so every input is
+    rho-complete and expands to finitely many monomials in any window.
+    """
+    p = draw(st.sampled_from([3, 5]))
+    lines = [f"prime {p}", "gen tau 0 -1"]
+    names = ["tau"]
+    if draw(st.booleans()):
+        lines += ["gen rho -1 -1", f"rel 1·rho^{draw(st.integers(1, 3))}"]
+        names.append("rho")
+    if draw(st.booleans()):
+        lines += [f"gen v {draw(st.integers(1, 3))} {draw(st.integers(0, 1))}", f"rel 1·v^{draw(st.integers(1, 3))}"]
+        names.append("v")
+
+    def term():
+        powers = [(name, draw(st.integers(0, 3 if name == "tau" else 2))) for name in names]
+        mono = "*".join(f"{name}^{e}" for name, e in powers if e) or "1"
+        return f"{p ** draw(st.integers(0, 2))}·{mono}"
+
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"rel {term()}")
+    lines.append("span 1·tau^2")
+    lines += [f"span 1·{name}" for name in names[1:] if draw(st.booleans())]
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append(f"span {term()}")
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@st.composite
+def inverse_free_rho_presentations(draw):
+    """Random presentations whose rho is a generator that is not inverted.
+
+    tau may be inverted, and a third generator v is nilpotent, so every
+    cell has finitely many monomials.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    tau_inverted = draw(st.booleans())
+    lines = [f"prime {p}", "gen rho -1 -1", "gen tau 0 -1" + (" inv" if tau_inverted else "")]
+    names = ["rho", "tau"]
+    if draw(st.booleans()):
+        lines += [f"gen v {draw(st.integers(1, 3))} {draw(st.integers(0, 2))}", f"rel 1·v^{draw(st.integers(1, 3))}"]
+        names.append("v")
+
+    def term():
+        low = {"tau": -2 if tau_inverted else 0}
+        powers = [(name, draw(st.integers(low.get(name, 0), 2))) for name in names]
+        mono = "*".join(f"{name}^{e}" for name, e in powers if e) or "1"
+        return f"{p ** draw(st.integers(0, 2))}·{mono}"
+
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(f"rel {term()}")
+    lines += ["span 1·rho", f"span 1·tau^{draw(st.sampled_from([1, 2]))}"]
+    if tau_inverted and draw(st.booleans()):
+        lines.append("span 1·tau^-1")
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append(f"span {term()}")
+    return parse_presentation("\n".join(lines) + "\n")

@@ -22,18 +22,17 @@ from fracture.assembler import (
 )
 from fracture.bigraded import (
     BiDegree,
-    BigradedModule,
     PGroup,
     Window,
     act,
     cellwise_diff,
     validate_module,
 )
-from fracture.localization import chain_end, composite_action, default_steps, invert
-from fracture.presentation import expand, parse_presentation, span_actions
+from fracture.localization import invert
+from fracture.presentation import expand, localized, parse_presentation, span_actions
 from fracture.presets import PRESET_NAMES, preset_presentation, reference_realization
 
-from helpers import direct_sum
+from helpers import direct_sum, odd_rho_complete_presentations
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -75,16 +74,7 @@ span 1·rho^-1
 """
 
 
-def hf2_corners():
-    """Corners padded the way realize() pads, for probing small windows.
-
-    Chains of length 12 from the probe windows below stop well short of
-    the window edge, the discipline realize() enforces with its internal
-    padding.  Certificates are only meaningful under it: a chain cut off
-    by the window inside a gap of the support can report a stable zero.
-    """
-    module = expand(preset_presentation("hf2"), Window(-16, 16, -16, 16))
-    return corners(module, rho_complete=True, steps=12)
+PRESET_CASES = [(n, 3 if n == "HFP_ODD_R" else None) for n in PRESET_NAMES]
 
 
 def test_select_tau_power() -> None:
@@ -150,72 +140,70 @@ def test_reach_grows_the_box_by_one_step_and_sweeps_along_each_chain(case) -> No
     assert _reach(Window(-10, 10, -10, 10), degrees, box, *chains) == reach
 
 
-def test_corners_refuse_without_assertion() -> None:
-    module = expand(preset_presentation("hf2"), Window(-4, 4, -4, 4))
-    with pytest.raises(RhoCompleteError) as exc:
-        corners(module)
-    assert str(exc.value) == CONTRACT_MESSAGE
-
-
 def test_corners_of_zero_module() -> None:
-    zero = BigradedModule(
-        2, Window(-3, 3, -3, 3), {}, {}, {"rho": (-1, -1), "tau": (0, -1)}
-    )
-    square = corners(zero, rho_complete=True)
+    # rel 1·1 kills every monomial of every corner
+    pres = parse_presentation("prime 2\ngen tau 0 -1\ngen rho -1 -1\nrel 1·1\nspan 1·1\nspan 1·tau\nspan 1·rho\n")
+    square = corners(pres, Window(-3, 3, -3, 3))
     assert not square.h.cells and not square.phi.cells and not square.tate.cells
     assert square.map_h_t == {} and square.map_phi_t == {}
     assert all(f.is_zero() for d in square.phi.window.cells() for f in square.maps_to_t(d))
 
 
-@pytest.mark.parametrize("name,p", [(n, 3 if n == "HFP_ODD_R" else None) for n in PRESET_NAMES], ids=PRESET_NAMES)
-@pytest.mark.parametrize("steps,box", [(None, None), (3, Window(-3, 3, -4, 2))], ids=["whole", "box"])
-def test_corner_maps_follow_the_support(name, p, steps, box) -> None:
-    module = expand(preset_presentation(name, p), Window(-6, 6, -8, 6))
-    square = corners(module, rho_complete=True, steps=steps, window=box)
-    w = module.window
-    K = default_steps(w) if steps is None else steps
-    rho = module.multiplier("rho")
-    tau = module.multiplier(square.tau_name)
-    h = invert(module, square.tau_name, steps=K)
-    for d in square.phi.window.cells():
-        a, e = chain_end(w, d, rho.degree, K)
-        n = chain_end(w, e, tau.degree, K)[0]
-        expected = (composite_action(h, rho, d, a), composite_action(module, tau, e, n))
-        assert [repr(f) for f in square.maps_to_t(d)] == [repr(f) for f in expected], d
-    for corner, maps in ((square.h, square.map_h_t), (square.phi, square.map_phi_t)):
-        assert set(maps) == set(corner.cells)
-        assert not any(f.source.is_zero() for f in maps.values())
+def test_an_input_without_rho_has_zero_phi_and_tate() -> None:
+    square = corners(preset_presentation("HFP_ODD_R", 3), Window(-3, 3, -3, 3))
+    assert square.h.cells and not square.phi.cells and not square.tate.cells
+    assert square.h.multipliers == square.phi.multipliers == square.tate.multipliers == {"tau2": (0, -2)}
+
+
+@pytest.mark.parametrize("name,p", PRESET_CASES, ids=PRESET_NAMES)
+def test_corner_maps_follow_the_support(name, p) -> None:
+    # the maps of a smaller window are those of a larger one, cut to it
+    pres = preset_presentation(name, p)
+    square = corners(pres, Window(-6, 6, -8, 6))
+    box = corners(pres, Window(-3, 3, -4, 2))
+    for d in box.h.window.cells():
+        assert [repr(f) for f in box.maps_to_t(d)] == [repr(f) for f in square.maps_to_t(d)], d
+    for sq in (square, box):
+        for corner, maps in ((sq.h, sq.map_h_t), (sq.phi, sq.map_phi_t)):
+            assert set(maps) == set(corner.cells)
+            assert not any(f.source.is_zero() for f in maps.values())
+
+
+def test_corners_keep_the_actions_of_the_input() -> None:
+    # the inverse span terms tau^-4 and rho^-1 act on no corner
+    square = corners(preset_presentation("KGL2_R"), Window(-4, 4, -4, 4))
+    for corner in square[:3]:
+        assert corner.multipliers == span_actions(preset_presentation("KGL2_R"))
+        assert {name for name, _ in corner.actions} <= set(corner.multipliers)
 
 
 def test_hf2_corner_supports() -> None:
-    square = hf2_corners()
+    square = corners(preset_presentation("hf2"), Window(-5, 5, -5, 5))
     for d in Window(-4, 4, -4, 4).cells():
         assert (not square.h.cell(d).is_zero()) == (d.i <= 0), d
         assert (not square.phi.cell(d).is_zero()) == (d.j <= d.i), d
         assert not square.tate.cell(d).is_zero(), d
 
 
-def test_square_commutes_on_verified_cells() -> None:
-    square = hf2_corners()
-    other = invert(square.phi, square.tau_name, steps=12)
-    checked = 0
-    for d in Window(-2, 2, -2, 2).cells():
-        if d not in square.tate.unverified | other.unverified:
-            assert square.tate.cell(d) == other.cell(d), d
-            checked += 1
-    assert checked >= 20
+@pytest.mark.parametrize("name", ["HF2_R", "HZ2_R", "KGL2_R"])
+def test_tate_corner_inverts_tau_and_rho_in_either_order(name) -> None:
+    pres = preset_presentation(name)
+    square = corners(pres, Window(-6, 6, -6, 6))
+    other = expand(localized(localized(pres, "rho"), square.tau_name), Window(-6, 6, -6, 6))
+    assert cellwise_diff(square.tate, other) == []
+    assert square.tate.cells
 
 
-def test_corner_maps_commute_with_actions() -> None:
-    square = hf2_corners()
+@pytest.mark.parametrize("preset,p", PRESET_CASES, ids=PRESET_NAMES)
+def test_corner_maps_commute_with_actions(preset, p) -> None:
+    square = corners(preset_presentation(preset, p), Window(-6, 6, -8, 6))
     h, phi, tate = square.h, square.phi, square.tate
+    w = h.window
     checked = 0
-    for name in ("rho", "tau"):
-        delta = h.multipliers[name]
-        for d in Window(-4, 4, -4, 4).cells():
+    for name, delta in h.multipliers.items():
+        for d in w.cells():
             t = d + delta
-            cells = ((h, d), (phi, d), (tate, d), (h, t), (phi, t), (tate, t))
-            if any(e in m.unverified for m, e in cells):
+            if not w.contains(t):
                 continue
             h_to_t, phi_to_t = square.maps_to_t(d)
             h_to_t_there, phi_to_t_there = square.maps_to_t(t)
@@ -226,22 +214,23 @@ def test_corner_maps_commute_with_actions() -> None:
             rhs = phi_to_t_there @ act(phi, name, d)
             assert lhs == rhs, (name, d)
             checked += 1
-    assert checked > 80
+    assert checked > 150
 
 
-def test_assemble_without_padding_flags_boundary() -> None:
-    module = expand(preset_presentation("hf2"), Window(-3, 3, -3, 3))
-    report = assemble(corners(module, rho_complete=True))
+def test_assemble_answers_on_the_corners_window_less_its_boundary_column() -> None:
+    report = assemble(corners(preset_presentation("hf2"), Window(-3, 3, -3, 3)))
     result = report.result
-    assert result.cell((-3, -3)) == PGroup(2, 0, (1,))
-    assert {(-3, -3), (0, 0)} <= result.unverified
+    assert result.window == Window(-3, 2, -3, 3)
+    assert cellwise_diff(result, reference_realization("hf2", 2, result.window)) == []
+    assert result.unverified == frozenset()
 
 
-def test_assemble_refuses_a_window_outside_the_corners() -> None:
-    # cells outside the corners would otherwise pass for verified zeros
-    square = corners(expand(preset_presentation("hf2"), Window(-3, 3, -3, 3)), rho_complete=True)
+@pytest.mark.parametrize("window", [(-3, 3, -3, 3), (-3, 2, -3, 4), (-4, 2, -3, 3)])
+def test_assemble_refuses_a_window_outside_the_corners(window) -> None:
+    # the splice reads the boundary column, which must lie inside the corners
+    square = corners(preset_presentation("hf2"), Window(-3, 3, -3, 3))
     with pytest.raises(ValueError, match="not inside"):
-        assemble(square, (-3, 4, -3, 3))
+        assemble(square, window)
 
 
 @pytest.mark.parametrize("name,window", [("hf2", (-5, 5, -5, 5)), ("hz2", (-5, 5, -5, 5))])
@@ -342,36 +331,11 @@ def test_realize_override_accepts_incomplete_input() -> None:
     assert report.result.cell((0, 1)).is_zero()
 
 
-@pytest.mark.parametrize("name", ["HF2_R", "HZ2_R", "KGL2_R"])
-def test_realize_with_one_step_of_padding(name) -> None:
-    # the assembly margin sticks out of an expansion padded by one cell;
-    # it is cut back to the expansion
-    report = realize(name, 2, Window(-4, 4, -4, 4), rho_complete=True, pad=1)
-    assert report.certificates_hold()
-    assert report.result.window == Window(-4, 4, -4, 4)
-
-
-@pytest.mark.parametrize("pad", [0, -1])
-def test_realize_rejects_padding_below_one(pad) -> None:
-    with pytest.raises(ValueError, match=f"pad must be at least 1, got {pad}"):
-        realize("HF2_R", 2, Window(-2, 2, -2, 2), pad=pad)
-    with pytest.raises(ValueError, match=f"pad must be at least 1, got {pad}"):
-        odd_split("HFP_ODD_R", 3, Window(-2, 2, -2, 2), pad=pad)
-
-
 FAR_CORNER = (-12, -9, -12, -9)
 
 
-def test_far_corner_realizes_with_a_deep_pad() -> None:
-    report = realize("HF2_R", 2, FAR_CORNER, pad=14)
-    assert cellwise_diff(report.result, reference_realization("HF2_R", 2, FAR_CORNER)) == []
-    assert report.certificates_hold()
-    assert report.result.unverified == frozenset()
-
-
-# HF2_R does not invert rho, so no completion run can cut the far
-# corner's rho-chains short and refuse it.
-def test_far_corner_realizes_at_the_default_pad() -> None:
+# HF2_R does not invert rho, so no completion run can refuse the far corner
+def test_far_corner_realizes() -> None:
     report = realize("HF2_R", 2, FAR_CORNER)
     assert cellwise_diff(report.result, reference_realization("HF2_R", 2, FAR_CORNER)) == []
     assert report.result.unverified == frozenset()
@@ -441,43 +405,11 @@ def test_odd_split_tate_obstruction() -> None:
         odd_split(pres, 3, Window(-3, 3, -3, 3))
 
 
-@st.composite
-def odd_rho_complete_presentations(draw):
-    """Random presentations at p = 3 or 5 with a tau^2 action and rho nilpotent.
-
-    rho, when it is a generator, dies at a power of at most 3, and the
-    optional third generator v at a power of at most 3, so every input is
-    rho-complete and expands to finitely many monomials in any window.
-    """
-    p = draw(st.sampled_from([3, 5]))
-    lines = [f"prime {p}", "gen tau 0 -1"]
-    names = ["tau"]
-    if draw(st.booleans()):
-        lines += ["gen rho -1 -1", f"rel 1·rho^{draw(st.integers(1, 3))}"]
-        names.append("rho")
-    if draw(st.booleans()):
-        lines += [f"gen v {draw(st.integers(1, 3))} {draw(st.integers(0, 1))}", f"rel 1·v^{draw(st.integers(1, 3))}"]
-        names.append("v")
-
-    def term():
-        powers = [(name, draw(st.integers(0, 3 if name == "tau" else 2))) for name in names]
-        mono = "*".join(f"{name}^{e}" for name, e in powers if e) or "1"
-        return f"{p ** draw(st.integers(0, 2))}·{mono}"
-
-    for _ in range(draw(st.integers(0, 2))):
-        lines.append(f"rel {term()}")
-    lines.append("span 1·tau^2")
-    lines += [f"span 1·{name}" for name in names[1:] if draw(st.booleans())]
-    for _ in range(draw(st.integers(1, 3))):
-        lines.append(f"span {term()}")
-    return parse_presentation("\n".join(lines) + "\n")
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(pres=odd_rho_complete_presentations(), corner=st.sampled_from([(-3, -3), (-6, 0), (0, -6), (-1, 2)]))
 def test_random_odd_realization_is_the_sum_of_the_odd_split(pres, corner) -> None:
-    # no reference chart covers these inputs: the two sides share only the
-    # expansion, and meet after invert and complete ran on each
+    # no reference chart covers these inputs: realize splices the corners
+    # that odd_split returns as they are
     i, j = corner
     window = Window(i, i + 6, j, j + 6)
     report = realize(pres, None, window)

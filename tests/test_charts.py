@@ -207,9 +207,7 @@ EMISSIONS = {
     "expand-kgl2": lambda: expand(preset_presentation("kgl2"), SQUARE_5),
     "invert-hf2": lambda: invert(expand(preset_presentation("hf2"), SQUARE_5), "tau"),
     "complete-hz2": lambda: complete(expand(preset_presentation("hz2"), SQUARE_5), "rho"),
-    "unpadded-hf2": lambda: assemble(
-        corners(expand(preset_presentation("hf2"), Window(-3, 3, -3, 3)), rho_complete=True)
-    ),
+    "assemble-hf2": lambda: assemble(corners(preset_presentation("hf2"), Window(-3, 3, -3, 3))),
     "realize-kgl2": lambda: realize("kgl2", 2, (-3, 3, -3, 3)),
     "realize-hfp-odd": lambda: realize("hfp_odd", 3, (-3, 3, -3, 3)),
 }

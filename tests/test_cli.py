@@ -64,11 +64,11 @@ def test_realize_subprocess_matches_reference() -> None:
     assert all(c["flags"] == ["verified"] for c in payload["cells"])
 
 
-def test_realize_with_one_step_of_padding_exits_cleanly() -> None:
-    proc = run_cli("realize", "--module", "hf2", "--window", "-4:4,-4:4", "--steps", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert b"Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["cells"]
+@pytest.mark.parametrize("command", ["realize", "check"])
+def test_realize_and_check_take_no_steps(command, capsys) -> None:
+    # the corners are exact, so there is no truncation depth to set
+    assert main([command, "--module", "hf2", "--window", "-4:4,-4:4", "--steps", "1"]) == 2
+    assert "unrecognized arguments: --steps 1" in capsys.readouterr().err
 
 
 def test_realize_out_file_is_report_emission(tmp_path) -> None:

@@ -3,12 +3,14 @@
 unpruned_expand below builds a module on helpers.live_monomials, the
 search expand ran before it learned to prune: every settled monomial is
 extended, dead or alive.  Both must give the same cells, actions and
-bytes on every preset's padded realize window and on small random
+bytes on every preset's padded window and on small random
 presentations.
 
-realize expands only the part of the padded window its corners read, so
-expanding a window R inside W must give the bytes of the expansion on W
-restricted to R, wherever the two lie relative to the origin.
+realize expands the localized presentations of its corners on the
+window it answers plus the boundary column, and relies on every cell
+being exact there: expanding a window R inside W must give the bytes of
+the expansion on W restricted to R, wherever the two lie relative to the
+origin.  The localized presentations are checked too.
 """
 
 import random
@@ -235,16 +237,25 @@ def test_pruning_keeps_random_expansions(pres) -> None:
     assert_same_expansion(expand(pres, window), unpruned_expand(pres, window, 100_000))
 
 
+def localized_presentations(name, prime):
+    """The preset's presentation and the corner presentations realize expands."""
+    pres = preset_presentation(name, prime)
+    tau = assembler.select_tau_power(pres.prime, span_actions(pres))
+    return [pres, *assembler.corner_presentations(pres, tau).values()]
+
+
 @pytest.mark.parametrize("name,prime,core", FIXED)
 def test_expansion_is_window_local_on_preset_windows(monkeypatch, name, prime, core) -> None:
-    pres = preset_presentation(name, prime)
+    # realize expands each corner on the core plus its boundary column
+    (corner_window, *_) = expanded_windows(monkeypatch, lambda: assembler.realize(name, prime, core))
+    assert corner_window == core._replace(imax=core.imax + 1)
     big = realize_window(core)
-    (reach,) = expanded_windows(monkeypatch, lambda: assembler.realize(pres, prime, core))
-    assert reach == big.meet(reach)
-    whole = expand(pres, big, budget=2_000_000)
     rng = random.Random(f"{name} {core}")
-    for part in [reach, big, *(inner_window(rng.randint, big) for _ in range(6))]:
-        assert_same_expansion(expand(pres, part, budget=2_000_000), restrict(whole, part))
+    parts = [corner_window, *(inner_window(rng.randint, big) for _ in range(6))]
+    for pres in localized_presentations(name, prime):
+        whole = expand(pres, big, budget=2_000_000)
+        for part in parts:
+            assert_same_expansion(expand(pres, part, budget=2_000_000), restrict(whole, part))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fracture.assembler as assembler
 import fracture.localization as localization
-from fracture.assembler import corners, realize
+from fracture.assembler import corners, realize, select_tau_power
 from fracture.bigraded import (
     KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
@@ -35,7 +34,6 @@ from fracture.localization import (
     default_steps,
     edge_cells,
     induced_map,
-    insertion,
     invert,
     steps_inside,
 )
@@ -68,7 +66,6 @@ def test_composite_action_multiplies_the_steps() -> None:
     module = chain_module([PGroup(2, 0, (2,))] * 3, [[[2]], [[1]]])
     assert composite_action(module, S, (0, 0), 0).entries == ((1,),)
     assert composite_action(module, S, (0, 0), 2).entries == ((2,),)
-    assert insertion(module, S, [(0, 0)])[(0, 0)].entries == ((2,),)
 
 
 def _depth_by_walking(window, d, delta, cap):
@@ -100,25 +97,6 @@ def test_steps_inside_matches_the_walk_both_ways() -> None:
                     if w.contains(d + delta.scaled(n)):
                         walked.add(n)
             assert set(steps_inside(w, d, delta)) == walked, (d, delta)
-
-
-@pytest.mark.parametrize("name,prime", [("hf2", 2), ("hz2", 2), ("kgl2", 2), ("hfp_odd", 3)])
-def test_insertion_matches_composite_action(name, prime) -> None:
-    module = expand(preset_presentation(name, prime), Window(-3, 3, -4, 3))
-    w = module.window
-    # plain tuples, out of chain order and repeated
-    cells = [tuple(d) for d in reversed(list(w.cells()))]
-    cells = cells[1::2] + cells[::2] + cells[:5]
-    for mult in module.multipliers:
-        x = module.multiplier(mult)
-        for K in (1, 3, None):
-            maps = insertion(module, mult, cells, K)
-            assert sorted(maps) == sorted(w.cells())
-            assert all(type(d) is BiDegree for d in maps)
-            depth = default_steps(w) if K is None else K
-            for d in w.cells():
-                expected = composite_action(module, x, d, chain_end(w, d, x.degree, depth)[0])
-                assert repr(maps[d]) == repr(expected), (mult, K, d)
 
 
 def chain_lines_by_scan(window, delta):
@@ -546,24 +524,26 @@ def test_short_inversions_match_the_per_cell_reference(name, prime) -> None:
                 assert_same_inversion(got, invert_per_cell(module, mult, steps, window))
 
 
-def corner_inversions(name, prime, window, monkeypatch):
-    """The (module, mult, steps, window) of each invert call realize makes, with its result."""
+def corner_inversions(name, prime, core):
+    """The three inversions of a fracture square walked along chains, each (module, mult, steps, window) with its result.
+
+    The module is the preset's expansion on the core padded by K = its
+    larger side + 4, and 4 more below for the tallest tau power step; h
+    inverts the tau power on all of it, phi and tate invert rho on the core.
+    """
+    K = max(core.width, core.height) + 4
+    module = expand(preset_presentation(name, prime), Window(core.imin - K, core.imax + K, core.jmin - K - 4, core.jmax + K))
+    tau = select_tau_power(module.prime, module.multipliers)
     calls = []
-
-    def recording(module, mult, steps=None, window=None):
-        result = invert(module, mult, steps=steps, window=window)
-        calls.append(((module, mult, steps, window), result))
-        return result
-
-    monkeypatch.setattr(assembler, "invert", recording)
-    realize(name, prime, window)
-    monkeypatch.undo()
+    for source, mult, window in ((module, tau, None), (module, "rho", core), (None, "rho", core)):
+        args = (calls[0][1] if source is None else source, mult, K, window)
+        calls.append((args, invert(args[0], mult, steps=K, window=window)))
     return calls
 
 
 @pytest.mark.parametrize("name,prime", SUPPORT_PRESETS)
 def test_corner_inversions_match_the_per_cell_reference(name, prime, monkeypatch) -> None:
-    calls = corner_inversions(name, prime, Window(-3, 3, -3, 3), monkeypatch)
+    calls = corner_inversions(name, prime, Window(-3, 3, -3, 3))
     assert len(calls) == 3
     for args, result in calls:
         assert_same_inversion(result, invert_per_cell(*args))
@@ -571,7 +551,7 @@ def test_corner_inversions_match_the_per_cell_reference(name, prime, monkeypatch
 
 def test_inversion_transports_each_action_once_per_chain_end(monkeypatch) -> None:
     # the h corner of KGL2 on (-10,10)^2: chains to the window's edge share ends
-    (args, _), *_ = corner_inversions("kgl2", 2, Window(-10, 10, -10, 10), monkeypatch)
+    (args, _), *_ = corner_inversions("kgl2", 2, Window(-10, 10, -10, 10))
     module, mult, steps, window = args
     x = localization.resolve_multiplier(module, mult)
     w, K = module.window, steps
@@ -636,7 +616,7 @@ def counted_inversion(args, monkeypatch):
 
 def test_inversion_decides_each_chain_end_once(monkeypatch) -> None:
     # the three corner inversions of KGL2 on (-10,10)^2
-    calls = corner_inversions("kgl2", 2, Window(-10, 10, -10, 10), monkeypatch)
+    calls = corner_inversions("kgl2", 2, Window(-10, 10, -10, 10))
     ends = []
     for args, result in calls:
         walked, decided = counted_inversion(args, monkeypatch)
@@ -694,8 +674,7 @@ def test_trusted_localizations_equal_the_validated_construction(case) -> None:
 
 @pytest.mark.parametrize("name,prime", SUPPORT_PRESETS)
 def test_trusted_corners_equal_the_validated_construction(name, prime) -> None:
-    module = expand(preset_presentation(name, prime), Window(-5, 5, -6, 4))
-    built = built_modules(lambda: corners(module, rho_complete=True, window=(-3, 2, -4, 1)))
+    built = built_modules(lambda: corner_inversions(name, prime, Window(-3, 2, -4, 1)))
     assert len(built) == 3
     assert_built_as_validated(built)
 
@@ -711,7 +690,7 @@ def test_no_output_keeps_a_zero_action(mult, handed) -> None:
     module = expand(preset_presentation("KGL2_R"), Window(-5, 5, -6, 4))
     [(parts, inverted)] = built_modules(lambda: invert(module, mult, steps=6))
     assert sum(f.is_zero() for f in parts[3].values()) == handed
-    square = corners(module, rho_complete=True, steps=6)
+    square = corners(preset_presentation("KGL2_R"), Window(-5, 5, -6, 4))
     outputs = [
         inverted,
         invert(module, mult, steps=6, window=(-3, 2, -4, 1)),

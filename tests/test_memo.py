@@ -316,8 +316,8 @@ def test_a_scope_belongs_to_its_thread() -> None:
     assert seen == [None]
 
 
-@pytest.mark.parametrize("call", ["realize", "odd_split"])
-def test_each_distinct_smith_normal_form_is_certified_once(call, certify_calls, monkeypatch) -> None:
+def snf_inputs(run, monkeypatch):
+    """The arguments of each smith_normal_form call run() makes."""
     inputs = []
     memoized = snf_module.smith_normal_form
 
@@ -325,13 +325,22 @@ def test_each_distinct_smith_normal_form_is_certified_once(call, certify_calls, 
         inputs.append(args)
         return memoized(*args)
 
-    monkeypatch.setattr(snf_module, "smith_normal_form", recording)
-    if call == "realize":
-        realize("KGL2_R", 2, (-3, 3, -3, 3))
-    else:
-        odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3))
+    with monkeypatch.context() as patch:
+        patch.setattr(snf_module, "smith_normal_form", recording)
+        run()
+    return inputs
+
+
+def test_each_distinct_smith_normal_form_is_certified_once(certify_calls, monkeypatch) -> None:
+    inputs = snf_inputs(lambda: realize("KGL2_R", 2, (-3, 3, -3, 3)), monkeypatch)
     assert len(inputs) > len(set(inputs)), "the request repeats no input"
     assert len(certify_calls) == len(set(inputs))
+
+
+def test_odd_split_computes_no_smith_normal_form(certify_calls, monkeypatch) -> None:
+    # its two parts are corner expansions, with no splice
+    assert snf_inputs(lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3)), monkeypatch) == []
+    assert certify_calls == []
 
 
 def test_a_failed_certificate_raises_inside_realize(monkeypatch) -> None:

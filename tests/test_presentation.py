@@ -317,17 +317,14 @@ def test_budget_error_names_the_variable_only_when_it_set_the_budget(monkeypatch
 
 
 def test_realize_budget_counts_the_expansion_it_makes() -> None:
-    # KGL2_R on (-10,10)^2 settles 2119 monomials on the part of the padded
-    # window its corners read and 3248 on the whole padded window; realize
-    # expands only the first, so a budget between the two answers
+    # KGL2_R on (-10,10)^2 expands its three corners on (-10,11,-10,10):
+    # h settles 1349 monomials, tate 1240 and phi 680.  Each expansion has
+    # the budget to itself, so the largest one decides.
     pres = preset_presentation("KGL2_R")
-    with pytest.raises(BudgetError):
-        expand(pres, Window(-34, 34, -38, 34), budget=3000)
-    expand(pres, Window(-34, 15, -38, 16), budget=3000)
-    answer = realize(pres, 2, (-10, 10, -10, 10), budget=3000)
+    answer = realize(pres, 2, (-10, 10, -10, 10), budget=1349)
     assert emit_json(answer) == emit_json(realize(pres, 2, (-10, 10, -10, 10)))
-    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 2118 monomials$"):
-        realize(pres, 2, (-10, 10, -10, 10), budget=2118)
+    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 1348 monomials$"):
+        realize(pres, 2, (-10, 10, -10, 10), budget=1348)
 
 
 def test_budget_error_names_the_variable_for_the_default(monkeypatch) -> None:

@@ -1,36 +1,33 @@
-"""Each stage reads only part of the padded expansion; the answers do not move.
+"""Each stage reads only part of what it could; the answers do not move.
 
-realize, odd_split and rho_complete_defect hand each stage the part of
-the expansion its chains reach, and invert and complete compute only the
-cells of the window they are asked for.  The reference path here runs
-the same public stages on the whole expansion, the way the pipeline did
-before the restriction, and must give the same bytes on seeded random
-windows.  realize expands only the part its corners read, unless the
-degreewise rho-completeness check runs, which reads the whole padded
-window; the windows it asks expand for are recorded here too.
+realize and odd_split expand their corners on the window they answer
+(plus the boundary column the splice reads), so a cell of realize(M, W)
+must equal the same cell of realize(M, W') for every W' containing W,
+on the presets and on seeded random presentations.  rho_complete_defect
+hands completion the part of the expansion its chains reach, and invert
+and complete compute only the cells of the window they are asked for;
+the reference path here runs the same public stages on the whole
+expansion and must give the same bytes on seeded random windows.  The
+windows realize asks to expand are recorded here too: the contract
+check's padded window, only for an input that inverts rho, then the
+corners'.
 """
 
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture import emit_json
-from fracture.assembler import (
-    AssemblyReport,
-    RhoCompleteError,
-    assemble,
-    corners,
-    odd_split,
-    realize,
-    rho_complete_defect,
-)
+from fracture.assembler import RhoCompleteError, odd_split, realize, rho_complete_defect
 from fracture.bigraded import Window, cellwise_diff, restrict
 from fracture.localization import complete, invert
 from fracture.presentation import expand, parse_presentation
 from fracture.presets import preset_presentation
 
-from helpers import expanded_windows
+from helpers import expanded_windows, inverse_free_rho_presentations, odd_rho_complete_presentations
 
 # HF2 with one more generator of mixed-sign degree: its action steps down
 # in j but up in i, against the direction of the tau- and rho-chains.
@@ -86,62 +83,71 @@ def random_windows(seed, count=3):
     return out
 
 
-CASES = [
-    (name, core, pad)
-    for k, name in enumerate(PRESENTATIONS)
-    for core in random_windows(100 + k)
-    for pad in (None, 2)
-]
+CASES = [(name, core) for k, name in enumerate(PRESENTATIONS) for core in random_windows(100 + k)]
 
 
 def padded(pres, core, pad):
-    """The expansion realize works on: the core padded by pad, and by four
-    more cells below for the tallest tau power step."""
+    """The expansion the contract check compares on: the core padded by pad,
+    and by four more cells below for the tallest tau power step."""
     pad = max(core.width, core.height) + 4 if pad is None else pad
     big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
     return expand(pres, big, budget=2_000_000), pad
 
 
-def whole_window_realize(pres, core, pad):
-    expanded, pad = padded(pres, core, pad)
-    big = expanded.window
-    margin = Window(
-        max(core.imin - 2, big.imin),
-        min(core.imax + 2, big.imax),
-        max(core.jmin - 2, big.jmin),
-        min(core.jmax + 2, big.jmax),
-    )
-    report = assemble(corners(expanded, rho_complete=True, steps=pad), margin)
+def around(core):
+    """A larger window around the core, reaching past it by 1 to 3 cells on each side."""
+    return Window(core.imin - 3, core.imax + 2, core.jmin - 1, core.jmax + 3)
+
+
+def realize_outcome(pres, window, core=None):
+    """realize's result bytes, parts and dropped actions on the window, cut to core, or its refusal."""
+    try:
+        report = realize(pres, pres.prime, window)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    core = window if core is None else core
     parts = {d: part for d, part in report.parts.items() if core.contains(d)}
-    return AssemblyReport(restrict(report.result, core), parts, report.tau_name, report.dropped)
+    dropped = tuple(entry for entry in report.dropped if core.contains(entry[1]))
+    return emit_json(restrict(report.result, core)), parts, dropped
 
 
-@pytest.mark.parametrize("name,core,pad", CASES)
-def test_realize_matches_whole_window_path(name, core, pad) -> None:
+@pytest.mark.parametrize("name,core", CASES)
+def test_realize_is_window_independent(name, core) -> None:
+    # each cell, action and provenance entry of realize(M, W) is that of realize(M, W') for W in W'
     pres = PRESENTATIONS[name]()
-    got = realize(pres, pres.prime, core, rho_complete=True, pad=pad)
-    want = whole_window_realize(pres, core, pad)
-    assert emit_json(got) == emit_json(want)
-    assert got.dropped == want.dropped
+    assert realize_outcome(pres, core) == realize_outcome(pres, around(core), core)
 
 
-def test_realize_expands_only_what_the_corners_read(monkeypatch) -> None:
-    # the padded window of (-10,10)^2 is (-34,34,-38,34); the corners read
-    # it down and left from the splice box, along tau4 and rho
-    seen = expanded_windows(monkeypatch, lambda: realize("KGL2_R", 2, (-10, 10, -10, 10)))
-    assert seen == [Window(-34, 15, -38, 16)]
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    pres=st.one_of(odd_rho_complete_presentations(), inverse_free_rho_presentations()),
+    corner=st.sampled_from([(-3, -3), (-6, 0), (0, -6), (2, 2)]),
+)
+def test_random_realizations_are_window_independent(pres, corner) -> None:
+    core = Window(corner[0], corner[0] + 3, corner[1], corner[1] + 3)
+    assert realize_outcome(pres, core) == realize_outcome(pres, around(core), core)
+
+
+@pytest.mark.parametrize("core", random_windows(7, count=4))
+def test_odd_split_is_window_independent(core) -> None:
+    pres = PRESENTATIONS["HFP_ODD_R"]()
+    got = odd_split(pres, 3, core)
+    wide = odd_split(pres, 3, around(core))
+    assert [emit_json(part) for part in got] == [emit_json(restrict(part, core)) for part in wide]
 
 
 def test_a_checked_rho_inverted_input_expands_the_padded_window(monkeypatch) -> None:
     pres = parse_presentation(RHO_TAU_SOURCE)
     core = Window(-4, -1, 1, 4)
+    corner_window = Window(-4, 0, 1, 4)
     reports = []
-    # the degreewise check runs and passes: the whole padded window (pad 7) is expanded
+    # the degreewise check runs and passes on the whole padded window (pad 7),
+    # then the three corners are expanded on the core and its boundary column
     seen = expanded_windows(monkeypatch, lambda: reports.append(realize(pres, 2, core)))
-    assert seen == [Window(-11, 6, -10, 11)]
-    # asserted rho-complete, the input is expanded on the corners' reach alone
+    assert seen == [Window(-11, 6, -10, 11), *[corner_window] * 3]
+    # asserted rho-complete, only the corners are expanded
     seen = expanded_windows(monkeypatch, lambda: reports.append(realize(pres, 2, core, rho_complete=True)))
-    assert seen == [Window(-11, 3, -10, 7)]
+    assert seen == [corner_window] * 3
     checked, asserted = reports
     assert emit_json(checked) == emit_json(asserted)
     assert checked.dropped == asserted.dropped
@@ -151,33 +157,6 @@ def test_a_checked_rho_inverted_input_expands_the_padded_window(monkeypatch) -> 
             realize(parse_presentation(RHO_INVERTED_SOURCE), 2, Window(-3, 3, -3, 3))
 
     assert expanded_windows(monkeypatch, refused) == [Window(-13, 13, -17, 13)]
-
-
-def odd_split_outcome(run):
-    try:
-        phi, unit = run()
-    except ValueError as exc:
-        return str(exc)
-    return emit_json(phi), emit_json(unit)
-
-
-def whole_window_odd_split(pres, core, pad):
-    expanded, pad = padded(pres, core, pad)
-    phi = invert(expanded, "rho", steps=pad)
-    unit = invert(complete(expanded, "rho", steps=pad), "tau2", steps=pad)
-    tate = invert(unit, "rho", steps=pad)
-    bad = [d for d in core.cells() if not tate.cell(d).is_zero()]
-    if bad:
-        raise ValueError(f"Tate corner is nonzero at {bad[:4]}; the odd split does not apply")
-    return restrict(phi, core), restrict(unit, core)
-
-
-@pytest.mark.parametrize("core", random_windows(7, count=4))
-@pytest.mark.parametrize("pad", [None, 2])
-def test_odd_split_matches_whole_window_path(core, pad) -> None:
-    pres = PRESENTATIONS["HFP_ODD_R"]()
-    got = odd_split_outcome(lambda: odd_split(pres, 3, core, pad=pad))
-    assert got == odd_split_outcome(lambda: whole_window_odd_split(pres, core, pad))
 
 
 @pytest.mark.parametrize("name", [*PRESENTATIONS, "rho-inverted"])

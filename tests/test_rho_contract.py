@@ -10,6 +10,8 @@ argument itself on rho_complete_defect, and that every rho-inverted
 input is still refused.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from fracture.cli import main
 from fracture.presentation import BudgetError, expand, parse_presentation
 from fracture.presets import PRESET_NAMES, preset_presentation
 
-from helpers import expanded_windows, live_monomials
+from helpers import expanded_windows, inverse_free_rho_presentations, live_monomials
 
 BUDGET = 200_000
 
@@ -89,37 +91,6 @@ def test_deep_rho_input_is_rho_complete_when_compared_deep_enough(core) -> None:
     assert rho_complete_defect(module, core) == []
 
 
-@st.composite
-def inverse_free_rho_presentations(draw):
-    """Random presentations whose rho is a generator that is not inverted.
-
-    tau may be inverted, and a third generator v is nilpotent, so every
-    cell has finitely many monomials.
-    """
-    p = draw(st.sampled_from([2, 3]))
-    tau_inverted = draw(st.booleans())
-    lines = [f"prime {p}", "gen rho -1 -1", "gen tau 0 -1" + (" inv" if tau_inverted else "")]
-    names = ["rho", "tau"]
-    if draw(st.booleans()):
-        lines += [f"gen v {draw(st.integers(1, 3))} {draw(st.integers(0, 2))}", f"rel 1·v^{draw(st.integers(1, 3))}"]
-        names.append("v")
-
-    def term():
-        low = {"tau": -2 if tau_inverted else 0}
-        powers = [(name, draw(st.integers(low.get(name, 0), 2))) for name in names]
-        mono = "*".join(f"{name}^{e}" for name, e in powers if e) or "1"
-        return f"{p ** draw(st.integers(0, 2))}·{mono}"
-
-    for _ in range(draw(st.integers(0, 2))):
-        lines.append(f"rel {term()}")
-    lines += ["span 1·rho", f"span 1·tau^{draw(st.sampled_from([1, 2]))}"]
-    if tau_inverted and draw(st.booleans()):
-        lines.append("span 1·tau^-1")
-    for _ in range(draw(st.integers(1, 3))):
-        lines.append(f"span {term()}")
-    return parse_presentation("\n".join(lines) + "\n")
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(pres=inverse_free_rho_presentations(), corner=st.sampled_from([(-3, -3), (-6, 0), (0, -6), (2, 2), (-8, -10)]))
 def test_random_inverse_free_presentations_are_rho_complete(pres, corner) -> None:
@@ -129,13 +100,18 @@ def test_random_inverse_free_presentations_are_rho_complete(pres, corner) -> Non
     assert rho_complete_defect(module, core) == []
 
 
-def test_deep_rho_input_answers_with_every_cell_unverified() -> None:
-    # the tau-inverted corner of this input grows with the depth, so no
-    # cell can be certified; each must come back unverified, not refused
-    window = DEEP_RHO_WINDOWS[2]
-    report = realize(parse_presentation(DEEP_RHO_SOURCE), 2, window)
-    assert report.certificates_hold()
-    assert report.result.unverified == frozenset(window.cells())
+@pytest.mark.parametrize("window", DEEP_RHO_WINDOWS, ids=str)
+def test_deep_rho_input_is_refused_as_not_of_finite_type(window, monkeypatch) -> None:
+    # rho^3*tau*v^3*tau^-1 = (rho*v)^3 has degree (0,0) in the tau-inverted
+    # corner, and only rel 4·rho acts on its powers: every cell there holds
+    # infinitely many monomials, so the input is refused before expanding
+    def refused():
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"^corner h is not of finite type: .* the powers of rho\*v, of degree \(0,0\)$"):
+            realize(parse_presentation(DEEP_RHO_SOURCE), 2, window)
+        assert time.perf_counter() - start < 0.1
+
+    assert expanded_windows(monkeypatch, refused) == []
 
 
 @pytest.mark.parametrize("window", [*DEEP_RHO_WINDOWS, Window(-30, 30, -30, 30)], ids=str)

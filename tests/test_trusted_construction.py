@@ -8,10 +8,11 @@ the pipeline emits passes validate_module, every map it stores passes the
 validating constructor again, and the unchecked arithmetic agrees with
 the checked construction on random maps.
 
-A localization of a truncated expansion approximates near the window
-edge, and there two actions need not commute.  validate_module reports
-that too; it is allowed only on squares that touch an unverified cell,
-the same as when every map was validated.
+A localization of a truncated expansion (invert, complete) approximates
+near the window edge, and there two actions need not commute.
+validate_module reports that too; it is allowed there only on squares
+that touch an unverified cell, the same as when every map was
+validated.  The fracture corners are exact and get no such exemption.
 """
 
 import re
@@ -96,10 +97,11 @@ def test_odd_split_parts_are_sound(p) -> None:
 
 @pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
 def test_corners_and_their_maps_are_sound(name, p) -> None:
-    module = expansion(name, p)
-    square = corners(module, rho_complete=True)
+    # the corners are exact expansions: no unverified cell, nothing exempt
+    square = corners(preset_presentation(name, p), EXPANSION)
     for corner in (square.h, square.phi, square.tate):
-        assert_sound(corner, truncated=True)
+        assert corner.unverified == frozenset()
+        assert_sound(corner)
     for f in (*square.map_h_t.values(), *square.map_phi_t.values()):
         revalidated(f)
 
