@@ -16,16 +16,13 @@ sum.  Cells where both parts are nonzero are marked ambiguous rather
 than silently resolved.
 
 The realization theorems behind this pipeline apply to rho-complete
-inputs only, and the presentation alone decides which inputs need a
-check.  rho acts by multiplying a monomial by the generator rho, so the
-image of rho^n in a cell is spanned by the cell's monomials of rho
-exponent at least n.  Unless rho is an inverted generator those
-exponents are never negative, and a cell has finitely many monomials
-(or expand would exceed its budget), so the image is zero past the
-largest of them: the module is degreewise rho-complete exactly, with
-nothing to check.  An input that declares rho inverted is compared with
-its degreewise completion instead, and refused when they visibly differ,
-unless the caller asserts the contract.
+inputs only, and the presentation alone decides the contract, globally
+and without expanding anything: completing along rho kills every live
+monomial exactly when some product of span terms of scalar 1 is a
+negative power of rho (presentation.inverse_product), and changes
+nothing otherwise.  Unless rho is an inverted generator no such product
+exists.  An input that fails is refused unless the caller asserts the
+contract (see rho_complete_defect).
 """
 
 from __future__ import annotations
@@ -38,29 +35,19 @@ from .bigraded import (
     PHom,
     Window,
     act,
-    cellwise_diff,
     memo_scope,
     pgroup_sum,
     phom_zero,
-    restrict,
     sum_map,
-    trusted_module,
 )
-from .localization import complete, default_steps, induced_map, output_window
-# invert and composite_action are no longer called here; the names stay
-# bound because outside tracers wrap them by module attribute.
-from .localization import composite_action, invert  # noqa: F401
-from .presentation import (
-    BudgetError,
-    Presentation,
-    expand,
-    expand_indexed,
-    localized,
-    monomial_string,
-    span_actions,
-    unbounded_ray,
-)
-from .presets import preset_presentation
+from .localization import expand_localized, presentation_of
+from .matrices import mat_mul
+from .presentation import has_live_span, inverse_product, localized, monomial_string, span_actions
+# the names below are not called here; they stay bound because outside
+# tracers wrap them by module attribute
+from .bigraded import restrict  # noqa: F401
+from .localization import complete, composite_action, invert  # noqa: F401
+from .presentation import expand  # noqa: F401
 from .snf import cokernel, kernel, solve_hom
 
 BOUNDARY_SHIFT = BiDegree(1, 0)
@@ -205,7 +192,7 @@ def corners(pres, window, budget=None):
     acts by the input's span actions only.  Both maps into tate are
     insertions, stored out of nonzero cells only.  Refusals come in this
     order: a missing tau power (ValueError), then a corner not of finite
-    type (BudgetError naming it and its ray, see unbounded_ray), both
+    type (BudgetError naming it and its ray, see expand_localized), both
     before anything is expanded, then the budget, which each corner
     expansion has to itself.  The contract is the caller's: h deserves its
     name only for a rho-complete input.
@@ -213,22 +200,33 @@ def corners(pres, window, budget=None):
     mults = span_actions(pres)
     tau_name = select_tau_power(pres.prime, mults)
     named = corner_presentations(pres, tau_name)
-    for corner, local in named.items():
-        ray = unbounded_ray(local)
-        if ray is not None:
-            raise BudgetError(
-                f"corner {corner} is not of finite type: no relation of scalar 1 kills the powers of"
-                f" {monomial_string(ray)}, of degree (0,0)"
-            )
     window = Window(*window)
-    zero = (BigradedModule(pres.prime, window, {}), {})
-    parts = []
-    for corner in ("h", "phi", "tate"):
-        module, index = expand_indexed(named[corner], window, budget) if corner in named else zero
-        actions = {key: f for key, f in module.actions.items() if key[0] in mults}
-        parts.append((trusted_module(pres.prime, window, module.cells, actions, dict(mults), (), ()), index))
-    h, phi, tate = parts
+    parts = expand_localized(pres, {f"corner {corner}": local for corner, local in named.items()}, window, budget)
+    zero = (BigradedModule(pres.prime, window, {}, {}, mults), {})
+    h, phi, tate = (parts.get(f"corner {corner}", zero) for corner in ("h", "phi", "tate"))
     return SquareCorners(h[0], phi[0], tate[0], insertion(h, tate), insertion(phi, tate), tau_name)
+
+
+def induced_map(f, source, target):
+    """The map a hom f induces between quotients of its source and target.
+
+    source and target are (quotient, projection, section) triples as
+    cokernel returns them.  The candidate proj_t . f . section_s must be a
+    hom of the quotients, and inducing through the chosen representatives
+    must agree with projecting f.  Returns (map, None), or (None, why)
+    with why naming the check that failed.
+    """
+    q_s, proj_s, section_s = source
+    q_t, proj_t, _ = target
+    middle = mat_mul(proj_t.entries, f.entries, f.target.ngens, f.source.ngens)
+    entries = mat_mul(middle, section_s, f.source.ngens, q_s.ngens)
+    try:
+        induced = PHom(q_s, q_t, entries)
+    except ValueError:
+        return None, "does not descend"
+    if induced @ proj_s != proj_t @ f:
+        return None, "is not well defined"
+    return induced, None
 
 
 def assemble(square, window=None):
@@ -321,80 +319,42 @@ def assemble(square, window=None):
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 
-def _reach(window, degrees, box, *chains):
-    """The part of the window that answering the box can read.
+def rho_complete_defect(pres):
+    """The witness that a presentation fails the rho contract, or None.
 
-    degrees are those of the module's multipliers.  The box grows by one
-    step of any of them on every side (the action loops of invert and
-    complete mark a cell from a target one step away) and is swept to the
-    window's edge along each chain degree, so every chain out of it runs
-    exactly as far as in the whole window.  The box must meet the window.
+    The witness is a product of span terms of scalar 1 equal to rho^-N, as
+    powers (presentation.inverse_product).  With it, completing along rho
+    kills every live monomial, so the input is rho-complete only if it is
+    zero, which it is exactly when no span term is live.  Without it the
+    completion along rho is the module itself.  The verdict holds for the
+    whole module, not for a window, and nothing is expanded.  An input
+    with no rho span action has no rho to complete along.
     """
-    degrees = [*degrees, *chains]
-    si = max((abs(d[0]) for d in degrees), default=0)
-    sj = max((abs(d[1]) for d in degrees), default=0)
-    lo_i, hi_i, lo_j, hi_j = box[0] - si, box[1] + si, box[2] - sj, box[3] + sj
-    for di, dj in chains:
-        lo_i, hi_i = (window.imin if di < 0 else lo_i), (window.imax if di > 0 else hi_i)
-        lo_j, hi_j = (window.jmin if dj < 0 else lo_j), (window.jmax if dj > 0 else hi_j)
-    return window.meet(Window(lo_i, hi_i, lo_j, hi_j))
-
-
-def rho_complete_defect(module, window=None):
-    """Cells where completing along rho visibly changes the module.
-
-    An empty list is the necessary condition the realization contract
-    asks for; a nonempty one is a proof of incompleteness.  realize and
-    odd_split run it only on inputs that invert rho; on any other
-    expansion it is empty once the rho-chains into the compared cells
-    are longer than the largest rho exponent of their monomials.  Compare
-    on a subwindow well inside the module's own, if one is given: cells
-    near the edge can show truncation artifacts that mean nothing.  A
-    window not inside the module's is refused with ValueError.  Completion
-    at d reads the rho-chain that ends there, so only the compared cells
-    are completed, on the part of the module those chains pass through and
-    to the depth the whole module would get.
-    """
-    window = output_window(module, window)
-    up = module.multiplier("rho").degree.scaled(-1)
-    part = restrict(module, _reach(module.window, module.multipliers.values(), window, up))
-    done = complete(part, "rho", steps=default_steps(module.window), window=window)
-    return cellwise_diff(done, restrict(module, window))
-
-
-def _presentation_for(source, prime):
-    if isinstance(source, str):
-        return preset_presentation(source, prime)
-    if isinstance(source, Presentation):
-        if prime is not None and prime != source.prime:
-            raise ValueError(f"presentation is at prime {source.prime}, got {prime}")
-        return source
-    raise TypeError("expected a preset name or a Presentation")
+    if "rho" not in span_actions(pres) or not has_live_span(pres):
+        return None
+    return inverse_product(pres, "rho")
 
 
 def _checked(pres, window, budget, rho_complete):
     """The requested window (else the presentation's) and the budget, once the rho contract holds.
 
-    Only a presentation that declares rho an inverted generator is
-    compared with its degreewise completion (see the module docstring),
-    unless rho_complete=True.  The comparison reads rho-chains from the
-    window across a padded one (the window's larger side + 4 on each
-    side, and 4 more below for the tallest tau power step), expanded
-    under the budget; a visible defect raises RhoCompleteError.
+    Unless rho_complete=True, an input with a rho_complete_defect is
+    refused with RhoCompleteError, naming the product it found, before
+    anything is expanded.
     """
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
     core = Window(*core)
     core.check()
-    budget = INTERNAL_BUDGET if budget is None else budget
-    if not rho_complete and any(g.name == "rho" and g.invertible for g in pres.generators):
-        pad = max(core.width, core.height) + 4
-        big = Window(core.imin - pad, core.imax + pad, core.jmin - pad - 4, core.jmax + pad)
-        defect = rho_complete_defect(expand(pres, big, budget=budget), core)
-        if defect:
-            raise RhoCompleteError(f"{CONTRACT_MESSAGE}: {'; '.join(defect[:4])}")
-    return core, budget
+    if not rho_complete:
+        product = rho_complete_defect(pres)
+        if product is not None:
+            raise RhoCompleteError(
+                f"{CONTRACT_MESSAGE}: span terms of scalar 1 multiply to {monomial_string(product)},"
+                " so every live monomial is divisible by every power of rho"
+            )
+    return core, INTERNAL_BUDGET if budget is None else budget
 
 
 @memo_scope()
@@ -408,15 +368,14 @@ def realize(source, prime=None, window=None, *, rho_complete=False, budget=None)
     normal forms are computed once per distinct input during the call
     (memo_scope).
 
-    Each expansion, the contract check's and each corner's, runs under
-    its own budget of monomials: budget, or INTERNAL_BUDGET (2,000,000);
-    FRACTURE_CELL_BUDGET is not consulted.  Refusals come in this order:
-    the contract check (whose expansion can itself exceed the budget),
-    then a missing tau power (ValueError) and a corner not of finite type
-    (BudgetError), both before anything else is expanded, then the budget
+    Each corner expansion runs under its own budget of monomials: budget,
+    or INTERNAL_BUDGET (2,000,000); FRACTURE_CELL_BUDGET is not
+    consulted.  Refusals come in this order: the contract check, then a
+    missing tau power (ValueError) and a corner not of finite type
+    (BudgetError), all three before anything is expanded, then the budget
     of the corners.
     """
-    pres = _presentation_for(source, prime)
+    pres = presentation_of(source, prime)
     core, budget = _checked(pres, window, budget, rho_complete)
     return assemble(corners(pres, core._replace(imax=core.imax + BOUNDARY_SHIFT.i), budget), core)
 
@@ -426,14 +385,14 @@ def odd_split(source, prime, window=None, *, rho_complete=False, budget=None):
     """Split an odd-primary module into its rho-inverted and completed parts.
 
     Returns the corners (phi, h) = (M[rho^-1], M[tau2^-1]) on the window.
-    h is the tau2-inversion of the rho-completion of M: an input that does
-    not invert rho is its own degreewise rho-completion (see the module
-    docstring), and one that does is checked, or asserted, to be.  The
+    h is the tau2-inversion of the rho-completion of M: an input that
+    passes the contract check, or asserts it, is its own degreewise
+    rho-completion (see the module docstring), so none is computed.  The
     Tate corner must vanish and is asserted to; realizing the same input
     gives the direct sum of the two parts.  Budget and refusals are as in
     realize.
     """
-    pres = _presentation_for(source, prime)
+    pres = presentation_of(source, prime)
     if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
     square = corners(pres, *_checked(pres, window, budget, rho_complete))

@@ -616,13 +616,3 @@ def restrict(module, window):
         module.unverified,
         module.caveats,
     )
-
-
-def cellwise_diff(a, b):
-    """Human-readable cell mismatches between two modules."""
-    out = []
-    for d in sorted(set(a.cells) | set(b.cells)):
-        ga, gb = a.cell(d), b.cell(d)
-        if ga != gb:
-            out.append(f"cell {tuple(d)}: {ga} != {gb}")
-    return out

@@ -108,18 +108,24 @@ def run_expand(args):
     return 0
 
 
+def _failed(problems):
+    """Print each problem; whether there was any."""
+    for line in problems:
+        print(line)
+    return bool(problems)
+
+
 def run_localize(args):
-    module = expand(_load_presentation(args), args.window)
-    _emit(render(args.localize(module, args.mult, steps=args.steps), args.format), args.out)
+    module = args.localize(_load_presentation(args), args.mult, window=args.window)
+    if _failed(validate_module(module)):
+        return 1
+    _emit(render(module, args.format), args.out)
     return 0
 
 
 def run_check(args):
     report = _realized(args)
-    problems = validate_module(report.result) + report.certificate_failures()
-    if problems:
-        for line in problems:
-            print(line)
+    if _failed(validate_module(report.result) + report.certificate_failures()):
         return 1
     print(
         f"ok: {len(report.result.cells)} nonzero cells,"
@@ -151,14 +157,13 @@ def build_parser():
     _add_output_args(p)
 
     for name, localize, what, mult_help in (
-        ("invert", invert, "invert a multiplier action degreewise", "multiplier name to invert"),
-        ("complete", complete, "complete along a multiplier degreewise", "multiplier name to complete along"),
+        ("invert", invert, "invert a span action of the presentation", "span action to invert"),
+        ("complete", complete, "complete along a span action degreewise", "span action to complete along"),
     ):
         p = _command(sub, name, what, run_localize, localize=localize)
         _add_module_args(p)
         _add_output_args(p)
         p.add_argument("--mult", required=True, help=mult_help)
-        p.add_argument("--steps", type=int, default=None, help="truncation depth override")
 
     p = _command(sub, "check", "realize and verify certificates and validity", run_check)
     _add_module_args(p)

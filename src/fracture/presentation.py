@@ -27,7 +27,7 @@ import heapq
 import os
 import re
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
@@ -275,6 +275,14 @@ def span_actions(pres):
     return out
 
 
+def _span_term(pres, name, what):
+    """The first span term whose action is called name; what says what it is wanted for."""
+    for term in pres.spans:
+        if _action_name(pres.prime, term) == name:
+            return term
+    raise ValueError(f"no span action {name!r} to {what}")
+
+
 def localized(pres, name):
     """The presentation of M[x^-1], for x the first span term whose action is called name.
 
@@ -284,16 +292,126 @@ def localized(pres, name):
     some x^n·m is dead in M, and its valuation is the limit along the
     colimit.
     """
+    term = _span_term(pres, name, "invert")
+    if term.vexp:
+        raise ValueError(f"cannot invert {name!r}: its scalar {pres.prime ** term.vexp} is not 1")
+    inverted = {g for g, _ in term.powers}
+    gens = tuple(g._replace(invertible=True) if g.name in inverted else g for g in pres.generators)
+    inverse = Term(0, tuple((g, -e) for g, e in term.powers))
+    return pres._replace(generators=gens, spans=pres.spans + (inverse,))
+
+
+def has_live_span(pres):
+    """Whether some span term survives its relations.
+
+    If none does, the module is zero: a dead monomial extends only to dead
+    ones (see expand_indexed), and every monomial extends a span term.
+    """
+    killers = _killers(pres)
     for term in pres.spans:
-        if _action_name(pres.prime, term) != name:
-            continue
-        if term.vexp:
-            raise ValueError(f"cannot invert {name!r}: its scalar is not 1")
-        inverted = {g for g, _ in term.powers}
-        gens = tuple(g._replace(invertible=True) if g.name in inverted else g for g in pres.generators)
-        inverse = Term(0, tuple((g, -e) for g, e in term.powers))
-        return pres._replace(generators=gens, spans=pres.spans + (inverse,))
-    raise ValueError(f"no span action {name!r} to invert")
+        e = _order_exponent(killers, _vector(pres, term.powers))
+        if e is None or term.vexp < e:
+            return True
+    return False
+
+
+def _cone_multiple(columns, target):
+    """Some N >= 1 for which N·target is a sum of the columns with natural weights, or None.
+
+    Such an N exists exactly when target lies in the rational cone of the
+    columns.  That is decided by phase 1 of the simplex method, exact in
+    integers: one artificial variable per row carries the start, and the
+    artificial cost is driven to zero or proved positive.  Bland's rule
+    (the lowest entering column, ties in the ratio test to the lowest
+    basic column) keeps degenerate pivots from cycling.  Rows, the cost
+    row last, are kept scaled by positive factors, which a pivot
+    multiplies out and a gcd divides back.  N is the least common
+    denominator of the weights of the vertex the method ends on.
+    """
+    n, rows = len(columns), len(target)
+    table = []
+    for r, b in enumerate(target):
+        sign = -1 if b < 0 else 1
+        table.append([sign * col[r] for col in columns] + [int(q == r) for q in range(rows)] + [sign * b])
+    cost = [-sum(entries) if k < n or k == n + rows else 0 for k, entries in enumerate(zip(*table))]
+    basis = list(range(n, n + rows))
+    while True:
+        enter = next((k for k, c in enumerate(cost[:-1]) if c < 0), None)
+        if enter is None:
+            break
+        # the artificial cost is bounded below by 0, so some row limits the step
+        r = None
+        for q, row in enumerate(table):
+            if row[enter] > 0:
+                if r is None:
+                    r = q
+                    continue
+                lhs, rhs = row[-1] * table[r][enter], table[r][-1] * row[enter]
+                if lhs < rhs or lhs == rhs and basis[q] < basis[r]:
+                    r = q
+        pivot = table[r]
+        a = pivot[enter]
+        for row in (*table, cost):
+            b = row[enter]
+            if row is not pivot and b:
+                row[:] = [a * x - b * y for x, y in zip(row, pivot)]
+                common = gcd(*row) or 1
+                row[:] = [x // common for x in row]
+        basis[r] = enter
+    if any(row[-1] for row, b in zip(table, basis) if b >= n):
+        return None
+    # the weight of a basic column b is row[-1] / row[b]
+    solved = [(row[-1], row[b]) for row, b in zip(table, basis) if b < n]
+    return lcm(*(den // gcd(num, den) for num, den in solved))
+
+
+def inverse_product(pres, name):
+    """A product of span terms of scalar 1 equal to x^-N for some N >= 1, or None, as powers.
+
+    x is the first span term whose action is called name.  Let S1 be the
+    span terms of scalar 1 with exponent 0 on every generator that is not
+    inverted.  Only their products can equal x^-N, as every other span
+    term raises the valuation or a power no inverse cancels, and x of
+    scalar p has no inverse of scalar 1.  Such a product exists exactly
+    when -vec(x) lies in the rational cone of the S1 vectors: clear the
+    denominators of the weights.  That is decided by _cone_multiple, exact
+    and without enumerating subsets of the span terms.
+
+    This decides the degreewise completion along x, lim_n M_d / x^n M.
+    The image of x^n in a cell is spanned by the monomials m for which
+    m·x^-n is reachable, each hit at p^(v(m·x^-n) - v(m)).
+
+    - If the product P exists, then for every live monomial m, m·P^n =
+      m·x^-nN is reachable, with m's valuation (P has scalar 1) and m's
+      killers (P has no power of a generator that is not inverted, the
+      only ones a relation needs).  So x^nN maps onto m's summand for
+      every n, and the completion is zero.
+    - If it does not, take the reachable preimages m·x^-n of a live m.
+      They run out at once if x has a positive power of a generator that
+      is not inverted.  Otherwise each is a product of span terms in
+      which those of scalar p, and those with a positive power of a
+      generator that is not inverted, occur boundedly often while the
+      valuation stays bounded, as m fixes those powers.  So if n grows with the valuation bounded, infinitely many
+      -n·vec(x) + c lie in cone(S1) for one c, and as the cone is closed,
+      -vec(x) lies in it: a contradiction.  Either the preimages run out or
+      their valuation grows without bound.  A torsion summand then meets a
+      zero image, and a free one completes p-adically to the same PGroup:
+      the completion is M.
+
+    A name that is not a span action raises ValueError.
+    """
+    term = _span_term(pres, name, "complete along")
+    if term.vexp:
+        return None
+    fixed = [k for k, g in enumerate(pres.generators) if not g.invertible]
+    columns = []
+    for span in pres.spans:
+        vec = _vector(pres, span.powers)
+        if not span.vexp and any(vec) and not any(vec[k] for k in fixed):
+            columns.append(vec)
+    x = _vector(pres, term.powers)
+    n = _cone_multiple(columns, [-e for e in x])
+    return None if n is None else tuple((g.name, -n * e) for g, e in zip(pres.generators, x) if e)
 
 
 def _balance(degrees):
@@ -344,12 +462,23 @@ def unbounded_ray(pres):
     return None
 
 
+def expansion_window(pres, window):
+    """The checked window to expand on: window, else the presentation's."""
+    if window is None:
+        window = pres.window
+    if window is None:
+        raise ValueError("expansion needs a window")
+    window = Window(*window)
+    window.check()
+    return window
+
+
 def expand(pres, window=None, budget=None):
     """Expand a presentation into a BigradedModule on a window (see expand_indexed)."""
     return expand_indexed(pres, window, budget)[0]
 
 
-def expand_indexed(pres, window=None, budget=None):
+def expand_indexed(pres, window=None, budget=None, multipliers=None):
     """Expand a presentation on a window, with the index of its monomials.
 
     Returns (module, index), where index[d] maps each live monomial of
@@ -358,8 +487,9 @@ def expand_indexed(pres, window=None, budget=None):
     Every product of span elements whose bidegree lies in the window
     contributes a cyclic summand: a monomial reached with total scalar
     valuation v and killed at valuation e gives Z/p^(e-v), or a free
-    summand when no relation applies.  Span elements of nonzero bidegree
-    also become named multiplier actions (span_actions).
+    summand when no relation applies.  The span elements named in
+    multipliers ({name: degree}, by default span_actions) become the
+    module's multiplier actions; only those maps are built.
 
     The search walks a collar around the hull of the window and the
     origin, where the empty product starts (reordering factors keeps
@@ -372,12 +502,7 @@ def expand_indexed(pres, window=None, budget=None):
     more monomials than the cell budget: the budget argument, or else
     FRACTURE_CELL_BUDGET, or else DEFAULT_CELL_BUDGET.
     """
-    if window is None:
-        window = pres.window
-    if window is None:
-        raise ValueError("expansion needs a window")
-    window = Window(*window)
-    window.check()
+    window = expansion_window(pres, window)
     hint = ""
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
@@ -448,12 +573,13 @@ def expand_indexed(pres, window=None, budget=None):
         cells[deg] = PGroup(p, rank, torsion)
         index[deg] = {vec: (pos, v) for pos, (vec, v, _) in enumerate(gens_here)}
 
-    multipliers = span_actions(pres)
+    if multipliers is None:
+        multipliers = span_actions(pres)
     actions = {}
     for term, (vexp, svec, sdeg) in zip(pres.spans, span_vecs):
-        if sdeg == (0, 0):
-            continue
         name = _action_name(p, term)
+        if name not in multipliers:
+            continue
         for deg, src in index.items():
             tgt_deg = deg + sdeg
             if not window.contains(tgt_deg) or tgt_deg not in index:

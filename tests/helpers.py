@@ -1,6 +1,6 @@
 """Maps and module operations only the tests use: twin groups, scalar maps,
 cellwise sums and comparisons, the reference monomial search, a record
-of the windows realize expands, and random presentations that realize
+of the windows the localizations expand, and random presentations that realize
 accepts."""
 
 import heapq
@@ -8,7 +8,7 @@ from operator import add
 
 from hypothesis import strategies as st
 
-from fracture import assembler
+from fracture import localization
 from fracture.bigraded import (
     BiDegree,
     BigradedModule,
@@ -17,7 +17,6 @@ from fracture.bigraded import (
     PHom,
     Window,
     act,
-    cellwise_diff,
     pgroup_sum,
 )
 from fracture.presentation import BudgetError, expand, expand_indexed, parse_presentation
@@ -69,6 +68,16 @@ def direct_sum(a, b):
         a.unverified | b.unverified,
         caveats=tuple(dict.fromkeys(a.caveats + b.caveats)),
     )
+
+
+def cellwise_diff(a, b):
+    """Human-readable cell mismatches between two modules."""
+    out = []
+    for d in sorted(set(a.cells) | set(b.cells)):
+        ga, gb = a.cell(d), b.cell(d)
+        if ga != gb:
+            out.append(f"cell {tuple(d)}: {ga} != {gb}")
+    return out
 
 
 def cellwise_equal(a, b):
@@ -155,11 +164,11 @@ def live_monomials(pres, window, budget, extend_dead=True):
 
 
 def expanded_windows(monkeypatch, run):
-    """The windows fracture.assembler expands while run() runs, in call order.
+    """The windows fracture.localization expands while run() runs, in call order.
 
-    Both expand (the contract check's) and expand_indexed (each corner's)
-    are recorded.  The window is the second argument, where outside
-    tracers read it too.
+    Both expand (complete's) and expand_indexed (each corner's and
+    invert's) are recorded.  The window is the second argument, where
+    outside tracers read it too.
     """
     seen = []
 
@@ -171,8 +180,8 @@ def expanded_windows(monkeypatch, run):
         return expanding
 
     with monkeypatch.context() as patch:
-        patch.setattr(assembler, "expand", recording(expand))
-        patch.setattr(assembler, "expand_indexed", recording(expand_indexed))
+        patch.setattr(localization, "expand", recording(expand))
+        patch.setattr(localization, "expand_indexed", recording(expand_indexed))
         run()
     return seen
 

@@ -16,17 +16,14 @@ import time
 from fracture.assembler import CONTRACT_MESSAGE, corners, odd_split, realize
 from fracture.bigraded import (
     BiDegree,
-    BigradedModule,
     Multiplier,
     PGroup,
     Window,
     act,
-    cellwise_diff,
-    phom_identity,
     validate_module,
 )
 from fracture.localization import invert
-from fracture.presentation import expand, parse_presentation, print_presentation
+from fracture.presentation import BudgetError, expand, localized, parse_presentation, print_presentation, span_actions
 from fracture.presets import (
     PRESET_NAMES,
     preset_presentation,
@@ -35,7 +32,7 @@ from fracture.presets import (
 )
 from fracture.snf import is_isomorphism, smith_normal_form
 
-from helpers import phom_scalar
+from helpers import cellwise_diff, phom_scalar
 
 TIME_BUDGET = 10.0
 
@@ -212,68 +209,47 @@ def test_criterion_6b_snf_brute_force() -> None:
     assert time.monotonic() - t0 < TIME_BUDGET
 
 
-def _random_cone_module(rng: random.Random):
+def _random_presentation(rng: random.Random):
     p = rng.choice((2, 3))
-    name, deg = rng.choice(
-        (("rho", (-1, -1)), ("tau", (0, -1)), ("tau2", (0, -2)), ("v1", (2, 1)))
-    )
-    delta = BiDegree(*deg)
-    window = Window(-8, 8, -8, 8)
-    cells = {}
-    actions = {}
-    for _ in range(rng.randint(1, 3)):
-        start = BiDegree(rng.randint(-5, 5), rng.randint(-5, 5))
-        chain = [start]
-        while window.contains(chain[-1] + delta):
-            chain.append(chain[-1] + delta)
-        if any(d in cells for d in chain):
-            continue
-        torsion = tuple(
-            sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 2))), reverse=True)
-        )
-        group = PGroup(p, rng.randint(0, 1), torsion)
-        if group.is_zero():
-            continue
-        stall = rng.randint(0, 2)
-        for idx, d in enumerate(chain):
-            cells[d] = group
-            if idx + 1 < len(chain):
-                f = phom_scalar(group, p) if idx < stall else phom_identity(group)
-                if not f.is_zero():
-                    actions[(name, d)] = f
-    module = BigradedModule(p, window, cells, actions, {name: delta})
-    return module, name
+    names = ("tau", "rho", "v")
+    lines = [f"prime {p}", "gen tau 0 -1", "gen rho -1 -1", f"gen v {rng.randint(1, 3)} {rng.randint(0, 2)}"]
+    lines.append(f"rel {p ** rng.randint(0, 2)}·v^{rng.randint(1, 3)}")
+
+    def term():
+        mono = "*".join(f"{name}^{e}" for name in names if (e := rng.randint(0, 2))) or "1"
+        return f"{p ** rng.choice((0, 0, 1))}·{mono}"
+
+    lines += [f"rel {term()}" for _ in range(rng.randint(0, 2))]
+    lines += ["span 1·1", "span 1·rho", f"span 1·tau^{rng.randint(1, 2)}"]
+    lines += [f"span {term()}" for _ in range(rng.randint(1, 3))]
+    return parse_presentation("\n".join(lines) + "\n")
 
 
 def test_criterion_6c_localization_idempotent_and_invertible() -> None:
     t0 = time.monotonic()
     rng = random.Random(415926)
+    window = Window(-4, 4, -4, 4)
     idempotence_checked = 0
     iso_checked = 0
     for _ in range(50):
-        module, name = _random_cone_module(rng)
-        assert validate_module(module) == []
-        # the first inversion runs chains to the window edge, past every
-        # chain start; the nested one probes shallow, because the edge
-        # ring itself can never certify (no step remains to take there)
-        once = invert(module, name)
-        twice = invert(once, name, steps=3)
-        delta = once.multipliers[name]
-        for d in once.window.cells():
-            if d in once.unverified:
+        pres = _random_presentation(rng)
+        for name, delta in span_actions(pres).items():
+            try:
+                once = invert(pres, name, window=window)
+            except (ValueError, BudgetError):
+                # a scalar p, or a localization not of finite type
                 continue
-            if d not in twice.unverified:
-                assert twice.cell(d) == once.cell(d)
-                if not once.cell(d).is_zero():
-                    idempotence_checked += 1
-            target = d + delta
-            if (
-                not once.cell(d).is_zero()
-                and once.window.contains(target)
-                and target not in once.unverified
-            ):
-                assert is_isomorphism(act(once, name, d))
-                iso_checked += 1
+            assert validate_module(once) == []
+            # inverting x again changes nothing; the inverse of x acts there too
+            twice = invert(localized(pres, name), name, window=window)
+            assert twice.cells == once.cells
+            assert {key: f for key, f in twice.actions.items() if key[0] in once.multipliers} == once.actions
+            idempotence_checked += 1
+            # and x acts invertibly between every pair of cells it joins
+            for d in window.cells():
+                if window.contains(d + delta):
+                    assert is_isomorphism(act(once, name, d)), (name, d)
+                    iso_checked += not once.cell(d).is_zero()
     assert idempotence_checked > 0
     assert iso_checked > 0
     assert time.monotonic() - t0 < TIME_BUDGET

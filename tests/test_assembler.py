@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fracture.assembler import (
     CONTRACT_MESSAGE,
     RhoCompleteError,
-    _reach,
     assemble,
     corners,
     odd_split,
@@ -25,14 +24,13 @@ from fracture.bigraded import (
     PGroup,
     Window,
     act,
-    cellwise_diff,
     validate_module,
 )
 from fracture.localization import invert
 from fracture.presentation import expand, localized, parse_presentation, span_actions
 from fracture.presets import PRESET_NAMES, preset_presentation, reference_realization
 
-from helpers import direct_sum, odd_rho_complete_presentations
+from helpers import cellwise_diff, direct_sum, odd_rho_complete_presentations
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -117,27 +115,6 @@ def test_span_actions_are_the_expansions_multipliers(name) -> None:
     pres, actions = SPAN_ACTIONS[name]
     assert list(span_actions(pres).items()) == list(actions.items())
     assert expand(pres, Window(-3, 3, -3, 3)).multipliers == actions
-
-
-# (multiplier degrees, box, chain degrees) -> the part of (-10,10)^2 the box reads
-REACH_CASES = {
-    "one step around the box": ([(0, -1), (-1, -1)], Window(-2, 2, -2, 2), [], Window(-3, 3, -3, 3)),
-    "swept down a tau chain": ([(0, -1), (-1, -1)], Window(-2, 2, -2, 2), [(0, -1)], Window(-3, 3, -10, 3)),
-    "swept down tau and rho chains": (
-        [(0, -1), (-1, -1)],
-        Window(-2, 2, -2, 2),
-        [(0, -1), (-1, -1)],
-        Window(-10, 3, -10, 3),
-    ),
-    "the widest step on each axis": ([(2, 1)], Window(-2, 2, -2, 2), [(0, -4)], Window(-4, 4, -10, 6)),
-    "cut to the window": ([(0, -1)], Window(8, 10, 8, 10), [(0, -1)], Window(8, 10, -10, 10)),
-}
-
-
-@pytest.mark.parametrize("case", REACH_CASES)
-def test_reach_grows_the_box_by_one_step_and_sweeps_along_each_chain(case) -> None:
-    degrees, box, chains, reach = REACH_CASES[case]
-    assert _reach(Window(-10, 10, -10, 10), degrees, box, *chains) == reach
 
 
 def test_corners_of_zero_module() -> None:
@@ -343,10 +320,13 @@ def test_far_corner_realizes() -> None:
 
 
 def test_rho_complete_defect() -> None:
-    good = expand(preset_presentation("hf2"), Window(-6, 6, -6, 6))
-    assert rho_complete_defect(good, Window(-3, 3, -3, 3)) == []
-    bad = expand(parse_presentation(RHO_INVERTED_SOURCE), Window(-6, 6, -6, 6))
-    assert rho_complete_defect(bad, Window(-3, 3, -3, 3)) != []
+    for name, p in PRESET_CASES:
+        assert rho_complete_defect(preset_presentation(name, p)) is None
+    for source in (RHO_INVERTED_SOURCE, ODD_RHO_INVERTED_SOURCE, TATE_STYLE_SOURCE):
+        assert rho_complete_defect(parse_presentation(source)) == (("rho", -1),)
+    # rel 1·1 kills every span term, so the module is zero and complete
+    dead = RHO_INVERTED_SOURCE.replace("rel 2·1", "rel 1·1")
+    assert rho_complete_defect(parse_presentation(dead)) is None
 
 
 def test_realize_source_validation() -> None:
@@ -393,7 +373,7 @@ def test_odd_split_free_rho_module() -> None:
         with pytest.raises(ValueError, match="^odd-primary input needs a tau2 action to invert$"):
             split(pres, 3, window, rho_complete=True)
     # its rho-inverted part, the first half of the split
-    geometric = invert(expand(pres, Window(-9, 9, -9, 9)), "rho", window=window)
+    geometric = invert(pres, "rho", window=window)
     for d in window.cells():
         expected = PGroup(3, 0, (1,)) if d.i == d.j else PGroup(3, 0)
         assert geometric.cell(d) == expected, d

@@ -205,8 +205,8 @@ def test_a_hand_built_module_emits_canonical_edge_matrices() -> None:
 EMISSIONS = {
     "hand": small_module,
     "expand-kgl2": lambda: expand(preset_presentation("kgl2"), SQUARE_5),
-    "invert-hf2": lambda: invert(expand(preset_presentation("hf2"), SQUARE_5), "tau"),
-    "complete-hz2": lambda: complete(expand(preset_presentation("hz2"), SQUARE_5), "rho"),
+    "invert-hf2": lambda: invert("hf2", "tau", window=SQUARE_5),
+    "complete-hz2": lambda: complete("hz2", "rho", window=SQUARE_5),
     "assemble-hf2": lambda: assemble(corners(preset_presentation("hf2"), Window(-3, 3, -3, 3))),
     "realize-kgl2": lambda: realize("kgl2", 2, (-3, 3, -3, 3)),
     "realize-hfp-odd": lambda: realize("hfp_odd", 3, (-3, 3, -3, 3)),

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from fracture.assembler import CONTRACT_MESSAGE, realize
-from fracture.bigraded import Window
+from fracture.bigraded import BigradedModule, PGroup, Window, phom_identity, validate_module
 from fracture.charts import emit_json, render_ascii
 from fracture.cli import build_parser, main, window_arg
 from fracture.localization import COMPLETION_CAVEAT, invert
@@ -64,10 +64,11 @@ def test_realize_subprocess_matches_reference() -> None:
     assert all(c["flags"] == ["verified"] for c in payload["cells"])
 
 
-@pytest.mark.parametrize("command", ["realize", "check"])
-def test_realize_and_check_take_no_steps(command, capsys) -> None:
-    # the corners are exact, so there is no truncation depth to set
-    assert main([command, "--module", "hf2", "--window", "-4:4,-4:4", "--steps", "1"]) == 2
+@pytest.mark.parametrize("command", ["realize", "check", "invert", "complete"])
+def test_no_command_takes_steps(command, capsys) -> None:
+    # every answer is exact, so there is no truncation depth to set
+    argv = [command, "--module", "hf2", "--window", "-4:4,-4:4", "--steps", "1"]
+    assert main(argv + (["--mult", "rho"] if command in ("invert", "complete") else [])) == 2
     assert "unrecognized arguments: --steps 1" in capsys.readouterr().err
 
 
@@ -94,8 +95,32 @@ def test_invert_matches_library(capsysbinary) -> None:
         "invert", "--module", "hf2", "--mult", "rho", "--window", "-2:2,-2:2",
     ])
     assert code == 0
-    module = expand(preset_presentation("hf2"), Window(-2, 2, -2, 2))
-    assert capsysbinary.readouterr().out == emit_json(invert(module, "rho"))
+    assert capsysbinary.readouterr().out == emit_json(invert("hf2", "rho", window=(-2, 2, -2, 2)))
+
+
+def test_invert_along_a_scalar_exits_one_naming_it(capsysbinary) -> None:
+    assert main(["invert", "--module", "kgl2", "--mult", "2tau2", "--window", "-3:3,-3:3"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode("utf-8") == "error: cannot invert '2tau2': its scalar 2 is not 1\n"
+
+
+@pytest.mark.parametrize("command", ["invert", "complete"])
+def test_a_localization_that_fails_validation_exits_one(command, monkeypatch, capsysbinary) -> None:
+    # a module whose rho and tau actions do not commute, as check prints it
+    a = PGroup(2, 0, (1,))
+    broken = BigradedModule(
+        2,
+        Window(-1, 0, -2, 0),
+        {(0, 0): a, (-1, -1): a, (0, -1): a, (-1, -2): a},
+        {("rho", (0, 0)): phom_identity(a), ("tau", (0, 0)): phom_identity(a), ("tau", (-1, -1)): phom_identity(a)},
+        {"tau": (0, -1), "rho": (-1, -1)},
+    )
+    problems = validate_module(broken)
+    assert problems
+    monkeypatch.setattr(f"fracture.cli.{command}", lambda *args, **kwargs: broken)
+    assert main([command, "--module", "hf2", "--mult", "rho", "--window", "-2:2,-2:2"]) == 1
+    assert capsysbinary.readouterr().out.decode("utf-8") == "".join(line + "\n" for line in problems)
 
 
 def test_complete_records_caveat(capsysbinary) -> None:

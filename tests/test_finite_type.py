@@ -52,7 +52,7 @@ def test_localized_takes_the_first_matching_span() -> None:
 
 def test_localized_refuses_a_scalar_or_a_missing_span() -> None:
     pres = preset_presentation("KGL2_R")
-    with pytest.raises(ValueError, match="^cannot invert '2tau2': its scalar is not 1$"):
+    with pytest.raises(ValueError, match="^cannot invert '2tau2': its scalar 2 is not 1$"):
         localized(pres, "2tau2")
     with pytest.raises(ValueError, match="^no span action 'tau' to invert$"):
         localized(pres, "tau")

@@ -6,8 +6,9 @@ input.  Groups carry no generator names, and the memo keys are the
 matrices and groups themselves, so equal inputs built as separate objects
 compute once and share one result object inside a scope.  The memo must
 never show: every answer equals the one computed afresh, and no scope
-outlives the realize, odd_split, invert or complete call that opened it,
-so a direct call outside one computes and certifies again.
+outlives the realize or odd_split call that opened it, so a direct call
+outside one computes and certifies again.  invert and complete expand a
+presentation and compute no Smith normal form.
 """
 
 import threading
@@ -20,8 +21,7 @@ import fracture.snf as snf_module
 from fracture.assembler import RhoCompleteError, odd_split, realize
 from fracture.bigraded import PGroup, PHom, active_memo, memo_scope, pgroup_sum, phom_identity
 from fracture.localization import complete, invert
-from fracture.presentation import BudgetError, expand, parse_presentation
-from fracture.presets import preset_presentation
+from fracture.presentation import BudgetError, parse_presentation
 from fracture.snf import (
     CertificateError,
     SnfResult,
@@ -245,27 +245,23 @@ def assert_no_scope(certify_calls) -> None:
     assert len(certify_calls) == before + 2
 
 
-def kgl2_module():
-    return expand(preset_presentation("KGL2_R"), (-3, 3, -3, 3))
-
-
 CALLS = {
     "realize": lambda: realize("KGL2_R", 2, (-2, 2, -2, 2)),
     "odd_split": lambda: odd_split("HFP_ODD_R", 3, (-2, 2, -2, 2)),
     "refused": lambda: realize(parse_presentation(RHO_INVERTED_SOURCE), 2, (-3, 3, -3, 3)),
     "over budget": lambda: realize("HF2_R", 2, (-3, 3, -3, 3), budget=1),
     "odd over budget": lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3), budget=1),
-    "invert": lambda: invert(kgl2_module(), "tau"),
-    "complete": lambda: complete(kgl2_module(), "rho"),
-    "invert with no steps": lambda: invert(kgl2_module(), "rho", steps=0),
-    "complete off the window": lambda: complete(kgl2_module(), "rho", window=(0, 4, 0, 0)),
+    "invert": lambda: invert("KGL2_R", "tau4", window=(-3, 3, -3, 3)),
+    "complete": lambda: complete("KGL2_R", "rho", window=(-3, 3, -3, 3)),
+    "invert along a scalar": lambda: invert("KGL2_R", "2tau2", window=(-3, 3, -3, 3)),
+    "complete along no span action": lambda: complete("KGL2_R", "tau", window=(-3, 3, -3, 3)),
 }
 RAISES = {
     "refused": RhoCompleteError,
     "over budget": BudgetError,
     "odd over budget": BudgetError,
-    "invert with no steps": ValueError,
-    "complete off the window": ValueError,
+    "invert along a scalar": ValueError,
+    "complete along no span action": ValueError,
 }
 
 
@@ -286,22 +282,6 @@ def test_a_scope_survives_an_inner_call_it_opened(certify_calls) -> None:
         before = len(certify_calls)
         smith_normal_form(((2, 1), (4, 3)), 2)
         assert len(certify_calls) == before
-    assert_no_scope(certify_calls)
-
-
-def test_localizations_share_the_scope_of_their_caller(certify_calls) -> None:
-    module = kgl2_module()
-    with memo_scope():
-        table = active_memo()
-        invert(module, "tau")
-        after_invert = len(table)
-        complete(module, "rho")
-        assert active_memo() is table
-        assert 0 < after_invert < len(table)
-        stored, certified = len(table), len(certify_calls)
-        invert(module, "tau")
-        complete(module, "rho")
-        assert (len(table), len(certify_calls)) == (stored, certified)
     assert_no_scope(certify_calls)
 
 
@@ -337,9 +317,11 @@ def test_each_distinct_smith_normal_form_is_certified_once(certify_calls, monkey
     assert len(certify_calls) == len(set(inputs))
 
 
-def test_odd_split_computes_no_smith_normal_form(certify_calls, monkeypatch) -> None:
-    # its two parts are corner expansions, with no splice
-    assert snf_inputs(lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3)), monkeypatch) == []
+@pytest.mark.parametrize("name", ["odd_split", "invert", "complete"])
+def test_expansions_compute_no_smith_normal_form(name, certify_calls, monkeypatch) -> None:
+    # odd_split's two parts are corner expansions, with no splice; invert
+    # and complete expand a presentation, or answer zero
+    assert snf_inputs(CALLS[name], monkeypatch) == []
     assert certify_calls == []
 
 
@@ -347,13 +329,4 @@ def test_a_failed_certificate_raises_inside_realize(monkeypatch) -> None:
     monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
     with pytest.raises(CertificateError):
         realize("HF2_R", 2, (-2, 2, -2, 2))
-    assert active_memo() is None
-
-
-@pytest.mark.parametrize("localize", [invert, complete])
-def test_a_failed_certificate_raises_inside_a_localization(localize, monkeypatch) -> None:
-    module = kgl2_module()
-    monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
-    with pytest.raises(CertificateError):
-        localize(module, "rho")
     assert active_memo() is None

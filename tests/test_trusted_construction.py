@@ -8,14 +8,9 @@ the pipeline emits passes validate_module, every map it stores passes the
 validating constructor again, and the unchecked arithmetic agrees with
 the checked construction on random maps.
 
-A localization of a truncated expansion (invert, complete) approximates
-near the window edge, and there two actions need not commute.
-validate_module reports that too; it is allowed there only on squares
-that touch an unverified cell, the same as when every map was
-validated.  The fracture corners are exact and get no such exemption.
+The localizations (invert, complete) and the fracture corners are exact
+expansions, so they get no exemption either.
 """
-
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +18,6 @@ from hypothesis import strategies as st
 
 from fracture.assembler import corners, odd_split, realize
 from fracture.bigraded import (
-    BiDegree,
     BigradedModule,
     PGroup,
     PHom,
@@ -37,7 +31,7 @@ from fracture.bigraded import (
 )
 from fracture.localization import complete, invert
 from fracture.matrices import identity, mat_add, mat_mul, mat_neg
-from fracture.presentation import expand
+from fracture.presentation import expand, span_actions
 from fracture.presets import PRESET_NAMES, preset_presentation
 
 from helpers import twin
@@ -57,24 +51,8 @@ def revalidated(f):
     return g
 
 
-NONCOMMUTING = re.compile(r"actions (\S+),(\S+) at \((-?\d+), (-?\d+)\): composites differ")
-
-
-def touches_unverified(module, violation):
-    """Whether the violation is a noncommuting square with an unverified cell."""
-    match = NONCOMMUTING.fullmatch(violation)
-    if match is None:
-        return False
-    x, y = module.multipliers[match[1]], module.multipliers[match[2]]
-    d = BiDegree(int(match[3]), int(match[4]))
-    return any(c in module.unverified for c in (d, d + x, d + y, d + x + y))
-
-
-def assert_sound(module, truncated=False):
-    violations = validate_module(module)
-    if truncated:
-        violations = [v for v in violations if not touches_unverified(module, v)]
-    assert violations == []
+def assert_sound(module):
+    assert validate_module(module) == []
     for f in module.actions.values():
         revalidated(f)
 
@@ -108,11 +86,13 @@ def test_corners_and_their_maps_are_sound(name, p) -> None:
 
 @pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
 def test_localizations_along_every_multiplier_are_sound(name, p) -> None:
-    module = expansion(name, p)
-    assert module.multipliers
-    for mult in module.multipliers:
-        for localize in (invert, complete):
-            assert_sound(localize(module, mult), truncated=True)
+    mults = span_actions(preset_presentation(name, p))
+    assert mults
+    for mult in mults:
+        assert_sound(complete(name, mult, p, EXPANSION))
+        # a multiplier of scalar p would invert p
+        if not mult[0].isdigit():
+            assert_sound(invert(name, mult, p, EXPANSION))
 
 
 @pytest.mark.parametrize("name,p", PRESETS, ids=PRESET_IDS)
