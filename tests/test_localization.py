@@ -3,13 +3,15 @@
 invert expands the localized presentation and acts by the input's span
 actions; complete is zero where a product of span terms of scalar 1
 inverts a power of the action, and the expansion itself otherwise.  Both
-are exact, so no cell is unverified and no action is dropped.
+are exact, so no cell is unverified and no action is dropped.  On the
+presets, invert is held to the colimit along the action, read off a
+wider expansion where the action has become an isomorphism.
 """
 
 import pytest
 
 from fracture.assembler import corners, realize
-from fracture.bigraded import BiDegree, BigradedModule, Multiplier, PGroup, PHom, Window, restrict
+from fracture.bigraded import BiDegree, BigradedModule, Multiplier, PGroup, PHom, Window, act, restrict
 from fracture.localization import COMPLETION_CAVEAT, complete, composite_action, invert
 from fracture.presentation import (
     BudgetError,
@@ -18,8 +20,10 @@ from fracture.presentation import (
     localized,
     parse_presentation,
     span_actions,
+    unbounded_ray,
 )
 from fracture.presets import PRESET_NAMES, preset_presentation
+from fracture.snf import is_isomorphism
 
 from helpers import expanded_windows
 from test_rho_contract import DEEP_RHO_SOURCE, RHO_INVERTED
@@ -146,3 +150,109 @@ def test_no_output_keeps_a_zero_action() -> None:
     for out in outputs:
         assert out.actions
         assert zero_actions(out) == []
+
+
+# A presentation whose only span term is killed by a relation of scalar 1.
+ZERO_SOURCE = "prime 2\ngen s 1 0\nrel 1·1\nspan 1·1\nspan 1·s\n"
+
+
+def test_invert_of_the_zero_module_is_zero() -> None:
+    got = invert(parse_presentation(ZERO_SOURCE), "s", window=WINDOW)
+    assert got.cells == {} and got.actions == {} and got.window == WINDOW
+
+
+def test_complete_of_the_zero_module_is_zero() -> None:
+    got = complete(parse_presentation(ZERO_SOURCE), "s", window=WINDOW)
+    assert got.cells == {} and got.actions == {} and got.caveats == (COMPLETION_CAVEAT,)
+
+
+CORE = Window(-4, 4, -4, 4)
+
+
+def test_inverted_preset_obeys_the_support_law() -> None:
+    # HF2[rho^-1] is F2[rho^±1, tau]: one F2 wherever i >= j
+    inv = invert("HF2_R", "rho", window=CORE)
+    assert inv.cell((1, 0)) == PGroup(2, 0, (1,))
+    for d in CORE.cells():
+        assert inv.cell(d) == (PGroup(2, 0, (1,)) if d.i >= d.j else PGroup(2, 0)), d
+
+
+def test_inverted_multiplier_acts_invertibly() -> None:
+    inv = invert("HZ2_R", "rho", window=CORE)
+    checked = 0
+    for d in CORE.cells():
+        t = d + BiDegree(-1, -1)
+        if CORE.contains(t) and not inv.cell(d).is_zero():
+            assert is_isomorphism(act(inv, "rho", d)), d
+            checked += 1
+    # the nonzero cells i >= j of the core whose rho-target is in it
+    assert checked == 20
+
+
+@pytest.mark.parametrize("name,p", PRESET_CASES, ids=PRESET_NAMES)
+def test_invert_then_complete_kills_the_module(name, p, monkeypatch) -> None:
+    # x^-1 is a span term of M[x^-1], so completing that along x leaves nothing
+    pres = preset_presentation(name, p)
+    checked = 0
+    for mult in span_actions(pres):
+        if mult[0].isdigit():
+            continue
+        local = localized(pres, mult)
+        got = []
+        assert expanded_windows(monkeypatch, lambda: got.append(complete(local, mult, window=WINDOW))) == []
+        assert got[0].cells == {} and got[0].window == WINDOW
+        if unbounded_ray(local) is None:
+            assert expand(local, WINDOW).cells
+        checked += 1
+    assert checked
+
+
+def colimit_stage(module, x, d):
+    """The least n from which x acts by isomorphisms along d, d+x, d+2x, ... to the window's edge.
+
+    None unless at least three such steps lie in the window.
+    """
+    steps = 0
+    while module.window.contains(d + x.degree.scaled(steps + 1)):
+        steps += 1
+    n = steps
+    while n > 0 and is_isomorphism(act(module, x, d + x.degree.scaled(n - 1))):
+        n -= 1
+    return n if steps - n >= 3 else None
+
+
+SUPPORT_PRESETS = [("HF2_R", None), ("HZ2_R", None), ("KGL2_R", None), ("HFP_ODD_R", 3), ("HFP_ODD_R", 5)]
+
+
+@pytest.mark.parametrize("name,p", SUPPORT_PRESETS, ids=str)
+def test_invert_matches_the_colimit_reference(name, p) -> None:
+    # M[x^-1]_d is the colimit of M_d -> M_(d+x) -> ..., which is M_(d+nx)
+    # once x acts by isomorphisms from there on.  Multiplying by x^n
+    # shifts every exponent vector by the same amount, which keeps the
+    # order of the generators, so the cells and the actions are equal as
+    # they stand.
+    pres = preset_presentation(name, p)
+    mults = span_actions(pres)
+    big = expand(pres, Window(-16, 16, -20, 16), budget=1_000_000)
+    core = Window(-3, 3, -3, 3)
+    checked = 0
+    for mult in mults:
+        if mult[0].isdigit():
+            continue
+        x = Multiplier(mult, mults[mult])
+        inv = invert(pres, mult, window=core)
+        stage = {d: colimit_stage(big, x, d) for d in core.cells()}
+        for d in core.cells():
+            n = stage[d]
+            if n is None:
+                continue
+            assert inv.cell(d) == big.cell(d + x.degree.scaled(n)), (mult, d)
+            checked += 1
+            for name_y, dy in mults.items():
+                t = d + dy
+                if not core.contains(t) or stage[t] is None:
+                    continue
+                m = max(n, stage[t])
+                y = Multiplier(name_y, dy)
+                assert act(inv, y, d) == act(big, y, d + x.degree.scaled(m)), (mult, name_y, d)
+    assert checked > 40

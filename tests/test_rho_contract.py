@@ -5,22 +5,37 @@ of span terms of scalar 1 equals rho^-N (presentation.inverse_product),
 and changes nothing otherwise; unless rho is inverted no such product
 exists.  realize and odd_split refuse an input with a live span term and
 such a product, for the whole module and before anything is expanded.
-These tests hold the rule to the monomials expand_indexed finds, and
-check that every rho-periodic input is refused and that complete inputs
-are answered.
+These tests hold the rule to the monomials expand_indexed finds, hold
+complete's answer on inputs that invert none of an action's generators
+to the depth at which the action stops hitting a window, and check that
+every rho-periodic input is refused and that complete inputs are
+answered.
 """
 
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracture.assembler import CONTRACT_MESSAGE, RhoCompleteError, odd_split, realize, rho_complete_defect
-from fracture.bigraded import BiDegree, Window
+from fracture.bigraded import BiDegree, Multiplier, Window
 from fracture.cli import main
-from fracture.presentation import BudgetError, expand_indexed, inverse_product, parse_presentation, unbounded_ray
+from fracture.localization import complete, composite_action
+from fracture.presentation import (
+    BudgetError,
+    _action_name,
+    expand,
+    expand_indexed,
+    inverse_product,
+    parse_presentation,
+    span_actions,
+    unbounded_ray,
+)
+from fracture.presets import PRESET_NAMES, preset_presentation
 
-from helpers import expanded_windows
+from helpers import expanded_windows, inverse_free_rho_presentations, live_monomials
 
 
 def random_rho_inverted_source(rng):
@@ -96,6 +111,95 @@ def test_the_rule_matches_the_monomials_of_random_rho_inverted_inputs() -> None:
     assert len(verdicts) > 40
 
 
+BUDGET = 200_000
+
+
+def action_depths(pres, core, names=None):
+    """{x: (multiplier, depth)} for the span actions x of scalar 1 named in names (default: all).
+
+    No generator of x may be inverted.  The image of x^n in a cell is
+    spanned by its monomials m with m*x^-n reachable, and m*x^-n has no
+    negative exponent only while n is at most the least ratio vec(m)_g // e
+    over the powers g^e of x.  The depth is the largest such ratio among
+    the live monomials of the core's cells, so x^(depth+1) hits none.
+    """
+    cells = live_monomials(pres, core, BUDGET, extend_dead=False)
+    index = {g.name: k for k, g in enumerate(pres.generators)}
+    mults = span_actions(pres)
+    out = {}
+    for term in pres.spans:
+        name = _action_name(pres.prime, term)
+        if term.vexp or name not in mults or name in out or names is not None and name not in names:
+            continue
+        assert not any(pres.generators[index[g]].invertible for g, _ in term.powers), name
+        ratios = (min(vec[index[g]] // e for g, e in term.powers) for here in cells.values() for vec, _, _ in here)
+        out[name] = (Multiplier(name, mults[name]), max(ratios, default=0))
+    return out
+
+
+def assert_complete_when_compared_deep_enough(pres, core, names=None, tight=True):
+    """Each action x of action_depths hits no cell of the core with x^(depth+1).
+
+    The composites are read off an expansion deep enough to hold their
+    sources, so the completion along x is the module itself on the core,
+    and complete must say so.  When tight, x^depth still hits some cell.
+    Returns the depths.
+    """
+    depths = action_depths(pres, core, names)
+    corners = [(core.imin, core.jmin), (core.imax, core.jmax)]
+    for x, depth in depths.values():
+        shift = x.degree.scaled(depth + 1)
+        corners += [(core.imin - shift.i, core.jmin - shift.j), (core.imax - shift.i, core.jmax - shift.j)]
+    (imin, jmin), (imax, jmax) = map(min, zip(*corners)), map(max, zip(*corners))
+    deep = Window(imin, imax, jmin, jmax)
+    module = expand(pres, deep, budget=BUDGET)
+    want = expand(pres, core)
+    for name, (x, depth) in depths.items():
+        hit = False
+        for d in core.cells():
+            if module.cell(d).is_zero():
+                continue
+            assert composite_action(module, x, d - x.degree.scaled(depth + 1), depth + 1).is_zero(), (name, d)
+            hit = hit or not composite_action(module, x, d - x.degree.scaled(depth), depth).is_zero()
+        # x^0 is the identity, so a nonzero core is always hit at depth 0
+        assert hit or not tight or not want.cells, (name, depth)
+        got = complete(pres, name, window=core)
+        assert got.cells == want.cells and got.actions == want.actions, name
+    return depths
+
+
+PRESET_CASES = [(name, p) for name in PRESET_NAMES for p in ((3, 5) if name == "HFP_ODD_R" else (None,))]
+PRESET_WINDOWS = [
+    Window(-3, 3, -3, 3),
+    Window(1, 4, 1, 4),
+    Window(1, 4, -4, -1),
+    Window(-4, -1, 1, 4),
+    Window(-12, -9, -12, -9),
+    Window(-24, -20, -30, -26),
+]
+
+
+@pytest.mark.parametrize("core", PRESET_WINDOWS, ids=str)
+@pytest.mark.parametrize("name,p", PRESET_CASES)
+def test_presets_are_complete_along_each_action_when_compared_deep_enough(name, p, core) -> None:
+    pres = preset_presentation(name, p)
+    assert rho_complete_defect(pres) is None
+    depths = assert_complete_when_compared_deep_enough(pres, core)
+    assert set(depths) == {mult for mult in span_actions(pres) if not mult[0].isdigit()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pres=inverse_free_rho_presentations(),
+    corner=st.sampled_from([(-3, -3), (-6, 0), (0, -6), (2, 2), (-8, -10)]),
+)
+def test_random_inverse_free_presentations_are_rho_complete(pres, corner) -> None:
+    # a span term such as 2·rho^2 can make rho^depth miss every cell, so the depth need not be tight
+    i, j = corner
+    assert inverse_product(pres, "rho") is None and rho_complete_defect(pres) is None
+    assert_complete_when_compared_deep_enough(pres, Window(i, i + 3, j, j + 3), {"rho"}, tight=False)
+
+
 # rho is a plain generator and v enters only through tau*v^3, so deep
 # powers of rho are live (rho^13 at (2,-3)), and no product of span terms
 # inverts rho: the contract holds, and the input fails for other reasons
@@ -111,6 +215,14 @@ span 1·tau*v^3
 """
 DEEP_RHO_SOURCE = WITHOUT_TAU_SOURCE.replace("span 1·rho\n", "span 1·rho\nspan 1·tau\n")
 DEEP_RHO_WINDOWS = [Window(-3, 3, -3, 3), Window(0, 4, -5, -1), Window(2, 3, -3, -3)]
+
+
+@pytest.mark.parametrize("core", DEEP_RHO_WINDOWS, ids=str)
+def test_deep_rho_input_is_rho_complete_when_compared_deep_enough(core) -> None:
+    pres = parse_presentation(DEEP_RHO_SOURCE)
+    assert rho_complete_defect(pres) is None
+    (_, depth), = assert_complete_when_compared_deep_enough(pres, core, {"rho"}).values()
+    assert depth > 12
 
 
 @pytest.mark.parametrize("window", DEEP_RHO_WINDOWS, ids=str)
