@@ -15,6 +15,14 @@ as the extension of ker phi_d by coker phi_(d+1,j), taken as a direct
 sum.  Cells where both parts are nonzero are marked ambiguous rather
 than silently resolved.
 
+A cell's splice reads nothing but its local picture, the maps into t at
+d and d+(1,0), and an action between two cells nothing but the pictures
+at its ends and the three corner actions.  Far fewer pictures are
+distinct than cells (13 splices serve the 283 cells of KGL2_R on
+(-10,10)^2), so the splice and the action transport are memoized on the
+maps themselves, and inside a realize call each distinct picture is
+spliced once.
+
 The realization theorems behind this pipeline apply to rho-complete
 inputs only, and the presentation alone decides the contract, globally
 and without expanding anything: completing along rho kills every live
@@ -36,8 +44,10 @@ from .bigraded import (
     Window,
     act,
     memo_scope,
+    per_call,
     pgroup_sum,
     phom_zero,
+    shared_phom,
     sum_map,
 )
 from .localization import expand_localized, presentation_of
@@ -162,9 +172,11 @@ def insertion(source, target):
     target's presentation a localization of the source's.  Each monomial
     goes to itself times p^(v_source - v_target), or to 0 where it is
     dead in the target; valuations and orders only fall, so it is a hom.
+    Each distinct map is validated once and shared among its cells.
     """
     (module, src_index), (tmod, tgt_index) = source, target
     maps = {}
+    built = {}
     for d, src in src_index.items():
         tgt = tgt_index.get(d, {})
         rows = [[0] * len(src) for _ in tgt]
@@ -172,7 +184,7 @@ def insertion(source, target):
             if vec in tgt:
                 r, v_tgt = tgt[vec]
                 rows[r][c] = module.prime ** (v - v_tgt)
-        maps[d] = PHom(module.cell(d), tmod.cell(d), rows)
+        maps[d] = shared_phom(built, module.cell(d), tmod.cell(d), rows)
     return maps
 
 
@@ -229,14 +241,62 @@ def induced_map(f, source, target):
     return induced, None
 
 
+@per_call
+def _splice(h_to_t, phi_to_t):
+    """What the splice reads at one degree d, from the maps h_d -> t_d and phi_d -> t_d.
+
+    Returns (kernel, cokernel, total, incl_h, incl_phi, ker_h, ker_phi):
+    the kernel (group, inclusion) and cokernel (group, projection,
+    section) of the difference map (x, y) |-> h_to_t(x) - phi_to_t(y) out
+    of total = h_d + phi_d, the inclusions of total's two summands, and
+    the kernel's inclusion split by total's projections.
+    """
+    total, incl_h, incl_phi, proj_h, proj_phi = pgroup_sum(h_to_t.source, phi_to_t.source)
+    diff = sum_map(total, h_to_t.target, ((h_to_t, None, proj_h), (-phi_to_t, None, proj_phi)))
+    ker = kernel(diff)
+    return ker, cokernel(diff), total, incl_h, incl_phi, proj_h @ ker[1], proj_phi @ ker[1]
+
+
+@per_call
+def _transport(act_h, act_phi, act_tate, at_d, at_t, at_up_d, at_up_t):
+    """The action between realized cells d -> t that the corner actions induce: (map, None), or (None, why).
+
+    act_h and act_phi act out of h_d and phi_d, act_tate out of
+    tate_(d+(1,0)); at_x is the pair of maps into t that _splice reads at
+    x, for x = d, t and their boundary cells.  The kernel part is solved
+    for (solve_hom), the cokernel part induced (induced_map), and why names
+    the part that failed.
+    """
+    (ker_d, _), _, _, _, _, ker_h, ker_phi = _splice(*at_d)
+    (ker_t, ker_incl_t), _, total_t, incl_h, incl_phi, _, _ = _splice(*at_t)
+    cok_d, cok_t = _splice(*at_up_d)[1], _splice(*at_up_t)[1]
+    blocks = ((act_h @ ker_h, incl_h, None), (act_phi @ ker_phi, incl_phi, None))
+    k2k = solve_hom(ker_incl_t, sum_map(ker_d, total_t, blocks))
+    if k2k is None:
+        return None, "kernel part does not transport"
+    if cok_d[0].is_zero():
+        q2q = phom_zero(cok_d[0], cok_t[0])
+    else:
+        q2q, why = induced_map(act_tate, cok_d, cok_t)
+        if q2q is None:
+            return None, f"cokernel part {why}"
+    source, _, _, prj_q, prj_k = pgroup_sum(cok_d[0], ker_d)
+    target, inc_q, inc_k, _, _ = pgroup_sum(cok_t[0], ker_t)
+    return sum_map(source, target, ((k2k, inc_k, prj_k), (q2q, inc_q, prj_q))), None
+
+
 def assemble(square, window=None):
     """Splice the corners into the realized module, cell by cell.
 
     The splice at d reads the boundary column d+(1,0), so the result lives
     on the corners' window less its right column (default), or on a window
     inside that.  Only cells where h_d, phi_d or tate_(d+(1,0)) is nonzero
-    are visited; every other splice is zero.  A cell is unverified only
-    when an action out of it cannot be built (dropped).
+    are visited; every other splice is zero.  The algebra of a cell is a
+    function of its local picture, the maps into t at d and d+(1,0)
+    (_splice), and that of an action of those at its two ends and of the
+    corner actions (_transport); both compute once per distinct picture
+    inside memo_scope.  A cell is unverified only when an action out of
+    it cannot be built (dropped).
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
@@ -248,32 +308,14 @@ def assemble(square, window=None):
     if inner.meet(w) != w:
         raise ValueError(f"window {tuple(w)} and its boundary column are not inside the corners' window {tuple(big)}")
 
-    sums = {}
-    kers = {}
-    cokers = {}
-
-    def splice_data(d):
-        if d in sums:
-            return
-        total, ia, ib, pa, pb = pgroup_sum(h.cell(d), phi.cell(d))
-        h_to_t, phi_to_t = square.maps_to_t(d)
-        diff = sum_map(total, h_to_t.target, ((h_to_t, None, pa), (-phi_to_t, None, pb)))
-        sums[d] = (total, ia, ib, pa, pb)
-        kers[d] = kernel(diff)
-        cokers[d] = cokernel(diff)
-
-    visit = {*h.cells, *phi.cells, *(d - BOUNDARY_SHIFT for d in tate.cells)}
+    visit = sorted(filter(w.contains, {*h.cells, *phi.cells, *(d - BOUNDARY_SHIFT for d in tate.cells)}))
+    pictures = {x: square.maps_to_t(x) for x in {*visit, *(d + BOUNDARY_SHIFT for d in visit)}}
     cells = {}
     parts = {}
-    unverified = set()
-    structure = {}
-    for d in sorted(filter(w.contains, visit)):
-        up = d + BOUNDARY_SHIFT
-        splice_data(d)
-        splice_data(up)
-        ker_group, ker_incl = kers[d]
-        cok_group, cok_proj, cok_section = cokers[up]
-        total, inc_q, inc_k, prj_q, prj_k = pgroup_sum(cok_group, ker_group)
+    for d in visit:
+        ker_group = _splice(*pictures[d])[0][0]
+        cok_group = _splice(*pictures[d + BOUNDARY_SHIFT])[1][0]
+        total = pgroup_sum(cok_group, ker_group)[0]
         if total.is_zero():
             continue
         cells[d] = total
@@ -282,39 +324,24 @@ def assemble(square, window=None):
             cok_group,
             EXT_AMBIGUOUS if not ker_group.is_zero() and not cok_group.is_zero() else EXT_SPLIT,
         )
-        structure[d] = (inc_q, inc_k, prj_q, prj_k)
 
     mults = dict(tate.multipliers)
-    # the kernel's inclusion into h_d + phi_d, split by the projections pa_d, pb_d once per cell
-    ker_parts = {d: tuple(proj @ kers[d][1] for proj in sums[d][3:]) for d in cells}
     actions = {}
+    unverified = set()
     dropped = []
     for name, delta in mults.items():
         for d in cells:
             t = d + delta
-            if not w.contains(t) or t not in cells:
+            if t not in cells:
                 continue
             up_d, up_t = d + BOUNDARY_SHIFT, t + BOUNDARY_SHIFT
-            ker_h, ker_phi = ker_parts[d]
-            total_t, ia_t, ib_t, _, _ = sums[t]
-            blocks = ((act(h, name, d) @ ker_h, ia_t, None), (act(phi, name, d) @ ker_phi, ib_t, None))
-            k2k = solve_hom(kers[t][1], sum_map(kers[d][0], total_t, blocks))
-            if k2k is None:
+            corner_acts = (act(h, name, d), act(phi, name, d), act(tate, name, up_d))
+            f, why = _transport(*corner_acts, pictures[d], pictures[t], pictures[up_d], pictures[up_t])
+            if f is None:
                 unverified.add(d)
-                dropped.append((name, d, "kernel part does not transport"))
-                continue
-            cok_d, cok_t = cokers[up_d][0], cokers[up_t][0]
-            if cok_d.is_zero():
-                q2q = phom_zero(cok_d, cok_t)
+                dropped.append((name, d, why))
             else:
-                q2q, why = induced_map(act(tate, name, up_d), cokers[up_d], cokers[up_t])
-                if q2q is None:
-                    unverified.add(d)
-                    dropped.append((name, d, f"cokernel part {why}"))
-                    continue
-            inc_q_d, inc_k_d, prj_q_d, prj_k_d = structure[d]
-            inc_q_t, inc_k_t, prj_q_t, prj_k_t = structure[t]
-            actions[(name, d)] = sum_map(cells[d], cells[t], ((k2k, inc_k_t, prj_k_d), (q2q, inc_q_t, prj_q_d)))
+                actions[(name, d)] = f
     result = BigradedModule(h.prime, w, cells, actions, mults, unverified)
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
@@ -365,7 +392,8 @@ def realize(source, prime=None, window=None, *, rho_complete=False, budget=None)
     expanded on the window plus the boundary column the splice reads, and
     spliced on the window.  Every corner cell is exact, so no cell is
     approximated.  Kernels, cokernels, solves, direct sums and Smith
-    normal forms are computed once per distinct input during the call
+    normal forms, and the splice of each cell and the transport of each
+    action, are computed once per distinct input during the call
     (memo_scope).
 
     Each corner expansion runs under its own budget of monomials: budget,

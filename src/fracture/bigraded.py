@@ -173,8 +173,9 @@ def memo_scope():
 def per_call(fn):
     """Memoize a pure function inside memo_scope, keyed by its arguments.
 
-    The arguments are groups, maps and integer tuples, which compare and
-    hash by value, so a repeated input gets the stored result object back.
+    The arguments are groups, maps, and tuples of maps or integers, which
+    compare and hash by value, so a repeated input gets the stored result
+    object back.  Results are never mutated: every caller shares them.
     Only results are stored, so every stored answer passed the checks of
     the call that computed it; a raise stores nothing.
     """
@@ -199,7 +200,8 @@ class PGroup:
 
     Generators are ordered free-first, then torsion in nonincreasing
     exponent order.  They carry no names: a group is its prime, rank and
-    torsion, so equal groups are interchangeable.
+    torsion, so equal groups are interchangeable.  A group is immutable,
+    and its hash is stored when it is built: groups key the per-call memo.
 
     >>> G = PGroup(2, 1, (2, 1))
     >>> str(G)
@@ -208,7 +210,7 @@ class PGroup:
     (None, 2, 1)
     """
 
-    __slots__ = ("prime", "rank", "torsion", "ngens", "_exponents")
+    __slots__ = ("prime", "rank", "torsion", "ngens", "_exponents", "_hash")
 
     def __init__(self, prime, rank, torsion=()):
         if not _is_prime(prime):
@@ -225,6 +227,7 @@ class PGroup:
         self.torsion = torsion
         self.ngens = rank + len(torsion)
         self._exponents = (None,) * rank + torsion
+        self._hash = hash((prime, rank, torsion))
 
     def exponents(self):
         """Order exponent per generator; None stands for a free generator."""
@@ -243,7 +246,7 @@ class PGroup:
         return n
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PGroup)
             and self.prime == other.prime
             and self.rank == other.rank
@@ -251,7 +254,7 @@ class PGroup:
         )
 
     def __hash__(self):
-        return hash((self.prime, self.rank, self.torsion))
+        return self._hash
 
     def __str__(self):
         parts = [f"Z{self.prime}"] * self.rank
@@ -296,9 +299,13 @@ class PHom:
     that comes from outside or from fresh arithmetic.  Maps derived from
     valid maps (composites, sums, negations, zero and identity maps) are
     built by _trusted_phom without the checks.
+
+    A map is immutable.  Its hash is computed on first use and kept in a
+    slot, which both constructors leave empty: maps key the per-call memo,
+    and a key of maps would otherwise hash every matrix again.
     """
 
-    __slots__ = ("source", "target", "entries")
+    __slots__ = ("source", "target", "entries", "_hash")
 
     def __init__(self, source, target, entries):
         if source.prime != target.prime:
@@ -325,6 +332,7 @@ class PHom:
         self.source = source
         self.target = target
         self.entries = reduce_entries(target, entries)
+        self._hash = None
 
     @property
     def prime(self):
@@ -352,7 +360,7 @@ class PHom:
         return self + (-other)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PHom)
             and self.entries == other.entries
             and self.source == other.source
@@ -360,7 +368,10 @@ class PHom:
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.entries))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.source, self.target, self.entries))
+        return h
 
     def is_zero(self):
         return not any(map(any, self.entries))
@@ -381,6 +392,20 @@ def _trusted_phom(source, target, entries):
     f.source = source
     f.target = target
     f.entries = entries
+    f._hash = None
+    return f
+
+
+def shared_phom(built, source, target, rows):
+    """PHom(source, target, rows), validated once per distinct input among the calls sharing built.
+
+    built is a dict the caller keeps for one construction; an equal
+    request gets the stored map back, so equal maps are one object.
+    """
+    key = (source, target, tuple(map(tuple, rows)))
+    f = built.get(key)
+    if f is None:
+        f = built[key] = PHom(source, target, rows)
     return f
 
 
@@ -397,6 +422,7 @@ def reduce_entries(target, entries):
     return tuple(out)
 
 
+@per_call
 def phom_zero(source, target):
     if source.prime != target.prime:
         raise ValueError("source and target live at different primes")

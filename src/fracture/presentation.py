@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from .bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, _is_prime
+from .bigraded import KNOWN_MULTIPLIER_DEGREES, BiDegree, BigradedModule, PGroup, Window, _is_prime, shared_phom
 from .snf import valuation
 
 DEFAULT_CELL_BUDGET = 100_000
@@ -198,6 +198,8 @@ def parse_presentation(text):
             if len(args) != 1:
                 raise ParseError(lineno, col0, f"{key} takes exactly one term")
             term = _parse_term(lineno, args[0][0], args[0][1], prime, gens)
+            if key == "span":
+                _check_action_name(lineno, args[0][0], prime, term, spans)
             (relations if key == "rel" else spans).append(term)
         elif key == "window":
             if window is not None:
@@ -259,6 +261,32 @@ def _action_name(p, term):
     scalar = str(p ** term.vexp) if term.vexp else ""
     body = "".join(name if e == 1 else f"{name}{e}" for name, e in term.powers)
     return scalar + body
+
+
+def _check_action_name(lineno, col, prime, term, spans):
+    """Refuse a span term whose action name would be ambiguous.
+
+    Action names join generator names without a separator, so two
+    monomials can share one (ta*u and tau), and a product can take the
+    name of a known multiplier (r*ho is rho), which the pipeline would
+    then treat as that multiplier.  Either is a ParseError naming both.
+    """
+    name = _action_name(prime, term)
+    for other in spans:
+        if other.powers != term.powers and _action_name(prime, other) == name:
+            raise ParseError(
+                lineno,
+                col,
+                f"span terms {monomial_string(other.powers)} and {monomial_string(term.powers)}"
+                f" have the same action name {name!r}",
+            )
+    if name in KNOWN_MULTIPLIER_DEGREES and len(term.powers) != 1:
+        raise ParseError(
+            lineno,
+            col,
+            f"span term {monomial_string(term.powers)} is not a power of one generator,"
+            f" but its action name is that of the multiplier {name}",
+        )
 
 
 def span_actions(pres):
@@ -489,7 +517,8 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     valuation v and killed at valuation e gives Z/p^(e-v), or a free
     summand when no relation applies.  The span elements named in
     multipliers ({name: degree}, by default span_actions) become the
-    module's multiplier actions; only those maps are built.
+    module's multiplier actions; only those maps are built, each distinct
+    one validated once and shared among its cells.
 
     The search walks a collar around the hull of the window and the
     origin, where the empty product starts (reordering factors keeps
@@ -576,6 +605,7 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     if multipliers is None:
         multipliers = span_actions(pres)
     actions = {}
+    built = {}
     for term, (vexp, svec, sdeg) in zip(pres.spans, span_vecs):
         name = _action_name(p, term)
         if name not in multipliers:
@@ -593,5 +623,5 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
                     continue
                 r, v_tgt = hit
                 rows[r][c] = p ** (vexp + v - v_tgt)
-            actions[(name, deg)] = PHom(cells[deg], cells[tgt_deg], rows)
+            actions[(name, deg)] = shared_phom(built, cells[deg], cells[tgt_deg], rows)
     return BigradedModule(p, window, cells, actions, multipliers), index

@@ -12,7 +12,8 @@ reference, and the second odd-split part lost its completion caveat.
 The sweep lost its pad axis with the pad.  When invert and complete
 started answering from the presentation, exact in every cell, their
 digests were split from the realize sweep, which kept its value, and
-re-pinned.  Any change in a cell, flag, edge matrix or provenance entry
+re-pinned.  The four wide windows were recorded before the splice and
+the action transport were memoized per distinct local picture.  Any change in a cell, flag, edge matrix or provenance entry
 changes the bytes and fails here.
 """
 
@@ -32,6 +33,11 @@ PINNED = [
     ("KGL2_R", None, (0, 6, 2, 8), "428f363e1bbeb50ad06e948d018c8fb27aae1a1bd5e9cf0c4de6a826720ec8cb"),
     ("HFP_ODD_R", 3, (-6, 6, -6, 6), "0e2cb10a59cd09b4bfae99b2daede1d7971005db1f0d09280acb42769b300b59"),
     ("KGL2_R", 2, (-10, 10, -10, 10), "e4cd5d715ea8c72a1518ceac8c05bed4ae456b886c11a987aca0c539b7f6d659"),
+    # wide windows, whose actions cross more distinct local pictures than any narrow one
+    ("KGL2_R", None, (-30, 30, -30, 30), "53c4642c6910774035f175cf994f06c8ef31fb9d6d3f91f2875ea2fceb27ad19"),
+    ("HF2_R", None, (-20, 20, -20, 20), "3e281f259fb47293a2325dbf50a1ecaba9cfc148790eaddc2c2552a73683fc5a"),
+    ("HZ2_R", None, (-20, 20, -20, 20), "be9f9e4eaf53389c707c7ffc71b3fa0780e1df6ced683a767acb517a74245c1c"),
+    ("HFP_ODD_R", 5, (-12, 12, -12, 12), "7113cf7f8be6b3481193f4fc611f98ce1cf591cd8d1d2e793a008178eecf7f8c"),
 ]
 
 

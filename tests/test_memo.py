@@ -1,14 +1,19 @@
 """The per-call memo of exact-algebra results.
 
 Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom,
-pgroup_sum, is_isomorphism and invert_iso compute once per distinct
-input.  Groups carry no generator names, and the memo keys are the
-matrices and groups themselves, so equal inputs built as separate objects
-compute once and share one result object inside a scope.  The memo must
-never show: every answer equals the one computed afresh, and no scope
-outlives the realize or odd_split call that opened it, so a direct call
-outside one computes and certifies again.  invert and complete expand a
-presentation and compute no Smith normal form.
+pgroup_sum, phom_zero, is_isomorphism and invert_iso compute once per
+distinct input, and so do assemble's splice of a cell and transport of
+an action (assembler._splice, assembler._transport), keyed by the maps
+of their local picture.  Groups carry no generator names, and the memo
+keys are the matrices, maps and groups themselves, so equal inputs built
+as separate objects compute once and share one result object inside a
+scope; every route that builds a group or a map gives it the hash of a
+freshly built equal one.  The memo must never show: every answer equals
+the one computed afresh, realize and odd_split print the same bytes with
+the memo switched off, and no scope outlives the realize or odd_split
+call that opened it, so a direct call outside one computes and certifies
+again.  invert and complete expand a presentation and compute no Smith
+normal form, and expansion validates each distinct action map once.
 """
 
 import threading
@@ -17,11 +22,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracture.bigraded as bigraded_module
 import fracture.snf as snf_module
+from fracture import emit_json
 from fracture.assembler import RhoCompleteError, odd_split, realize
-from fracture.bigraded import PGroup, PHom, active_memo, memo_scope, pgroup_sum, phom_identity
+from fracture.bigraded import (
+    PGroup,
+    PHom,
+    active_memo,
+    memo_scope,
+    pgroup_sum,
+    phom_identity,
+    phom_zero,
+    shared_phom,
+    sum_map,
+    zero_hom,
+)
 from fracture.localization import complete, invert
-from fracture.presentation import BudgetError, parse_presentation
+from fracture.presentation import BudgetError, expand, parse_presentation
 from fracture.snf import (
     CertificateError,
     SnfResult,
@@ -33,7 +51,7 @@ from fracture.snf import (
     solve_hom,
 )
 
-from helpers import twin
+from helpers import inverse_free_rho_presentations, odd_rho_complete_presentations, twin
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -330,3 +348,115 @@ def test_a_failed_certificate_raises_inside_realize(monkeypatch) -> None:
     with pytest.raises(CertificateError):
         realize("HF2_R", 2, (-2, 2, -2, 2))
     assert active_memo() is None
+
+
+def requested(run):
+    """The canonical bytes of run()'s answer, its dropped actions, or its refusal."""
+    try:
+        out = run()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if hasattr(out, "dropped"):
+        return emit_json(out), repr(out.dropped)
+    return tuple(emit_json(part) for part in out)
+
+
+def with_and_without_the_memo(run):
+    """(requested(run), SNFs certified) with the memo on, then with it off."""
+    certified = []
+    original = snf_module.SnfResult.certify
+
+    def counted():
+        before = len(certified)
+        return requested(run), len(certified) - before
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(snf_module.SnfResult, "certify", lambda self, a: certified.append(a) or original(self, a))
+        on = counted()
+        patch.setattr(bigraded_module, "active_memo", lambda: None)
+        return on, counted()
+
+
+TRANSPARENCY_CASES = [("HF2_R", None), ("HZ2_R", None), ("KGL2_R", None), ("HFP_ODD_R", 3)]
+
+
+@pytest.mark.parametrize("name,prime", TRANSPARENCY_CASES, ids=[n for n, _ in TRANSPARENCY_CASES])
+def test_realize_prints_the_same_bytes_without_the_memo(name, prime) -> None:
+    (on, computed_on), (off, computed_off) = with_and_without_the_memo(lambda: realize(name, prime, (-8, 8, -8, 8)))
+    assert on == off
+    # the switch really turns the memo off
+    assert computed_off > computed_on
+
+
+def test_odd_split_prints_the_same_bytes_without_the_memo() -> None:
+    (on, _), (off, _) = with_and_without_the_memo(lambda: odd_split("HFP_ODD_R", 3, (-8, 8, -8, 8)))
+    assert on == off
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pres=st.one_of(odd_rho_complete_presentations(), inverse_free_rho_presentations()))
+def test_random_presentations_print_the_same_bytes_without_the_memo(pres) -> None:
+    window = (-4, 4, -4, 4)
+    (on, _), (off, _) = with_and_without_the_memo(lambda: realize(pres, None, window))
+    assert on == off
+    if pres.prime != 2:
+        (on, _), (off, _) = with_and_without_the_memo(lambda: odd_split(pres, pres.prime, window))
+        assert on == off
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_every_route_hashes_like_a_fresh_construction(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b, c = data.draw(groups(p)), data.draw(groups(p)), data.draw(groups(p))
+    assert hash(a) == hash(twin(a)) and a == twin(a)
+    f, f2, g = data.draw(homs(b, c)), data.draw(homs(b, c)), data.draw(homs(a, b))
+    ab, _, _, pa, pb = pgroup_sum(a, b)
+    h = data.draw(homs(a, c))
+    built = {
+        "validating": f,
+        "trusted": bigraded_module._trusted_phom(b, c, f.entries),
+        "shared": shared_phom({}, b, c, f.entries),
+        "composite": f @ g,
+        "sum": f + f2,
+        "difference": f - f2,
+        "negation": -f,
+        "zero": phom_zero(b, c),
+        "zero of the zero group": zero_hom(p),
+        "identity": phom_identity(b),
+        "sum_map": sum_map(ab, c, ((h, None, pa), (-f, None, pb))),
+    }
+    for route, x in built.items():
+        first = hash(x)
+        fresh = twin_map(x)
+        assert x == fresh, route
+        assert first == hash(x) == hash(fresh), route
+        with memo_scope():
+            assert kernel(x) is kernel(fresh), route
+
+
+def validating_constructions(monkeypatch):
+    """The maps PHom(...) validates from now on."""
+    built = []
+    original = PHom.__init__
+
+    def counting(self, *args):
+        original(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(PHom, "__init__", counting)
+    return built
+
+
+def test_realize_validates_each_distinct_map_once(monkeypatch) -> None:
+    built = validating_constructions(monkeypatch)
+    realize("KGL2_R", 2, (-10, 10, -10, 10))
+    # 1074 before the corner maps were shared and the splice memoized
+    assert len(built) <= 150
+
+
+def test_expansion_shares_each_distinct_action_map(monkeypatch) -> None:
+    built = validating_constructions(monkeypatch)
+    module = expand(parse_presentation(RHO_INVERTED_SOURCE), (-6, 6, -6, 6))
+    assert len(module.actions) > len(built) > 0
+    assert {id(f) for f in module.actions.values()} == {id(f) for f in built}

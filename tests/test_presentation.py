@@ -17,8 +17,9 @@ from fracture.presentation import (
     expand,
     parse_presentation,
     print_presentation,
+    span_actions,
 )
-from fracture.presets import preset_presentation
+from fracture.presets import PRESET_NAMES, preset_presentation
 
 INVERTIBLE_SOURCE = """\
 prime 2
@@ -179,6 +180,48 @@ def test_parse_errors(source, fragment) -> None:
     with pytest.raises(ParseError) as info:
         parse_presentation(source)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        # a product whose name is a known multiplier's: realize would invert ta*u as tau
+        (
+            "prime 2\ngen ta 0 -1\ngen u 0 0\nspan 1·1\nspan 1·ta*u\n",
+            "line 5, col 6: span term ta*u is not a power of one generator,"
+            " but its action name is that of the multiplier tau",
+        ),
+        (
+            "prime 2\ngen r -1 0\ngen ho 0 -1\nspan 1·r*ho\n",
+            "line 4, col 6: span term r*ho is not a power of one generator,"
+            " but its action name is that of the multiplier rho",
+        ),
+        # two monomials, one name
+        (
+            "prime 2\ngen t 0 -1\ngen t2 0 -2\nspan 1·t^2\nspan 1·t2\n",
+            "line 5, col 6: span terms t^2 and t2 have the same action name 't2'",
+        ),
+        (
+            "prime 3\ngen x 1 0\ngen y 0 1\ngen xy 1 1\nspan 3·xy\nspan 3·x*y\n",
+            "line 6, col 6: span terms xy and x*y have the same action name '3xy'",
+        ),
+    ],
+)
+def test_ambiguous_action_names_are_refused(source, message) -> None:
+    with pytest.raises(ParseError) as info:
+        parse_presentation(source)
+    assert str(info.value) == message
+
+
+def test_unambiguous_action_names_parse() -> None:
+    # a repeated term, a scalar multiple, a generator power with a known
+    # name and a product with none keep their names
+    pres = parse_presentation(
+        "prime 2\ngen tau 0 -1\ngen v 1 1\nspan 1·tau\nspan 1·tau\nspan 2·tau\nspan 1·tau^2\nspan 1·tau*v^3\n"
+    )
+    assert list(span_actions(pres)) == ["tau", "2tau", "tau2", "tauv3"]
+    for name in PRESET_NAMES:
+        preset_presentation(name, 3 if name == "HFP_ODD_R" else None)
 
 
 def test_nonprime_error_text_is_stable() -> None:
