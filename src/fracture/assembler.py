@@ -19,9 +19,10 @@ A cell's splice reads nothing but its local picture, the maps into t at
 d and d+(1,0), and an action between two cells nothing but the pictures
 at its ends and the three corner actions.  Far fewer pictures are
 distinct than cells (13 splices serve the 283 cells of KGL2_R on
-(-10,10)^2), so the splice and the action transport are memoized on the
-maps themselves, and inside a realize call each distinct picture is
-spliced once.
+(-10,10)^2), so the splice and the action transport are cached on the
+maps themselves (functools.lru_cache, bounded by bigraded.CACHE_SIZE),
+and each distinct picture is spliced once, across realize calls too.
+Cached results are shared, and never mutated.
 
 The realization theorems behind this pipeline apply to rho-complete
 inputs only, and the presentation alone decides the contract, globally
@@ -35,21 +36,10 @@ contract (see rho_complete_defect).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
-from .bigraded import (
-    BiDegree,
-    BigradedModule,
-    PHom,
-    Window,
-    act,
-    memo_scope,
-    per_call,
-    pgroup_sum,
-    phom_zero,
-    shared_phom,
-    sum_map,
-)
+from .bigraded import CACHE_SIZE, BiDegree, BigradedModule, PHom, Window, act, pgroup_sum, phom_zero, shared_phom, sum_map
 from .localization import expand_localized, presentation_of
 from .matrices import mat_mul
 from .presentation import has_live_span, inverse_product, localized, monomial_string, span_actions
@@ -172,11 +162,10 @@ def insertion(source, target):
     target's presentation a localization of the source's.  Each monomial
     goes to itself times p^(v_source - v_target), or to 0 where it is
     dead in the target; valuations and orders only fall, so it is a hom.
-    Each distinct map is validated once and shared among its cells.
+    Each distinct map is validated once (shared_phom) and shared among its cells.
     """
     (module, src_index), (tmod, tgt_index) = source, target
     maps = {}
-    built = {}
     for d, src in src_index.items():
         tgt = tgt_index.get(d, {})
         rows = [[0] * len(src) for _ in tgt]
@@ -184,7 +173,7 @@ def insertion(source, target):
             if vec in tgt:
                 r, v_tgt = tgt[vec]
                 rows[r][c] = module.prime ** (v - v_tgt)
-        maps[d] = shared_phom(built, module.cell(d), tmod.cell(d), rows)
+        maps[d] = shared_phom(module.cell(d), tmod.cell(d), tuple(map(tuple, rows)))
     return maps
 
 
@@ -241,7 +230,7 @@ def induced_map(f, source, target):
     return induced, None
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def _splice(h_to_t, phi_to_t):
     """What the splice reads at one degree d, from the maps h_d -> t_d and phi_d -> t_d.
 
@@ -257,7 +246,7 @@ def _splice(h_to_t, phi_to_t):
     return ker, cokernel(diff), total, incl_h, incl_phi, proj_h @ ker[1], proj_phi @ ker[1]
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def _transport(act_h, act_phi, act_tate, at_d, at_t, at_up_d, at_up_t):
     """The action between realized cells d -> t that the corner actions induce: (map, None), or (None, why).
 
@@ -285,28 +274,23 @@ def _transport(act_h, act_phi, act_tate, at_d, at_t, at_up_d, at_up_t):
     return sum_map(source, target, ((k2k, inc_k, prj_k), (q2q, inc_q, prj_q))), None
 
 
-def assemble(square, window=None):
+def assemble(square):
     """Splice the corners into the realized module, cell by cell.
 
     The splice at d reads the boundary column d+(1,0), so the result lives
-    on the corners' window less its right column (default), or on a window
-    inside that.  Only cells where h_d, phi_d or tate_(d+(1,0)) is nonzero
-    are visited; every other splice is zero.  The algebra of a cell is a
-    function of its local picture, the maps into t at d and d+(1,0)
-    (_splice), and that of an action of those at its two ends and of the
-    corner actions (_transport); both compute once per distinct picture
-    inside memo_scope.  A cell is unverified only when an action out of
-    it cannot be built (dropped).
+    on the corners' window less its right column.  Only cells where h_d,
+    phi_d or tate_(d+(1,0)) is nonzero are visited; every other splice is
+    zero.  The algebra of a cell is a function of its local picture, the
+    maps into t at d and d+(1,0) (_splice), and that of an action of
+    those at its two ends and of the corner actions (_transport); both
+    are cached, so each distinct picture is spliced once.  A cell is
+    unverified only when an action out of it cannot be built (dropped).
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
         raise ValueError("corners must share a window and a prime")
-    big = h.window
-    inner = big._replace(imax=big.imax - BOUNDARY_SHIFT.i)
-    w = inner if window is None else Window(*window)
+    w = h.window._replace(imax=h.window.imax - BOUNDARY_SHIFT.i)
     w.check()
-    if inner.meet(w) != w:
-        raise ValueError(f"window {tuple(w)} and its boundary column are not inside the corners' window {tuple(big)}")
 
     visit = sorted(filter(w.contains, {*h.cells, *phi.cells, *(d - BOUNDARY_SHIFT for d in tate.cells)}))
     pictures = {x: square.maps_to_t(x) for x in {*visit, *(d + BOUNDARY_SHIFT for d in visit)}}
@@ -384,7 +368,6 @@ def _checked(pres, window, budget, rho_complete):
     return core, INTERNAL_BUDGET if budget is None else budget
 
 
-@memo_scope()
 def realize(source, prime=None, window=None, *, rho_complete=False, budget=None):
     """Expand a presentation and realize it on the window.
 
@@ -393,8 +376,10 @@ def realize(source, prime=None, window=None, *, rho_complete=False, budget=None)
     spliced on the window.  Every corner cell is exact, so no cell is
     approximated.  Kernels, cokernels, solves, direct sums and Smith
     normal forms, and the splice of each cell and the transport of each
-    action, are computed once per distinct input during the call
-    (memo_scope).
+    action, are cached (functools.lru_cache, bounded by
+    bigraded.CACHE_SIZE): each is computed and certified once per
+    distinct input, and a later call with an equal input, in this
+    realize or another, gets the stored result back.
 
     Each corner expansion runs under its own budget of monomials: budget,
     or INTERNAL_BUDGET (2,000,000); FRACTURE_CELL_BUDGET is not
@@ -405,10 +390,9 @@ def realize(source, prime=None, window=None, *, rho_complete=False, budget=None)
     """
     pres = presentation_of(source, prime)
     core, budget = _checked(pres, window, budget, rho_complete)
-    return assemble(corners(pres, core._replace(imax=core.imax + BOUNDARY_SHIFT.i), budget), core)
+    return assemble(corners(pres, core._replace(imax=core.imax + BOUNDARY_SHIFT.i), budget))
 
 
-@memo_scope()
 def odd_split(source, prime, window=None, *, rho_complete=False, budget=None):
     """Split an odd-primary module into its rho-inverted and completed parts.
 

@@ -10,9 +10,7 @@ torsion is tracked by valuation exponents, never by truncation.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 from .matrices import identity, mat_add, mat_mul, mat_neg, zeros
@@ -110,8 +108,15 @@ class Window(NamedTuple):
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
+# The bound of every cache of pure exact algebra, each a
+# functools.lru_cache of its own.  A realize call needs at most about a
+# hundred distinct results of any one function (104 transports on KGL2_R
+# at (-40,40)^2), so no cache evicts inside a call, and a long-lived
+# process holds at most this many results per function.
+CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _is_prime(p):
     """Deterministic Miller-Rabin, memoized: every PGroup construction asks.
 
@@ -141,67 +146,13 @@ def _is_prime(p):
     return True
 
 
-_SCOPE = threading.local()
-
-
-def active_memo():
-    """The table of the memo_scope open in this thread, or None."""
-    return getattr(_SCOPE, "memo", None)
-
-
-@contextmanager
-def memo_scope():
-    """Reuse exact-algebra results for the duration of the block.
-
-    Inside a scope a per_call function returns its stored result when an
-    equal input repeats, so every caller with that input shares the one
-    result object; outside every scope it computes each time.  Scopes
-    nest: an inner one shares the outer table, and the table is dropped
-    when the outermost scope exits, by return or by raise.  Each thread
-    sees only its own scope.
-    """
-    outermost = active_memo() is None
-    if outermost:
-        _SCOPE.memo = {}
-    try:
-        yield
-    finally:
-        if outermost:
-            _SCOPE.memo = None
-
-
-def per_call(fn):
-    """Memoize a pure function inside memo_scope, keyed by its arguments.
-
-    The arguments are groups, maps, and tuples of maps or integers, which
-    compare and hash by value, so a repeated input gets the stored result
-    object back.  Results are never mutated: every caller shares them.
-    Only results are stored, so every stored answer passed the checks of
-    the call that computed it; a raise stores nothing.
-    """
-
-    @wraps(fn)
-    def memoized(*args):
-        memo = active_memo()
-        if memo is None:
-            return fn(*args)
-        k = (fn, args)
-        try:
-            return memo[k]
-        except KeyError:
-            out = memo[k] = fn(*args)
-            return out
-
-    return memoized
-
-
 class PGroup:
     """Finitely generated module over Z_(p): free rank plus p-power torsion.
 
     Generators are ordered free-first, then torsion in nonincreasing
     exponent order.  They carry no names: a group is its prime, rank and
     torsion, so equal groups are interchangeable.  A group is immutable,
-    and its hash is stored when it is built: groups key the per-call memo.
+    and its hash is stored when it is built: groups key the caches.
 
     >>> G = PGroup(2, 1, (2, 1))
     >>> str(G)
@@ -265,16 +216,10 @@ class PGroup:
         return f"PGroup({self.prime}, {self.rank}, {self.torsion})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def zero_group(p):
     """The zero group at p, one shared instance per prime."""
     return PGroup(p, 0, ())
-
-
-@lru_cache(maxsize=None)
-def zero_hom(p):
-    """The map of the zero group at p to itself, one shared instance per prime."""
-    return PHom(zero_group(p), zero_group(p), ())
 
 
 def _compat_modulus(p, e_src, e_tgt):
@@ -301,8 +246,8 @@ class PHom:
     built by _trusted_phom without the checks.
 
     A map is immutable.  Its hash is computed on first use and kept in a
-    slot, which both constructors leave empty: maps key the per-call memo,
-    and a key of maps would otherwise hash every matrix again.
+    slot, which both constructors leave empty: maps key the caches, and a
+    key of maps would otherwise hash every matrix again.
     """
 
     __slots__ = ("source", "target", "entries", "_hash")
@@ -396,17 +341,13 @@ def _trusted_phom(source, target, entries):
     return f
 
 
-def shared_phom(built, source, target, rows):
-    """PHom(source, target, rows), validated once per distinct input among the calls sharing built.
+@lru_cache(maxsize=CACHE_SIZE)
+def shared_phom(source, target, rows):
+    """PHom(source, target, rows), validated once per distinct input; rows is a tuple of tuples.
 
-    built is a dict the caller keeps for one construction; an equal
-    request gets the stored map back, so equal maps are one object.
+    An equal request gets the stored map back, so equal maps are one object.
     """
-    key = (source, target, tuple(map(tuple, rows)))
-    f = built.get(key)
-    if f is None:
-        f = built[key] = PHom(source, target, rows)
-    return f
+    return PHom(source, target, rows)
 
 
 def reduce_entries(target, entries):
@@ -422,7 +363,7 @@ def reduce_entries(target, entries):
     return tuple(out)
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def phom_zero(source, target):
     if source.prime != target.prime:
         raise ValueError("source and target live at different primes")
@@ -443,7 +384,7 @@ def free_first(prime, gens):
     return PGroup(prime, len(gens) - len(torsion), torsion), gens
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def pgroup_sum(a, b):
     """Direct sum with the four canonical structure maps.
 
@@ -533,9 +474,9 @@ class BigradedModule:
 def act(module, mult, d):
     """Action of a multiplier out of cell d, as a PHom.
 
-    Absent actions are the zero map; between two zero cells it is the one
-    shared zero_hom of the prime.  Requesting either endpoint outside the
-    window is an error.
+    Absent actions are the zero map, one shared instance per pair of
+    cells (phom_zero).  Requesting either endpoint outside the window is
+    an error.
     """
     m = mult if isinstance(mult, Multiplier) else module.multiplier(mult)
     name, degree = m.name, m.degree
@@ -548,10 +489,7 @@ def act(module, mult, d):
     stored = module.actions.get((name, d))
     if stored is not None:
         return stored
-    src, tgt = module.cell(d), module.cell(target)
-    if src.is_zero() and tgt.is_zero():
-        return zero_hom(module.prime)
-    return phom_zero(src, tgt)
+    return phom_zero(module.cell(d), module.cell(target))
 
 
 def validate_module(module):

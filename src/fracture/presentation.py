@@ -199,7 +199,7 @@ def parse_presentation(text):
                 raise ParseError(lineno, col0, f"{key} takes exactly one term")
             term = _parse_term(lineno, args[0][0], args[0][1], prime, gens)
             if key == "span":
-                _check_action_name(lineno, args[0][0], prime, term, spans)
+                _check_action_name(lineno, args[0][0], prime, gens, term, spans)
             (relations if key == "rel" else spans).append(term)
         elif key == "window":
             if window is not None:
@@ -263,13 +263,15 @@ def _action_name(p, term):
     return scalar + body
 
 
-def _check_action_name(lineno, col, prime, term, spans):
+def _check_action_name(lineno, col, prime, gens, term, spans):
     """Refuse a span term whose action name would be ambiguous.
 
     Action names join generator names without a separator, so two
     monomials can share one (ta*u and tau), and a product can take the
     name of a known multiplier (r*ho is rho), which the pipeline would
     then treat as that multiplier.  Either is a ParseError naming both.
+    So is a term of nonzero degree named like a known multiplier of
+    another degree (tau of degree (0, -2)), naming both degrees.
     """
     name = _action_name(prime, term)
     for other in spans:
@@ -286,6 +288,15 @@ def _check_action_name(lineno, col, prime, term, spans):
             col,
             f"span term {monomial_string(term.powers)} is not a power of one generator,"
             f" but its action name is that of the multiplier {name}",
+        )
+    known = KNOWN_MULTIPLIER_DEGREES.get(name)
+    degree = tuple(sum(e * gens[g].degree[k] for g, e in term.powers) for k in (0, 1))
+    if known is not None and degree not in ((0, 0), known):
+        raise ParseError(
+            lineno,
+            col,
+            f"span term {monomial_string(term.powers)} has degree {degree},"
+            f" but its action name {name} is that of the multiplier of degree {known}",
         )
 
 
@@ -518,7 +529,7 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     summand when no relation applies.  The span elements named in
     multipliers ({name: degree}, by default span_actions) become the
     module's multiplier actions; only those maps are built, each distinct
-    one validated once and shared among its cells.
+    one validated once (shared_phom) and shared among its cells.
 
     The search walks a collar around the hull of the window and the
     origin, where the empty product starts (reordering factors keeps
@@ -605,7 +616,6 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     if multipliers is None:
         multipliers = span_actions(pres)
     actions = {}
-    built = {}
     for term, (vexp, svec, sdeg) in zip(pres.spans, span_vecs):
         name = _action_name(p, term)
         if name not in multipliers:
@@ -623,5 +633,5 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
                     continue
                 r, v_tgt = hit
                 rows[r][c] = p ** (vexp + v - v_tgt)
-            actions[(name, deg)] = shared_phom(built, cells[deg], cells[tgt_deg], rows)
+            actions[(name, deg)] = shared_phom(cells[deg], cells[tgt_deg], tuple(map(tuple, rows)))
     return BigradedModule(p, window, cells, actions, multipliers), index

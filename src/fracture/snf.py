@@ -10,21 +10,21 @@ lowest column, so the diagonal valuations come out nondecreasing.
 
 Zero diagonal entries are exact integer zeros: free summands are never
 truncated to a large p-power.
+
+smith_normal_form, kernel, cokernel, solve_hom, is_isomorphism and
+invert_iso are pure, and each caches its results (functools.lru_cache,
+bounded by bigraded.CACHE_SIZE): a repeated input gets back the result
+object its first call computed and certified, so no result is ever
+mutated.  A raise stores nothing.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .bigraded import (
-    PGroup,
-    PHom,
-    _compat_modulus,
-    free_first,
-    per_call,
-    phom_identity,
-)
+from .bigraded import CACHE_SIZE, PGroup, PHom, _compat_modulus, free_first, phom_identity
 from .matrices import column, from_columns, hstack, identity, mat_mul
 
 # certify() checks the diagonal modulo p**RESIDUE
@@ -119,7 +119,7 @@ class SnfResult:
         return True
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def smith_normal_form(a, p, rows=None, cols=None):
     """Exact SNF of an integer matrix (a tuple of row tuples), interpreted over Z_(p).
 
@@ -364,7 +364,7 @@ def span_equal(ambient, a_cols, b_cols):
     return span_contains(ambient, a_cols, b_cols) and span_contains(ambient, b_cols, a_cols)
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def kernel(f):
     """Kernel of a PHom as (group, inclusion-into-source).
 
@@ -380,7 +380,7 @@ def kernel(f):
     return subgroup(f.source, [w[:nA] for w in wide])
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def cokernel(f):
     """Cokernel of a PHom as (group, projection, section).
 
@@ -411,15 +411,15 @@ def cokernel(f):
     return group, proj, from_columns([rep for _, _, rep in kept], nB)
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def solve_hom(f, g):
     """h with f o h = g as maps of PGroups, or None; f and g share a target.
 
     Each column is solved inside the subset of A-vectors a source generator
     of g may legally hit: coordinates are prescaled by the torsion
     compatibility modulus, so the result is a well-defined hom, not just a
-    columnwise preimage.  The check of f o h = g runs once per distinct
-    input.
+    columnwise preimage.  The check of f o h = g runs when an input is
+    first solved; a repeated input gets the checked result back.
     """
     if f.target != g.target:
         raise ValueError("solve_hom needs a common target")
@@ -463,7 +463,7 @@ def solve_hom(f, g):
     return h
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def is_isomorphism(f):
     """Whether f is an isomorphism.
 
@@ -476,7 +476,7 @@ def is_isomorphism(f):
     return cokernel(f)[0].is_zero()
 
 
-@per_call
+@lru_cache(maxsize=CACHE_SIZE)
 def invert_iso(f):
     """Exact inverse of an isomorphism of PGroups."""
     inv = solve_hom(f, phom_identity(f.target))

@@ -1,13 +1,16 @@
 """Maps and module operations only the tests use: twin groups, scalar maps,
 cellwise sums and comparisons, the reference monomial search, a record
-of the windows the localizations expand, and random presentations that realize
-accepts."""
+of the windows the localizations expand, random presentations that realize
+accepts, and the package's caches."""
 
 import heapq
+import importlib
+import pkgutil
 from operator import add
 
 from hypothesis import strategies as st
 
+import fracture
 from fracture import localization
 from fracture.bigraded import (
     BiDegree,
@@ -20,6 +23,26 @@ from fracture.bigraded import (
     pgroup_sum,
 )
 from fracture.presentation import BudgetError, expand, expand_indexed, parse_presentation
+
+
+def cached_bindings():
+    """(module, name, function) for each name a fracture module binds to a cached function.
+
+    The cached functions are the functools.lru_cache ones; a function
+    imported into several modules comes once per module.
+    """
+    out = []
+    for info in pkgutil.iter_modules(fracture.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"fracture.{info.name}")
+            out += [(module, name, f) for name, f in vars(module).items() if hasattr(f, "cache_clear")]
+    return out
+
+
+def clear_caches():
+    """Empty every cache of the package."""
+    for _, _, f in cached_bindings():
+        f.cache_clear()
 
 
 def twin(group):

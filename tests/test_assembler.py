@@ -202,14 +202,6 @@ def test_assemble_answers_on_the_corners_window_less_its_boundary_column() -> No
     assert result.unverified == frozenset()
 
 
-@pytest.mark.parametrize("window", [(-3, 3, -3, 3), (-3, 2, -3, 4), (-4, 2, -3, 3)])
-def test_assemble_refuses_a_window_outside_the_corners(window) -> None:
-    # the splice reads the boundary column, which must lie inside the corners
-    square = corners(preset_presentation("hf2"), Window(-3, 3, -3, 3))
-    with pytest.raises(ValueError, match="not inside"):
-        assemble(square, window)
-
-
 @pytest.mark.parametrize("name,window", [("hf2", (-5, 5, -5, 5)), ("hz2", (-5, 5, -5, 5))])
 def test_realize_matches_reference(name, window) -> None:
     report = realize(name, 2, window)

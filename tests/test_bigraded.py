@@ -14,10 +14,10 @@ from fracture.bigraded import (
     multiplier,
     pgroup_sum,
     phom_identity,
+    phom_zero,
     restrict,
     validate_module,
     zero_group,
-    zero_hom,
 )
 
 from helpers import cellwise_equal, direct_sum, phom_scalar
@@ -93,7 +93,7 @@ def test_act_returns_stored_zero_and_scalar_maps() -> None:
     assert act(m, "tau", (0, 0)).entries == ((1,),)
     assert act(m, "tau", (0, -1)).is_zero()
     # an absent action between zero cells is one shared map
-    assert act(m, "tau", (1, 0)) is act(m, "tau", (-1, -1)) is zero_hom(2)
+    assert act(m, "tau", (1, 0)) is act(m, "tau", (-1, -1)) is phom_zero(zero_group(2), zero_group(2))
     assert act(m, "tau", (1, 0)).source is zero_group(2)
     with pytest.raises(ValueError):
         act(m, "tau", (5, 5))

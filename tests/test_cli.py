@@ -194,6 +194,19 @@ def test_tau_less_input_exits_one_with_its_own_error(command, name, tmp_path, ca
     assert captured.err.decode("utf-8") == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["realize", "check"])
+def test_a_multiplier_name_of_another_degree_exits_one(command, tmp_path, capsysbinary) -> None:
+    src = tmp_path / "tau-of-degree-0-2.txt"
+    src.write_text("prime 2\ngen tau 0 -2\ngen rho -1 -1\nrel 2·1\nspan 1·1\nspan 1·tau\nspan 1·rho\n", encoding="utf-8")
+    assert main([command, "--module", str(src), "--window", "-3:3,-3:3"]) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.decode("utf-8") == (
+        "error: line 6, col 6: span term tau has degree (0, -2),"
+        " but its action name tau is that of the multiplier of degree (0, -1)\n"
+    )
+
+
 def test_override_realizes_file_module(tmp_path, capsysbinary) -> None:
     src = tmp_path / "tate_style.txt"
     src.write_text(TATE_STYLE_SOURCE, encoding="utf-8")

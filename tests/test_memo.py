@@ -1,42 +1,43 @@
-"""The per-call memo of exact-algebra results.
+"""The caches of exact-algebra results.
 
-Inside memo_scope, smith_normal_form, kernel, cokernel, solve_hom,
-pgroup_sum, phom_zero, is_isomorphism and invert_iso compute once per
-distinct input, and so do assemble's splice of a cell and transport of
-an action (assembler._splice, assembler._transport), keyed by the maps
-of their local picture.  Groups carry no generator names, and the memo
-keys are the matrices, maps and groups themselves, so equal inputs built
-as separate objects compute once and share one result object inside a
-scope; every route that builds a group or a map gives it the hash of a
-freshly built equal one.  The memo must never show: every answer equals
-the one computed afresh, realize and odd_split print the same bytes with
-the memo switched off, and no scope outlives the realize or odd_split
-call that opened it, so a direct call outside one computes and certifies
-again.  invert and complete expand a presentation and compute no Smith
-normal form, and expansion validates each distinct action map once.
+smith_normal_form, kernel, cokernel, solve_hom, is_isomorphism,
+invert_iso, pgroup_sum, phom_zero and shared_phom, and assemble's splice
+of a cell and transport of an action (assembler._splice,
+assembler._transport), are functools.lru_cache functions bounded by
+bigraded.CACHE_SIZE.  Groups carry no generator names, and the keys are
+the matrices, maps and groups themselves, so equal inputs built as
+separate objects compute once and share one result object, within a
+realize call and across calls; every route that builds a group or a map
+gives it the hash of a freshly built equal one.  The caches must never
+show: every answer equals the one computed afresh, and realize and
+odd_split print the same bytes with empty caches, with caches warmed by
+other requests, and with every cached function bypassed.  A raise stores
+nothing, so a failed certificate is not remembered.  invert and complete
+expand a presentation and compute no Smith normal form, and expansion
+validates each distinct action map once.  Every test starts with empty
+caches (conftest.py).
 """
 
-import threading
+import contextlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fracture.bigraded as bigraded_module
 import fracture.snf as snf_module
 from fracture import emit_json
 from fracture.assembler import RhoCompleteError, odd_split, realize
 from fracture.bigraded import (
+    CACHE_SIZE,
+    BigradedModule,
     PGroup,
     PHom,
-    active_memo,
-    memo_scope,
+    _trusted_phom,
     pgroup_sum,
     phom_identity,
     phom_zero,
     shared_phom,
     sum_map,
-    zero_hom,
 )
 from fracture.localization import complete, invert
 from fracture.presentation import BudgetError, expand, parse_presentation
@@ -51,7 +52,13 @@ from fracture.snf import (
     solve_hom,
 )
 
-from helpers import inverse_free_rho_presentations, odd_rho_complete_presentations, twin
+from helpers import (
+    cached_bindings,
+    clear_caches,
+    inverse_free_rho_presentations,
+    odd_rho_complete_presentations,
+    twin,
+)
 
 RHO_INVERTED_SOURCE = """\
 prime 2
@@ -76,6 +83,21 @@ def fingerprint(x):
     if isinstance(x, (tuple, list)):
         return tuple(fingerprint(y) for y in x)
     return x
+
+
+@contextlib.contextmanager
+def uncached():
+    """Every cached function of the package replaced by the function it wraps, in every module that binds it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name, f in cached_bindings():
+            patch.setattr(module, name, f.__wrapped__)
+        yield
+
+
+def computed_afresh(fn, *args):
+    """The fingerprint of fn(*args) computed with every cache bypassed; stores nothing."""
+    with uncached():
+        return fingerprint(fn.__wrapped__(*args))
 
 
 @st.composite
@@ -106,39 +128,38 @@ def twin_map(f):
     return PHom(twin(f.source), twin(f.target), f.entries)
 
 
-def agrees_inside_a_scope(fn, *variants):
-    """fn on each argument tuple gives inside one scope what it gives outside."""
-    fresh = [fingerprint(fn(*args)) for args in variants]
-    with memo_scope():
-        first = [fingerprint(fn(*args)) for args in variants]
-        again = [fingerprint(fn(*args)) for args in variants]
+def agrees_with_a_fresh_computation(fn, *variants):
+    """fn on each argument tuple gives, cached and cached again, what it gives uncached."""
+    fresh = [computed_afresh(fn, *args) for args in variants]
+    first = [fingerprint(fn(*args)) for args in variants]
+    again = [fingerprint(fn(*args)) for args in variants]
     assert first == fresh
     assert again == fresh
 
 
 @MEMO_SETTINGS
 @given(st.data())
-def test_kernel_and_cokernel_agree_inside_a_scope(data) -> None:
+def test_cached_kernel_and_cokernel_agree_with_fresh_ones(data) -> None:
     p = data.draw(st.sampled_from((2, 3)))
     a, b = data.draw(groups(p)), data.draw(groups(p))
     f = data.draw(homs(a, b))
-    agrees_inside_a_scope(kernel, (f,), (twin_map(f),))
-    agrees_inside_a_scope(cokernel, (f,), (twin_map(f),))
+    agrees_with_a_fresh_computation(kernel, (f,), (twin_map(f),))
+    agrees_with_a_fresh_computation(cokernel, (f,), (twin_map(f),))
 
 
 @MEMO_SETTINGS
 @given(st.data())
-def test_is_isomorphism_agrees_inside_a_scope(data) -> None:
+def test_cached_is_isomorphism_agrees_with_a_fresh_one(data) -> None:
     p = data.draw(st.sampled_from((2, 3)))
     a = data.draw(groups(p))
     b = a if data.draw(st.booleans()) else data.draw(groups(p))
     f = data.draw(homs(a, b))
-    agrees_inside_a_scope(is_isomorphism, (f,), (twin_map(f),))
+    agrees_with_a_fresh_computation(is_isomorphism, (f,), (twin_map(f),))
 
 
 @MEMO_SETTINGS
 @given(st.data())
-def test_invert_iso_agrees_inside_a_scope(data) -> None:
+def test_cached_invert_iso_agrees_with_a_fresh_one(data) -> None:
     p = data.draw(st.sampled_from((2, 3)))
     a = data.draw(groups(p))
     # the identity plus a strictly lower triangular endomorphism has an
@@ -146,12 +167,39 @@ def test_invert_iso_agrees_inside_a_scope(data) -> None:
     g = data.draw(homs(a, a))
     rows = [[int(r == c) + (x if r > c else 0) for c, x in enumerate(row)] for r, row in enumerate(g.entries)]
     f = PHom(a, twin(a), rows)
-    agrees_inside_a_scope(invert_iso, (f,), (twin_map(f),))
-    with memo_scope():
-        inv = invert_iso(f)
-        assert invert_iso(twin_map(f)) is inv
+    agrees_with_a_fresh_computation(invert_iso, (f,), (twin_map(f),))
+    inv = invert_iso(f)
+    assert invert_iso(twin_map(f)) is inv
     assert (inv.source, inv.target) == (f.target, f.source)
     assert f @ inv == phom_identity(f.target)
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_cached_solve_hom_agrees_with_a_fresh_one(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b, c = data.draw(groups(p)), data.draw(groups(p)), data.draw(groups(p))
+    f = data.draw(homs(a, b))
+    g = f @ data.draw(homs(c, a)) if data.draw(st.booleans()) else data.draw(homs(c, b))
+    agrees_with_a_fresh_computation(solve_hom, (f, g), (f, twin_map(g)), (twin_map(f), g))
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_cached_pgroup_sum_agrees_with_a_fresh_one(data) -> None:
+    p = data.draw(st.sampled_from((2, 3)))
+    a, b = data.draw(groups(p)), data.draw(groups(p))
+    agrees_with_a_fresh_computation(pgroup_sum, (a, b), (twin(a), b), (b, a))
+
+
+@MEMO_SETTINGS
+@given(st.data())
+def test_cached_smith_normal_form_agrees_with_a_fresh_one(data) -> None:
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a = tuple(tuple(data.draw(st.integers(-12, 12)) for _ in range(cols)) for _ in range(rows))
+    rebuilt = tuple(tuple([*row]) for row in a)
+    agrees_with_a_fresh_computation(smith_normal_form, (a, p), (rebuilt, p), (a, p, rows, cols))
 
 
 def counted(monkeypatch, module, name):
@@ -173,13 +221,12 @@ THREE = PHom(PGroup(3, 1, (2, 1)), PGroup(3, 1, (2, 1)), ((3, 0, 0), (0, 3, 0), 
 
 
 def computes_once(monkeypatch, core, fn, args, twin_args):
-    """Inside a scope, fn on twin_args returns fn(*args)'s result object; only the first call reaches core."""
-    fresh = fingerprint(fn(*args))
+    """fn on twin_args returns fn(*args)'s result object; only the first call reaches core."""
+    fresh = computed_afresh(fn, *args)
     calls = counted(monkeypatch, snf_module, core)
-    with memo_scope():
-        first = fn(*args)
-        computed = len(calls)
-        second = fn(*twin_args)
+    first = fn(*args)
+    computed = len(calls)
+    second = fn(*twin_args)
     assert computed > 0 and len(calls) == computed
     assert second is first
     assert fingerprint(first) == fresh
@@ -197,49 +244,19 @@ def test_equal_maps_compute_one_solve(monkeypatch) -> None:
 
 def test_equal_isomorphisms_compute_one_inverse(monkeypatch) -> None:
     f = PHom(THREE.source, twin(THREE.source), ((1, 0, 0), (4, 1, 0), (2, 3, 1)))
-    # solve_hom is memoized too, so count the calls invert_iso makes to it
+    # solve_hom is cached too, so count the calls invert_iso makes to it
     computes_once(monkeypatch, "solve_hom", invert_iso, (f,), (twin_map(f),))
 
 
 def test_equal_groups_compute_one_direct_sum() -> None:
     a, b = THREE.source, PGroup(3, 0, (3, 1))
-    fresh = fingerprint(pgroup_sum(a, b))
-    with memo_scope():
-        table = active_memo()
-        first = pgroup_sum(a, b)
-        stored = len(table)
-        second = pgroup_sum(twin(a), twin(b))
-        assert len(table) == stored == 1
+    fresh = computed_afresh(pgroup_sum, a, b)
+    first = pgroup_sum(a, b)
+    second = pgroup_sum(twin(a), twin(b))
+    info = pgroup_sum.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     assert second is first
     assert fingerprint(first) == fresh
-
-
-@MEMO_SETTINGS
-@given(st.data())
-def test_solve_hom_agrees_inside_a_scope(data) -> None:
-    p = data.draw(st.sampled_from((2, 3)))
-    a, b, c = data.draw(groups(p)), data.draw(groups(p)), data.draw(groups(p))
-    f = data.draw(homs(a, b))
-    g = f @ data.draw(homs(c, a)) if data.draw(st.booleans()) else data.draw(homs(c, b))
-    agrees_inside_a_scope(solve_hom, (f, g), (f, twin_map(g)), (twin_map(f), g))
-
-
-@MEMO_SETTINGS
-@given(st.data())
-def test_pgroup_sum_agrees_inside_a_scope(data) -> None:
-    p = data.draw(st.sampled_from((2, 3)))
-    a, b = data.draw(groups(p)), data.draw(groups(p))
-    agrees_inside_a_scope(pgroup_sum, (a, b), (twin(a), b), (b, a))
-
-
-@MEMO_SETTINGS
-@given(st.data())
-def test_smith_normal_form_agrees_inside_a_scope(data) -> None:
-    p = data.draw(st.sampled_from((2, 3, 5)))
-    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    a = tuple(tuple(data.draw(st.integers(-12, 12)) for _ in range(cols)) for _ in range(rows))
-    rebuilt = tuple(tuple([*row]) for row in a)
-    agrees_inside_a_scope(smith_normal_form, (a, p), (rebuilt, p), (a, p, rows, cols))
 
 
 @pytest.fixture
@@ -255,73 +272,14 @@ def certify_calls(monkeypatch):
     return calls
 
 
-def assert_no_scope(certify_calls) -> None:
-    assert active_memo() is None
-    before = len(certify_calls)
-    smith_normal_form(((2, 1), (4, 3)), 2)
-    smith_normal_form(((2, 1), (4, 3)), 2)
-    assert len(certify_calls) == before + 2
-
-
-CALLS = {
-    "realize": lambda: realize("KGL2_R", 2, (-2, 2, -2, 2)),
-    "odd_split": lambda: odd_split("HFP_ODD_R", 3, (-2, 2, -2, 2)),
-    "refused": lambda: realize(parse_presentation(RHO_INVERTED_SOURCE), 2, (-3, 3, -3, 3)),
-    "over budget": lambda: realize("HF2_R", 2, (-3, 3, -3, 3), budget=1),
-    "odd over budget": lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3), budget=1),
-    "invert": lambda: invert("KGL2_R", "tau4", window=(-3, 3, -3, 3)),
-    "complete": lambda: complete("KGL2_R", "rho", window=(-3, 3, -3, 3)),
-    "invert along a scalar": lambda: invert("KGL2_R", "2tau2", window=(-3, 3, -3, 3)),
-    "complete along no span action": lambda: complete("KGL2_R", "tau", window=(-3, 3, -3, 3)),
-}
-RAISES = {
-    "refused": RhoCompleteError,
-    "over budget": BudgetError,
-    "odd over budget": BudgetError,
-    "invert along a scalar": ValueError,
-    "complete along no span action": ValueError,
-}
-
-
-@pytest.mark.parametrize("name", sorted(CALLS))
-def test_no_scope_survives_the_call(name, certify_calls) -> None:
-    if name in RAISES:
-        with pytest.raises(RAISES[name]):
-            CALLS[name]()
-    else:
-        CALLS[name]()
-    assert_no_scope(certify_calls)
-
-
-def test_a_scope_survives_an_inner_call_it_opened(certify_calls) -> None:
-    with memo_scope():
-        smith_normal_form(((2, 1), (4, 3)), 2)
-        realize("HF2_R", 2, (-2, 2, -2, 2))
-        before = len(certify_calls)
-        smith_normal_form(((2, 1), (4, 3)), 2)
-        assert len(certify_calls) == before
-    assert_no_scope(certify_calls)
-
-
-def test_a_scope_belongs_to_its_thread() -> None:
-    seen = []
-    with memo_scope():
-        worker = threading.Thread(target=lambda: seen.append(active_memo()))
-        worker.start()
-        worker.join(timeout=30)
-        assert active_memo() is not None
-    assert not worker.is_alive()
-    assert seen == [None]
-
-
 def snf_inputs(run, monkeypatch):
     """The arguments of each smith_normal_form call run() makes."""
     inputs = []
-    memoized = snf_module.smith_normal_form
+    cached = snf_module.smith_normal_form
 
     def recording(*args):
         inputs.append(args)
-        return memoized(*args)
+        return cached(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(snf_module, "smith_normal_form", recording)
@@ -335,6 +293,50 @@ def test_each_distinct_smith_normal_form_is_certified_once(certify_calls, monkey
     assert len(certify_calls) == len(set(inputs))
 
 
+def test_a_second_identical_realize_certifies_no_smith_normal_form(certify_calls) -> None:
+    first = realize("KGL2_R", 2, (-6, 6, -6, 6))
+    certified = len(certify_calls)
+    second = realize("KGL2_R", 2, (-6, 6, -6, 6))
+    assert certified > 0
+    assert len(certify_calls) == certified
+    assert emit_json(second.result) == emit_json(first.result)
+
+
+def test_equal_inputs_share_one_result_across_realize_calls() -> None:
+    first = realize("KGL2_R", 2, (-6, 6, -6, 6)).result
+    # another window: the cells both hold are spliced from the same pictures
+    second = realize("KGL2_R", 2, (-5, 7, -6, 6)).result
+    common = first.cells.keys() & second.cells.keys()
+    assert len(common) > 50
+    assert all(second.cells[d] is first.cells[d] for d in common)
+    shared = first.actions.keys() & second.actions.keys()
+    assert len(shared) > 50
+    assert all(second.actions[k] is first.actions[k] for k in shared)
+
+
+CALLS = {
+    "realize": lambda: realize("KGL2_R", 2, (-2, 2, -2, 2)),
+    "odd_split": lambda: odd_split("HFP_ODD_R", 3, (-2, 2, -2, 2)),
+    "refused": lambda: realize(parse_presentation(RHO_INVERTED_SOURCE), 2, (-3, 3, -3, 3)),
+    "over budget": lambda: realize("HF2_R", 2, (-3, 3, -3, 3), budget=1),
+    "odd over budget": lambda: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3), budget=1),
+    "invert": lambda: invert("KGL2_R", "tau4", window=(-3, 3, -3, 3)),
+    "complete": lambda: complete("KGL2_R", "rho", window=(-3, 3, -3, 3)),
+    "invert along a scalar": lambda: invert("KGL2_R", "2tau2", window=(-3, 3, -3, 3)),
+    "complete along no span action": lambda: complete("KGL2_R", "tau", window=(-3, 3, -3, 3)),
+}
+REFUSED = {"refused", "over budget", "odd over budget", "invert along a scalar", "complete along no span action"}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_repeated_call_answers_alike_and_certifies_nothing_again(name, certify_calls) -> None:
+    first = requested(CALLS[name])
+    certified = len(certify_calls)
+    assert requested(CALLS[name]) == first
+    assert len(certify_calls) == certified
+    assert isinstance(first, str) == (name in REFUSED)
+
+
 @pytest.mark.parametrize("name", ["odd_split", "invert", "complete"])
 def test_expansions_compute_no_smith_normal_form(name, certify_calls, monkeypatch) -> None:
     # odd_split's two parts are corner expansions, with no splice; invert
@@ -343,65 +345,107 @@ def test_expansions_compute_no_smith_normal_form(name, certify_calls, monkeypatc
     assert certify_calls == []
 
 
-def test_a_failed_certificate_raises_inside_realize(monkeypatch) -> None:
-    monkeypatch.setattr(SnfResult, "certify", lambda self, a: False)
-    with pytest.raises(CertificateError):
-        realize("HF2_R", 2, (-2, 2, -2, 2))
-    assert active_memo() is None
+def test_a_failed_certificate_is_not_remembered(monkeypatch) -> None:
+    with monkeypatch.context() as patch:
+        patch.setattr(SnfResult, "certify", lambda self, a: False)
+        with pytest.raises(CertificateError):
+            realize("HF2_R", 2, (-2, 2, -2, 2))
+    # a raise stores nothing, so the retry computes and certifies afresh
+    assert smith_normal_form.cache_info().currsize == 0
+    retry = realize("HF2_R", 2, (-2, 2, -2, 2))
+    assert retry.certificates_hold()
+    assert smith_normal_form.cache_info().currsize > 0
+    clear_caches()
+    assert emit_json(retry.result) == emit_json(realize("HF2_R", 2, (-2, 2, -2, 2)).result)
+
+
+def test_every_cache_stays_within_its_bound() -> None:
+    realize("KGL2_R", 2, (-40, 40, -40, 40))
+    bindings = cached_bindings()
+    assert {f.__name__ for _, _, f in bindings} >= {"smith_normal_form", "_splice", "_transport", "shared_phom"}
+    for _, name, f in bindings:
+        info = f.cache_info()
+        assert info.maxsize == CACHE_SIZE, name
+        # nothing raised, so an evicted entry would leave more misses than entries
+        assert info.currsize == info.misses <= CACHE_SIZE, name
 
 
 def requested(run):
-    """The canonical bytes of run()'s answer, its dropped actions, or its refusal."""
+    """The canonical bytes of run()'s report, module or parts, its dropped actions, or its refusal."""
     try:
         out = run()
     except (ValueError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
     if hasattr(out, "dropped"):
         return emit_json(out), repr(out.dropped)
+    if isinstance(out, BigradedModule):
+        return emit_json(out)
     return tuple(emit_json(part) for part in out)
 
 
-def with_and_without_the_memo(run):
-    """(requested(run), SNFs certified) with the memo on, then with it off."""
-    certified = []
-    original = snf_module.SnfResult.certify
+def warm_up():
+    """Fill the caches with other presets, primes and windows."""
+    for name, prime in TRANSPARENCY_CASES:
+        realize(name, prime, (-6, 4, -5, 5))
+    realize("HFP_ODD_R", 5, (-4, 5, -5, 4))
+    odd_split("HFP_ODD_R", 3, (-5, 4, -4, 5))
 
-    def counted():
+
+def in_three_states(run):
+    """requested(run) with empty caches, with warm ones, and uncached, and the SNFs certified in each."""
+    certified = []
+    original = SnfResult.certify
+
+    def state(prepare, context):
+        prepare()
         before = len(certified)
-        return requested(run), len(certified) - before
+        with context:
+            out = requested(run)
+        return out, len(certified) - before
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(snf_module.SnfResult, "certify", lambda self, a: certified.append(a) or original(self, a))
-        on = counted()
-        patch.setattr(bigraded_module, "active_memo", lambda: None)
-        return on, counted()
+        patch.setattr(SnfResult, "certify", lambda self, a: certified.append(a) or original(self, a))
+        cold = state(clear_caches, contextlib.nullcontext())
+        warm = state(warm_up, contextlib.nullcontext())
+        bypassed = state(clear_caches, uncached())
+    return cold, warm, bypassed
 
 
 TRANSPARENCY_CASES = [("HF2_R", None), ("HZ2_R", None), ("KGL2_R", None), ("HFP_ODD_R", 3)]
 
 
 @pytest.mark.parametrize("name,prime", TRANSPARENCY_CASES, ids=[n for n, _ in TRANSPARENCY_CASES])
-def test_realize_prints_the_same_bytes_without_the_memo(name, prime) -> None:
-    (on, computed_on), (off, computed_off) = with_and_without_the_memo(lambda: realize(name, prime, (-8, 8, -8, 8)))
-    assert on == off
-    # the switch really turns the memo off
-    assert computed_off > computed_on
+def test_realize_prints_the_same_bytes_cold_warm_and_uncached(name, prime) -> None:
+    (cold, on), (warm, _), (bypassed, off) = in_three_states(lambda: realize(name, prime, (-8, 8, -8, 8)))
+    assert cold == warm == bypassed
+    # the bypass really computes every repeated input again
+    assert off > on
 
 
-def test_odd_split_prints_the_same_bytes_without_the_memo() -> None:
-    (on, _), (off, _) = with_and_without_the_memo(lambda: odd_split("HFP_ODD_R", 3, (-8, 8, -8, 8)))
-    assert on == off
+def test_odd_split_prints_the_same_bytes_cold_warm_and_uncached() -> None:
+    (cold, _), (warm, _), (bypassed, _) = in_three_states(lambda: odd_split("HFP_ODD_R", 3, (-8, 8, -8, 8)))
+    assert cold == warm == bypassed
+
+
+def test_a_refusal_reads_the_same_cold_warm_and_uncached() -> None:
+    for run in (
+        lambda: realize(parse_presentation(RHO_INVERTED_SOURCE), 2, (-3, 3, -3, 3)),
+        lambda: realize("HF2_R", 2, (-3, 3, -3, 3), budget=1),
+    ):
+        (cold, _), (warm, _), (bypassed, _) = in_three_states(run)
+        assert cold == warm == bypassed
+        assert cold.startswith((RhoCompleteError.__name__, BudgetError.__name__))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(pres=st.one_of(odd_rho_complete_presentations(), inverse_free_rho_presentations()))
-def test_random_presentations_print_the_same_bytes_without_the_memo(pres) -> None:
+def test_random_presentations_print_the_same_bytes_cold_warm_and_uncached(pres) -> None:
     window = (-4, 4, -4, 4)
-    (on, _), (off, _) = with_and_without_the_memo(lambda: realize(pres, None, window))
-    assert on == off
+    (cold, _), (warm, _), (bypassed, _) = in_three_states(lambda: realize(pres, None, window))
+    assert cold == warm == bypassed
     if pres.prime != 2:
-        (on, _), (off, _) = with_and_without_the_memo(lambda: odd_split(pres, pres.prime, window))
-        assert on == off
+        (cold, _), (warm, _), (bypassed, _) = in_three_states(lambda: odd_split(pres, pres.prime, window))
+        assert cold == warm == bypassed
 
 
 @MEMO_SETTINGS
@@ -415,14 +459,13 @@ def test_every_route_hashes_like_a_fresh_construction(data) -> None:
     h = data.draw(homs(a, c))
     built = {
         "validating": f,
-        "trusted": bigraded_module._trusted_phom(b, c, f.entries),
-        "shared": shared_phom({}, b, c, f.entries),
+        "trusted": _trusted_phom(b, c, f.entries),
+        "shared": shared_phom(b, c, f.entries),
         "composite": f @ g,
         "sum": f + f2,
         "difference": f - f2,
         "negation": -f,
         "zero": phom_zero(b, c),
-        "zero of the zero group": zero_hom(p),
         "identity": phom_identity(b),
         "sum_map": sum_map(ab, c, ((h, None, pa), (-f, None, pb))),
     }
@@ -431,8 +474,7 @@ def test_every_route_hashes_like_a_fresh_construction(data) -> None:
         fresh = twin_map(x)
         assert x == fresh, route
         assert first == hash(x) == hash(fresh), route
-        with memo_scope():
-            assert kernel(x) is kernel(fresh), route
+        assert kernel(x) is kernel(fresh), route
 
 
 def validating_constructions(monkeypatch):
@@ -451,8 +493,11 @@ def validating_constructions(monkeypatch):
 def test_realize_validates_each_distinct_map_once(monkeypatch) -> None:
     built = validating_constructions(monkeypatch)
     realize("KGL2_R", 2, (-10, 10, -10, 10))
-    # 1074 before the corner maps were shared and the splice memoized
+    # 1074 before the corner maps were shared and the splice cached
     assert len(built) <= 150
+    count = len(built)
+    realize("KGL2_R", 2, (-10, 10, -10, 10))
+    assert len(built) == count
 
 
 def test_expansion_shares_each_distinct_action_map(monkeypatch) -> None:

@@ -205,6 +205,12 @@ def test_parse_errors(source, fragment) -> None:
             "prime 3\ngen x 1 0\ngen y 0 1\ngen xy 1 1\nspan 3·xy\nspan 3·x*y\n",
             "line 6, col 6: span terms xy and x*y have the same action name '3xy'",
         ),
+        # a known multiplier's name with another degree: realize would invert it as tau
+        (
+            "prime 2\ngen tau 0 -2\ngen rho -1 -1\nrel 2·1\nspan 1·1\nspan 1·tau\nspan 1·rho\n",
+            "line 6, col 6: span term tau has degree (0, -2),"
+            " but its action name tau is that of the multiplier of degree (0, -1)",
+        ),
     ],
 )
 def test_ambiguous_action_names_are_refused(source, message) -> None:
