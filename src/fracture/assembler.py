@@ -39,10 +39,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bigraded import CACHE_SIZE, BiDegree, BigradedModule, PHom, Window, act, pgroup_sum, phom_zero, shared_phom, sum_map
+from .bigraded import CACHE_SIZE, BiDegree, BigradedModule, PHom, Window, pgroup_sum, phom_zero, shared_phom, sum_map
 from .localization import expand_localized, presentation_of
 from .matrices import mat_mul
-from .presentation import has_live_span, inverse_product, localized, monomial_string, span_actions
+from .presentation import cell_budget, has_live_span, inverse_product, localized, monomial_string, span_actions
 # the names below are not called here; they stay bound because outside
 # tracers wrap them by module attribute
 from .bigraded import restrict  # noqa: F401
@@ -283,8 +283,11 @@ def assemble(square):
     zero.  The algebra of a cell is a function of its local picture, the
     maps into t at d and d+(1,0) (_splice), and that of an action of
     those at its two ends and of the corner actions (_transport); both
-    are cached, so each distinct picture is spliced once.  A cell is
-    unverified only when an action out of it cannot be built (dropped).
+    are cached, so each distinct picture is spliced once.  The corner
+    actions are read from each corner's actions, a missing one being the
+    cached zero map (phom_zero): both ends of every action lie in the
+    corners' window, so act's window checks would be dead work.  A cell
+    is unverified only when an action out of it cannot be built (dropped).
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
@@ -319,7 +322,10 @@ def assemble(square):
             if t not in cells:
                 continue
             up_d, up_t = d + BOUNDARY_SHIFT, t + BOUNDARY_SHIFT
-            corner_acts = (act(h, name, d), act(phi, name, d), act(tate, name, up_d))
+            corner_acts = [
+                corner.actions.get((name, x)) or phom_zero(corner.cell(x), corner.cell(y))
+                for corner, x, y in ((h, d, t), (phi, d, t), (tate, up_d, up_t))
+            ]
             f, why = _transport(*corner_acts, pictures[d], pictures[t], pictures[up_d], pictures[up_t])
             if f is None:
                 unverified.add(d)
@@ -349,10 +355,12 @@ def rho_complete_defect(pres):
 def _checked(pres, window, budget, rho_complete):
     """The requested window (else the presentation's) and the budget, once the rho contract holds.
 
-    Unless rho_complete=True, an input with a rho_complete_defect is
-    refused with RhoCompleteError, naming the product it found, before
-    anything is expanded.
+    An explicit budget that is not an integer of at least 1 is refused
+    first (see cell_budget).  Unless rho_complete=True, an input with a
+    rho_complete_defect is then refused with RhoCompleteError, naming the
+    product it found, before anything is expanded.
     """
+    budget = INTERNAL_BUDGET if budget is None else cell_budget(budget)[0]
     core = window if window is not None else pres.window
     if core is None:
         raise ValueError("realization needs a window")
@@ -365,7 +373,7 @@ def _checked(pres, window, budget, rho_complete):
                 f"{CONTRACT_MESSAGE}: span terms of scalar 1 multiply to {monomial_string(product)},"
                 " so every live monomial is divisible by every power of rho"
             )
-    return core, INTERNAL_BUDGET if budget is None else budget
+    return core, budget
 
 
 def realize(source, prime=None, window=None, *, rho_complete=False, budget=None):

@@ -13,6 +13,7 @@ from .bigraded import BiDegree, BigradedModule, act, phom_identity, trusted_modu
 from .presentation import (
     BudgetError,
     Presentation,
+    cell_budget,
     expand,
     expand_indexed,
     expansion_window,
@@ -80,8 +81,10 @@ def invert(source, mult, prime=None, window=None, *, budget=None):
     source.  A multiplier of scalar p would invert p, which no PGroup
     holds, so it is refused (ValueError), as is a name that is no span
     action; a localization not of finite type is refused before anything
-    is expanded (BudgetError).  The budget is expand's.
+    is expanded (BudgetError).  The budget is expand's, and a bad one is
+    refused first (see presentation.cell_budget).
     """
+    cell_budget(budget)
     pres = presentation_of(source, prime)
     label = f"the localization at {mult}"
     return expand_localized(pres, {label: localized(pres, mult)}, window, budget)[label][0]
@@ -94,8 +97,10 @@ def complete(source, mult, prime=None, window=None, *, budget=None):
     proof): zero when some product of span terms of scalar 1 inverts a
     power of x, and M itself otherwise, so nothing is expanded for the
     zero answer.  Both carry the completion-degreewise caveat: no derived
-    functors are modeled.  source, window and budget are as in invert.
+    functors are modeled.  source, window and budget are as in invert,
+    and a bad budget is refused even where nothing is expanded.
     """
+    cell_budget(budget)
     pres = presentation_of(source, prime)
     if inverse_product(pres, mult) is None:
         module = expand(pres, window, budget)

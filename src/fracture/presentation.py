@@ -23,7 +23,6 @@ accepted on input.  Monomial parts look like name or name^exp, joined by
 
 from __future__ import annotations
 
-import heapq
 import os
 import re
 from itertools import combinations
@@ -31,7 +30,7 @@ from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from .bigraded import KNOWN_MULTIPLIER_DEGREES, BiDegree, BigradedModule, PGroup, Window, _is_prime, shared_phom
+from .bigraded import KNOWN_MULTIPLIER_DEGREES, BiDegree, PGroup, Window, _is_prime, shared_phom, trusted_module
 from .snf import valuation
 
 DEFAULT_CELL_BUDGET = 100_000
@@ -250,9 +249,16 @@ def _killers(pres):
 
 
 def _order_exponent(killers, vec):
-    """min p-exponent a relation imposes on the monomial, or None."""
+    """min p-exponent a relation imposes on the monomial, or None.
+
+    expand_indexed asks this once per settled monomial, so it is written
+    as plain loops, with no generator.
+    """
     for vexp, need in killers:
-        if all(vec[k] >= r for k, r in need):
+        for k, r in need:
+            if vec[k] < r:
+                break
+        else:
             return vexp
     return None
 
@@ -488,10 +494,11 @@ def unbounded_ray(pres):
     ray comes back as the powers of its primitive monomial.
     """
     vecs = [_vector(pres, term.powers) for term in pres.spans]
+    degrees = [_degree_of(pres, vec) for vec in vecs]
     needs = [need for vexp, need in _killers(pres) if vexp == 0]
     for size in (1, 2, 3):
         for support in combinations(range(len(vecs)), size):
-            weights = _balance([_degree_of(pres, vecs[k]) for k in support])
+            weights = _balance([degrees[k] for k in support])
             if weights is None:
                 continue
             ray = [sum(w * vecs[k][g] for w, k in zip(weights, support)) for g in range(len(pres.generators))]
@@ -512,6 +519,24 @@ def expansion_window(pres, window):
     return window
 
 
+def cell_budget(budget):
+    """The budget of monomials of one expansion, and the hint its BudgetError ends with.
+
+    An explicit budget must be an integer of at least 1; a bool is not
+    one.  None takes FRACTURE_CELL_BUDGET, else DEFAULT_CELL_BUDGET, by
+    the same rule, and the hint then names the variable.  Anything else
+    is refused with a ValueError naming the value and where it came from.
+    """
+    name, shown, hint = "budget", budget, ""
+    if budget is None:
+        name, shown = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
+        budget = int(shown) if shown.strip().isdecimal() else None
+        hint = f"; raise {BUDGET_ENV_VAR} if the window really is this dense"
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {shown!r}")
+    return budget, hint
+
+
 def expand(pres, window=None, budget=None):
     """Expand a presentation into a BigradedModule on a window (see expand_indexed)."""
     return expand_indexed(pres, window, budget)[0]
@@ -529,27 +554,40 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     summand when no relation applies.  The span elements named in
     multipliers ({name: degree}, by default span_actions) become the
     module's multiplier actions; only those maps are built, each distinct
-    one validated once (shared_phom) and shared among its cells.
+    one validated once (shared_phom) and shared among its cells.  The
+    parts are already in BigradedModule's form (nonzero cells in the
+    window, actions between two of them), so the module is built by
+    trusted_module.
 
-    The search walks a collar around the hull of the window and the
-    origin, where the empty product starts (reordering factors keeps
-    partial products nearby, so nothing reachable is missed).  What a
-    cell holds therefore does not depend on the window around it: the
-    expansion on a subwindow R of W equals the expansion on W restricted
-    to R, which is what lets realize expand its corners on the window it
-    answers alone.  Monomials a relation has killed are settled but not extended: everything reached
-    through them is killed too.  The search gives up once it has settled
-    more monomials than the cell budget: the budget argument, or else
-    FRACTURE_CELL_BUDGET, or else DEFAULT_CELL_BUDGET.
+    The search walks a box around the hull of the window and the origin,
+    where the empty product starts.  Its collar is 2*s_i + 2 columns wide
+    and 2*s_j + 2 rows tall, for s_i and s_j the largest |i| and |j| of a
+    span step.  In the norm max(|i|/s_i, |j|/s_j) every step has norm at
+    most 1, and the Steinitz lemma holds in any norm of the plane: the
+    steps of a product, with the segment from its end back to the origin
+    cut into pieces of norm at most 1, can be ordered so that every
+    partial sum has norm at most 2.  Drop the pieces again: the factors
+    of the product, in that order, keep every partial product within norm
+    2 of the segment from the origin to its degree, that is within 2*s_i
+    columns and 2*s_j rows of the hull.  Reordering factors keeps the
+    product and its valuation, so nothing reachable in the window is
+    missed.  When s_i = 0 every partial product has i = 0, inside the
+    hull, and likewise for s_j.  What a cell holds therefore does not
+    depend on the window around it: the expansion on a subwindow R of W
+    equals the expansion on W restricted to R, which is what lets realize
+    expand its corners on the window it answers alone.
+
+    Valuations are small naturals, so the search goes level by level, a
+    level being a valuation: a step of scalar 1 stays on the level, breadth
+    first, and settles its target when it first reaches it; a step of
+    scalar p^k queues its target for the level k higher.  Each monomial
+    is so settled with its least valuation.  Monomials a relation has
+    killed are settled but not extended: everything reached through them
+    is killed too.  The search gives up once it has settled more
+    monomials than the cell budget (see cell_budget).
     """
     window = expansion_window(pres, window)
-    hint = ""
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_CELL_BUDGET))
-        budget = int(raw) if raw.strip().isdecimal() else 0
-        if budget < 1:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer of at least 1, got {raw!r}")
-        hint = f"; raise {BUDGET_ENV_VAR} if the window really is this dense"
+    budget, hint = cell_budget(budget)
     p = pres.prime
 
     span_vecs = []
@@ -558,51 +596,58 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
         span_vecs.append((term.vexp, vec, _degree_of(pres, vec)))
     killers = _killers(pres)
 
-    # Bounding box: hull of window and origin, plus a Steinitz collar wide
-    # enough that some ordering of any product stays inside the whole way.
-    step = max((max(abs(d.i), abs(d.j)) for _, _, d in span_vecs), default=1)
-    collar = 2 * step + 2
-    imin, imax = min(0, window.imin) - collar, max(0, window.imax) + collar
-    jmin, jmax = min(0, window.jmin) - collar, max(0, window.jmax) + collar
+    # Bounding box: hull of window and origin, plus the per-axis Steinitz
+    # collar, inside which some ordering of any product stays the whole way.
+    collar_i = 2 * max((abs(d.i) for _, _, d in span_vecs), default=0) + 2
+    collar_j = 2 * max((abs(d.j) for _, _, d in span_vecs), default=0) + 2
+    imin, imax = min(0, window.imin) - collar_i, max(0, window.imax) + collar_i
+    jmin, jmax = min(0, window.jmin) - collar_j, max(0, window.jmax) + collar_j
     steps = [(vexp, vec, deg.i, deg.j) for vexp, vec, deg in span_vecs]
 
-    # Degrees ride along in the heap as plain ints.  Monomials settle in
-    # order, and the ones inside the window are grouped by bidegree as they
-    # settle: the reachable monomials that survive their relations.  A dead
-    # monomial (valuation at least its order exponent) is not extended:
-    # span steps only add powers of the generators a relation needs and
-    # never lower the valuation, so whatever it leads to is dead as well,
-    # and the live monomials keep their valuations.
+    # Degrees ride along as plain ints.  levels maps a valuation to the
+    # monomials queued for it, unsettled; the level's queue holds its
+    # settled ones and grows while it is walked.  The ones inside the window
+    # are grouped by bidegree as they settle: the reachable monomials that
+    # survive their relations.  A dead monomial (valuation at least its
+    # order exponent) is not extended: span steps only add powers of the
+    # generators a relation needs and never lower the valuation, so
+    # whatever it leads to is dead as well, and the live monomials keep
+    # their valuations.
     settled = set()
     per_degree = {}
-    heap = []
-    counter = 0
+    levels = {}
     for vexp, vec, i, j in steps:
         if imin <= i <= imax and jmin <= j <= jmax:
-            heapq.heappush(heap, (vexp, counter, vec, i, j))
-            counter += 1
+            levels.setdefault(vexp, []).append((vec, i, j))
     visited = 0
-    while heap:
-        val, _, vec, i, j = heapq.heappop(heap)
-        if vec in settled:
-            continue
-        settled.add(vec)
-        visited += 1
-        if visited > budget:
-            raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
-        e = _order_exponent(killers, vec)
-        if e is not None and val >= e:
-            continue
-        if window.imin <= i <= window.imax and window.jmin <= j <= window.jmax:
-            per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
-        for vexp, svec, si, sj in steps:
-            nvec = tuple(map(add, vec, svec))
-            if nvec in settled:
+    while levels:
+        val = min(levels)
+        queue = []
+        for item in levels.pop(val):
+            if item[0] not in settled:
+                settled.add(item[0])
+                queue.append(item)
+        for vec, i, j in queue:
+            visited += 1
+            if visited > budget:
+                raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
+            e = _order_exponent(killers, vec)
+            if e is not None and val >= e:
                 continue
-            ni, nj = i + si, j + sj
-            if imin <= ni <= imax and jmin <= nj <= jmax:
-                heapq.heappush(heap, (val + vexp, counter, nvec, ni, nj))
-                counter += 1
+            if window.imin <= i <= window.imax and window.jmin <= j <= window.jmax:
+                per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
+            for vexp, svec, si, sj in steps:
+                ni, nj = i + si, j + sj
+                if not (imin <= ni <= imax and jmin <= nj <= jmax):
+                    continue
+                nvec = tuple(map(add, vec, svec))
+                if nvec in settled:
+                    continue
+                if vexp:
+                    levels.setdefault(val + vexp, []).append((nvec, ni, nj))
+                else:
+                    settled.add(nvec)
+                    queue.append((nvec, ni, nj))
 
     cells = {}
     index = {}
@@ -622,9 +667,9 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
             continue
         for deg, src in index.items():
             tgt_deg = deg + sdeg
-            if not window.contains(tgt_deg) or tgt_deg not in index:
+            tgt = index.get(tgt_deg)
+            if tgt is None:
                 continue
-            tgt = index[tgt_deg]
             rows = [[0] * len(src) for _ in tgt]
             for vec, (c, v) in src.items():
                 nvec = tuple(a + b for a, b in zip(vec, svec))
@@ -634,4 +679,5 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
                 r, v_tgt = hit
                 rows[r][c] = p ** (vexp + v - v_tgt)
             actions[(name, deg)] = shared_phom(cells[deg], cells[tgt_deg], tuple(map(tuple, rows)))
-    return BigradedModule(p, window, cells, actions, multipliers), index
+    mults = {name: BiDegree(*deg) for name, deg in multipliers.items()}
+    return trusted_module(p, window, cells, actions, mults, (), ()), index

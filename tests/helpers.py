@@ -131,10 +131,12 @@ def live_monomials(pres, window, budget, extend_dead=True):
     """The live monomials of each bidegree of the window, by a plain search.
 
     Returns {degree: [(exponent vector, valuation, order exponent or None)]}.
-    The search runs over the hull of the window and the origin plus the
-    collar expand uses, and extends every settled monomial, dead or alive,
-    unless extend_dead is false; more than budget settled monomials raise
-    BudgetError.  Extending dead monomials can settle infinitely many
+    The search runs over the hull of the window and the origin plus a
+    square collar, 2 * step + 2 for the largest |i| or |j| of a span
+    step, on both axes: at least the per-axis collar expand walks, so a
+    collar of expand's that is too narrow shows here.  It extends every
+    settled monomial, dead or alive, unless extend_dead is false; more
+    than budget settled monomials raise BudgetError.  Extending dead monomials can settle infinitely many
     (a nilpotent generator times an inverse of its degree), so a search
     that must stop on such inputs passes extend_dead=False.
     """

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracture import assembler, emit_json
-from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, restrict
-from fracture.presentation import expand, parse_presentation, span_actions
+from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, free_first, restrict
+from fracture.presentation import expand, expand_indexed, parse_presentation, span_actions
 from fracture.presets import preset_presentation
 
 from helpers import expanded_windows, live_monomials, span_steps
@@ -235,6 +235,58 @@ def probes(draw, pres, whole):
 def test_pruning_keeps_random_expansions(pres) -> None:
     window = Window(-8, 8, -8, 8)
     assert_same_expansion(expand(pres, window), unpruned_expand(pres, window, 100_000))
+
+
+@st.composite
+def anisotropic_presentations(draw):
+    """Presentations whose span steps are tall on one axis and short on the other.
+
+    Each generator moves one way: t and s by (0, k) and (0, -k') with k,
+    k' up to 6, x and y by (1, 0) and (-1, 0) or (-2, 0) (steps of 1 and
+    -1 alone never need the collar).  A flat draw has t and s only, so
+    every step has i = 0; any other has x, y and some of t and s, or
+    none of them, when every step has j = 0.  Where both of a pair move,
+    a relation of scalar 1 kills t^a*s^b (or x^a*y^b) for a, b of 2 or
+    3, so every ray of degree (0,0) is killed and each cell is finite,
+    while products with fewer factors of one of the pair stay live.
+    Their partial products leave the hull of the window and the origin,
+    which is what the collar is for.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    flat = draw(st.booleans())
+    degrees = {"t": (0, draw(st.integers(2, 6))), "s": (0, -draw(st.integers(2, 6))), "x": (1, 0), "y": (-draw(st.integers(1, 2)), 0)}
+    names = ["t", "s"] if flat else [n for n in "ts" if draw(st.booleans())] + ["x", "y"]
+    lines = [f"prime {p}"] + [f"gen {n} {degrees[n][0]} {degrees[n][1]}" for n in names]
+    for a, b in ("ts", "xy"):
+        if a in names and b in names:
+            lines.append(f"rel 1·{a}^{draw(st.integers(2, 3))}*{b}^{draw(st.integers(2, 3))}")
+    if draw(st.booleans()):
+        lines.append(f"rel {p}·{draw(st.sampled_from(names))}")
+    lines.append("span 1·1")
+    for n in names:
+        lines.append(f"span {p ** draw(st.integers(0, 1))}·{n}")
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pres=anisotropic_presentations(), data=st.data())
+def test_per_axis_collar_misses_no_monomial(pres, data) -> None:
+    # The reference search walks the square collar of the largest step on
+    # both axes; expand walks 2*s_i + 2 columns and 2*s_j + 2 rows.  The
+    # window sits at a product of up to three factors of each generator,
+    # its lower corner up to one cell below and left of it, so it may hold
+    # the origin or lie far from it.
+    c = [sum(data.draw(st.integers(0, 3)) * g.degree[x] for g in pres.generators) for x in (0, 1)]
+    imin, jmin = c[0] - data.draw(st.integers(0, 1)), c[1] - data.draw(st.integers(0, 1))
+    window = Window(imin, imin + data.draw(st.integers(0, 2)), jmin, jmin + data.draw(st.integers(0, 2)))
+    module, index = expand_indexed(pres, window, budget=100_000)
+    want = live_monomials(pres, window, 100_000, extend_dead=False)
+    assert {d: {vec: v for vec, (_, v) in here.items()} for d, here in index.items()} == {
+        d: {vec: v for vec, v, _ in here} for d, here in want.items()
+    }
+    for d, here in want.items():
+        group, _ = free_first(pres.prime, [(None if e is None else e - v,) for _, v, e in here])
+        assert module.cells[d] == group
 
 
 def localized_presentations(name, prime):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fracture import emit_json
 from fracture.bigraded import PRIME_TEST_BOUND, BiDegree, PGroup, Window, _is_prime, validate_module
-from fracture.assembler import realize
+from fracture.assembler import odd_split, realize
+from fracture.localization import complete, invert
 from fracture.presentation import (
     BUDGET_ENV_VAR,
     BudgetError,
@@ -20,6 +21,8 @@ from fracture.presentation import (
     span_actions,
 )
 from fracture.presets import PRESET_NAMES, preset_presentation
+
+from helpers import expanded_windows
 
 INVERTIBLE_SOURCE = """\
 prime 2
@@ -367,13 +370,40 @@ def test_budget_error_names_the_variable_only_when_it_set_the_budget(monkeypatch
 
 def test_realize_budget_counts_the_expansion_it_makes() -> None:
     # KGL2_R on (-10,10)^2 expands its three corners on (-10,11,-10,10):
-    # h settles 1349 monomials, tate 1240 and phi 680.  Each expansion has
-    # the budget to itself, so the largest one decides.
+    # on the box of the per-axis collar, h settles 1088 monomials, tate
+    # 1000 and phi 550.  Each expansion has the budget to itself, so the
+    # largest one decides.
     pres = preset_presentation("KGL2_R")
-    answer = realize(pres, 2, (-10, 10, -10, 10), budget=1349)
+    answer = realize(pres, 2, (-10, 10, -10, 10), budget=1088)
     assert emit_json(answer) == emit_json(realize(pres, 2, (-10, 10, -10, 10)))
-    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 1348 monomials$"):
-        realize(pres, 2, (-10, 10, -10, 10), budget=1348)
+    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 1087 monomials$"):
+        realize(pres, 2, (-10, 10, -10, 10), budget=1087)
+
+
+# every entry point that takes budget=, each on an input it would answer
+BUDGETED = {
+    "realize": lambda budget: realize("HF2_R", 2, (-3, 3, -3, 3), budget=budget),
+    "odd_split": lambda budget: odd_split("HFP_ODD_R", 3, (-3, 3, -3, 3), budget=budget),
+    "expand": lambda budget: expand(preset_presentation("hf2"), Window(-3, 3, -3, 3), budget=budget),
+    "invert": lambda budget: invert("KGL2_R", "rho", None, (-3, 3, -3, 3), budget=budget),
+    "complete": lambda budget: complete("KGL2_R", "rho", None, (-3, 3, -3, 3), budget=budget),
+    # rho^-1 is a span term here, so the completion is zero and nothing is expanded for it
+    "complete to zero": lambda budget: complete(
+        parse_presentation(INVERTIBLE_SOURCE), "rho", None, (-3, 3, -3, 3), budget=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True], ids=repr)
+@pytest.mark.parametrize("entry", BUDGETED)
+def test_a_bad_budget_is_refused_up_front(entry, budget, monkeypatch) -> None:
+    def refused():
+        with pytest.raises(ValueError, match=f"^budget must be an integer of at least 1, got {budget!r}$"):
+            BUDGETED[entry](budget)
+
+    assert expanded_windows(monkeypatch, refused) == []
+    # an integer budget of at least 1 answers
+    BUDGETED[entry](100_000)
 
 
 def test_budget_error_names_the_variable_for_the_default(monkeypatch) -> None:
