@@ -39,7 +39,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bigraded import CACHE_SIZE, BiDegree, BigradedModule, PHom, Window, pgroup_sum, phom_zero, shared_phom, sum_map
+from .bigraded import (
+    CACHE_SIZE,
+    BiDegree,
+    BigradedModule,
+    PHom,
+    Window,
+    pgroup_sum,
+    phom_zero,
+    shared_phom,
+    sum_map,
+    trusted_module,
+)
 from .localization import expand_localized, presentation_of
 from .matrices import mat_mul
 from .presentation import cell_budget, has_live_span, inverse_product, localized, monomial_string, span_actions
@@ -177,8 +188,12 @@ def insertion(source, target):
     return maps
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def corner_presentations(pres, tau_name):
-    """{corner: presentation} of h = M[tau_name^-1], and of phi = M[rho^-1] and tate = h[rho^-1] when rho acts."""
+    """{corner: presentation} of h = M[tau_name^-1], and of phi = M[rho^-1] and tate = h[rho^-1] when rho acts.
+
+    The dict is cached and shared: never mutate it.
+    """
     h = localized(pres, tau_name)
     if "rho" not in span_actions(pres):
         return {"h": h}
@@ -332,7 +347,8 @@ def assemble(square):
                 dropped.append((name, d, why))
             else:
                 actions[(name, d)] = f
-    result = BigradedModule(h.prime, w, cells, actions, mults, unverified)
+    # cells, actions, multipliers and unverified are already in the module's form
+    result = trusted_module(h.prime, w, cells, actions, mults, unverified, ())
     return AssemblyReport(result, parts, square.tau_name, tuple(dropped))
 
 

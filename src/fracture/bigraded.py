@@ -459,7 +459,11 @@ class BigradedModule:
         self.caveats = tuple(caveats)
 
     def cell(self, d):
-        g = self.cells.get(tuple(d))
+        """The group at d, a BiDegree or any pair of ints; zero where no cell is stored."""
+        try:
+            g = self.cells.get(d)
+        except TypeError:  # an unhashable pair, such as a list
+            g = self.cells.get(tuple(d))
         return zero_group(self.prime) if g is None else g
 
     def multiplier(self, name):

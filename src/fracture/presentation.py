@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from .bigraded import KNOWN_MULTIPLIER_DEGREES, BiDegree, PGroup, Window, _is_prime, shared_phom, trusted_module
+from .bigraded import CACHE_SIZE, KNOWN_MULTIPLIER_DEGREES, BiDegree, PGroup, Window, _is_prime, shared_phom, trusted_module
 from .snf import valuation
 
 DEFAULT_CELL_BUDGET = 100_000
@@ -138,8 +139,11 @@ def _parse_term(lineno, col, text, prime, gens):
     return Term(vexp, powers)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def parse_presentation(text):
     """Parse presentation text, with line and column diagnostics.
+
+    The parse of each distinct text is cached; a Presentation is immutable.
 
     >>> p = parse_presentation("prime 2\\ngen tau 0 -1\\nrel 2\\u00b71\\nspan 1\\u00b7tau\\n")
     >>> p.spans
@@ -232,6 +236,7 @@ def _degree_of(pres, vec):
     return BiDegree(i, j)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _killers(pres):
     """Relations as (p-exponent, required powers), cheapest first.
 
@@ -245,7 +250,7 @@ def _killers(pres):
         gens = pres.generators
         need = tuple((k, r) for k, (r, g) in enumerate(zip(rvec, gens)) if r > 0 and not g.invertible)
         out.append((term.vexp, need))
-    return sorted(out, key=lambda kill: kill[0])
+    return tuple(sorted(out, key=lambda kill: kill[0]))
 
 
 def _order_exponent(killers, vec):
@@ -306,18 +311,24 @@ def _check_action_name(lineno, col, prime, gens, term, spans):
         )
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _span_steps(pres):
+    """(p-exponent, exponent vector, degree, action name) of each span term, in span order."""
+    out = []
+    for term in pres.spans:
+        vec = _vector(pres, term.powers)
+        out.append((term.vexp, vec, _degree_of(pres, vec), _action_name(pres.prime, term)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def span_actions(pres):
     """{action name: degree} of the span terms of nonzero degree, in span order.
 
     These are the multipliers expand gives its module, known before
-    expanding.
+    expanding.  The dict is cached and shared: never mutate it.
     """
-    out = {}
-    for term in pres.spans:
-        degree = _degree_of(pres, _vector(pres, term.powers))
-        if degree != (0, 0):
-            out[_action_name(pres.prime, term)] = degree
-    return out
+    return {name: degree for _, _, degree, name in _span_steps(pres) if degree != (0, 0)}
 
 
 def _span_term(pres, name, what):
@@ -479,6 +490,7 @@ def _balance(degrees):
     return weights if balanced and min(weights) > 0 else None
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def unbounded_ray(pres):
     """A monomial of degree (0,0) whose powers no unit relation kills, or None.
 
@@ -493,8 +505,8 @@ def unbounded_ray(pres):
     check may refuse such an input, never accept an infinite one.  The
     ray comes back as the powers of its primitive monomial.
     """
-    vecs = [_vector(pres, term.powers) for term in pres.spans]
-    degrees = [_degree_of(pres, vec) for vec in vecs]
+    vecs = [vec for _, vec, _, _ in _span_steps(pres)]
+    degrees = [degree for _, _, degree, _ in _span_steps(pres)]
     needs = [need for vexp, need in _killers(pres) if vexp == 0]
     for size in (1, 2, 3):
         for support in combinations(range(len(vecs)), size):
@@ -537,6 +549,87 @@ def cell_budget(budget):
     return budget, hint
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def unit_lattice(pres):
+    """The lattice of degrees by which the units of pres translate its expansion, in Hermite normal form.
+
+    A unit is a span term x of scalar 1 and nonzero degree whose inverse
+    x^-1 is a span term too; every localized presentation holds such a
+    pair.  Returns ((a, b, vec), (0, c, vec')), a basis of the lattice the
+    units' degrees span, each row with the exponent vector of a product of
+    units of that degree: a >= 0, and b = 0 when a = 0; c >= 0, and
+    0 <= b < c when c > 0.  A zero row has the zero vector, so the
+    trivial lattice is two zero rows.
+    """
+    scalar_one = {vec for vexp, vec, _, _ in _span_steps(pres) if not vexp}
+    rows = [
+        (deg.i, deg.j, vec)
+        for vexp, vec, deg, _ in _span_steps(pres)
+        if not vexp and deg != (0, 0) and tuple(-e for e in vec) in scalar_one
+    ]
+
+    def minus(x, y, q):
+        return x[0] - q * y[0], x[1] - q * y[1], tuple(s - q * t for s, t in zip(x[2], y[2]))
+
+    zero = (0, 0, (0,) * len(pres.generators))
+    basis = []
+    for axis in (0, 1):
+        # Euclid on this coordinate; the rows it clears go on to the next
+        pivot, rest = zero, []
+        for row in rows:
+            while row[axis]:
+                pivot, row = row, minus(pivot, row, pivot[axis] // row[axis])
+            rest.append(row)
+        basis.append(minus(zero, pivot, 1) if pivot[axis] < 0 else pivot)
+        rows = rest
+    first, second = basis
+    if second[1]:
+        first = minus(first, second, first[1] // second[1])
+    return first, second
+
+
+def _representatives(lattice, window):
+    """A box of degrees near the origin holding one of each class modulo the lattice that meets window.
+
+    No two degrees of the box differ by a lattice vector.  Along i the box
+    holds at most a consecutive columns from imin mod a; the rows then
+    cover every j - m*b of the window's cells, m counting the steps of a
+    back to those columns; along j the box holds at most c consecutive
+    rows.  A zero step leaves its axis as the window has it.
+    """
+    (a, b, _), (_, c, _) = lattice
+    imin, imax, jmin, jmax = window
+    if a:
+        lo = imin % a
+        hi = lo + min(imax - imin, a - 1)
+        shifts = (b * ((imin - hi) // a), b * ((imax - lo) // a))
+        imin, imax, jmin, jmax = lo, hi, jmin - max(shifts), jmax - min(shifts)
+    if c:
+        lo = jmin % c
+        jmin, jmax = lo, lo + min(jmax - jmin, c - 1)
+    return Window(imin, imax, jmin, jmax)
+
+
+def _steps(lo, hi, x, step):
+    """The k with lo <= x + k*step <= hi, for step > 0, as a range."""
+    return range(-((x - lo) // step), (hi - x) // step + 1)
+
+
+def _translates(lattice, r, window):
+    """[(m, range of n)]: the cells r + m*(a, b) + n*(0, c) that lie in the window.
+
+    Counting them needs no cell: each run of n is a range.
+    """
+    (a, b, _), (_, c, _) = lattice
+    i, j = r
+    ms = _steps(window.imin, window.imax, i, a) if a else range(window.imin <= i <= window.imax)
+    out = []
+    for m in ms:
+        jm = j + m * b
+        out.append((m, _steps(window.jmin, window.jmax, jm, c) if c else range(window.jmin <= jm <= window.jmax)))
+    return out
+
+
 def expand(pres, window=None, budget=None):
     """Expand a presentation into a BigradedModule on a window (see expand_indexed)."""
     return expand_indexed(pres, window, budget)[0]
@@ -559,19 +652,37 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     window, actions between two of them), so the module is built by
     trusted_module.
 
-    The search walks a box around the hull of the window and the origin,
-    where the empty product starts.  Its collar is 2*s_i + 2 columns wide
-    and 2*s_j + 2 rows tall, for s_i and s_j the largest |i| and |j| of a
-    span step.  In the norm max(|i|/s_i, |j|/s_j) every step has norm at
-    most 1, and the Steinitz lemma holds in any norm of the plane: the
-    steps of a product, with the segment from its end back to the origin
-    cut into pieces of norm at most 1, can be ordered so that every
-    partial sum has norm at most 2.  Drop the pieces again: the factors
-    of the product, in that order, keep every partial product within norm
-    2 of the segment from the origin to its degree, that is within 2*s_i
-    columns and 2*s_j rows of the hull.  Reordering factors keeps the
-    product and its valuation, so nothing reachable in the window is
-    missed.  When s_i = 0 every partial product has i = 0, inside the
+    Only one period of the expansion is searched; the rest is translated.
+    Multiplying by a unit u (a span term of scalar 1 whose inverse is a
+    span term too, see unit_lattice) maps the monomials of degree d one to
+    one onto those of d + deg u: m is reachable exactly when m*u is, as m
+    = (m*u)*u^-1, with the same least valuation, and u holds only
+    invertible generators, which no relation needs, so m and m*u have the
+    same killers.  Adding vec(u) to every exponent vector keeps their
+    order, so the cell, the positions and the action matrices at d + deg u
+    are those at d.  Each window cell is therefore a translate of one cell
+    of a small box of representatives near the origin (_representatives),
+    one per class of degrees modulo the unit lattice.  The search runs on
+    that box, padded on the axes a translation moves by the multiplier
+    degrees so that every action out of a representative is there too;
+    each window cell then gets its representative's group and action maps
+    (the same objects) and its index entries shifted by the unit's vector.
+    A presentation with no unit has the trivial lattice: each cell is its
+    own representative and the box is the window.
+
+    The search walks a box around the hull of the padded period and the
+    origin, where the empty product starts.  Its collar is 2*s_i + 2
+    columns wide and 2*s_j + 2 rows tall, for s_i and s_j the largest |i|
+    and |j| of a span step.  In the norm max(|i|/s_i, |j|/s_j) every step
+    has norm at most 1, and the Steinitz lemma holds in any norm of the
+    plane: the steps of a product, with the segment from its end back to
+    the origin cut into pieces of norm at most 1, can be ordered so that
+    every partial sum has norm at most 2.  Drop the pieces again: the
+    factors of the product, in that order, keep every partial product
+    within norm 2 of the segment from the origin to its degree, that is
+    within 2*s_i columns and 2*s_j rows of the hull.  Reordering factors
+    keeps the product and its valuation, so nothing reachable in the box
+    is missed.  When s_i = 0 every partial product has i = 0, inside the
     hull, and likewise for s_j.  What a cell holds therefore does not
     depend on the window around it: the expansion on a subwindow R of W
     equals the expansion on W restricted to R, which is what lets realize
@@ -583,40 +694,54 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     scalar p^k queues its target for the level k higher.  Each monomial
     is so settled with its least valuation.  Monomials a relation has
     killed are settled but not extended: everything reached through them
-    is killed too.  The search gives up once it has settled more
-    monomials than the cell budget (see cell_budget).
+    is killed too.
+
+    The budget (see cell_budget) is charged one number: the monomials the
+    search settles plus the live monomials the window will hold.  The
+    search gives up as soon as it alone is over, and the second part is
+    counted from the representatives and the number of their translates
+    in the window before any of them is built, so a window that is too
+    wide fails fast.
     """
     window = expansion_window(pres, window)
     budget, hint = cell_budget(budget)
     p = pres.prime
-
-    span_vecs = []
-    for term in pres.spans:
-        vec = _vector(pres, term.powers)
-        span_vecs.append((term.vexp, vec, _degree_of(pres, vec)))
+    steps = _span_steps(pres)
     killers = _killers(pres)
+    if multipliers is None:
+        multipliers = span_actions(pres)
+    lattice = unit_lattice(pres)
+    (a, b, _), (_, c, _) = lattice
+    reps = _representatives(lattice, window)
 
-    # Bounding box: hull of window and origin, plus the per-axis Steinitz
-    # collar, inside which some ordering of any product stays the whole way.
-    collar_i = 2 * max((abs(d.i) for _, _, d in span_vecs), default=0) + 2
-    collar_j = 2 * max((abs(d.j) for _, _, d in span_vecs), default=0) + 2
-    imin, imax = min(0, window.imin) - collar_i, max(0, window.imax) + collar_i
-    jmin, jmax = min(0, window.jmin) - collar_j, max(0, window.jmax) + collar_j
-    steps = [(vexp, vec, deg.i, deg.j) for vexp, vec, deg in span_vecs]
+    # The period: the representatives, padded on each axis a translation
+    # moves by the degrees of the actions out of them.
+    dis = [0, *(deg[0] for deg in multipliers.values())] if a else [0]
+    djs = [0, *(deg[1] for deg in multipliers.values())] if b or c else [0]
+    period = Window(reps.imin + min(dis), reps.imax + max(dis), reps.jmin + min(djs), reps.jmax + max(djs))
+
+    # Bounding box: hull of the period and origin, plus the per-axis
+    # Steinitz collar, inside which some ordering of any product stays the
+    # whole way.
+    collar_i = 2 * max((abs(deg.i) for _, _, deg, _ in steps), default=0) + 2
+    collar_j = 2 * max((abs(deg.j) for _, _, deg, _ in steps), default=0) + 2
+    imin, imax = min(0, period.imin) - collar_i, max(0, period.imax) + collar_i
+    jmin, jmax = min(0, period.jmin) - collar_j, max(0, period.jmax) + collar_j
+    moves = [(vexp, vec, deg.i, deg.j) for vexp, vec, deg, _ in steps]
 
     # Degrees ride along as plain ints.  levels maps a valuation to the
     # monomials queued for it, unsettled; the level's queue holds its
-    # settled ones and grows while it is walked.  The ones inside the window
-    # are grouped by bidegree as they settle: the reachable monomials that
-    # survive their relations.  A dead monomial (valuation at least its
-    # order exponent) is not extended: span steps only add powers of the
-    # generators a relation needs and never lower the valuation, so
-    # whatever it leads to is dead as well, and the live monomials keep
-    # their valuations.
+    # settled ones and grows while it is walked.  The ones inside the
+    # period are grouped by bidegree as they settle: the reachable
+    # monomials that survive their relations.  A dead monomial (valuation
+    # at least its order exponent) is not extended: span steps only add
+    # powers of the generators a relation needs and never lower the
+    # valuation, so whatever it leads to is dead as well, and the live
+    # monomials keep their valuations.
     settled = set()
     per_degree = {}
     levels = {}
-    for vexp, vec, i, j in steps:
+    for vexp, vec, i, j in moves:
         if imin <= i <= imax and jmin <= j <= jmax:
             levels.setdefault(vexp, []).append((vec, i, j))
     visited = 0
@@ -634,9 +759,9 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
             e = _order_exponent(killers, vec)
             if e is not None and val >= e:
                 continue
-            if window.imin <= i <= window.imax and window.jmin <= j <= window.jmax:
+            if period.imin <= i <= period.imax and period.jmin <= j <= period.jmax:
                 per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
-            for vexp, svec, si, sj in steps:
+            for vexp, svec, si, sj in moves:
                 ni, nj = i + si, j + sj
                 if not (imin <= ni <= imax and jmin <= nj <= jmax):
                     continue
@@ -658,26 +783,52 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
         cells[deg] = PGroup(p, rank, torsion)
         index[deg] = {vec: (pos, v) for pos, (vec, v, _) in enumerate(gens_here)}
 
-    if multipliers is None:
-        multipliers = span_actions(pres)
     actions = {}
-    for term, (vexp, svec, sdeg) in zip(pres.spans, span_vecs):
-        name = _action_name(p, term)
+    for vexp, svec, sdeg, name in steps:
         if name not in multipliers:
             continue
         for deg, src in index.items():
             tgt_deg = deg + sdeg
             tgt = index.get(tgt_deg)
-            if tgt is None:
+            if tgt is None or not reps.contains(deg):
                 continue
             rows = [[0] * len(src) for _ in tgt]
-            for vec, (c, v) in src.items():
-                nvec = tuple(a + b for a, b in zip(vec, svec))
-                hit = tgt.get(nvec)
+            for vec, (col, v) in src.items():
+                hit = tgt.get(tuple(map(add, vec, svec)))
                 if hit is None:
                     continue
                 r, v_tgt = hit
-                rows[r][c] = p ** (vexp + v - v_tgt)
+                rows[r][col] = p ** (vexp + v - v_tgt)
             actions[(name, deg)] = shared_phom(cells[deg], cells[tgt_deg], tuple(map(tuple, rows)))
+
+    translates = {r: _translates(lattice, r, window) for r in index if reps.contains(r)}
+    materialized = sum(len(index[r]) * sum(len(ns) for _, ns in runs) for r, runs in translates.items())
+    if visited + materialized > budget:
+        raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
+
     mults = {name: BiDegree(*deg) for name, deg in multipliers.items()}
-    return trusted_module(p, window, cells, actions, mults, (), ()), index
+    out_cells, out_index, out_actions = {}, {}, {}
+    (_, _, vec_m), (_, _, vec_n) = lattice
+    wimin, wimax, wjmin, wjmax = window
+    for r, runs in translates.items():
+        group, entries = cells[r], index[r]
+        outgoing = [(name, di, dj, actions[(name, r)]) for name, (di, dj) in mults.items() if (name, r) in actions]
+        # the runs go through consecutive m; shift is the exponent vector of the unit
+        base = None
+        for m, ns in runs:
+            base = tuple(m * x for x in vec_m) if base is None else tuple(map(add, base, vec_m))
+            i, jm = r[0] + m * a, r[1] + m * b
+            shift = tuple(x + ns.start * y for x, y in zip(base, vec_n)) if ns.start else base
+            for n in ns:
+                j = jm + n * c
+                d = BiDegree(i, j)
+                out_cells[d] = group
+                if m or n:
+                    out_index[d] = {tuple(map(add, vec, shift)): entry for vec, entry in entries.items()}
+                else:
+                    out_index[d] = entries
+                for name, di, dj, f in outgoing:
+                    if wimin <= i + di <= wimax and wjmin <= j + dj <= wjmax:
+                        out_actions[(name, d)] = f
+                shift = tuple(map(add, shift, vec_n))
+    return trusted_module(p, window, out_cells, out_actions, mults, (), ()), out_index

@@ -162,6 +162,14 @@ def test_direct_sum_and_restrict() -> None:
     assert cellwise_equal(restrict(m, Window(0, 0, -1, 0)), restrict(m, (0, 0, -1, 0)))
 
 
+def test_cell_takes_a_bidegree_a_tuple_or_a_list() -> None:
+    m = _two_cell_module()
+    for key in (BiDegree(0, 0), (0, 0), [0, 0]):
+        assert m.cell(key) is m.cells[BiDegree(0, 0)]
+    for key in (BiDegree(1, 1), (1, 1), [1, 1]):
+        assert m.cell(key) is zero_group(2)
+
+
 def test_flags_default_and_propagate() -> None:
     m = _two_cell_module()
     assert m.unverified == frozenset()

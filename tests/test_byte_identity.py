@@ -13,7 +13,9 @@ The sweep lost its pad axis with the pad.  When invert and complete
 started answering from the presentation, exact in every cell, their
 digests were split from the realize sweep, which kept its value, and
 re-pinned.  The four wide windows were recorded before the splice and
-the action transport were memoized per distinct local picture.  Any change in a cell, flag, edge matrix or provenance entry
+the action transport were memoized per distinct local picture, and the
+(30,40)^2 and (-40,40)^2 windows before each corner expansion searched
+one period and translated it onto the window.  Any change in a cell, flag, edge matrix or provenance entry
 changes the bytes and fails here.
 """
 
@@ -38,6 +40,19 @@ PINNED = [
     ("HF2_R", None, (-20, 20, -20, 20), "3e281f259fb47293a2325dbf50a1ecaba9cfc148790eaddc2c2552a73683fc5a"),
     ("HZ2_R", None, (-20, 20, -20, 20), "be9f9e4eaf53389c707c7ffc71b3fa0780e1df6ced683a767acb517a74245c1c"),
     ("HFP_ODD_R", 5, (-12, 12, -12, 12), "7113cf7f8be6b3481193f4fc611f98ce1cf591cd8d1d2e793a008178eecf7f8c"),
+    # each preset around the origin and far from it, where the corners are translated periods
+    ("HF2_R", None, (30, 40, 30, 40), "9d6f7994da91bc2b7bf385f694718c6beee463b3a56a52cce29222b666ca5c50"),
+    ("HF2_R", None, (-40, 40, -40, 40), "6fa2308c23acab552c91a40b2d2938d9abe6517b8256314ed929c9ee3891c071"),
+    ("HZ2_R", None, (30, 40, 30, 40), "983452c48383409cf86830878e73509eb39e719b7624de896f827a24534d7285"),
+    ("HZ2_R", None, (-40, 40, -40, 40), "902583f74e5ecd4e87963d2f5b0997f3e8bb60ceb8a8cda632306f935cb63159"),
+    ("KGL2_R", None, (30, 40, 30, 40), "0f60a9d02c9b44233a917ebeb529f4bb1eca05af79bc25857837f584fb0e2ec9"),
+    ("KGL2_R", None, (-40, 40, -40, 40), "00a50ee23341bc510d7bcd8b53a16ec84410bc95e2852014522818eda23475ef"),
+    ("HFP_ODD_R", 3, (30, 40, 30, 40), "7c4573e32a1ba579c4c22e9ffd3f5d5e1f159cd50dfc2f8a2c4d21932f5d297c"),
+    ("HFP_ODD_R", 3, (-40, 40, -40, 40), "7bdb0dc36c1bdccd9204c780a7440206ecb2a5bb66697a8491d67903f3a661ab"),
+    ("HFP_ODD_R", 5, (30, 40, 30, 40), "4b1bcb6aa036b117495d27b32b928cbbec142b24165dfa622cf51d29591d9cb7"),
+    ("HFP_ODD_R", 5, (-40, 40, -40, 40), "0356d6660d89f37f4d92cf51e25eb04ae0586b77c2dba57f99b358bb5eea4f40"),
+    ("HFP_ODD_R", 7, (30, 40, 30, 40), "d7277c6a27e86891de9c1745ab2f8803971c7b2a96404a55fb9618581cb03309"),
+    ("HFP_ODD_R", 7, (-40, 40, -40, 40), "d58797ab424c749960d2da447f07d645bfe8e5410182cc9eef4035275ee98270"),
 ]
 
 

@@ -6,6 +6,10 @@ extended, dead or alive.  Both must give the same cells, actions and
 bytes on every preset's padded window and on small random
 presentations.
 
+expand searches one period of a presentation with units and translates
+it onto the window; on localizations, near the origin and far from it,
+that must give what the plain search gives on the window itself.
+
 realize expands the localized presentations of its corners on the
 window it answers plus the boundary column, and relies on every cell
 being exact there: expanding a window R inside W must give the bytes of
@@ -18,15 +22,31 @@ from itertools import combinations_with_replacement
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracture import assembler, emit_json
 from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, free_first, restrict
-from fracture.presentation import expand, expand_indexed, parse_presentation, span_actions
+from fracture.presentation import (
+    BudgetError,
+    expand,
+    expand_indexed,
+    has_live_span,
+    localized,
+    parse_presentation,
+    span_actions,
+    unbounded_ray,
+    unit_lattice,
+)
 from fracture.presets import preset_presentation
 
-from helpers import expanded_windows, live_monomials, span_steps
+from helpers import (
+    expanded_windows,
+    inverse_free_rho_presentations,
+    live_monomials,
+    odd_rho_complete_presentations,
+    span_steps,
+)
 
 INVERTIBLE_SOURCE = """\
 prime 2
@@ -62,12 +82,12 @@ span 1·g0*g1
 """
 
 
-def unpruned_expand(pres, window, budget):
-    """The reference search: dead monomials are extended like live ones."""
+def unpruned_expand(pres, window, budget, extend_dead=True):
+    """The reference search: dead monomials are extended like live ones, unless extend_dead is false."""
     window = Window(*window)
     p = pres.prime
     spans = span_steps(pres)
-    per_degree = live_monomials(pres, window, budget)
+    per_degree = live_monomials(pres, window, budget, extend_dead)
     cells, where = {}, {}
     for deg, here in per_degree.items():
         here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
@@ -317,3 +337,55 @@ def test_expansion_is_window_local(data) -> None:
     whole = expand(pres, data.draw(around_a_product(pres)))
     for part in data.draw(probes(pres, whole)):
         assert_same_expansion(expand(pres, part), restrict(whole, part))
+
+
+@st.composite
+def localizations(draw):
+    """A random presentation localized at one or two of its span actions of scalar 1, nonzero and of finite type.
+
+    Its units translate its expansion along a lattice of rank 1 or 2.
+    """
+    pres = draw(st.one_of(inverse_free_rho_presentations(), odd_rho_complete_presentations(), presentations()))
+    names = [name for name in span_actions(pres) if not name[0].isdigit()]
+    assume(names)
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+        pres = localized(pres, name)
+    assume(has_live_span(pres) and unbounded_ray(pres) is None)
+    return pres
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pres=localizations(), data=st.data())
+def test_translated_expansion_equals_the_plain_search(pres, data) -> None:
+    (a, b, _), (_, c, _) = unit_lattice(pres)
+    assert a or c
+    # a window of up to 5x5 cells at the origin, or at a translate of the
+    # origin by 3 to 8 steps of each basis vector of the unit lattice
+    steps = st.integers(3, 8).flatmap(lambda k: st.sampled_from([k, -k]))
+    m, n = (data.draw(steps) for _ in range(2)) if data.draw(st.booleans()) else (0, 0)
+    imin, jmin = m * a - data.draw(st.integers(0, 2)), m * b + n * c - data.draw(st.integers(0, 2))
+    window = Window(imin, imin + data.draw(st.integers(0, 4)), jmin, jmin + data.draw(st.integers(0, 4)))
+    try:
+        want = unpruned_expand(pres, window, 50_000, extend_dead=False)
+    except BudgetError:
+        assume(False)
+    got, index = expand_indexed(pres, window, budget=2_000_000)
+    assert_same_expansion(got, want)
+    per_degree = live_monomials(pres, window, 50_000, extend_dead=False)
+    assert index.keys() == per_degree.keys()
+    for d, here in per_degree.items():
+        here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
+        assert index[d] == {vec: (pos, v) for pos, (vec, v, _) in enumerate(here)}
+
+
+# at the origin, and in three quadrants away from it
+CORNER_WINDOWS = [Window(-2, 2, -2, 2), Window(20, 24, 18, 22), Window(-24, -20, 20, 24), Window(-3, 1, -26, -22)]
+
+
+@pytest.mark.parametrize("window", CORNER_WINDOWS, ids=str)
+@pytest.mark.parametrize("name,prime", [("HF2_R", None), ("HZ2_R", None), ("KGL2_R", None), ("HFP_ODD_R", 3)])
+def test_translated_corners_equal_the_plain_search(name, prime, window) -> None:
+    # h is translated along a lattice of rank 1, tate along one of rank 2
+    for local in localized_presentations(name, prime)[1:]:
+        got, index = expand_indexed(local, window, budget=2_000_000)
+        assert_same_expansion(got, unpruned_expand(local, window, 500_000, extend_dead=False))

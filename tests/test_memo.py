@@ -1,10 +1,13 @@
-"""The caches of exact-algebra results.
+"""The caches of exact-algebra results and of the work a presentation alone decides.
 
 smith_normal_form, kernel, cokernel, solve_hom, is_isomorphism,
 invert_iso, pgroup_sum, phom_zero and shared_phom, and assemble's splice
 of a cell and transport of an action (assembler._splice,
 assembler._transport), are functools.lru_cache functions bounded by
-bigraded.CACHE_SIZE.  Groups carry no generator names, and the keys are
+bigraded.CACHE_SIZE.  So are the parse of a presentation's text and what
+is read off a presentation alone: its span steps and actions, killers,
+unbounded ray, unit lattice and corner presentations; these results are
+immutable or never mutated, and a repeated request recomputes none.  Groups carry no generator names, and the keys are
 the matrices, maps and groups themselves, so equal inputs built as
 separate objects compute once and share one result object, within a
 realize call and across calls; every route that builds a group or a map
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 import fracture.snf as snf_module
 from fracture import emit_json
-from fracture.assembler import RhoCompleteError, odd_split, realize
+from fracture.assembler import RhoCompleteError, corner_presentations, odd_split, realize, select_tau_power
 from fracture.bigraded import (
     CACHE_SIZE,
     BigradedModule,
@@ -40,7 +43,17 @@ from fracture.bigraded import (
     sum_map,
 )
 from fracture.localization import complete, invert
-from fracture.presentation import BudgetError, expand, parse_presentation
+from fracture.presentation import (
+    BudgetError,
+    _killers,
+    _span_steps,
+    expand,
+    parse_presentation,
+    span_actions,
+    unbounded_ray,
+    unit_lattice,
+)
+from fracture.presets import preset_source
 from fracture.snf import (
     CertificateError,
     SnfResult,
@@ -328,13 +341,20 @@ CALLS = {
 REFUSED = {"refused", "over budget", "odd over budget", "invert along a scalar", "complete along no span action"}
 
 
+def cache_misses():
+    """{cached function: misses so far}."""
+    return {f"{module.__name__}.{name}": f.cache_info().misses for module, name, f in cached_bindings()}
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_a_repeated_call_answers_alike_and_certifies_nothing_again(name, certify_calls) -> None:
     first = requested(CALLS[name])
-    certified = len(certify_calls)
+    certified, misses = len(certify_calls), cache_misses()
     assert requested(CALLS[name]) == first
     assert len(certify_calls) == certified
     assert isinstance(first, str) == (name in REFUSED)
+    # every cached input repeats, the presentation's parse and analysis too
+    assert cache_misses() == misses
 
 
 @pytest.mark.parametrize("name", ["odd_split", "invert", "complete"])
@@ -362,7 +382,19 @@ def test_a_failed_certificate_is_not_remembered(monkeypatch) -> None:
 def test_every_cache_stays_within_its_bound() -> None:
     realize("KGL2_R", 2, (-40, 40, -40, 40))
     bindings = cached_bindings()
-    assert {f.__name__ for _, _, f in bindings} >= {"smith_normal_form", "_splice", "_transport", "shared_phom"}
+    assert {f.__name__ for _, _, f in bindings} >= {
+        "smith_normal_form",
+        "_splice",
+        "_transport",
+        "shared_phom",
+        "parse_presentation",
+        "span_actions",
+        "_span_steps",
+        "_killers",
+        "unbounded_ray",
+        "unit_lattice",
+        "corner_presentations",
+    }
     for _, name, f in bindings:
         info = f.cache_info()
         assert info.maxsize == CACHE_SIZE, name
@@ -505,3 +537,31 @@ def test_expansion_shares_each_distinct_action_map(monkeypatch) -> None:
     module = expand(parse_presentation(RHO_INVERTED_SOURCE), (-6, 6, -6, 6))
     assert len(module.actions) > len(built) > 0
     assert {id(f) for f in module.actions.values()} == {id(f) for f in built}
+
+
+def presentation_work(pres):
+    """(name, argument, function) for each cached function of a presentation, on pres and its corners."""
+    tau = select_tau_power(pres.prime, span_actions(pres))
+    out = [("corner_presentations", (pres, tau), corner_presentations)]
+    for local in (pres, *corner_presentations(pres, tau).values()):
+        out += [(f.__name__, (local,), f) for f in (span_actions, _span_steps, _killers, unbounded_ray, unit_lattice)]
+    return out
+
+
+@pytest.mark.parametrize("name,prime", TRANSPARENCY_CASES, ids=[n for n, _ in TRANSPARENCY_CASES])
+def test_cached_presentation_work_agrees_with_a_fresh_one_and_is_never_mutated(name, prime) -> None:
+    text = preset_source(name, prime)
+    pres = parse_presentation(text)
+    assert fingerprint(pres) == computed_afresh(parse_presentation, text)
+    work = presentation_work(pres)
+    fresh = [computed_afresh(f, *args) for _, args, f in work]
+    cached = [f(*args) for _, args, f in work]
+    assert [fingerprint(x) for x in cached] == fresh
+    realize(pres, None, (-8, 8, -8, 8))
+    if pres.prime != 2:
+        odd_split(pres, None, (-8, 8, -8, 8))
+    # a later request gets the very objects, as they were
+    assert parse_presentation(text) is pres
+    assert [f(*args) for _, args, f in work] == cached
+    assert all(f(*args) is x for (_, args, f), x in zip(work, cached))
+    assert [fingerprint(x) for x in cached] == fresh

@@ -369,15 +369,26 @@ def test_budget_error_names_the_variable_only_when_it_set_the_budget(monkeypatch
 
 
 def test_realize_budget_counts_the_expansion_it_makes() -> None:
-    # KGL2_R on (-10,10)^2 expands its three corners on (-10,11,-10,10):
-    # on the box of the per-axis collar, h settles 1088 monomials, tate
-    # 1000 and phi 550.  Each expansion has the budget to itself, so the
-    # largest one decides.
+    # KGL2_R on (-10,10)^2 expands its three corners on (-10,11,-10,10).
+    # Each is charged the monomials its period search settles plus the
+    # live monomials of the window: h 764 + 178, phi 426 + 71, tate
+    # 322 + 116.  Each expansion has the budget to itself, so the largest
+    # one decides.
     pres = preset_presentation("KGL2_R")
-    answer = realize(pres, 2, (-10, 10, -10, 10), budget=1088)
+    answer = realize(pres, 2, (-10, 10, -10, 10), budget=942)
     assert emit_json(answer) == emit_json(realize(pres, 2, (-10, 10, -10, 10)))
-    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 1087 monomials$"):
-        realize(pres, 2, (-10, 10, -10, 10), budget=1087)
+    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 941 monomials$"):
+        realize(pres, 2, (-10, 10, -10, 10), budget=941)
+
+
+def test_a_window_too_wide_for_the_budget_fails_fast() -> None:
+    # the corners of HF2_R hold about 4.5 million live monomials on this
+    # window, over realize's own budget of 2,000,000; they are counted
+    # before any is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="^expansion exceeded the budget of 2000000 monomials$"):
+        realize("HF2_R", 2, (-1500, 1500, -1500, 1500))
+    assert time.perf_counter() - start < 1
 
 
 # every entry point that takes budget=, each on an input it would answer
