@@ -382,9 +382,9 @@ def test_realize_budget_counts_the_expansion_it_makes() -> None:
 
 
 def test_a_window_too_wide_for_the_budget_fails_fast() -> None:
-    # the corners of HF2_R hold about 4.5 million live monomials on this
-    # window, over realize's own budget of 2,000,000; they are counted
-    # before any is built
+    # the h corner of HF2_R alone holds about 4.5 million live monomials
+    # on this window, over realize's own budget of 2,000,000; they are
+    # counted before any is built
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="^expansion exceeded the budget of 2000000 monomials$"):
         realize("HF2_R", 2, (-1500, 1500, -1500, 1500))
