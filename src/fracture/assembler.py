@@ -6,8 +6,8 @@ their common localization t = M[rho^-1, tau^-k].  M is the expansion of
 a presentation of a monomial module, and so is each corner: the
 presentation localized at the span term it inverts (see
 presentation.localized).  The maps h -> t and phi -> t send each
-monomial to itself (see insertion).  The realized cell at d is then
-spliced from the difference map
+monomial to itself (presentation.insertion).  The realized cell at d
+is then spliced from the difference map
 
     phi_d : h_d + phi_d -> t_d,   (x, y) |-> to_t(x) - to_t(y)
 
@@ -18,8 +18,8 @@ than silently resolved.
 A cell's splice reads nothing but its local picture, the maps into t at
 d and d+(1,0), and an action between two cells nothing but the pictures
 at its ends and the three corner actions.  Far fewer pictures are
-distinct than cells (13 splices serve the 283 cells of KGL2_R on
-(-10,10)^2), so the splice and the action transport are cached on the
+distinct than cells (13 splices serve the 283 cells assemble visits
+for KGL2_R on (-10,10)^2), so the splice and the action transport are cached on the
 maps themselves (functools.lru_cache, bounded by bigraded.CACHE_SIZE),
 and each distinct picture is spliced once, across realize calls too.
 Cached results are shared, and never mutated.
@@ -47,13 +47,22 @@ from .bigraded import (
     Window,
     pgroup_sum,
     phom_zero,
-    shared_phom,
     sum_map,
     trusted_module,
+    zero_group,
 )
 from .localization import expand_localized, presentation_of
 from .matrices import mat_mul
-from .presentation import cell_budget, has_live_span, inverse_product, localized, monomial_string, span_actions
+from .presentation import (
+    cell_budget,
+    expansion_window,
+    has_live_span,
+    insertion,
+    inverse_product,
+    localized,
+    monomial_string,
+    span_actions,
+)
 # the names below are not called here; they stay bound because outside
 # tracers wrap them by module attribute
 from .bigraded import restrict  # noqa: F401
@@ -81,26 +90,15 @@ class RhoCompleteError(RuntimeError):
 class SquareCorners(NamedTuple):
     """The three localization corners and their maps into the common one.
 
-    map_h_t and map_phi_t are cellwise homs keyed by the result degree d:
-    map_h_t[d] sends h_d into t_d, map_phi_t[d] sends phi_d into t_d.  A
-    map out of a zero cell is not stored; maps_to_t reads it as zero, as
-    act does for a module's missing actions.
+    pictures maps each d where h, phi or tate is nonzero to the pair of
+    insertions (h_d -> t_d, phi_d -> t_d); at every other d both are zero.
     """
 
     h: BigradedModule
     phi: BigradedModule
     tate: BigradedModule
-    map_h_t: dict
-    map_phi_t: dict
+    pictures: dict
     tau_name: str
-
-    def maps_to_t(self, d):
-        """The maps h_d -> t_d and phi_d -> t_d, zero where none is stored."""
-        t = self.tate.cell(d)
-        return tuple(
-            maps[d] if d in maps else phom_zero(corner.cell(d), t)
-            for corner, maps in ((self.h, self.map_h_t), (self.phi, self.map_phi_t))
-        )
 
 
 class CellAssembly(NamedTuple):
@@ -166,28 +164,6 @@ def select_tau_power(prime, multipliers):
     raise ValueError("input has no tau power action to invert")
 
 
-def insertion(source, target):
-    """The localization map between two expansions, as {d: source_d -> target_d}.
-
-    source and target are (module, index) pairs from expand_indexed, the
-    target's presentation a localization of the source's.  Each monomial
-    goes to itself times p^(v_source - v_target), or to 0 where it is
-    dead in the target; valuations and orders only fall, so it is a hom.
-    Each distinct map is validated once (shared_phom) and shared among its cells.
-    """
-    (module, src_index), (tmod, tgt_index) = source, target
-    maps = {}
-    for d, src in src_index.items():
-        tgt = tgt_index.get(d, {})
-        rows = [[0] * len(src) for _ in tgt]
-        for vec, (c, v) in src.items():
-            if vec in tgt:
-                r, v_tgt = tgt[vec]
-                rows[r][c] = module.prime ** (v - v_tgt)
-        maps[d] = shared_phom(module.cell(d), tmod.cell(d), tuple(map(tuple, rows)))
-    return maps
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def corner_presentations(pres, tau_name):
     """{corner: presentation} of h = M[tau_name^-1], and of phi = M[rho^-1] and tate = h[rho^-1] when rho acts.
@@ -205,8 +181,8 @@ def corners(pres, window, budget=None):
 
     Each is the expansion of its localized presentation (corner_presentations);
     an input with no rho span action has zero phi and tate.  Every corner
-    acts by the input's span actions only.  Both maps into tate are
-    insertions, stored out of nonzero cells only.  Refusals come in this
+    acts by the input's span actions only.  The pictures are the
+    insertions into tate on the joint support.  Refusals come in this
     order: a missing tau power (ValueError), then a corner not of finite
     type (BudgetError naming it and its ray, see expand_localized), both
     before anything is expanded, then the budget, which each corner
@@ -220,7 +196,9 @@ def corners(pres, window, budget=None):
     parts = expand_localized(pres, {f"corner {corner}": local for corner, local in named.items()}, window, budget)
     zero = (BigradedModule(pres.prime, window, {}, {}, mults), {})
     h, phi, tate = (parts.get(f"corner {corner}", zero) for corner in ("h", "phi", "tate"))
-    return SquareCorners(h[0], phi[0], tate[0], insertion(h, tate), insertion(phi, tate), tau_name)
+    support = {*h[0].cells, *phi[0].cells, *tate[0].cells}
+    pictures = {d: (insertion(h, tate, d), insertion(phi, tate, d)) for d in support}
+    return SquareCorners(h[0], phi[0], tate[0], pictures, tau_name)
 
 
 def induced_map(f, source, target):
@@ -266,19 +244,20 @@ def _transport(act_h, act_phi, act_tate, at_d, at_t, at_up_d, at_up_t):
     """The action between realized cells d -> t that the corner actions induce: (map, None), or (None, why).
 
     act_h and act_phi act out of h_d and phi_d, act_tate out of
-    tate_(d+(1,0)); at_x is the pair of maps into t that _splice reads at
-    x, for x = d, t and their boundary cells.  The kernel part is solved
-    for (solve_hom), the cokernel part induced (induced_map), and why names
-    the part that failed.
+    tate_(d+(1,0)), and None stands for the zero map; at_x is the pair of
+    maps into t that _splice reads at x, for x = d, t and their boundary
+    cells.  The kernel part is solved for (solve_hom), the cokernel part
+    induced (induced_map), and why names the part that failed.
     """
     (ker_d, _), _, _, _, _, ker_h, ker_phi = _splice(*at_d)
     (ker_t, ker_incl_t), _, total_t, incl_h, incl_phi, _, _ = _splice(*at_t)
     cok_d, cok_t = _splice(*at_up_d)[1], _splice(*at_up_t)[1]
-    blocks = ((act_h @ ker_h, incl_h, None), (act_phi @ ker_phi, incl_phi, None))
+    acts = ((act_h, ker_h, incl_h), (act_phi, ker_phi, incl_phi))
+    blocks = tuple((f @ ker, incl, None) for f, ker, incl in acts if f is not None)
     k2k = solve_hom(ker_incl_t, sum_map(ker_d, total_t, blocks))
     if k2k is None:
         return None, "kernel part does not transport"
-    if cok_d[0].is_zero():
+    if cok_d[0].is_zero() or act_tate is None:
         q2q = phom_zero(cok_d[0], cok_t[0])
     else:
         q2q, why = induced_map(act_tate, cok_d, cok_t)
@@ -298,11 +277,10 @@ def assemble(square):
     zero.  The algebra of a cell is a function of its local picture, the
     maps into t at d and d+(1,0) (_splice), and that of an action of
     those at its two ends and of the corner actions (_transport); both
-    are cached, so each distinct picture is spliced once.  The corner
-    actions are read from each corner's actions, a missing one being the
-    cached zero map (phom_zero): both ends of every action lie in the
-    corners' window, so act's window checks would be dead work.  A cell
-    is unverified only when an action out of it cannot be built (dropped).
+    are cached, so each distinct picture is spliced once.  A corner action
+    is read from the corner's actions, None where none is stored, and a
+    zero transport is not stored.  A cell is unverified only when an
+    action out of it cannot be built (dropped).
     """
     h, phi, tate = square.h, square.phi, square.tate
     if not (h.window == phi.window == tate.window and h.prime == phi.prime == tate.prime):
@@ -311,7 +289,8 @@ def assemble(square):
     w.check()
 
     visit = sorted(filter(w.contains, {*h.cells, *phi.cells, *(d - BOUNDARY_SHIFT for d in tate.cells)}))
-    pictures = {x: square.maps_to_t(x) for x in {*visit, *(d + BOUNDARY_SHIFT for d in visit)}}
+    zero = phom_zero(zero_group(h.prime), zero_group(h.prime))
+    pictures = {x: square.pictures.get(x, (zero, zero)) for x in {*visit, *(d + BOUNDARY_SHIFT for d in visit)}}
     cells = {}
     parts = {}
     for d in visit:
@@ -337,15 +316,12 @@ def assemble(square):
             if t not in cells:
                 continue
             up_d, up_t = d + BOUNDARY_SHIFT, t + BOUNDARY_SHIFT
-            corner_acts = [
-                corner.actions.get((name, x)) or phom_zero(corner.cell(x), corner.cell(y))
-                for corner, x, y in ((h, d, t), (phi, d, t), (tate, up_d, up_t))
-            ]
+            corner_acts = (h.actions.get((name, d)), phi.actions.get((name, d)), tate.actions.get((name, up_d)))
             f, why = _transport(*corner_acts, pictures[d], pictures[t], pictures[up_d], pictures[up_t])
             if f is None:
                 unverified.add(d)
                 dropped.append((name, d, why))
-            else:
+            elif not f.is_zero():
                 actions[(name, d)] = f
     # cells, actions, multipliers and unverified are already in the module's form
     result = trusted_module(h.prime, w, cells, actions, mults, unverified, ())
@@ -377,11 +353,7 @@ def _checked(pres, window, budget, rho_complete):
     product it found, before anything is expanded.
     """
     budget = INTERNAL_BUDGET if budget is None else cell_budget(budget)[0]
-    core = window if window is not None else pres.window
-    if core is None:
-        raise ValueError("realization needs a window")
-    core = Window(*core)
-    core.check()
+    core = expansion_window(pres, window)
     if not rho_complete:
         product = rho_complete_defect(pres)
         if product is not None:

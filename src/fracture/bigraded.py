@@ -84,12 +84,6 @@ class Window(NamedTuple):
             for j in range(self.jmin, self.jmax + 1):
                 yield BiDegree(i, j)
 
-    def meet(self, other):
-        """The cells both windows contain, as a window; an empty one contains none."""
-        return Window(
-            max(self.imin, other.imin), min(self.imax, other.imax), max(self.jmin, other.jmin), min(self.jmax, other.jmax)
-        )
-
     @property
     def width(self):
         return self.imax - self.imin
@@ -545,16 +539,15 @@ def trusted_module(prime, window, cells, actions, multipliers, unverified, cavea
     """A BigradedModule built without BigradedModule.__init__; only for parts already in its form.
 
     window must be a checked Window, cells a dict of nonzero groups keyed by
-    BiDegree inside it, multipliers a dict of BiDegree, and actions keyed by
-    (declared name, BiDegree) between two of the cells; the dicts become the
-    module's own.  The two filters a stage's output can need are kept: zero
-    actions are dropped and unverified is cut to the window.
+    BiDegree inside it, multipliers a dict of BiDegree, and actions nonzero
+    maps keyed by (declared name, BiDegree) between two of the cells; the
+    dicts become the module's own.  Only unverified is cut to the window.
     """
     out = object.__new__(BigradedModule)
     out.prime = prime
     out.window = window
     out.cells = cells
-    out.actions = {key: f for key, f in actions.items() if not f.is_zero()}
+    out.actions = actions
     out.multipliers = multipliers
     out.unverified = frozenset(filter(window.contains, unverified))
     out.caveats = tuple(caveats)

@@ -15,7 +15,7 @@ import sys
 from .assembler import RhoCompleteError, realize
 from .bigraded import Window, validate_module
 from .charts import render
-from .localization import complete, invert
+from .localization import complete, invert, presentation_of
 from .presentation import BudgetError, ParseError, expand, parse_presentation
 from .presets import PRESET_NAMES, preset_presentation, resolve_preset
 
@@ -77,10 +77,7 @@ def _load_presentation(args):
         return preset_presentation(value, args.prime)
     if os.path.isfile(value):
         with open(value, encoding="utf-8") as fh:
-            pres = parse_presentation(fh.read())
-        if args.prime is not None and pres.prime != args.prime:
-            raise ValueError(f"presentation is at prime {pres.prime}, got {args.prime}")
-        return pres
+            return presentation_of(parse_presentation(fh.read()), args.prime)
     raise UsageError(f"--module: {value!r} is neither a preset nor a file")
 
 

@@ -31,7 +31,17 @@ from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from .bigraded import CACHE_SIZE, KNOWN_MULTIPLIER_DEGREES, BiDegree, PGroup, Window, _is_prime, shared_phom, trusted_module
+from .bigraded import (
+    CACHE_SIZE,
+    KNOWN_MULTIPLIER_DEGREES,
+    BiDegree,
+    PGroup,
+    Window,
+    _is_prime,
+    phom_zero,
+    shared_phom,
+    trusted_module,
+)
 from .snf import valuation
 
 DEFAULT_CELL_BUDGET = 100_000
@@ -630,6 +640,37 @@ def _translates(lattice, r, window):
     return out
 
 
+def _monomial_map(p, source, target, src, tgt, vexp=0, svec=None):
+    """source -> target, times p^vexp and the monomial svec, on the cells' index entries src and tgt.
+
+    A generator of valuation v goes to p^(vexp + v - v') times that of its
+    product, of valuation v', or to 0 where the product is dead in tgt.
+    Each distinct map is validated once (shared_phom); out of or into a
+    zero cell it is the cached zero map.
+    """
+    if not src or not tgt:
+        return phom_zero(source, target)
+    rows = [[0] * len(src) for _ in tgt]
+    for vec, (col, v) in src.items():
+        hit = tgt.get(vec if svec is None else tuple(map(add, vec, svec)))
+        if hit is not None:
+            row, v_tgt = hit
+            rows[row][col] = p ** (vexp + v - v_tgt)
+    return shared_phom(source, target, tuple(map(tuple, rows)))
+
+
+def insertion(source, target, d):
+    """The localization map source_d -> target_d between two expansions.
+
+    source and target are (module, index) pairs from expand_indexed, the
+    target's presentation a localization of the source's.  Each monomial
+    goes to itself times p^(v_source - v_target), or to 0 where it is dead
+    in the target; valuations and orders only fall, so it is a hom.
+    """
+    (module, src), (tmod, tgt) = source, target
+    return _monomial_map(module.prime, module.cell(d), tmod.cell(d), src.get(d, {}), tgt.get(d, {}))
+
+
 def expand(pres, window=None, budget=None):
     """Expand a presentation into a BigradedModule on a window (see expand_indexed)."""
     return expand_indexed(pres, window, budget)[0]
@@ -647,10 +688,10 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     summand when no relation applies.  The span elements named in
     multipliers ({name: degree}, by default span_actions) become the
     module's multiplier actions; only those maps are built, each distinct
-    one validated once (shared_phom) and shared among its cells.  The
-    parts are already in BigradedModule's form (nonzero cells in the
-    window, actions between two of them), so the module is built by
-    trusted_module.
+    one validated once (shared_phom) and shared among its cells, and a
+    zero one is dropped.  The parts are already in BigradedModule's form
+    (nonzero cells in the window, nonzero actions between two of them),
+    so the module is built by trusted_module.
 
     Only one period of the expansion is searched; the rest is translated.
     Multiplying by a unit u (a span term of scalar 1 whose inverse is a
@@ -792,14 +833,9 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
             tgt = index.get(tgt_deg)
             if tgt is None or not reps.contains(deg):
                 continue
-            rows = [[0] * len(src) for _ in tgt]
-            for vec, (col, v) in src.items():
-                hit = tgt.get(tuple(map(add, vec, svec)))
-                if hit is None:
-                    continue
-                r, v_tgt = hit
-                rows[r][col] = p ** (vexp + v - v_tgt)
-            actions[(name, deg)] = shared_phom(cells[deg], cells[tgt_deg], tuple(map(tuple, rows)))
+            f = _monomial_map(p, cells[deg], cells[tgt_deg], src, tgt, vexp, svec)
+            if not f.is_zero():
+                actions[(name, deg)] = f
 
     translates = {r: _translates(lattice, r, window) for r in index if reps.contains(r)}
     materialized = sum(len(index[r]) * sum(len(ns) for _, ns in runs) for r, runs in translates.items())

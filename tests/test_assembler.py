@@ -24,7 +24,9 @@ from fracture.bigraded import (
     PGroup,
     Window,
     act,
+    phom_zero,
     validate_module,
+    zero_group,
 )
 from fracture.localization import invert
 from fracture.presentation import expand, localized, parse_presentation, span_actions
@@ -70,6 +72,15 @@ span 1·tau
 span 1·rho
 span 1·rho^-1
 """
+
+
+def assert_pictures_fit(square):
+    """The pictures of a fracture square sit on the joint support of its corners, each pair h_d -> t_d, phi_d -> t_d."""
+    h, phi, tate = square.h, square.phi, square.tate
+    assert set(square.pictures) == {*h.cells, *phi.cells, *tate.cells}
+    for d, (h_to_t, phi_to_t) in square.pictures.items():
+        assert (h_to_t.source, h_to_t.target) == (h.cell(d), tate.cell(d)), d
+        assert (phi_to_t.source, phi_to_t.target) == (phi.cell(d), tate.cell(d)), d
 
 
 PRESET_CASES = [(n, 3 if n == "HFP_ODD_R" else None) for n in PRESET_NAMES]
@@ -122,8 +133,9 @@ def test_corners_of_zero_module() -> None:
     pres = parse_presentation("prime 2\ngen tau 0 -1\ngen rho -1 -1\nrel 1·1\nspan 1·1\nspan 1·tau\nspan 1·rho\n")
     square = corners(pres, Window(-3, 3, -3, 3))
     assert not square.h.cells and not square.phi.cells and not square.tate.cells
-    assert square.map_h_t == {} and square.map_phi_t == {}
-    assert all(f.is_zero() for d in square.phi.window.cells() for f in square.maps_to_t(d))
+    # the joint support is empty, so every picture is the zero one
+    assert square.pictures == {}
+    assert_pictures_fit(square)
 
 
 def test_an_input_without_rho_has_zero_phi_and_tate() -> None:
@@ -134,16 +146,14 @@ def test_an_input_without_rho_has_zero_phi_and_tate() -> None:
 
 @pytest.mark.parametrize("name,p", PRESET_CASES, ids=PRESET_NAMES)
 def test_corner_maps_follow_the_support(name, p) -> None:
-    # the maps of a smaller window are those of a larger one, cut to it
+    # the pictures of a smaller window are those of a larger one, cut to it
     pres = preset_presentation(name, p)
     square = corners(pres, Window(-6, 6, -8, 6))
     box = corners(pres, Window(-3, 3, -4, 2))
     for d in box.h.window.cells():
-        assert [repr(f) for f in box.maps_to_t(d)] == [repr(f) for f in square.maps_to_t(d)], d
+        assert repr(box.pictures.get(d)) == repr(square.pictures.get(d)), d
     for sq in (square, box):
-        for corner, maps in ((sq.h, sq.map_h_t), (sq.phi, sq.map_phi_t)):
-            assert set(maps) == set(corner.cells)
-            assert not any(f.source.is_zero() for f in maps.values())
+        assert_pictures_fit(sq)
 
 
 def test_corners_keep_the_actions_of_the_input() -> None:
@@ -176,14 +186,16 @@ def test_corner_maps_commute_with_actions(preset, p) -> None:
     square = corners(preset_presentation(preset, p), Window(-6, 6, -8, 6))
     h, phi, tate = square.h, square.phi, square.tate
     w = h.window
+    # off the joint support every cell is zero, and so is the picture
+    zero = phom_zero(zero_group(h.prime), zero_group(h.prime))
     checked = 0
     for name, delta in h.multipliers.items():
         for d in w.cells():
             t = d + delta
             if not w.contains(t):
                 continue
-            h_to_t, phi_to_t = square.maps_to_t(d)
-            h_to_t_there, phi_to_t_there = square.maps_to_t(t)
+            h_to_t, phi_to_t = square.pictures.get(d, (zero, zero))
+            h_to_t_there, phi_to_t_there = square.pictures.get(t, (zero, zero))
             lhs = act(tate, name, d) @ h_to_t
             rhs = h_to_t_there @ act(h, name, d)
             assert lhs == rhs, (name, d)

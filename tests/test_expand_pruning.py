@@ -246,7 +246,10 @@ def probes(draw, pres, whole):
         else:
             c = draw(st.sampled_from(centers))
             t = c + draw(st.sampled_from(degrees))
-        out.append(w.meet(hull(c, t, [draw(st.integers(0, 1))] * 4)))
+        box = hull(c, t, [draw(st.integers(0, 1))] * 4)
+        out.append(
+            Window(max(w.imin, box.imin), min(w.imax, box.imax), max(w.jmin, box.jmin), min(w.jmax, box.jmax))
+        )
     return out
 
 
