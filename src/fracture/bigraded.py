@@ -34,7 +34,7 @@ class BiDegree(NamedTuple):
     j: int
 
     # tuple.__new__ skips the NamedTuple's Python-level __new__: these run
-    # on every chain step
+    # for every action the expansion, validate_module and assemble visit
     def __add__(self, other):
         return tuple.__new__(BiDegree, (self[0] + other[0], self[1] + other[1]))
 

@@ -128,7 +128,9 @@ def _integers(x, where):
 
 
 def _fields(entry, keys, where):
-    """The values of entry at keys, in order; a missing key is a ValueError naming where."""
+    """The values of entry at keys, in order; a non-object or a missing key is a ValueError naming where."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: {entry!r} is not an object")
     for key in keys:
         if key not in entry:
             raise ValueError(f"{where}: no {key!r}")
@@ -150,21 +152,21 @@ def load_json(data):
     the emission of a report gives its result module.  Emission of the
     loaded module reproduces the module emission byte for byte.  What
     this format never writes is refused with a ValueError naming the
-    cell or edge: a missing field, a flag other than its two, a number
-    that is not an integer, a degree that is not a pair, a group or matrix
+    field, cell or edge: a non-object or a missing field, an unknown flag,
+    a non-integer number, a degree that is not a pair, a group or matrix
     that PGroup or PHom refuses, a cell outside the window or listed twice,
     and an edge whose endpoint is not a listed cell.
     """
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     payload = json.loads(data)
-    prime = _integers(payload["prime"], "prime")
-    w = payload["window"]
-    window = Window(*_integers([w["imin"], w["imax"], w["jmin"], w["jmax"]], "window"))
+    prime, w, listed = _fields(payload, ("prime", "window", "cells"), "chart")
+    prime = _integers(prime, "prime")
+    window = Window(*_integers(_fields(w, ("imin", "imax", "jmin", "jmax"), "window"), "window"))
     cells = {}
     unverified = set()
-    for entry in payload["cells"]:
-        where = f"cell ({entry.get('i')!r}, {entry.get('j')!r})"
+    for entry in listed:
+        where = f"cell ({entry.get('i')!r}, {entry.get('j')!r})" if isinstance(entry, dict) else "cell"
         i, j, rank, torsion = _integers(_fields(entry, ("i", "j", "rank", "torsion"), where), where)
         d = BiDegree(i, j)
         if not window.contains(d):

@@ -28,16 +28,16 @@ import re
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .bigraded import (
     CACHE_SIZE,
     KNOWN_MULTIPLIER_DEGREES,
     BiDegree,
-    PGroup,
     Window,
     _is_prime,
+    free_first,
     phom_zero,
     shared_phom,
     trusted_module,
@@ -640,8 +640,8 @@ def _translates(lattice, r, window):
     return out
 
 
-def _monomial_map(p, source, target, src, tgt, vexp=0, svec=None):
-    """source -> target, times p^vexp and the monomial svec, on the cells' index entries src and tgt.
+def _monomial_map(p, source, target, src, tgt, vexp, svec):
+    """source -> target, times p^vexp and the monomial svec, on the index entries src and tgt.
 
     A generator of valuation v goes to p^(vexp + v - v') times that of its
     product, of valuation v', or to 0 where the product is dead in tgt.
@@ -652,7 +652,7 @@ def _monomial_map(p, source, target, src, tgt, vexp=0, svec=None):
         return phom_zero(source, target)
     rows = [[0] * len(src) for _ in tgt]
     for vec, (col, v) in src.items():
-        hit = tgt.get(vec if svec is None else tuple(map(add, vec, svec)))
+        hit = tgt.get(tuple(map(add, vec, svec)))
         if hit is not None:
             row, v_tgt = hit
             rows[row][col] = p ** (vexp + v - v_tgt)
@@ -664,11 +664,13 @@ def insertion(source, target, d):
 
     source and target are (module, index) pairs from expand_indexed, the
     target's presentation a localization of the source's.  Each monomial
-    goes to itself times p^(v_source - v_target), or to 0 where it is dead
-    in the target; valuations and orders only fall, so it is a hom.
+    goes to itself times p^(v_source - v_target), matched across the two
+    shifts, or to 0 where it is dead in the target; valuations and orders
+    only fall, so it is a hom.
     """
-    (module, src), (tmod, tgt) = source, target
-    return _monomial_map(module.prime, module.cell(d), tmod.cell(d), src.get(d, {}), tgt.get(d, {}))
+    (module, index), (tmod, tindex) = source, target
+    (src, shift), (tgt, tshift) = index.get(d, ({}, ())), tindex.get(d, ({}, ()))
+    return _monomial_map(module.prime, module.cell(d), tmod.cell(d), src, tgt, 0, tuple(map(sub, shift, tshift)))
 
 
 def expand(pres, window=None, budget=None):
@@ -679,9 +681,9 @@ def expand(pres, window=None, budget=None):
 def expand_indexed(pres, window=None, budget=None, multipliers=None):
     """Expand a presentation on a window, with the index of its monomials.
 
-    Returns (module, index), where index[d] maps each live monomial of
-    bidegree d (an exponent vector) to its (position, valuation): the
-    monomial times p^valuation is the cell's generator at that position.
+    Returns (module, index), index[d] = (entries, shift): entries maps vec
+    to (position, valuation), where the live monomial vec + shift of degree
+    d, times p^valuation, is the cell's generator at that position.
     Every product of span elements whose bidegree lies in the window
     contributes a cyclic summand: a monomial reached with total scalar
     valuation v and killed at valuation e gives Z/p^(e-v), or a free
@@ -706,8 +708,8 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     one per class of degrees modulo the unit lattice.  The search runs on
     that box, padded on the axes a translation moves by the multiplier
     degrees so that every action out of a representative is there too;
-    each window cell then gets its representative's group and action maps
-    (the same objects) and its index entries shifted by the unit's vector.
+    each window cell then gets its representative's group, action maps and
+    index entries (the same objects), with shift the unit's vector.
     A presentation with no unit has the trivial lattice: each cell is its
     own representative and the box is the window.
 
@@ -818,11 +820,9 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     cells = {}
     index = {}
     for deg, gens_here in per_degree.items():
-        gens_here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
-        rank = sum(1 for _, _, e in gens_here if e is None)
-        torsion = tuple(e - v for _, v, e in gens_here if e is not None)
-        cells[deg] = PGroup(p, rank, torsion)
-        index[deg] = {vec: (pos, v) for pos, (vec, v, _) in enumerate(gens_here)}
+        gens_here.sort()  # ties in free_first's order go by exponent vector
+        cells[deg], order = free_first(p, [(None if e is None else e - v, vec, v) for vec, v, e in gens_here])
+        index[deg] = {vec: (pos, v) for pos, (_, vec, v) in enumerate(order)}
 
     actions = {}
     for vexp, svec, sdeg, name in steps:
@@ -859,10 +859,7 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
                 j = jm + n * c
                 d = BiDegree(i, j)
                 out_cells[d] = group
-                if m or n:
-                    out_index[d] = {tuple(map(add, vec, shift)): entry for vec, entry in entries.items()}
-                else:
-                    out_index[d] = entries
+                out_index[d] = (entries, shift)
                 for name, di, dj, f in outgoing:
                     if wimin <= i + di <= wimax and wjmin <= j + dj <= wjmax:
                         out_actions[(name, d)] = f

@@ -1,7 +1,8 @@
 """Maps and module operations only the tests use: twin groups, scalar maps,
-cellwise sums and comparisons, the reference monomial search, a record
-of the windows the localizations expand, random presentations that realize
-accepts, and the package's caches."""
+cellwise sums and comparisons, the reference monomial search, the
+monomials of an expansion's index, a record of the windows the
+localizations expand, random presentations that realize accepts, and the
+package's caches."""
 
 import heapq
 import importlib
@@ -186,6 +187,12 @@ def live_monomials(pres, window, budget, extend_dead=True):
         if window.contains(deg) and (e is None or val < e):
             per_degree.setdefault(deg, []).append((vec, val, e))
     return per_degree
+
+
+def monomials(index, d):
+    """{exponent vector: (position, valuation)} of the live monomials of cell d, from an expand_indexed index."""
+    entries, shift = index.get(d, ({}, ()))
+    return {tuple(map(add, vec, shift)): entry for vec, entry in entries.items()}
 
 
 def expanded_windows(monkeypatch, run):

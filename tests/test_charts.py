@@ -132,8 +132,16 @@ def two_cell_payload() -> dict:
     return chart_payload(module)
 
 
-# (how to spoil the two-cell payload, what load_json must say); cells[0] is (0, -1)
+# (how to spoil the two-cell payload, what load_json must say); cells[0]
+# is (0, -1), and a list a spoiler returns is loaded in the payload's place
 MALFORMED = {
+    "chart-without-prime": (lambda p: p.__delitem__("prime"), r"chart: no 'prime'"),
+    "chart-without-window": (lambda p: p.__delitem__("window"), r"chart: no 'window'"),
+    "chart-without-cells": (lambda p: p.__delitem__("cells"), r"chart: no 'cells'"),
+    "window-without-jmax": (lambda p: p["window"].__delitem__("jmax"), r"window: no 'jmax'"),
+    "chart-that-is-a-list": (lambda p: [p], r"chart: \[\{.*\}\] is not an object"),
+    "cell-that-is-a-number": (lambda p: p.update(cells=[5]), r"cell: 5 is not an object"),
+    "edge-that-is-a-number": (lambda p: p["edges"].append(5), r"edge 5: 5 is not an object"),
     "edge-to-unlisted-cell": (
         lambda p: p["edges"].append({"from": [0, 0], "mult": "v1", "matrix": [[1]]}),
         r"edge v1 from \(0, 0\): endpoint \(2, 1\) is not a listed cell",
@@ -188,9 +196,9 @@ def test_the_unspoiled_two_cell_payload_loads() -> None:
 def test_load_json_refuses_what_emit_json_never_writes(case) -> None:
     spoil, message = MALFORMED[case]
     payload = two_cell_payload()
-    spoil(payload)
+    spoiled = spoil(payload)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        load_json(json.dumps(payload))
+        load_json(json.dumps(spoiled if isinstance(spoiled, list) else payload))
 
 
 def test_a_hand_built_module_emits_canonical_edge_matrices() -> None:

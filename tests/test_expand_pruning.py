@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracture import assembler, emit_json
-from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, free_first, restrict
+from fracture.bigraded import BiDegree, BigradedModule, PGroup, PHom, Window, restrict
 from fracture.presentation import (
     BudgetError,
     expand,
@@ -44,6 +44,7 @@ from helpers import (
     expanded_windows,
     inverse_free_rho_presentations,
     live_monomials,
+    monomials,
     odd_rho_complete_presentations,
     span_steps,
 )
@@ -304,12 +305,12 @@ def test_per_axis_collar_misses_no_monomial(pres, data) -> None:
     window = Window(imin, imin + data.draw(st.integers(0, 2)), jmin, jmin + data.draw(st.integers(0, 2)))
     module, index = expand_indexed(pres, window, budget=100_000)
     want = live_monomials(pres, window, 100_000, extend_dead=False)
-    assert {d: {vec: v for vec, (_, v) in here.items()} for d, here in index.items()} == {
+    assert {d: {vec: v for vec, (_, v) in monomials(index, d).items()} for d in index} == {
         d: {vec: v for vec, v, _ in here} for d, here in want.items()
     }
     for d, here in want.items():
-        group, _ = free_first(pres.prime, [(None if e is None else e - v,) for _, v, e in here])
-        assert module.cells[d] == group
+        torsion = sorted((e - v for _, v, e in here if e is not None), reverse=True)
+        assert module.cells[d] == PGroup(pres.prime, sum(e is None for _, _, e in here), torsion)
 
 
 def localized_presentations(name, prime):
@@ -378,7 +379,7 @@ def test_translated_expansion_equals_the_plain_search(pres, data) -> None:
     assert index.keys() == per_degree.keys()
     for d, here in per_degree.items():
         here.sort(key=lambda g: (0, 0, g[0]) if g[2] is None else (1, -(g[2] - g[1]), g[0]))
-        assert index[d] == {vec: (pos, v) for pos, (vec, v, _) in enumerate(here)}
+        assert monomials(index, d) == {vec: (pos, v) for pos, (vec, v, _) in enumerate(here)}
 
 
 # at the origin, and in three quadrants away from it
@@ -392,3 +393,25 @@ def test_translated_corners_equal_the_plain_search(name, prime, window) -> None:
     for local in localized_presentations(name, prime)[1:]:
         got, index = expand_indexed(local, window, budget=2_000_000)
         assert_same_expansion(got, unpruned_expand(local, window, 500_000, extend_dead=False))
+
+
+@pytest.mark.parametrize("window", CORNER_WINDOWS[1:3], ids=str)
+@pytest.mark.parametrize("name", ["HF2_R", "HZ2_R", "KGL2_R"])
+def test_translated_cells_share_their_representatives_entries(name, window) -> None:
+    # two cells a unit u apart hold one entries object, their shifts vec(u)
+    # apart; h is empty on some of these windows, and HFP_ODD_R's one
+    # corner on both
+    checked = 0
+    for local in localized_presentations(name, None)[1:]:
+        _, index = expand_indexed(local, window, budget=2_000_000)
+        pairs = 0
+        for di, dj, vec in unit_lattice(local):
+            for d, (entries, shift) in index.items():
+                there = index.get(d + (di, dj))
+                if (di, dj) != (0, 0) and there is not None:
+                    assert there[0] is entries, (d, di, dj)
+                    assert tuple(map(add, shift, vec)) == there[1], (d, di, dj)
+                    pairs += 1
+        assert pairs or not index
+        checked += pairs
+    assert checked

@@ -35,7 +35,7 @@ from fracture.presentation import (
 )
 from fracture.presets import PRESET_NAMES, preset_presentation
 
-from helpers import expanded_windows, inverse_free_rho_presentations, live_monomials
+from helpers import expanded_windows, inverse_free_rho_presentations, live_monomials, monomials
 
 
 def random_rho_inverted_source(rng):
@@ -91,12 +91,13 @@ def test_the_rule_matches_the_monomials_of_random_rho_inverted_inputs() -> None:
         except BudgetError:
             continue
         product = inverse_product(pres, "rho")
-        live = [(d, vec, v) for d, here in index.items() if CORE.contains(d) for vec, (_, v) in here.items()]
+        cells = {d: monomials(index, d) for d in index}
+        live = [(d, vec, v) for d, here in cells.items() if CORE.contains(d) for vec, (_, v) in here.items()]
         for d, vec, v in live:
 
             def preimage(n):
                 shifted = vec[:k] + (vec[k] - n,) + vec[k + 1 :]
-                return index.get(d - RHO.scaled(n), {}).get(shifted)
+                return cells.get(d - RHO.scaled(n), {}).get(shifted)
 
             if product is not None:
                 (name, e), = product
