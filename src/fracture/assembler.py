@@ -176,18 +176,16 @@ def corner_presentations(pres, tau_name):
     return {"h": h, "phi": localized(pres, "rho"), "tate": localized(h, "rho")}
 
 
-def corners(pres, window, budget=None):
-    """The corners h, phi, tate of the fracture square of a presentation, exact on the window.
+def _expanded_corners(pres, window, budget):
+    """(h, phi, tate, tau_name), each corner the (module, index) of its expansion on the window.
 
     Each is the expansion of its localized presentation (corner_presentations);
     an input with no rho span action has zero phi and tate.  Every corner
-    acts by the input's span actions only.  The pictures are the
-    insertions into tate on the joint support.  Refusals come in this
-    order: a missing tau power (ValueError), then a corner not of finite
-    type (BudgetError naming it and its ray, see expand_localized), both
-    before anything is expanded, then the budget, which each corner
-    expansion has to itself.  The contract is the caller's: h deserves its
-    name only for a rho-complete input.
+    acts by the input's span actions only.  Refusals come in this order: a
+    missing tau power (ValueError), then a corner not of finite type
+    (BudgetError naming it and its ray, see expand_localized), both before
+    anything is expanded, then the budget, which each corner expansion has
+    to itself.
     """
     mults = span_actions(pres)
     tau_name = select_tau_power(pres.prime, mults)
@@ -196,6 +194,18 @@ def corners(pres, window, budget=None):
     parts = expand_localized(pres, {f"corner {corner}": local for corner, local in named.items()}, window, budget)
     zero = (BigradedModule(pres.prime, window, {}, {}, mults), {})
     h, phi, tate = (parts.get(f"corner {corner}", zero) for corner in ("h", "phi", "tate"))
+    return h, phi, tate, tau_name
+
+
+def corners(pres, window, budget=None):
+    """The corners h, phi, tate of the fracture square of a presentation, exact on the window.
+
+    The corners and refusals are those of _expanded_corners.  The
+    pictures are the insertions into tate on the joint support.  The
+    contract is the caller's: h deserves its name only for a rho-complete
+    input.
+    """
+    h, phi, tate, tau_name = _expanded_corners(pres, window, budget)
     support = {*h[0].cells, *phi[0].cells, *tate[0].cells}
     pictures = {d: (insertion(h, tate, d), insertion(phi, tate, d)) for d in support}
     return SquareCorners(h[0], phi[0], tate[0], pictures, tau_name)
@@ -375,7 +385,10 @@ def realize(source, prime=None, window=None, *, rho_complete=False, budget=None)
     action, are cached (functools.lru_cache, bounded by
     bigraded.CACHE_SIZE): each is computed and certified once per
     distinct input, and a later call with an equal input, in this
-    realize or another, gets the stored result back.
+    realize or another, gets the stored result back.  So is each corner's
+    period search, keyed by the corner's presentation, its box of
+    representatives, the actions and the budget (see expand_indexed): a
+    window whose boxes were searched before only translates them.
 
     Each corner expansion runs under its own budget of monomials: budget,
     or INTERNAL_BUDGET (2,000,000); FRACTURE_CELL_BUDGET is not
@@ -403,8 +416,8 @@ def odd_split(source, prime, window=None, *, rho_complete=False, budget=None):
     pres = presentation_of(source, prime)
     if pres.prime == 2:
         raise ValueError("the odd-primary splitting needs an odd prime")
-    square = corners(pres, *_checked(pres, window, budget, rho_complete))
-    bad = sorted(square.tate.cells)
+    (h, _), (phi, _), (tate, _), _ = _expanded_corners(pres, *_checked(pres, window, budget, rho_complete))
+    bad = sorted(tate.cells)
     if bad:
         raise ValueError(f"Tate corner is nonzero at {bad[:4]}; the odd split does not apply")
-    return square.phi, square.h
+    return phi, h

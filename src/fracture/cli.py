@@ -113,7 +113,9 @@ def _failed(problems):
 
 
 def run_localize(args):
-    module = args.localize(_load_presentation(args), args.mult, window=args.window)
+    # looked up per call: the parser outlives the call, so it holds no function to run
+    localize = invert if args.command == "invert" else complete
+    module = localize(_load_presentation(args), args.mult, window=args.window)
     if _failed(validate_module(module)):
         return 1
     _emit(render(module, args.format), args.out)
@@ -131,9 +133,9 @@ def run_check(args):
     return 0
 
 
-def _command(sub, name, text, func, **defaults):
+def _command(sub, name, text, func):
     p = sub.add_parser(name, help=text, description=text)
-    p.set_defaults(func=func, **defaults)
+    p.set_defaults(func=func)
     return p
 
 
@@ -153,11 +155,11 @@ def build_parser():
     _add_module_args(p)
     _add_output_args(p)
 
-    for name, localize, what, mult_help in (
-        ("invert", invert, "invert a span action of the presentation", "span action to invert"),
-        ("complete", complete, "complete along a span action degreewise", "span action to complete along"),
+    for name, what, mult_help in (
+        ("invert", "invert a span action of the presentation", "span action to invert"),
+        ("complete", "complete along a span action degreewise", "span action to complete along"),
     ):
-        p = _command(sub, name, what, run_localize, localize=localize)
+        p = _command(sub, name, what, run_localize)
         _add_module_args(p)
         _add_output_args(p)
         p.add_argument("--mult", required=True, help=mult_help)
@@ -187,12 +189,19 @@ def _glue_window_values(argv):
     return out
 
 
+# built by the first main call and reused by the later ones: parse_args
+# writes each call's answers into a fresh namespace, never into the parser
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_window_values(argv))
+        args = _parser.parse_args(_glue_window_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

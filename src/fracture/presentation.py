@@ -673,6 +673,107 @@ def insertion(source, target, d):
     return _monomial_map(module.prime, module.cell(d), tmod.cell(d), src, tgt, 0, tuple(map(sub, shift, tshift)))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _period(pres, reps, multipliers, budget):
+    """(visited, cells, index, actions) of the search of pres around the box reps (see expand_indexed).
+
+    multipliers is the actions' ({name: degree}).items() as a tuple.
+    cells, index and actions hold the nonzero cells of reps, their index
+    entries and the nonzero actions out of them; visited counts the
+    settled monomials.  A search that settles more than budget stops
+    there and gives (visited, None, None, None), so a refusal is cached
+    too.  The dicts are cached and shared: never mutate them.
+    """
+    p = pres.prime
+    steps = _span_steps(pres)
+    killers = _killers(pres)
+    (a, b, _), (_, c, _) = unit_lattice(pres)
+    multipliers = dict(multipliers)
+
+    # The period: the representatives, padded on each axis a translation
+    # moves by the degrees of the actions out of them.
+    dis = [0, *(deg[0] for deg in multipliers.values())] if a else [0]
+    djs = [0, *(deg[1] for deg in multipliers.values())] if b or c else [0]
+    period = Window(reps.imin + min(dis), reps.imax + max(dis), reps.jmin + min(djs), reps.jmax + max(djs))
+
+    # Bounding box: hull of the period and origin, plus the per-axis
+    # Steinitz collar, inside which some ordering of any product stays the
+    # whole way.
+    collar_i = 2 * max((abs(deg.i) for _, _, deg, _ in steps), default=0) + 2
+    collar_j = 2 * max((abs(deg.j) for _, _, deg, _ in steps), default=0) + 2
+    imin, imax = min(0, period.imin) - collar_i, max(0, period.imax) + collar_i
+    jmin, jmax = min(0, period.jmin) - collar_j, max(0, period.jmax) + collar_j
+    moves = [(vexp, vec, deg.i, deg.j) for vexp, vec, deg, _ in steps]
+
+    # Degrees ride along as plain ints.  levels maps a valuation to the
+    # monomials queued for it, unsettled; the level's queue holds its
+    # settled ones and grows while it is walked.  The ones inside the
+    # period are grouped by bidegree as they settle: the reachable
+    # monomials that survive their relations.  A dead monomial (valuation
+    # at least its order exponent) is not extended: span steps only add
+    # powers of the generators a relation needs and never lower the
+    # valuation, so whatever it leads to is dead as well, and the live
+    # monomials keep their valuations.
+    settled = set()
+    per_degree = {}
+    levels = {}
+    for vexp, vec, i, j in moves:
+        if imin <= i <= imax and jmin <= j <= jmax:
+            levels.setdefault(vexp, []).append((vec, i, j))
+    visited = 0
+    while levels:
+        val = min(levels)
+        queue = []
+        for item in levels.pop(val):
+            if item[0] not in settled:
+                settled.add(item[0])
+                queue.append(item)
+        for vec, i, j in queue:
+            visited += 1
+            if visited > budget:
+                return visited, None, None, None
+            e = _order_exponent(killers, vec)
+            if e is not None and val >= e:
+                continue
+            if period.imin <= i <= period.imax and period.jmin <= j <= period.jmax:
+                per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
+            for vexp, svec, si, sj in moves:
+                ni, nj = i + si, j + sj
+                if not (imin <= ni <= imax and jmin <= nj <= jmax):
+                    continue
+                nvec = tuple(map(add, vec, svec))
+                if nvec in settled:
+                    continue
+                if vexp:
+                    levels.setdefault(val + vexp, []).append((nvec, ni, nj))
+                else:
+                    settled.add(nvec)
+                    queue.append((nvec, ni, nj))
+
+    cells = {}
+    index = {}
+    for deg, gens_here in per_degree.items():
+        gens_here.sort()  # ties in free_first's order go by exponent vector
+        cells[deg], order = free_first(p, [(None if e is None else e - v, vec, v) for vec, v, e in gens_here])
+        index[deg] = {vec: (pos, v) for pos, (_, vec, v) in enumerate(order)}
+
+    actions = {}
+    for vexp, svec, sdeg, name in steps:
+        if name not in multipliers:
+            continue
+        for deg, src in index.items():
+            tgt_deg = deg + sdeg
+            tgt = index.get(tgt_deg)
+            if tgt is None or not reps.contains(deg):
+                continue
+            f = _monomial_map(p, cells[deg], cells[tgt_deg], src, tgt, vexp, svec)
+            if not f.is_zero():
+                actions[(name, deg)] = f
+    # only the representatives are translated; the padding served their actions
+    index = {r: entries for r, entries in index.items() if reps.contains(r)}
+    return visited, {r: cells[r] for r in index}, index, actions
+
+
 def expand(pres, window=None, budget=None):
     """Expand a presentation into a BigradedModule on a window (see expand_indexed)."""
     return expand_indexed(pres, window, budget)[0]
@@ -745,99 +846,27 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
     counted from the representatives and the number of their translates
     in the window before any of them is built, so a window that is too
     wide fails fast.
+
+    The search and the period it builds depend on nothing but the
+    presentation, the box of representatives, the actions and the budget,
+    and are cached on those four (_period, a functools.lru_cache bounded
+    by CACHE_SIZE): windows with the same box share one search, within a
+    process, and each call only counts and translates.  A search over the
+    budget is cached as that refusal, so a repeat refuses without
+    searching again.
     """
     window = expansion_window(pres, window)
     budget, hint = cell_budget(budget)
-    p = pres.prime
-    steps = _span_steps(pres)
-    killers = _killers(pres)
     if multipliers is None:
         multipliers = span_actions(pres)
     lattice = unit_lattice(pres)
     (a, b, _), (_, c, _) = lattice
     reps = _representatives(lattice, window)
+    visited, cells, index, actions = _period(pres, reps, tuple(multipliers.items()), budget)
+    if cells is None:
+        raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
 
-    # The period: the representatives, padded on each axis a translation
-    # moves by the degrees of the actions out of them.
-    dis = [0, *(deg[0] for deg in multipliers.values())] if a else [0]
-    djs = [0, *(deg[1] for deg in multipliers.values())] if b or c else [0]
-    period = Window(reps.imin + min(dis), reps.imax + max(dis), reps.jmin + min(djs), reps.jmax + max(djs))
-
-    # Bounding box: hull of the period and origin, plus the per-axis
-    # Steinitz collar, inside which some ordering of any product stays the
-    # whole way.
-    collar_i = 2 * max((abs(deg.i) for _, _, deg, _ in steps), default=0) + 2
-    collar_j = 2 * max((abs(deg.j) for _, _, deg, _ in steps), default=0) + 2
-    imin, imax = min(0, period.imin) - collar_i, max(0, period.imax) + collar_i
-    jmin, jmax = min(0, period.jmin) - collar_j, max(0, period.jmax) + collar_j
-    moves = [(vexp, vec, deg.i, deg.j) for vexp, vec, deg, _ in steps]
-
-    # Degrees ride along as plain ints.  levels maps a valuation to the
-    # monomials queued for it, unsettled; the level's queue holds its
-    # settled ones and grows while it is walked.  The ones inside the
-    # period are grouped by bidegree as they settle: the reachable
-    # monomials that survive their relations.  A dead monomial (valuation
-    # at least its order exponent) is not extended: span steps only add
-    # powers of the generators a relation needs and never lower the
-    # valuation, so whatever it leads to is dead as well, and the live
-    # monomials keep their valuations.
-    settled = set()
-    per_degree = {}
-    levels = {}
-    for vexp, vec, i, j in moves:
-        if imin <= i <= imax and jmin <= j <= jmax:
-            levels.setdefault(vexp, []).append((vec, i, j))
-    visited = 0
-    while levels:
-        val = min(levels)
-        queue = []
-        for item in levels.pop(val):
-            if item[0] not in settled:
-                settled.add(item[0])
-                queue.append(item)
-        for vec, i, j in queue:
-            visited += 1
-            if visited > budget:
-                raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
-            e = _order_exponent(killers, vec)
-            if e is not None and val >= e:
-                continue
-            if period.imin <= i <= period.imax and period.jmin <= j <= period.jmax:
-                per_degree.setdefault(BiDegree(i, j), []).append((vec, val, e))
-            for vexp, svec, si, sj in moves:
-                ni, nj = i + si, j + sj
-                if not (imin <= ni <= imax and jmin <= nj <= jmax):
-                    continue
-                nvec = tuple(map(add, vec, svec))
-                if nvec in settled:
-                    continue
-                if vexp:
-                    levels.setdefault(val + vexp, []).append((nvec, ni, nj))
-                else:
-                    settled.add(nvec)
-                    queue.append((nvec, ni, nj))
-
-    cells = {}
-    index = {}
-    for deg, gens_here in per_degree.items():
-        gens_here.sort()  # ties in free_first's order go by exponent vector
-        cells[deg], order = free_first(p, [(None if e is None else e - v, vec, v) for vec, v, e in gens_here])
-        index[deg] = {vec: (pos, v) for pos, (_, vec, v) in enumerate(order)}
-
-    actions = {}
-    for vexp, svec, sdeg, name in steps:
-        if name not in multipliers:
-            continue
-        for deg, src in index.items():
-            tgt_deg = deg + sdeg
-            tgt = index.get(tgt_deg)
-            if tgt is None or not reps.contains(deg):
-                continue
-            f = _monomial_map(p, cells[deg], cells[tgt_deg], src, tgt, vexp, svec)
-            if not f.is_zero():
-                actions[(name, deg)] = f
-
-    translates = {r: _translates(lattice, r, window) for r in index if reps.contains(r)}
+    translates = {r: _translates(lattice, r, window) for r in index}
     materialized = sum(len(index[r]) * sum(len(ns) for _, ns in runs) for r, runs in translates.items())
     if visited + materialized > budget:
         raise BudgetError(f"expansion exceeded the budget of {budget} monomials{hint}")
@@ -864,4 +893,4 @@ def expand_indexed(pres, window=None, budget=None, multipliers=None):
                     if wimin <= i + di <= wimax and wjmin <= j + dj <= wjmax:
                         out_actions[(name, d)] = f
                 shift = tuple(map(add, shift, vec_n))
-    return trusted_module(p, window, out_cells, out_actions, mults, (), ()), out_index
+    return trusted_module(pres.prime, window, out_cells, out_actions, mults, (), ()), out_index

@@ -18,7 +18,7 @@ import pytest
 
 from fracture.assembler import CONTRACT_MESSAGE, realize
 from fracture.bigraded import BigradedModule, PGroup, Window, phom_identity, validate_module
-from fracture.charts import emit_json, render_ascii
+from fracture.charts import emit_json, render, render_ascii
 from fracture.cli import build_parser, main, window_arg
 from fracture.localization import COMPLETION_CAVEAT, invert
 from fracture.presentation import BUDGET_ENV_VAR, expand, print_presentation
@@ -219,6 +219,22 @@ def test_override_realizes_file_module(tmp_path, capsysbinary) -> None:
     cell = next(c for c in payload["cells"] if (c["i"], c["j"]) == (0, 0))
     assert cell["rank"] == 0
     assert cell["torsion"] == [1]
+
+
+def test_successive_main_calls_share_no_state(tmp_path, capsysbinary) -> None:
+    # the parser is built once per process; each call's flags are its own
+    window = ["--module", "hz2", "--window", "-2:2,-2:2"]
+    report = realize("hz2", 2, (-2, 2, -2, 2))
+    assert main(["realize", *window, "--format", "svg"]) == 0
+    assert capsysbinary.readouterr().out == render(report, "svg")
+    assert main(["realize", *window]) == 0
+    assert capsysbinary.readouterr().out == emit_json(report)
+    src = tmp_path / "rho_inverted.txt"
+    src.write_text(RHO_INVERTED_SOURCE, encoding="utf-8")
+    assert main(["realize", "--module", str(src), "--window", "-2:2,-2:2", "--assert-rho-complete"]) == 1
+    assert capsysbinary.readouterr().err == b"error: input has no tau power action to invert\n"
+    assert main(["realize", "--module", str(src), "--window", "-2:2,-2:2"]) == 1
+    assert capsysbinary.readouterr().err.decode("utf-8").startswith(CONTRACT_MESSAGE)
 
 
 def test_usage_errors_exit_two(tmp_path, capsysbinary) -> None:

@@ -7,18 +7,23 @@ assembler._transport), are functools.lru_cache functions bounded by
 bigraded.CACHE_SIZE.  So are the parse of a presentation's text and what
 is read off a presentation alone: its span steps and actions, killers,
 unbounded ray, unit lattice and corner presentations; these results are
-immutable or never mutated, and a repeated request recomputes none.  Groups carry no generator names, and the keys are
-the matrices, maps and groups themselves, so equal inputs built as
-separate objects compute once and share one result object, within a
-realize call and across calls; every route that builds a group or a map
-gives it the hash of a freshly built equal one.  The caches must never
+immutable or never mutated, and a repeated request recomputes none.  So
+is the period search of an expansion (presentation._period), keyed by
+the presentation, the box of representatives, the actions and the
+budget: windows with one box share one search.  Groups carry no
+generator names, and the keys are the matrices, maps and groups
+themselves, so equal inputs built as separate objects compute once and
+share one result object, within a realize call and across calls; every
+route that builds a group or a map gives it the hash of a freshly built
+equal one.  The caches must never
 show: every answer equals the one computed afresh, and realize and
 odd_split print the same bytes with empty caches, with caches warmed by
 other requests, and with every cached function bypassed.  A raise stores
-nothing, so a failed certificate is not remembered.  invert and complete
-expand a presentation and compute no Smith normal form, and expansion
-validates each distinct action map once.  Every test starts with empty
-caches (conftest.py).
+nothing, so a failed certificate is not remembered; a period search over
+its budget is stored as that refusal, and a larger budget searches
+again.  invert and complete expand a presentation and compute no Smith
+normal form, and expansion validates each distinct action map once.
+Every test starts with empty caches (conftest.py).
 """
 
 import contextlib
@@ -32,9 +37,11 @@ from fracture import emit_json
 from fracture.assembler import RhoCompleteError, corner_presentations, odd_split, realize, select_tau_power
 from fracture.bigraded import (
     CACHE_SIZE,
+    BiDegree,
     BigradedModule,
     PGroup,
     PHom,
+    Window,
     _trusted_phom,
     pgroup_sum,
     phom_identity,
@@ -46,8 +53,11 @@ from fracture.localization import complete, invert
 from fracture.presentation import (
     BudgetError,
     _killers,
+    _period,
+    _representatives,
     _span_steps,
     expand,
+    expand_indexed,
     parse_presentation,
     span_actions,
     unbounded_ray,
@@ -394,12 +404,66 @@ def test_every_cache_stays_within_its_bound() -> None:
         "unbounded_ray",
         "unit_lattice",
         "corner_presentations",
+        "_period",
     }
     for _, name, f in bindings:
         info = f.cache_info()
         assert info.maxsize == CACHE_SIZE, name
         # nothing raised, so an evicted entry would leave more misses than entries
         assert info.currsize == info.misses <= CACHE_SIZE, name
+
+
+def kgl2_h():
+    """KGL2_R's corner h = M[tau4^-1], and the actions it is expanded with."""
+    pres = parse_presentation(preset_source("KGL2_R"))
+    mults = span_actions(pres)
+    return corner_presentations(pres, select_tau_power(pres.prime, mults))["h"], mults
+
+
+def test_windows_with_one_box_of_representatives_share_one_period_search() -> None:
+    h, mults = kgl2_h()
+    # the units of h are the powers of tau4, of degree (0, -4)
+    step = BiDegree(0, 4)
+    first, index = expand_indexed(h, (-6, 6, -6, 6), None, mults)
+    moved, moved_index = expand_indexed(h, (-6, 6, -6 + step.j, 6 + step.j), None, mults)
+    assert _period.cache_info().misses == 1
+    with uncached():
+        fresh, _ = expand_indexed(h, (-6, 6, -2, 10), None, mults)
+    assert emit_json(moved) == emit_json(fresh)
+    assert {d + step: g for d, g in first.cells.items()} == moved.cells
+    assert {(name, d + step): f for (name, d), f in first.actions.items()} == moved.actions
+    assert all(moved_index[d + step][0] is entries for d, (entries, _) in index.items())
+
+
+def test_a_period_search_over_its_budget_stops_there_and_is_stored_as_a_refusal() -> None:
+    h, mults = kgl2_h()
+    reps = _representatives(unit_lattice(h), Window(-10, 11, -10, 10))
+    key = (h, reps, tuple(mults.items()))
+    assert _period(*key, 763) == (764, None, None, None)
+    assert _period(*key, 763) is _period(*key, 763)
+    visited, cells, index, actions = _period(*key, 764)
+    assert visited == 764
+    assert cells.keys() == index.keys() and actions
+    assert _period.cache_info().misses == 2
+
+
+# h's period search for KGL2_R on (-10,10)^2 settles 764 monomials and its
+# window holds 178 more: 763 stops the search, 941 the count, 942 answers;
+# a refusal cached for 763 must not answer the larger budgets
+@pytest.mark.parametrize(
+    "budgets",
+    [(763, 941, 942, None), (None, 941, 942), (None, 942, 941, 763)],
+    ids=["rising", "refused after an answer", "falling"],
+)
+def test_each_budget_keeps_its_threshold_whatever_the_period_cache_holds(budgets) -> None:
+    answers = set()
+    for budget in budgets:
+        if budget in (763, 941):
+            with pytest.raises(BudgetError, match=f"^expansion exceeded the budget of {budget} monomials$"):
+                realize("KGL2_R", 2, (-10, 10, -10, 10), budget=budget)
+        else:
+            answers.add(emit_json(realize("KGL2_R", 2, (-10, 10, -10, 10), budget=budget).result))
+    assert len(answers) == 1
 
 
 def requested(run):
